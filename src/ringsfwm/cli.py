@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .config import (
 )
 from .core import Geometry, PumpMode, PumpSpec, quality_factors, rate_scale_R0, prob_scale_p0
 from .cw import cw_accidentals_and_car, cw_observables
-from .optimize import OptimizationError, cross_validate_optima
+from .optimize import OptimizationError, coupling_parameter_names, cross_validate_optima
 from .pulsed import QuadratureError, pulsed_observables
 from .schmidt import DecompositionError, discretize_wavepacket, schmidt_spectrum
 from .sweep import SweepAxis, SweepSpec, algaas_example, emit, render, report_optima, run_sweep
@@ -51,7 +52,6 @@ def _add_common(sub: argparse.ArgumentParser, config_required: bool) -> None:
     sub.add_argument("--config", required=config_required, help="INI config file")
     sub.add_argument("--out", default=None, help="output file (default: stdout)")
     sub.add_argument("--format", default=None, choices=("csv", "json"))
-    sub.add_argument("--threads", type=int, default=None, help="worker threads")
     sub.add_argument("--grid", type=int, default=None, help="override grid points per axis")
     sub.add_argument(
         "--refine", action="store_true",
@@ -153,22 +153,14 @@ def _cmd_sweep(args) -> int:
     spec = sweep_spec_from_config(cp)
     if args.grid is not None:
         spec = _with_grid(spec, args.grid)
-    result = run_sweep(spec, threads=args.threads, refine=args.refine)
+    result = run_sweep(spec, refine=args.refine)
     _emit_result(result, args)
     return 0
 
 
 def _with_grid(spec: SweepSpec, n: int) -> SweepSpec:
-    axis1 = SweepAxis(spec.axis1.name, spec.axis1.start, spec.axis1.stop, n, spec.axis1.scale)
-    axis2 = spec.axis2
-    if axis2 is not None:
-        axis2 = SweepAxis(axis2.name, axis2.start, axis2.stop, n, axis2.scale)
-    return SweepSpec(
-        geometry=spec.geometry, axis1=axis1, axis2=axis2, outputs=spec.outputs,
-        ring=spec.ring, pump=spec.pump, gamma_c=spec.gamma_c, tgamma_c=spec.tgamma_c,
-        coincidence_window=spec.coincidence_window,
-        schmidt_points=spec.schmidt_points, t_max_over_gamma=spec.t_max_over_gamma,
-    )
+    axis2 = None if spec.axis2 is None else replace(spec.axis2, n_points=n)
+    return replace(spec, axis1=replace(spec.axis1, n_points=n), axis2=axis2)
 
 
 def _cmd_optimize(args) -> int:
@@ -197,7 +189,7 @@ def _cmd_schmidt(args) -> int:
             raise ValueError("[sweep] outputs must include K for the schmidt command")
         if args.grid is not None:
             spec = _with_grid(spec, args.grid)
-        result = run_sweep(spec, threads=args.threads, refine=False)
+        result = run_sweep(spec, refine=False)
         _emit_result(result, args)
         return 0
     ring = ring_from_config(cp)
@@ -223,46 +215,35 @@ def _cmd_validate(args) -> int:
     return 0 if report.passed else 2
 
 
-def _figure_axis(name: str, n: int) -> SweepAxis:
-    return SweepAxis(name, _FIGURE_RANGE[0], _FIGURE_RANGE[1], n, "log")
-
-
 def _figure_panels(pump: PumpSpec, outputs: tuple[str, ...], n: int) -> dict[str, SweepSpec]:
     ring, gamma_c = algaas_example()
-    return {
-        "a": SweepSpec(
-            geometry=Geometry.ALL_PASS_IDENTICAL,
-            axis1=_figure_axis("gamma_a", n), axis2=None,
+    panels = {}
+    for label, geometry in zip("abc", Geometry):
+        axes = [SweepAxis(a, *_FIGURE_RANGE, n, "log") for a in coupling_parameter_names(geometry)]
+        panels[label] = SweepSpec(
+            geometry=geometry, axis1=axes[0], axis2=axes[1] if len(axes) > 1 else None,
             outputs=outputs, ring=ring, pump=pump, gamma_c=gamma_c,
-        ),
-        "b": SweepSpec(
-            geometry=Geometry.ADD_DROP_IDENTICAL,
-            axis1=_figure_axis("gamma_a", n), axis2=_figure_axis("gamma_b", n),
-            outputs=outputs, ring=ring, pump=pump, gamma_c=gamma_c,
-        ),
-        "c": SweepSpec(
-            geometry=Geometry.ADD_DROP_DISTINCT,
-            axis1=_figure_axis("tgamma_a", n), axis2=_figure_axis("gamma_b", n),
-            outputs=outputs, ring=ring, pump=pump, gamma_c=gamma_c,
-        ),
-    }
+        )
+    return panels
 
 
 def _run_figure(args, pump: PumpSpec, outputs: tuple[str, ...], prefix: str,
                 schmidt_panel: bool) -> int:
+    if args.config is not None:
+        pump = pump_from_config(load_config(args.config))
     n = args.grid or 200
     fmt = args.format or "json"
     panels = _figure_panels(pump, outputs, n)
     stem = args.out or prefix
     written = []
     for label, spec in panels.items():
-        result = run_sweep(spec, threads=args.threads, refine=args.refine)
+        result = run_sweep(spec, refine=args.refine)
         path = f"{stem}_{label}.{fmt}"
         emit(result, fmt, path)
         written.append(path)
     if schmidt_panel:
         spec = _figure_panels(pump, ("K",), min(n, _FIGURE_K_GRID))["c"]
-        result = run_sweep(spec, threads=args.threads, refine=False)
+        result = run_sweep(spec, refine=False)
         path = f"{stem}_c_schmidt.{fmt}"
         emit(result, fmt, path)
         written.append(path)
@@ -271,20 +252,11 @@ def _run_figure(args, pump: PumpSpec, outputs: tuple[str, ...], prefix: str,
 
 
 def _cmd_figure2(args) -> int:
-    if args.config is not None:
-        cp = load_config(args.config)
-        pump = pump_from_config(cp)
-    else:
-        pump = PumpSpec.cw(10e-6)
-    return _run_figure(args, pump, ("Rs", "Rsi"), "figure2", schmidt_panel=False)
+    return _run_figure(args, PumpSpec.cw(10e-6), ("Rs", "Rsi"), "figure2", schmidt_panel=False)
 
 
 def _cmd_figure3(args) -> int:
-    if args.config is not None:
-        cp = load_config(args.config)
-        pump = pump_from_config(cp)
-    else:
-        pump = PumpSpec.pulsed(1e-12, bandwidth_factor=10.0)
+    pump = PumpSpec.pulsed(1e-12, bandwidth_factor=10.0)
     return _run_figure(args, pump, ("ps", "psi"), "figure3", schmidt_panel=True)
 
 

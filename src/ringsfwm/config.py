@@ -38,7 +38,7 @@ import configparser
 import math
 from typing import Optional
 
-from .core import CouplingConfig, Geometry, PumpSpec, RingParams
+from .core import CouplingConfig, Geometry, PumpSpec, RingParams, _check_pump_loss
 from .pulsed import load_spectrum
 from .sweep import SweepAxis, SweepSpec
 
@@ -200,6 +200,7 @@ def point_config_from_config(cp: configparser.ConfigParser) -> CouplingConfig:
         )
         return value
 
+    _check_pump_loss(geometry, tgamma_c)
     if geometry is Geometry.ALL_PASS_IDENTICAL:
         return CouplingConfig.all_pass(knob("gamma_a"), gamma_c)
     if geometry is Geometry.ADD_DROP_IDENTICAL:

@@ -254,6 +254,31 @@ class CouplingConfig:
         return self.gamma_mu / self.gamma
 
 
+def _check_pump_loss(geometry: Geometry, tgamma_c: Optional[float]) -> None:
+    """Reject a separate pump loss where the geometry ties it to ``gamma_c``."""
+    if tgamma_c is not None and geometry is not Geometry.ADD_DROP_DISTINCT:
+        raise ValueError(
+            f"tgamma_c applies to add-drop-distinct only; {geometry.value} "
+            "ties the pump loss to gamma_c"
+        )
+
+
+def _point_rates(geometry: Geometry, point, gamma_c: float, tgamma_c: Optional[float] = None):
+    """``(tgamma_a, gamma_mu, gamma, tgamma)`` [rad/s] at free couplings ``point``
+    (units of ``gamma_c``; floats or arrays), without building a config: the
+    constraints of the :class:`CouplingConfig` constructors, summed in the
+    order of its properties so each value rounds as that config's would."""
+    x = point[0] * gamma_c
+    if geometry is Geometry.ALL_PASS_IDENTICAL:
+        total = x + gamma_c
+        return x, x, total, total
+    y = point[1] * gamma_c
+    if geometry is Geometry.ADD_DROP_IDENTICAL:
+        total = x + y + gamma_c
+        return x, y, total, total
+    return x, y, y + gamma_c, x + (gamma_c if tgamma_c is None else tgamma_c)
+
+
 @dataclass(frozen=True)
 class PumpSpec:
     """Pump drive: CW average power, or pulse energy plus bandwidth.

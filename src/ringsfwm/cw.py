@@ -63,16 +63,29 @@ class CwObservables:
             )
 
 
+# Rate kernels on (tgamma_a, gamma_mu, gamma, tgamma) and the drive d, for floats
+# or arrays alike.  Powers are grouped products because ``**`` rounds differently
+# on floats (libm pow) and on arrays; + - * / round the same on both.
+def _single_rate_kernel(ta, gmu, g, tg, d):
+    tg2 = tg * tg
+    return 32.0 * (ta * ta) * gmu / ((tg2 * tg2) * (g * g)) * d * d
+
+
+def _pair_rate_kernel(ta, gmu, g, tg, d):
+    tg2 = tg * tg
+    return 32.0 * (ta * ta) * (gmu * gmu) / ((tg2 * tg2) * (g * g * g)) * d * d
+
+
 def cw_single_rate(ring: RingParams, cfg: CouplingConfig, power: float) -> float:
     """One-photon (singles) rate Rs = Ri [1/s] extracted at the collection port."""
     d = _drive_cw(ring, power)
-    return 32.0 * cfg.tgamma_a**2 * cfg.gamma_mu / (cfg.tgamma**4 * cfg.gamma**2) * d * d
+    return _single_rate_kernel(cfg.tgamma_a, cfg.gamma_mu, cfg.gamma, cfg.tgamma, d)
 
 
 def cw_pair_rate(ring: RingParams, cfg: CouplingConfig, power: float) -> float:
     """Photon-pair rate Rsi [1/s]: both photons exit the collection port."""
     d = _drive_cw(ring, power)
-    return 32.0 * cfg.tgamma_a**2 * cfg.gamma_mu**2 / (cfg.tgamma**4 * cfg.gamma**3) * d * d
+    return _pair_rate_kernel(cfg.tgamma_a, cfg.gamma_mu, cfg.gamma, cfg.tgamma, d)
 
 
 def cw_wavepacket(ring: RingParams, cfg: CouplingConfig, power: float, tau):
@@ -112,6 +125,15 @@ def cw_pump_buildup(cfg: CouplingConfig, detuning: float = 0.0) -> float:
     return 4.0 * cfg.tgamma_a * cfg.gamma_c / (cfg.tgamma**2 + 4.0 * detuning**2)
 
 
+_CAR_UNDEFINED = "CAR is undefined: the one-photon rate is zero for this design"
+
+
+def _car_kernel(rs, rsi, window):
+    """(R_acc, CAR) from the singles and pair rates; R_acc == 0 divides by zero."""
+    r_acc = window * rs * rs
+    return r_acc, rsi / r_acc
+
+
 def cw_accidentals_and_car(
     ring: RingParams, cfg: CouplingConfig, power: float, coincidence_window: float
 ) -> tuple[float, float]:
@@ -124,11 +146,13 @@ def cw_accidentals_and_car(
     coincidence_window = _positive_finite(
         "cw_accidentals_and_car", "coincidence_window", coincidence_window
     )
-    rs = cw_single_rate(ring, cfg, power)
-    r_acc = coincidence_window * rs * rs
-    if r_acc == 0.0:
-        raise ValueError("CAR is undefined: the one-photon rate is zero for this design")
-    return r_acc, cw_pair_rate(ring, cfg, power) / r_acc
+    try:
+        return _car_kernel(
+            cw_single_rate(ring, cfg, power), cw_pair_rate(ring, cfg, power),
+            coincidence_window,
+        )
+    except ZeroDivisionError:
+        raise ValueError(_CAR_UNDEFINED) from None
 
 
 def _normalized_allpass_rates(gamma_a: float) -> tuple[float, float]:

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .core import CouplingConfig, Geometry, _UNIT_RING, prob_scale_p0
+from .core import CouplingConfig, Geometry, _UNIT_RING, _check_pump_loss, prob_scale_p0
 from .cw import cw_pair_rate, cw_single_rate
 from .pulsed import pulsed_pair_prob, pulsed_single_prob
 
@@ -128,6 +128,7 @@ def config_from_point(
             f"{geometry.value} expects {len(coupling_parameter_names(geometry))} "
             f"coupling parameters, got {len(point)}"
         )
+    _check_pump_loss(geometry, tgamma_c)
     if geometry is Geometry.ALL_PASS_IDENTICAL:
         return CouplingConfig.all_pass(point[0] * gamma_c, gamma_c)
     if geometry is Geometry.ADD_DROP_IDENTICAL:

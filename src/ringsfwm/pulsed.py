@@ -258,19 +258,29 @@ def effective_pump_lineshape(
     return _quad_complex(integrand, a, b, points=sorted(set(interior)) or None, epsrel=epsrel)
 
 
+_NOT_BROADBAND = "broadband forms require delta_omega >= 5*tgamma, got delta_omega/tgamma = {:.3g}"
+_MARGINAL = "delta_omega = {:.3g}*tgamma < 10*tgamma: broadband closed forms are marginal here"
+
+
 def _require_broadband(tgamma: float, delta_omega: float) -> None:
     if not delta_omega >= 5.0 * tgamma:
-        raise ValueError(
-            f"broadband forms require delta_omega >= 5*tgamma, got "
-            f"delta_omega/tgamma = {delta_omega / tgamma:.3g}"
-        )
+        raise ValueError(_NOT_BROADBAND.format(delta_omega / tgamma))
     if delta_omega < 10.0 * tgamma:
         warnings.warn(
-            f"delta_omega = {delta_omega / tgamma:.3g}*tgamma < 10*tgamma: "
-            "broadband closed forms are marginal here",
-            BroadbandAssumptionWarning,
-            stacklevel=3,
+            _MARGINAL.format(delta_omega / tgamma), BroadbandAssumptionWarning, stacklevel=3
         )
+
+
+def _broadband_mask(tgamma: np.ndarray, delta_omega) -> np.ndarray:
+    """Per-point :func:`_require_broadband` on arrays: True where the broadband
+    forms hold.  Warns once, for the smallest ratio, if any such point is
+    marginal."""
+    ok = delta_omega >= 5.0 * tgamma
+    marginal = ok & (delta_omega < 10.0 * tgamma)
+    if marginal.any():
+        ratio = np.min((delta_omega / tgamma)[marginal])
+        warnings.warn(_MARGINAL.format(ratio), BroadbandAssumptionWarning, stacklevel=3)
+    return ok
 
 
 def flattop_lineshape_broadband(
@@ -339,14 +349,23 @@ def pulsed_wavepacket(
     return out
 
 
+# Probability kernels on (tgamma_a, gamma_mu, gamma, tgamma) and the pulse
+# strength y, for floats or arrays alike; + - * / only, as in the CW kernels.
+def _single_prob_kernel(ta, gmu, g, tg, y):
+    return (ta * ta) * gmu / (tg * g * (tg + g)) * y * y
+
+
+def _pair_prob_kernel(ta, gmu, g, tg, y):
+    return (ta * ta) * (gmu * gmu) / (tg * g * g * (tg + g)) * y * y
+
+
 def pulsed_single_prob(
     ring: RingParams, cfg: CouplingConfig, energy: float, delta_omega: float
 ) -> float:
     """Per-pulse one-photon extraction probability (broadband closed form)."""
     _require_broadband(cfg.tgamma, delta_omega)
     y = _drive_pulsed(ring, energy, delta_omega)
-    g, tg = cfg.gamma, cfg.tgamma
-    return cfg.tgamma_a**2 * cfg.gamma_mu / (tg * g * (tg + g)) * y * y
+    return _single_prob_kernel(cfg.tgamma_a, cfg.gamma_mu, cfg.gamma, cfg.tgamma, y)
 
 
 def pulsed_pair_prob(
@@ -355,8 +374,7 @@ def pulsed_pair_prob(
     """Per-pulse pair extraction probability (broadband closed form)."""
     _require_broadband(cfg.tgamma, delta_omega)
     y = _drive_pulsed(ring, energy, delta_omega)
-    g, tg = cfg.gamma, cfg.tgamma
-    return cfg.tgamma_a**2 * cfg.gamma_mu**2 / (tg * g * g * (tg + g)) * y * y
+    return _pair_prob_kernel(cfg.tgamma_a, cfg.gamma_mu, cfg.gamma, cfg.tgamma, y)
 
 
 def pulsed_observables(

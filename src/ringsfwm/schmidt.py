@@ -35,6 +35,11 @@ class DecompositionError(RuntimeError):
     """Singular value decomposition of the wavepacket grid failed."""
 
 
+# Failures of one sweep point's computation.  Sweeps record these per point
+# and carry on; anything else (a TypeError, say) is a bug and propagates.
+_POINT_ERRORS = (ValueError, ArithmeticError, DecompositionError, np.linalg.LinAlgError)
+
+
 @dataclass(frozen=True, eq=False)
 class WavepacketGrid:
     """Discretized joint temporal amplitude with quadrature weights.
@@ -182,8 +187,9 @@ def schmidt_number_sweep(
 ) -> list[SchmidtSweepPoint]:
     """Schmidt number for each coupling configuration in ``configs``.
 
-    Per-point failures are recorded in the ``error`` field (K = NaN) without
-    aborting the rest of the sweep.  ``K - 1`` is included for log-scale
+    Per-point computation failures are recorded in the ``error`` field
+    (K = NaN) without aborting the rest of the sweep; any other exception
+    propagates.  ``K - 1`` is included for log-scale
     closeness-to-separable plots.
     """
     points: list[SchmidtSweepPoint] = []
@@ -194,7 +200,7 @@ def schmidt_number_sweep(
             grid = discretize_wavepacket(ring, cfg, pump, n_points, t_max_over_gamma)
             res = schmidt_spectrum(grid)
             points.append(SchmidtSweepPoint(tga, gb, res.K, res.K - 1.0))
-        except Exception as exc:  # noqa: BLE001 - flagged, not fatal
+        except _POINT_ERRORS as exc:
             points.append(
                 SchmidtSweepPoint(tga, gb, float("nan"), float("nan"), error=str(exc))
             )

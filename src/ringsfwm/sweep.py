@@ -1,18 +1,18 @@
 """Coupling-grid sweeps, optimum reports, and CSV/JSON emission.
 
 A sweep evaluates requested observables on a 1-D or 2-D grid of coupling
-rates (in units of gamma_c).  Every emitted number is obtainable from a
-direct library call with the same inputs; the sweep machinery only organizes
-evaluation order, parallel dispatch, and serialization.
+rates (in units of gamma_c).  The closed-form outputs are evaluated on the
+whole grid by the same array kernels that back the scalar library functions,
+so every emitted number equals a direct library call with the same inputs;
+the sweep machinery only maps the grid to coupling rates, orders the rows and
+serializes them.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -20,15 +20,17 @@ import numpy as np
 from ._version import __version__ as _pkg_version
 from .core import (
     TWO_PI,
-    CouplingConfig,
     Geometry,
     PumpMode,
     PumpSpec,
     RingParams,
+    _check_pump_loss,
+    _drive_cw,
+    _point_rates,
     prob_scale_p0,
     rate_scale_R0,
 )
-from .cw import cw_accidentals_and_car, cw_pair_rate, cw_single_rate
+from .cw import _CAR_UNDEFINED, _car_kernel, _pair_rate_kernel, _single_rate_kernel
 from .optimize import (
     Objective,
     OptimizationTarget,
@@ -37,8 +39,14 @@ from .optimize import (
     config_from_point,
     coupling_parameter_names,
 )
-from .pulsed import pulsed_pair_prob, pulsed_single_prob
-from .schmidt import discretize_wavepacket, schmidt_spectrum
+from .pulsed import (
+    _NOT_BROADBAND,
+    _broadband_mask,
+    _drive_pulsed,
+    _pair_prob_kernel,
+    _single_prob_kernel,
+)
+from .schmidt import _POINT_ERRORS, discretize_wavepacket, schmidt_spectrum
 
 __all__ = [
     "SweepAxis",
@@ -68,9 +76,9 @@ class SweepAxis:
     scale: str = "log"
 
     def __post_init__(self) -> None:
-        if self.start <= 0.0 or self.stop <= self.start:
+        if not (0.0 < self.start < self.stop < math.inf):
             raise ValueError(
-                f"SweepAxis {self.name!r} requires 0 < start < stop, got "
+                f"SweepAxis {self.name!r} requires finite 0 < start < stop, got "
                 f"[{self.start}, {self.stop}]"
             )
         if self.n_points < 2:
@@ -107,46 +115,31 @@ class SweepSpec:
         unknown = [o for o in self.outputs if o not in _ALL_OUTPUTS]
         if unknown:
             raise ValueError(f"unknown sweep outputs {unknown!r}; valid: {sorted(_ALL_OUTPUTS)}")
-        if self.pump.mode is PumpMode.CW:
-            bad = [o for o in self.outputs if o in _PULSED_OUTPUTS]
-            if bad:
-                raise ValueError(f"outputs {bad!r} require a pulsed pump")
-        else:
-            bad = [o for o in self.outputs if o in _CW_OUTPUTS]
-            if bad:
-                raise ValueError(f"outputs {bad!r} require a CW pump")
+        cw = self.pump.mode is PumpMode.CW
+        bad = [o for o in self.outputs if o in (_PULSED_OUTPUTS if cw else _CW_OUTPUTS)]
+        if bad:
+            raise ValueError(f"outputs {bad!r} require a {'pulsed' if cw else 'CW'} pump")
         if "CAR" in self.outputs and self.coincidence_window is None:
             raise ValueError("CAR output requires a coincidence_window [s]")
-        if self.gamma_c <= 0.0 or not math.isfinite(self.gamma_c):
-            raise ValueError(f"gamma_c must be positive, got {self.gamma_c!r}")
+        for name in ("gamma_c", "tgamma_c", "coincidence_window"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        _check_pump_loss(self.geometry, self.tgamma_c)
 
         names = coupling_parameter_names(self.geometry)
-        if self.axis1.name != names[0]:
+        swept = (self.axis1.name,) + (() if self.axis2 is None else (self.axis2.name,))
+        if swept != names:
             raise ValueError(
-                f"axis1 for {self.geometry.value} must sweep {names[0]!r}, "
-                f"got {self.axis1.name!r}"
+                f"{self.geometry.value} sweeps {names!r} as (axis1, axis2), got {swept!r}"
             )
-        if len(names) == 1:
-            if self.axis2 is not None:
-                raise ValueError(f"{self.geometry.value} has a single coupling knob; axis2 must be None")
-        else:
-            if self.axis2 is None:
-                raise ValueError(f"{self.geometry.value} needs axis2 sweeping {names[1]!r}")
-            if self.axis2.name != names[1]:
-                raise ValueError(
-                    f"axis2 for {self.geometry.value} must sweep {names[1]!r}, "
-                    f"got {self.axis2.name!r}"
-                )
 
     @property
     def pump_regime(self) -> PumpRegime:
         return PumpRegime.CW if self.pump.mode is PumpMode.CW else PumpRegime.BROADBAND_PULSE
 
     def to_dict(self) -> dict:
-        axis = lambda a: None if a is None else {  # noqa: E731
-            "name": a.name, "start": a.start, "stop": a.stop,
-            "n_points": a.n_points, "scale": a.scale,
-        }
+        axis = lambda a: None if a is None else asdict(a)  # noqa: E731
         pump = {"mode": self.pump.mode.value}
         if self.pump.mode is PumpMode.CW:
             pump["power_w"] = self.pump.power
@@ -188,57 +181,53 @@ class SweepResult:
         return {"meta": self.meta, "rows": list(self.rows)}
 
 
-def _config_at(spec: SweepSpec, point: tuple[float, ...]) -> CouplingConfig:
-    return config_from_point(spec.geometry, point, spec.gamma_c, spec.tgamma_c)
+def _mesh(values: list[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """Flattened grid over the axis values, axis2-major: axis2 varies slowest."""
+    return tuple(a.ravel() for a in np.meshgrid(*values))
 
 
-def _evaluate_point(spec: SweepSpec, point: tuple[float, ...], output: str) -> float:
-    cfg = _config_at(spec, point)
-    if output == "Rs":
-        return cw_single_rate(spec.ring, cfg, spec.pump.power)
-    if output == "Rsi":
-        return cw_pair_rate(spec.ring, cfg, spec.pump.power)
-    if output == "CAR":
-        return cw_accidentals_and_car(
-            spec.ring, cfg, spec.pump.power, spec.coincidence_window
-        )[1]
-    delta_omega = spec.pump.delta_omega_for(cfg.tgamma)
-    if output == "ps":
-        return pulsed_single_prob(spec.ring, cfg, spec.pump.energy, delta_omega)
-    if output == "psi":
-        return pulsed_pair_prob(spec.ring, cfg, spec.pump.energy, delta_omega)
-    if output == "K":
-        grid = discretize_wavepacket(
-            spec.ring, cfg, spec.pump, spec.schmidt_points, spec.t_max_over_gamma
-        )
-        return schmidt_spectrum(grid).K
-    raise ValueError(f"unknown output {output!r}")
-
-
-def _evaluate_row(spec: SweepSpec, point: tuple[float, ...]) -> dict:
-    names = coupling_parameter_names(spec.geometry)
-    row = {f"{n}_over_gamma_c": p for n, p in zip(names, point)}
-    error = None
-    for output in spec.outputs:
+def _schmidt_numbers(spec: SweepSpec, point) -> tuple[np.ndarray, dict[int, str]]:
+    """Schmidt number per point: one wavepacket grid and decomposition each."""
+    values, failures = np.full(point[0].size, np.nan), {}
+    for i, p in enumerate(zip(*(a.tolist() for a in point))):
         try:
-            row[output] = _evaluate_point(spec, point, output)
-        except Exception as exc:  # noqa: BLE001 - flagged per point, sweep continues
-            row[output] = float("nan")
-            error = f"{output}: {exc}" if error is None else f"{error}; {output}: {exc}"
-        if output == "K":
-            # companion column for log-scale closeness-to-separable plots
-            row["K_minus_1"] = row["K"] - 1.0
-    row["error"] = error
-    return row
+            cfg = config_from_point(spec.geometry, p, spec.gamma_c, spec.tgamma_c)
+            grid = discretize_wavepacket(
+                spec.ring, cfg, spec.pump, spec.schmidt_points, spec.t_max_over_gamma
+            )
+            values[i] = schmidt_spectrum(grid).K
+        except _POINT_ERRORS as exc:
+            failures[i] = str(exc)
+    return values, failures
 
 
-def _grid_points(spec: SweepSpec) -> list[tuple[float, ...]]:
-    v1 = spec.axis1.values()
-    if spec.axis2 is None:
-        return [(float(x),) for x in v1]
-    v2 = spec.axis2.values()
-    # axis2-major ordering: axis2 varies slowest.
-    return [(float(x1), float(x2)) for x2 in v2 for x1 in v1]
+def _evaluate(spec: SweepSpec, output: str, point) -> tuple[np.ndarray, dict[int, str]]:
+    """One output at every point of a flattened grid (couplings in gamma_c
+    units): the values, NaN where a point fails, and each failed point's
+    message by index."""
+    if output == "K":
+        return _schmidt_numbers(spec, point)
+    ta, gmu, g, tg = _point_rates(spec.geometry, point, spec.gamma_c, spec.tgamma_c)
+    ring, pump = spec.ring, spec.pump
+    if pump.mode is PumpMode.PULSED:
+        delta_omega = pump.delta_omega_for(tg)
+        kernel = _single_prob_kernel if output == "ps" else _pair_prob_kernel
+        values = kernel(ta, gmu, g, tg, _drive_pulsed(ring, pump.energy, delta_omega))
+        ok = _broadband_mask(tg, delta_omega)
+        why = [_NOT_BROADBAND.format(r) for r in (delta_omega / tg)[~ok].tolist()]
+    elif output == "CAR":
+        d = _drive_cw(ring, pump.power)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r_acc, values = _car_kernel(
+                _single_rate_kernel(ta, gmu, g, tg, d), _pair_rate_kernel(ta, gmu, g, tg, d),
+                spec.coincidence_window,
+            )
+        ok = r_acc != 0.0
+        why = [_CAR_UNDEFINED] * int(np.count_nonzero(~ok))
+    else:
+        kernel = _single_rate_kernel if output == "Rs" else _pair_rate_kernel
+        return kernel(ta, gmu, g, tg, _drive_cw(ring, pump.power)), {}
+    return np.where(ok, values, np.nan), dict(zip(np.flatnonzero(~ok).tolist(), why))
 
 
 def _refine_maximum(
@@ -253,84 +242,61 @@ def _refine_maximum(
     """Local log-space grid refinement of an observed maximum.
 
     Each pass re-grids a +-1-cell window (in the current resolution) around
-    the best point and keeps the new argmax, shrinking the cell by roughly
-    sub_points/2 per pass.
+    the best point, evaluates it in one call, and keeps the first candidate
+    (axis2-major order) that beats the best value so far, shrinking the cell
+    by roughly sub_points/2 per pass.  Failed points never win.
     """
     best_point, best_value = start_point, start_value
-    ratios = []
-    for ax in axes:
-        vals = ax.values()
-        ratios.append((vals[-1] / vals[0]) ** (1.0 / (ax.n_points - 1)))
+    ratios = [(ax.stop / ax.start) ** (1.0 / (ax.n_points - 1)) for ax in axes]
     for _ in range(iterations):
-        windows = []
-        for k, ax in enumerate(axes):
-            lo = max(best_point[k] / ratios[k], ax.start)
-            hi = min(best_point[k] * ratios[k], ax.stop)
-            windows.append(np.geomspace(lo, hi, sub_points))
-        if len(axes) == 1:
-            candidates = [(float(x),) for x in windows[0]]
-        else:
-            candidates = [(float(a), float(b)) for b in windows[1] for a in windows[0]]
-        for point in candidates:
-            try:
-                val = _evaluate_point(spec, point, output)
-            except Exception:  # noqa: BLE001 - skip failed refinement points
-                continue
-            if val > best_value:
-                best_value = val
-                best_point = point
+        candidates = _mesh([
+            np.geomspace(max(p / r, ax.start), min(p * r, ax.stop), sub_points)
+            for p, r, ax in zip(best_point, ratios, axes)
+        ])
+        values, _ = _evaluate(spec, output, candidates)
+        k = int(np.argmax(np.where(np.isnan(values), -np.inf, values)))
+        if values[k] > best_value:
+            best_value = float(values[k])
+            best_point = tuple(float(c[k]) for c in candidates)
         ratios = [r ** (2.0 / (sub_points - 1)) for r in ratios]
     return best_point, best_value
 
 
-def run_sweep(
-    spec: SweepSpec, threads: Optional[int] = None, refine: bool = False
-) -> SweepResult:
+def run_sweep(spec: SweepSpec, *, refine: bool = False) -> SweepResult:
     """Evaluate every requested output on the coupling grid.
 
-    Rows are ordered axis2-major and the result is independent of the worker
-    count.  Per-point failures land in the ``error`` column without aborting
-    the sweep.  With ``refine=True`` the observed maxima reported in the
-    metadata are sharpened by local grid refinement around the best cell.
+    Each output is one array-kernel call over the whole grid (the Schmidt
+    number ``K`` is a per-point loop).  Rows are ordered axis2-major.  A point
+    that fails gets NaN for that output and a message in the ``error`` column
+    without affecting the rest of the grid.  With ``refine=True`` the observed
+    maxima reported in the metadata are sharpened by local grid refinement
+    around the best cell.
     """
-    points = _grid_points(spec)
-    if threads is None:
-        threads = os.cpu_count() or 1
-    if threads > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(
-                pool.map(lambda p: _evaluate_row(spec, p), points, chunksize=64)
-            )
-    else:
-        rows = [_evaluate_row(spec, p) for p in points]
-
-    names = coupling_parameter_names(spec.geometry)
-    axis_cols = tuple(f"{n}_over_gamma_c" for n in names)
-    out_cols = []
-    for output in spec.outputs:
-        out_cols.append(output)
-        if output == "K":
-            out_cols.append("K_minus_1")
-    columns = axis_cols + tuple(out_cols) + ("error",)
-
     axes = [spec.axis1] + ([spec.axis2] if spec.axis2 is not None else [])
+    point = _mesh([ax.values() for ax in axes])
+    names = coupling_parameter_names(spec.geometry)
+    columns = {f"{n}_over_gamma_c": a.tolist() for n, a in zip(names, point)}
+    errors: list[Optional[str]] = [None] * point[0].size
     observed = {}
     for output in spec.outputs:
-        values = np.array([row[output] for row in rows], dtype=float)
+        values, failures = _evaluate(spec, output, point)
+        columns[output] = values.tolist()
+        if output == "K":
+            # companion column for log-scale closeness-to-separable plots
+            columns["K_minus_1"] = (values - 1.0).tolist()
+        for i, message in failures.items():
+            message = f"{output}: {message}"
+            errors[i] = message if errors[i] is None else f"{errors[i]}; {message}"
         if np.all(np.isnan(values)):
             observed[output] = None
             continue
         k = int(np.nanargmax(values))
-        best_point = tuple(rows[k][c] for c in axis_cols)
-        best_value = float(values[k])
+        best = tuple(float(a[k]) for a in point), float(values[k])
         if refine:
-            best_point, best_value = _refine_maximum(
-                spec, output, best_point, best_value, axes
-            )
-        observed[output] = {
-            "point_over_gamma_c": list(best_point),
-            "value": best_value,
-        }
+            best = _refine_maximum(spec, output, *best, axes)
+        observed[output] = {"point_over_gamma_c": list(best[0]), "value": best[1]}
+    columns["error"] = errors
+    rows = tuple(dict(zip(columns, cells)) for cells in zip(*columns.values()))
 
     meta = {
         "version": _pkg_version,
@@ -340,7 +306,7 @@ def run_sweep(
         "observed_maxima": observed,
         "optima": _analytic_optima_meta(spec),
     }
-    return SweepResult(spec=spec, columns=columns, rows=tuple(rows), meta=meta)
+    return SweepResult(spec=spec, columns=tuple(columns), rows=rows, meta=meta)
 
 
 def _analytic_optima_meta(spec: SweepSpec) -> dict:
@@ -387,7 +353,7 @@ def render(result: SweepResult, fmt: str) -> str:
             lines.append(",".join(_format_cell(row[c]) for c in result.columns))
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        return json.dumps(result.to_json_dict(), indent=2) + "\n"
+        return json.dumps(result.to_json_dict()) + "\n"
     raise ValueError(f"unknown emit format {fmt!r}; expected 'csv' or 'json'")
 
 

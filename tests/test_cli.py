@@ -63,7 +63,7 @@ class TestSweepCommand:
         out = tmp_path / "sweep.csv"
         code = main([
             "sweep", "--config", str(cw_config), "--format", "csv",
-            "--out", str(out), "--threads", "2",
+            "--out", str(out),
         ])
         assert code == 0
         lines = out.read_text().strip().split("\n")

@@ -122,6 +122,28 @@ outputs = Rs, Rsi, CAR
     assert spec.coincidence_window == pytest.approx(1e-9)
 
 
+def test_tgamma_c_only_for_distinct_geometry(tmp_path):
+    tied = {
+        "all-pass-identical": "gamma_a_over_gamma_c = 1.0",
+        "add-drop-identical": "gamma_a_over_gamma_c = 1.0\ngamma_b_over_gamma_c = 1.0",
+    }
+    for geometry, knobs in tied.items():
+        cfg = write_config(
+            tmp_path / "a.ini", geometry=geometry,
+            knobs=knobs + "\ntgamma_c_over_2pi_mhz = 80",
+        )
+        with pytest.raises(ValueError, match="tgamma_c applies to add-drop-distinct"):
+            point_config_from_config(load_config(cfg))
+    distinct = write_config(
+        tmp_path / "b.ini", geometry="add-drop-distinct",
+        knobs="tgamma_a_over_gamma_c = 1.0\ngamma_b_over_gamma_c = 1.0\n"
+        "tgamma_c_over_2pi_mhz = 80",
+    )
+    assert point_config_from_config(load_config(distinct)).tgamma_c == pytest.approx(
+        TWO_PI * 80e6, rel=1e-15
+    )
+
+
 def test_unreadable_config_is_io_error(tmp_path):
     with pytest.raises(OSError):
         load_config(tmp_path / "missing.ini")

@@ -14,7 +14,7 @@ from ringsfwm import (
     cross_validate_optima,
     numeric_optimum,
 )
-from ringsfwm.optimize import all_targets, normalized_objective
+from ringsfwm.optimize import all_targets, config_from_point, normalized_objective
 
 CW = PumpRegime.CW
 PULSE = PumpRegime.BROADBAND_PULSE
@@ -90,6 +90,14 @@ class TestAnalyticTable:
             # ~1e-5 relative
             rtol = 1e-12 if rec.peak_value_exact is not None else 2e-5
             assert f(rec.couplings) == pytest.approx(rec.peak_value, rel=rtol)
+
+
+def test_config_from_point_rejects_tgamma_c_for_tied_geometries():
+    for geometry, point in ((Geometry.ALL_PASS_IDENTICAL, (1.0,)),
+                            (Geometry.ADD_DROP_IDENTICAL, (1.0, 1.0))):
+        with pytest.raises(ValueError, match="tgamma_c applies to add-drop-distinct"):
+            config_from_point(geometry, point, 1.0, tgamma_c=2.0)
+    assert config_from_point(Geometry.ADD_DROP_DISTINCT, (1.0, 1.0), 1.0, 2.0).tgamma_c == 2.0
 
 
 class TestNumericOptimum:

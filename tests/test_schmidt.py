@@ -5,6 +5,7 @@ import pytest
 
 from ringsfwm import (
     CouplingConfig,
+    DecompositionError,
     PumpSpec,
     WavepacketGrid,
     discretize_wavepacket,
@@ -160,12 +161,23 @@ class TestSchmidtSweep:
 
         real = schmidt_mod.discretize_wavepacket
 
-        def flaky(ring_, cfg_, pump_, n_points_, t_max_):
+        def flaky(ring_, cfg_, pump_, n_points_, t_max_, exc=DecompositionError("injected")):
             if cfg_.tgamma_a > 1.5 * gc:
-                raise RuntimeError("injected failure")
+                raise exc
             return real(ring_, cfg_, pump_, n_points_, t_max_)
 
         monkeypatch.setattr(schmidt_mod, "discretize_wavepacket", flaky)
         points = schmidt_number_sweep(ring, configs, PUMP, n_points=64)
         assert points[0].error is None and points[0].K >= 1.0
-        assert points[1].error is not None and np.isnan(points[1].K)
+        assert points[1].error == "injected" and np.isnan(points[1].K)
+
+    def test_sweep_propagates_programming_errors(self, algaas, monkeypatch):
+        ring, gc = algaas
+        import ringsfwm.schmidt as schmidt_mod
+
+        def broken(*args):
+            raise TypeError("bug")
+
+        monkeypatch.setattr(schmidt_mod, "discretize_wavepacket", broken)
+        with pytest.raises(TypeError, match="bug"):
+            schmidt_number_sweep(ring, [CouplingConfig.distinct(gc, gc, gc)], PUMP, n_points=64)

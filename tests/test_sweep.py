@@ -1,6 +1,7 @@
 """Grid sweeps, serialization, and the optimum report."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,15 +12,44 @@ from ringsfwm import (
     PumpSpec,
     SweepAxis,
     SweepSpec,
+    cw_accidentals_and_car,
     cw_pair_rate,
     cw_single_rate,
     emit,
+    pulsed_pair_prob,
+    pulsed_single_prob,
     rate_scale_R0,
     run_sweep,
 )
+from ringsfwm.core import BroadbandAssumptionWarning
+from ringsfwm.schmidt import DecompositionError
 from ringsfwm.sweep import optima_table, render, report_optima
 
 PUMP_CW = PumpSpec.cw(10e-6)
+
+AXES = {
+    Geometry.ALL_PASS_IDENTICAL: (SweepAxis("gamma_a", 0.05, 5.0, 11), None),
+    Geometry.ADD_DROP_IDENTICAL: (
+        SweepAxis("gamma_a", 0.1, 3.0, 6), SweepAxis("gamma_b", 0.2, 4.0, 5),
+    ),
+    Geometry.ADD_DROP_DISTINCT: (
+        SweepAxis("tgamma_a", 0.1, 3.0, 6), SweepAxis("gamma_b", 0.2, 4.0, 5),
+    ),
+}
+
+
+def direct_config(geometry, row, gc, tgamma_c=None):
+    """The row's design point built with the CouplingConfig constructors."""
+    if geometry is Geometry.ALL_PASS_IDENTICAL:
+        return CouplingConfig.all_pass(row["gamma_a_over_gamma_c"] * gc, gc)
+    if geometry is Geometry.ADD_DROP_IDENTICAL:
+        return CouplingConfig.add_drop(
+            row["gamma_a_over_gamma_c"] * gc, row["gamma_b_over_gamma_c"] * gc, gc
+        )
+    return CouplingConfig.distinct(
+        row["tgamma_a_over_gamma_c"] * gc, row["gamma_b_over_gamma_c"] * gc, gc,
+        tgamma_c=tgamma_c,
+    )
 
 
 def allpass_spec(ring, gc, n=40, outputs=("Rs", "Rsi")):
@@ -99,7 +129,35 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="coincidence_window"):
             allpass_spec(ring, gc, outputs=("Rs", "CAR"))
 
+    def test_tgamma_c_must_be_positive_and_finite(self, algaas):
+        ring, gc = algaas
+        axis1, axis2 = AXES[Geometry.ADD_DROP_DISTINCT]
+        for bad in (0.0, -gc, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="tgamma_c must be positive"):
+                SweepSpec(
+                    Geometry.ADD_DROP_DISTINCT, axis1, axis2, ("Rs",), ring, PUMP_CW, gc,
+                    tgamma_c=bad,
+                )
+
+    def test_tgamma_c_rejected_for_tied_geometries(self, algaas):
+        ring, gc = algaas
+        for geometry in (Geometry.ALL_PASS_IDENTICAL, Geometry.ADD_DROP_IDENTICAL):
+            axis1, axis2 = AXES[geometry]
+            with pytest.raises(ValueError, match="tgamma_c applies to add-drop-distinct"):
+                SweepSpec(geometry, axis1, axis2, ("Rs",), ring, PUMP_CW, gc, tgamma_c=gc)
+
+    def test_coincidence_window_must_be_positive(self, algaas):
+        ring, gc = algaas
+        for bad in (0.0, -1e-9):
+            with pytest.raises(ValueError, match="coincidence_window must be positive"):
+                SweepSpec(
+                    Geometry.ALL_PASS_IDENTICAL, SweepAxis("gamma_a", 0.1, 2.0, 5), None,
+                    ("CAR",), ring, PUMP_CW, gc, coincidence_window=bad,
+                )
+
     def test_axis_validation(self):
+        with pytest.raises(ValueError, match="finite 0 < start"):
+            SweepAxis("gamma_a", 0.1, float("inf"), 5)
         with pytest.raises(ValueError, match="0 < start"):
             SweepAxis("gamma_a", -1.0, 2.0, 5)
         with pytest.raises(ValueError, match="n_points"):
@@ -110,18 +168,34 @@ class TestSpecValidation:
 
 class TestRunSweep:
     def test_rows_match_direct_library_calls(self, algaas):
+        """Every geometry and every closed-form output, bit for bit against
+        the public scalar functions on configs built independently."""
         ring, gc = algaas
-        result = run_sweep(allpass_spec(ring, gc, n=25), threads=1)
-        assert len(result.rows) == 25
-        for row in result.rows[::6]:
-            cfg = CouplingConfig.all_pass(row["gamma_a_over_gamma_c"] * gc, gc)
-            assert row["Rs"] == cw_single_rate(ring, cfg, PUMP_CW.power)
-            assert row["Rsi"] == cw_pair_rate(ring, cfg, PUMP_CW.power)
-            assert row["error"] is None
+        window, b = 1e-9, 12.0
+        for geometry, (axis1, axis2) in AXES.items():
+            tgc = 1.3 * gc if geometry is Geometry.ADD_DROP_DISTINCT else None
+            cw = run_sweep(SweepSpec(
+                geometry, axis1, axis2, ("Rs", "Rsi", "CAR"), ring, PUMP_CW, gc,
+                tgamma_c=tgc, coincidence_window=window,
+            ))
+            pulsed = run_sweep(SweepSpec(
+                geometry, axis1, axis2, ("ps", "psi"), ring,
+                PumpSpec.pulsed(1e-12, bandwidth_factor=b), gc, tgamma_c=tgc,
+            ))
+            n = axis1.n_points * (1 if axis2 is None else axis2.n_points)
+            assert len(cw.rows) == len(pulsed.rows) == n
+            for crow, prow in zip(cw.rows, pulsed.rows):
+                cfg = direct_config(geometry, crow, gc, tgc)
+                assert crow["Rs"] == cw_single_rate(ring, cfg, PUMP_CW.power)
+                assert crow["Rsi"] == cw_pair_rate(ring, cfg, PUMP_CW.power)
+                assert crow["CAR"] == cw_accidentals_and_car(ring, cfg, PUMP_CW.power, window)[1]
+                assert prow["ps"] == pulsed_single_prob(ring, cfg, 1e-12, b * cfg.tgamma)
+                assert prow["psi"] == pulsed_pair_prob(ring, cfg, 1e-12, b * cfg.tgamma)
+                assert crow["error"] is None and prow["error"] is None
 
     def test_axis2_major_ordering(self, algaas):
         ring, gc = algaas
-        result = run_sweep(adddrop_spec(ring, gc, n=5), threads=1)
+        result = run_sweep(adddrop_spec(ring, gc, n=5))
         assert len(result.rows) == 25
         a1 = [row["gamma_a_over_gamma_c"] for row in result.rows]
         a2 = [row["gamma_b_over_gamma_c"] for row in result.rows]
@@ -129,16 +203,9 @@ class TestRunSweep:
         assert len(set(a2[:5])) == 1       # axis2 constant within a block
         assert a2[0] < a2[5]               # axis2 advances across blocks
 
-    def test_thread_count_does_not_change_bytes(self, algaas):
-        ring, gc = algaas
-        spec = adddrop_spec(ring, gc, n=6)
-        serial = render(run_sweep(spec, threads=1), "csv")
-        parallel = render(run_sweep(spec, threads=4), "csv")
-        assert serial == parallel
-
     def test_refined_maximum_hits_analytic_peak(self, algaas):
         ring, gc = algaas
-        result = run_sweep(allpass_spec(ring, gc, n=200), threads=2, refine=True)
+        result = run_sweep(allpass_spec(ring, gc, n=200), refine=True)
         r0 = rate_scale_R0(ring, PUMP_CW.power, gc)
         seen = result.meta["observed_maxima"]
         assert seen["Rs"]["value"] == pytest.approx(r0 / 2.0, rel=1e-3)
@@ -148,7 +215,7 @@ class TestRunSweep:
 
     def test_meta_carries_analytic_optima(self, algaas):
         ring, gc = algaas
-        result = run_sweep(allpass_spec(ring, gc, n=10), threads=1)
+        result = run_sweep(allpass_spec(ring, gc, n=10))
         optima = result.meta["optima"]
         assert optima["Rs"]["couplings_over_gamma_c"] == [1.0]
         assert optima["Rsi"]["couplings_over_gamma_c"][0] == pytest.approx(4.0 / 3.0)
@@ -156,31 +223,99 @@ class TestRunSweep:
         assert optima["scale_value"] == pytest.approx(r0)
         assert optima["plot_normalization"] == pytest.approx(r0 / 2.0)
 
-    def test_per_point_failure_flagged(self, algaas, monkeypatch):
+    def test_per_point_failure_flagged(self, algaas):
+        """An absolute pump bandwidth of 20*gamma_c breaks the broadband check
+        (delta_omega >= 5*tgamma, tgamma = (1 + x)*gamma_c) for x > 3 only."""
         ring, gc = algaas
-        import ringsfwm.sweep as sweep_mod
-
-        real = sweep_mod.cw_single_rate
-
-        def flaky(ring_, cfg_, power_):
-            if cfg_.gamma_a > 3.0 * gc:
-                raise RuntimeError("injected")
-            return real(ring_, cfg_, power_)
-
-        monkeypatch.setattr(sweep_mod, "cw_single_rate", flaky)
-        result = run_sweep(allpass_spec(ring, gc, n=30), threads=1)
+        spec = SweepSpec(
+            geometry=Geometry.ALL_PASS_IDENTICAL,
+            axis1=SweepAxis("gamma_a", 0.05, 5.0, 30),
+            axis2=None,
+            outputs=("ps", "psi"),
+            ring=ring,
+            pump=PumpSpec.pulsed(1e-12, delta_omega=20.0 * gc),
+            gamma_c=gc,
+        )
+        with pytest.warns(BroadbandAssumptionWarning, match="marginal"):
+            result = run_sweep(spec, refine=True)
         bad = [r for r in result.rows if r["error"] is not None]
         good = [r for r in result.rows if r["error"] is None]
         assert bad and good
-        assert all(np.isnan(r["Rs"]) for r in bad)
-        assert all("injected" in r["error"] for r in bad)
-        assert all(np.isfinite(r["Rsi"]) for r in bad)  # other outputs survive
+        assert all(r["gamma_a_over_gamma_c"] > 3.0 for r in bad)
+        assert all(r["gamma_a_over_gamma_c"] <= 3.0 for r in good)
+        assert all(np.isnan(r["ps"]) and np.isnan(r["psi"]) for r in bad)
+        assert all(
+            r["error"].startswith("ps: broadband forms require delta_omega >= 5*tgamma")
+            and "; psi: broadband" in r["error"]
+            for r in bad
+        )
+        assert all(np.isfinite(r["ps"]) and np.isfinite(r["psi"]) for r in good)
+        assert all(
+            math.isfinite(m["value"]) for m in result.meta["observed_maxima"].values()
+        )
+
+    def test_car_undefined_where_singles_vanish(self, algaas):
+        ring, gc = algaas
+        pump = PumpSpec.cw(1e-200)  # the singles rate underflows to 0
+        spec = SweepSpec(
+            geometry=Geometry.ALL_PASS_IDENTICAL,
+            axis1=SweepAxis("gamma_a", 0.5, 2.0, 4),
+            axis2=None,
+            outputs=("Rs", "CAR"),
+            ring=ring,
+            pump=pump,
+            gamma_c=gc,
+            coincidence_window=1e-9,
+        )
+        result = run_sweep(spec)
+        assert all(r["Rs"] == 0.0 and np.isnan(r["CAR"]) for r in result.rows)
+        assert all(r["error"] == "CAR: CAR is undefined: the one-photon rate is zero "
+                   "for this design" for r in result.rows)
+        assert result.meta["observed_maxima"]["CAR"] is None
+        with pytest.raises(ValueError, match="CAR is undefined"):
+            cw_accidentals_and_car(ring, CouplingConfig.all_pass(gc, gc), pump.power, 1e-9)
+
+    def test_schmidt_rows_flag_compute_errors_and_propagate_bugs(self, algaas, monkeypatch):
+        ring, gc = algaas
+        import ringsfwm.sweep as sweep_mod
+
+        spec = SweepSpec(
+            geometry=Geometry.ADD_DROP_DISTINCT,
+            axis1=SweepAxis("tgamma_a", 0.5, 2.0, 2),
+            axis2=SweepAxis("gamma_b", 0.5, 2.0, 2),
+            outputs=("K",),
+            ring=ring,
+            pump=PumpSpec.pulsed(1e-12, bandwidth_factor=10.0),
+            gamma_c=gc,
+            schmidt_points=32,
+        )
+        real = sweep_mod.schmidt_spectrum
+
+        def flaky(grid, exc):
+            if grid.t_axis[-1] < 20.0 / (2.5 * gc):  # gamma_b = 2*gamma_c rows
+                raise exc
+            return real(grid)
+
+        monkeypatch.setattr(
+            sweep_mod, "schmidt_spectrum",
+            lambda grid: flaky(grid, DecompositionError("injected")),
+        )
+        rows = run_sweep(spec).rows
+        assert [r["error"] for r in rows] == [None, None, "K: injected", "K: injected"]
+        assert all(np.isnan(r["K"]) and np.isnan(r["K_minus_1"]) for r in rows[2:])
+        assert all(r["K"] >= 1.0 for r in rows[:2])
+
+        monkeypatch.setattr(
+            sweep_mod, "schmidt_spectrum", lambda grid: flaky(grid, TypeError("bug"))
+        )
+        with pytest.raises(TypeError, match="bug"):
+            run_sweep(spec)
 
 
 class TestEmit:
     def test_csv_round_trip_bit_exact(self, algaas, tmp_path):
         ring, gc = algaas
-        result = run_sweep(allpass_spec(ring, gc, n=13), threads=1)
+        result = run_sweep(allpass_spec(ring, gc, n=13))
         path = tmp_path / "sweep.csv"
         emit(result, "csv", path)
         lines = path.read_text().strip().split("\n")
@@ -196,10 +331,12 @@ class TestEmit:
 
     def test_json_round_trip_and_meta(self, algaas, tmp_path):
         ring, gc = algaas
-        result = run_sweep(allpass_spec(ring, gc, n=9), threads=1)
+        result = run_sweep(allpass_spec(ring, gc, n=9))
         path = tmp_path / "sweep.json"
         emit(result, "json", path)
-        back = json.loads(path.read_text())
+        text = path.read_text()
+        assert text.count("\n") == 1  # compact: meta and rows on one line
+        back = json.loads(text)
         assert back["meta"]["optima"]["Rs"]["couplings_over_gamma_c"] == [1.0]
         assert len(back["rows"]) == 9
         for loaded, row in zip(back["rows"], result.rows):
@@ -208,14 +345,14 @@ class TestEmit:
 
     def test_io_error_carries_path(self, algaas, tmp_path):
         ring, gc = algaas
-        result = run_sweep(allpass_spec(ring, gc, n=5), threads=1)
+        result = run_sweep(allpass_spec(ring, gc, n=5))
         missing = tmp_path / "no" / "such" / "dir" / "x.csv"
         with pytest.raises(OSError, match="x.csv"):
             emit(result, "csv", missing)
 
     def test_unknown_format_rejected(self, algaas):
         ring, gc = algaas
-        result = run_sweep(allpass_spec(ring, gc, n=5), threads=1)
+        result = run_sweep(allpass_spec(ring, gc, n=5))
         with pytest.raises(ValueError, match="format"):
             render(result, "xml")
 
