@@ -58,6 +58,7 @@ from .schmidt import (
     SchmidtResult,
     WavepacketGrid,
     discretize_wavepacket,
+    schmidt_number,
     schmidt_number_sweep,
     schmidt_spectrum,
 )
@@ -139,6 +140,7 @@ __all__ = [
     "report_optima",
     "run_sweep",
     "save_spectrum",
+    "schmidt_number",
     "schmidt_number_sweep",
     "schmidt_spectrum",
     "tolerance_band",

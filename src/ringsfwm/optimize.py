@@ -174,13 +174,11 @@ def normalized_objective(
     return objective
 
 
-# Distinct-coupling pulsed optima have no rational closed form; these
-# constants solve the stationarity conditions of the normalized per-pulse
-# probabilities to double precision (couplings quoted to two decimals, the
-# customary precision for the argmax, which is flat at the 1e-5 level there).
-_DISTINCT_PULSED_SINGLES_ARGMAX = (1.3740138494736, 1.8368488913010)
+# Distinct-coupling pulsed optima have no rational closed form; these peaks
+# solve the stationarity conditions of the normalized per-pulse probabilities
+# to double precision.  The table quotes their couplings to two decimals, the
+# customary precision for the argmax, which is flat at the 1e-5 level there.
 _DISTINCT_PULSED_SINGLES_PEAK = 0.017533154899126
-_DISTINCT_PULSED_PAIRS_ARGMAX = (1.4592612996866, 3.1774096808993)
 _DISTINCT_PULSED_PAIRS_PEAK = 0.012480560984425
 
 _F = Fraction

@@ -329,9 +329,10 @@ def pulsed_wavepacket(
     # points cannot overflow; they are zeroed below anyway.
     m = np.maximum(np.minimum(ts, ti), 0.0)
     log_env = -gamma * np.clip(ts + ti, 0.0, None) / 2.0
+    env = np.exp(log_env)
     split = tgamma - gamma
     if abs(split) < EPS_DEGENERATE * gamma:
-        core = np.exp(log_env) * m
+        core = env * m
     else:
         # envelope*(1 - exp(-split*m))/split, assembled so that neither
         # exponent can overflow: log_env <= 0, and log_env - split*m <= 0 too
@@ -339,8 +340,8 @@ def pulsed_wavepacket(
         # m <= (ts + ti)/2; for split > 0 the term only gets more negative).
         u = split * m
         protected = np.abs(u) <= 1.0  # expm1 path where cancellation matters
-        core_near = np.exp(log_env) * (-np.expm1(-np.where(protected, u, 0.0)))
-        core_far = np.exp(log_env) - np.exp(log_env - np.where(protected, 0.0, u))
+        core_near = env * (-np.expm1(-np.where(protected, u, 0.0)))
+        core_far = env - np.exp(log_env - np.where(protected, 0.0, u))
         core = np.where(protected, core_near, core_far) / split
     out = cfg.tgamma_a * cfg.gamma_mu * y * core
     out = np.where(causal, out, 0.0)

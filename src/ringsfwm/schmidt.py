@@ -1,19 +1,25 @@
-"""Schmidt decomposition of the joint temporal amplitude.
+"""Schmidt number and Schmidt decomposition of the joint temporal amplitude.
 
 The continuous kernel psi(t_s, t_i) is sampled on a uniform time grid with
-trapezoid quadrature weights, symmetrized as ``M = sqrt(w) psi sqrt(w)`` and
-decomposed by SVD.  The squared singular values, normalized to unit sum, are
-the Schmidt coefficients; their inverse participation ratio
+trapezoid quadrature weights and symmetrized as ``M = sqrt(w) psi sqrt(w)``.
+The squared singular values of ``M``, normalized to unit sum, are the Schmidt
+coefficients; their inverse participation ratio
 
     ``K = 1 / sum(lambda_n^2)``
 
 is the Schmidt number.  ``K = 1`` marks a separable (heraldable-pure) biphoton.
+
+``K`` itself needs no decomposition: it is the inverse purity
+``(tr G)^2 / ||G||_F^2`` of the Gram matrix ``G = M^H M``, whose eigenvalues
+are the squared singular values (:func:`schmidt_number`, one matrix product,
+real for the real broadband wavepacket).  The SVD is kept only where the
+coefficients themselves are reported (:func:`schmidt_spectrum`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -25,6 +31,7 @@ __all__ = [
     "WavepacketGrid",
     "SchmidtResult",
     "discretize_wavepacket",
+    "schmidt_number",
     "schmidt_spectrum",
     "schmidt_number_sweep",
     "SchmidtSweepPoint",
@@ -32,7 +39,8 @@ __all__ = [
 
 
 class DecompositionError(RuntimeError):
-    """Singular value decomposition of the wavepacket grid failed."""
+    """The wavepacket grid has no usable Schmidt decomposition: its SVD failed
+    or its weighted squared norm is zero or not finite."""
 
 
 # Failures of one sweep point's computation.  Sweeps record these per point
@@ -45,8 +53,9 @@ class WavepacketGrid:
     """Discretized joint temporal amplitude with quadrature weights.
 
     ``t_axis`` holds N strictly increasing sample times [s] (N >= 16),
-    ``amplitudes`` the N x N complex matrix psi(t_s, t_i) [1/s], and
-    ``weights`` the per-sample quadrature weights [s].
+    ``amplitudes`` the N x N matrix psi(t_s, t_i) [1/s], and ``weights`` the
+    per-sample quadrature weights [s].  Real amplitudes are stored as float64
+    and complex ones as complex128; neither need be symmetric.
     """
 
     t_axis: np.ndarray
@@ -54,9 +63,11 @@ class WavepacketGrid:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.t_axis, dtype=float)
-        a = np.asarray(self.amplitudes, dtype=complex)
-        w = np.asarray(self.weights, dtype=float)
+        # private copies: freezing them below must not freeze the caller's arrays
+        t = np.array(self.t_axis, dtype=float)
+        a = np.asarray(self.amplitudes)
+        a = a.astype(complex if np.iscomplexobj(a) else float)
+        w = np.array(self.weights, dtype=float)
         n = t.size
         if t.ndim != 1 or n < 16:
             raise ValueError(f"WavepacketGrid requires >= 16 time samples, got {n}")
@@ -142,29 +153,53 @@ def discretize_wavepacket(
     w[0] *= 0.5
     w[-1] *= 0.5
     psi = pulsed_wavepacket(ring, cfg, pump.energy, delta_omega, t[:, None], t[None, :])
-    return WavepacketGrid(t_axis=t, amplitudes=psi.astype(complex), weights=w)
+    return WavepacketGrid(t_axis=t, amplitudes=psi, weights=w)
+
+
+def _weighted_matrix(grid: WavepacketGrid) -> np.ndarray:
+    """``M_ij = sqrt(w_i) psi_ij sqrt(w_j)``: its singular values approximate
+    the continuous-kernel Schmidt amplitudes independently of the grid spacing."""
+    sw = np.sqrt(grid.weights)
+    return sw[:, None] * grid.amplitudes * sw[None, :]
+
+
+def _inverse_purity(m: np.ndarray) -> float:
+    """``(tr G)^2 / ||G||_F^2`` with ``G = M^H M``; ``tr G`` is the weighted norm."""
+    g = m.conj().T @ m
+    total = float(np.trace(g).real)
+    if not np.isfinite(total) or total <= 0.0:
+        raise DecompositionError("wavepacket grid is ill-conditioned (zero/non-finite norm)")
+    g /= total  # so that squaring the entries cannot overflow
+    return 1.0 / float(np.vdot(g, g).real)
+
+
+def schmidt_number(grid: WavepacketGrid) -> float:
+    """Schmidt number ``K = 1 / sum(lambda_n^2)`` of a wavepacket grid.
+
+    The eigenvalues of ``G = M^H M`` are the squared singular values of ``M``,
+    so ``tr G = sum(sigma^2)`` and ``||G||_F^2 = sum(sigma^4)``, and K is the
+    inverse purity ``(tr G)^2 / ||G||_F^2``: one Gram product instead of an
+    SVD.  Raises :class:`DecompositionError` when ``tr G`` is zero or not
+    finite.
+    """
+    return _inverse_purity(_weighted_matrix(grid))
 
 
 def schmidt_spectrum(grid: WavepacketGrid) -> SchmidtResult:
     """Schmidt coefficients and Schmidt number of a wavepacket grid.
 
-    Forms ``M_ij = sqrt(w_i) psi_ij sqrt(w_j)`` so that the singular values
-    approximate the continuous-kernel Schmidt amplitudes independently of the
-    grid spacing, then ``lambda_n = sigma_n^2 / sum(sigma^2)`` and
-    ``K = 1 / sum(lambda_n^2)``.
+    The coefficients are ``lambda_n = sigma_n^2 / sum(sigma^2)`` from the SVD
+    of ``M``; ``K`` is evaluated as in :func:`schmidt_number`.
     """
-    sw = np.sqrt(grid.weights)
-    m = sw[:, None] * grid.amplitudes * sw[None, :]
+    m = _weighted_matrix(grid)
+    k = _inverse_purity(m)  # rejects a zero or non-finite norm
     try:
         sigma = np.linalg.svd(m, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"SVD of the wavepacket grid failed: {exc}") from exc
     lam = sigma * sigma
     total = float(lam.sum())
-    if not np.isfinite(total) or total <= 0.0:
-        raise DecompositionError("wavepacket grid is ill-conditioned (zero/non-finite norm)")
-    lam = lam / total
-    return SchmidtResult(lambdas=lam, K=float(1.0 / np.sum(lam * lam)), norm=total)
+    return SchmidtResult(lambdas=lam / total, K=k, norm=total)
 
 
 @dataclass(frozen=True)
@@ -176,6 +211,28 @@ class SchmidtSweepPoint:
     K: float
     K_minus_1: float
     error: Optional[str] = None
+
+
+def _schmidt_numbers(
+    ring: RingParams,
+    pump: PumpSpec,
+    points: Iterable,
+    n_points: int,
+    t_max_over_gamma: float,
+    config: Callable[..., CouplingConfig] = lambda cfg: cfg,
+) -> tuple[np.ndarray, dict[int, str]]:
+    """Schmidt number at each point, ``config(point)`` giving its couplings:
+    the values, NaN where a point fails, and each failed point's message by
+    index.  Only computation failures are caught; anything else propagates."""
+    values, failures = [], {}
+    for i, point in enumerate(points):
+        try:
+            grid = discretize_wavepacket(ring, config(point), pump, n_points, t_max_over_gamma)
+            values.append(schmidt_number(grid))
+        except _POINT_ERRORS as exc:
+            values.append(float("nan"))
+            failures[i] = str(exc)
+    return np.array(values, dtype=float), failures
 
 
 def schmidt_number_sweep(
@@ -192,16 +249,10 @@ def schmidt_number_sweep(
     propagates.  ``K - 1`` is included for log-scale
     closeness-to-separable plots.
     """
-    points: list[SchmidtSweepPoint] = []
-    for cfg in configs:
-        tga = cfg.tgamma_a / cfg.gamma_c
-        gb = cfg.gamma_b / cfg.gamma_c
-        try:
-            grid = discretize_wavepacket(ring, cfg, pump, n_points, t_max_over_gamma)
-            res = schmidt_spectrum(grid)
-            points.append(SchmidtSweepPoint(tga, gb, res.K, res.K - 1.0))
-        except _POINT_ERRORS as exc:
-            points.append(
-                SchmidtSweepPoint(tga, gb, float("nan"), float("nan"), error=str(exc))
-            )
-    return points
+    configs = list(configs)
+    values, failures = _schmidt_numbers(ring, pump, configs, n_points, t_max_over_gamma)
+    return [
+        SchmidtSweepPoint(cfg.tgamma_a / cfg.gamma_c, cfg.gamma_b / cfg.gamma_c,
+                          k, k - 1.0, failures.get(i))
+        for i, (cfg, k) in enumerate(zip(configs, values.tolist()))
+    ]

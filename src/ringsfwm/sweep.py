@@ -46,7 +46,7 @@ from .pulsed import (
     _pair_prob_kernel,
     _single_prob_kernel,
 )
-from .schmidt import _POINT_ERRORS, discretize_wavepacket, schmidt_spectrum
+from .schmidt import _schmidt_numbers
 
 __all__ = [
     "SweepAxis",
@@ -186,27 +186,16 @@ def _mesh(values: list[np.ndarray]) -> tuple[np.ndarray, ...]:
     return tuple(a.ravel() for a in np.meshgrid(*values))
 
 
-def _schmidt_numbers(spec: SweepSpec, point) -> tuple[np.ndarray, dict[int, str]]:
-    """Schmidt number per point: one wavepacket grid and decomposition each."""
-    values, failures = np.full(point[0].size, np.nan), {}
-    for i, p in enumerate(zip(*(a.tolist() for a in point))):
-        try:
-            cfg = config_from_point(spec.geometry, p, spec.gamma_c, spec.tgamma_c)
-            grid = discretize_wavepacket(
-                spec.ring, cfg, spec.pump, spec.schmidt_points, spec.t_max_over_gamma
-            )
-            values[i] = schmidt_spectrum(grid).K
-        except _POINT_ERRORS as exc:
-            failures[i] = str(exc)
-    return values, failures
-
-
 def _evaluate(spec: SweepSpec, output: str, point) -> tuple[np.ndarray, dict[int, str]]:
     """One output at every point of a flattened grid (couplings in gamma_c
     units): the values, NaN where a point fails, and each failed point's
     message by index."""
     if output == "K":
-        return _schmidt_numbers(spec, point)
+        return _schmidt_numbers(
+            spec.ring, spec.pump, zip(*(a.tolist() for a in point)),
+            spec.schmidt_points, spec.t_max_over_gamma,
+            lambda p: config_from_point(spec.geometry, p, spec.gamma_c, spec.tgamma_c),
+        )
     ta, gmu, g, tg = _point_rates(spec.geometry, point, spec.gamma_c, spec.tgamma_c)
     ring, pump = spec.ring, spec.pump
     if pump.mode is PumpMode.PULSED:

@@ -136,6 +136,18 @@ def parabola_argmax(f, grid, refinements=(1e-2, 1e-4)):
     return center
 
 
+def ratio_spread_ulps(rate, tgammas, grid):
+    """Largest spread, in ulps, of ``rate(tga, gb) / rate(tgammas[0], gb)``
+    over the ``gb`` scan, for each ``tga``.  A rate that factorizes into a
+    ``tgamma_a`` part times a ``gamma_b`` part gives roundoff only."""
+    base = np.array([rate(tgammas[0], gb) for gb in grid])
+    spread = 0.0
+    for tga in tgammas[1:]:
+        ratio = np.array([rate(tga, gb) for gb in grid]) / base
+        spread = max(spread, float(np.ptp(ratio) / ratio.min()))
+    return spread / np.finfo(float).eps
+
+
 ALGAAS_INI = """
 [ring]
 n2_m2_per_w = 2.6e-17

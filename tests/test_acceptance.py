@@ -37,10 +37,10 @@ from ringsfwm.sweep import algaas_example
 
 from conftest import (
     cw_pair_rate_quadrature,
-    parabola_argmax,
     pulsed_pair_prob_quadrature,
     pulsed_single_prob_quadrature_broadband,
     random_coupling,
+    ratio_spread_ulps,
 )
 
 CW = PumpRegime.CW
@@ -262,17 +262,15 @@ def test_criterion_6_identity_suite():
         scale_ok = scale_ok and abs(k - k_ref) <= 1e-12 * k_ref
     checks.check("Schmidt number scale invariance (1e-12 relative)", scale_ok)
 
-    scan = np.geomspace(0.05, 10.0, 121)
-    argmaxes = [
-        parabola_argmax(
-            lambda gb: cw_pair_rate(_UNIT_RING, CouplingConfig.distinct(tga, gb, 1.0), 1.0),
-            scan,
-        )
-        for tga in np.linspace(0.2, 5.0, 10)
-    ]
-    spread = max(argmaxes) - min(argmaxes)
-    checks.check("CW distinct pair-rate argmax separability (1e-9)",
-                 spread < 1e-9, f"spread {spread:.2e}")
+    # The drop-coupling argmax cannot move with the pump coupling when the
+    # pair rate factorizes: rates at two pump couplings keep one ratio over
+    # the whole gamma_b scan, up to the kernel's roundings.
+    spread = ratio_spread_ulps(
+        lambda tga, gb: cw_pair_rate(_UNIT_RING, CouplingConfig.distinct(tga, gb, 1.0), 1.0),
+        np.linspace(0.2, 5.0, 10), np.geomspace(0.05, 10.0, 121),
+    )
+    checks.check("CW distinct pair-rate factorization in the pump coupling (16 ulps)",
+                 spread <= 16.0, f"spread {spread:.1f} ulps")
     _finish(6, "identity and symmetry suite", checks, t0)
 
 

@@ -17,7 +17,12 @@ from ringsfwm import (
 )
 from ringsfwm.core import _UNIT_RING
 
-from conftest import cw_pair_rate_quadrature, parabola_argmax, random_coupling
+from conftest import (
+    cw_pair_rate_quadrature,
+    parabola_argmax,
+    random_coupling,
+    ratio_spread_ulps,
+)
 
 POWER = 10e-6
 
@@ -185,17 +190,17 @@ class TestObservablesBundle:
 class TestDistinctSeparability:
     def test_pair_rate_argmax_independent_of_pump_coupling(self):
         """The drop-coupling argmax must not move when the pump coupling
-        changes (the pair rate factorizes)."""
+        changes, because the pair rate factorizes: the ratio of the rates at
+        two pump couplings is one constant over the whole gamma_b scan, up to
+        the few roundings of the kernel (3 ulps observed)."""
         grid = np.geomspace(0.05, 10.0, 121)
-        argmaxes = []
-        for tga in np.linspace(0.2, 5.0, 10):
-            f = lambda gb: cw_pair_rate(  # noqa: E731
-                _UNIT_RING, CouplingConfig.distinct(tga, gb, 1.0), 1.0
-            )
-            argmaxes.append(parabola_argmax(f, grid))
-        spread = max(argmaxes) - min(argmaxes)
-        assert spread < 1e-9
-        assert argmaxes[0] == pytest.approx(2.0, abs=1e-4)
+        tgammas = np.linspace(0.2, 5.0, 10)
+        rate = lambda tga, gb: cw_pair_rate(  # noqa: E731
+            _UNIT_RING, CouplingConfig.distinct(tga, gb, 1.0), 1.0
+        )
+        assert ratio_spread_ulps(rate, tgammas, grid) <= 16.0
+        argmax = parabola_argmax(lambda gb: rate(tgammas[0], gb), grid)
+        assert argmax == pytest.approx(2.0, abs=1e-4)
 
 
 class TestToleranceBand:

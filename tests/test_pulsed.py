@@ -23,7 +23,7 @@ from ringsfwm import (
     save_spectrum,
 )
 from ringsfwm.core import _UNIT_RING
-from ringsfwm.pulsed import EPS_DEGENERATE
+from ringsfwm.pulsed import EPS_DEGENERATE, _drive_pulsed
 
 from conftest import pulsed_pair_prob_quadrature, random_coupling
 
@@ -191,6 +191,35 @@ class TestPulsedWavepacket:
                 * drive * envelope * bracket
             )
             assert got == pytest.approx(oracle, rel=1e-6)
+
+    def test_matches_per_branch_envelope_formula_bitwise(self, algaas):
+        """Sharing one envelope exponential between the two branches leaves
+        every value bit-identical to evaluating it inside each branch."""
+        ring, gc = algaas
+        for cfg in (
+            CouplingConfig.all_pass(gc, gc),  # degenerate: tgamma == gamma
+            CouplingConfig.distinct(3.0 * gc, 0.5 * gc, gc),  # tgamma > gamma
+            CouplingConfig.distinct(0.3 * gc, 4.0 * gc, gc),  # tgamma < gamma
+        ):
+            dw = self._dw(cfg)
+            t = np.linspace(-1.0, 20.0, 97) / cfg.gamma
+            ts, ti = t[:, None], t[None, :]
+            m = np.maximum(np.minimum(ts, ti), 0.0)
+            log_env = -cfg.gamma * np.clip(ts + ti, 0.0, None) / 2.0
+            split = cfg.tgamma - cfg.gamma
+            if abs(split) < EPS_DEGENERATE * cfg.gamma:
+                core = np.exp(log_env) * m
+            else:
+                u = split * m
+                protected = np.abs(u) <= 1.0
+                assert protected.any() and not protected.all()
+                core_near = np.exp(log_env) * (-np.expm1(-np.where(protected, u, 0.0)))
+                core_far = np.exp(log_env) - np.exp(log_env - np.where(protected, 0.0, u))
+                core = np.where(protected, core_near, core_far) / split
+            y = _drive_pulsed(ring, ENERGY, dw)
+            want = cfg.tgamma_a * cfg.gamma_mu * y * core
+            want = np.where((ts >= 0.0) & (ti >= 0.0), want, 0.0)
+            assert np.array_equal(pulsed_wavepacket(ring, cfg, ENERGY, dw, ts, ti), want)
 
     def test_finite_at_extreme_times_with_narrow_pump(self, algaas):
         """With tgamma < gamma the quotient involves a growing exponential;

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringsfwm import (
     CouplingConfig,
@@ -10,9 +12,12 @@ from ringsfwm import (
     WavepacketGrid,
     discretize_wavepacket,
     pulsed_pair_prob,
+    schmidt_number,
     schmidt_number_sweep,
     schmidt_spectrum,
 )
+
+from conftest import random_coupling
 
 PUMP = PumpSpec.pulsed(1e-12, bandwidth_factor=10.0)
 
@@ -133,6 +138,99 @@ class TestSchmidtSpectrum:
         rebuilt = (u * s) @ vh
         err = np.linalg.norm(rebuilt - m) / np.linalg.norm(m)
         assert err < 1e-10
+
+
+@st.composite
+def random_grids(draw):
+    """Random grids of rank 1..n: real symmetric, real non-symmetric or complex,
+    with non-uniform weights and amplitudes spanning many decades."""
+    kind = draw(st.sampled_from(("symmetric", "real", "complex")))
+    n = draw(st.integers(16, 40))
+    rank = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-30, 30))
+
+    def factor():
+        f = rng.standard_normal((n, rank))
+        return f + 1j * rng.standard_normal((n, rank)) if kind == "complex" else f
+
+    left = factor()
+    amplitudes = left @ (left.T if kind == "symmetric" else factor().T)
+    t = np.cumsum(rng.uniform(0.5, 1.5, n))
+    return WavepacketGrid(t, scale * amplitudes, rng.uniform(0.5, 1.5, n))
+
+
+def _svd_schmidt_number(grid):
+    sw = np.sqrt(grid.weights)
+    sigma = np.linalg.svd(sw[:, None] * grid.amplitudes * sw[None, :], compute_uv=False)
+    lam = sigma**2 / np.sum(sigma**2)
+    return 1.0 / np.sum(lam**2)
+
+
+class TestSchmidtNumber:
+    """The inverse-purity Schmidt number against the SVD definition."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_grids())
+    def test_matches_svd(self, grid):
+        assert schmidt_number(grid) == pytest.approx(_svd_schmidt_number(grid), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_grids(), st.sampled_from((1e-6, -3.0, 1e6, 1j, 2.0 - 5.0j)))
+    def test_invariant_under_scaling_and_transposition(self, grid, factor):
+        k = schmidt_number(grid)
+        scaled = WavepacketGrid(grid.t_axis, grid.amplitudes * factor, grid.weights)
+        transposed = WavepacketGrid(grid.t_axis, grid.amplitudes.T, grid.weights)
+        assert schmidt_number(scaled) == pytest.approx(k, rel=1e-12)
+        assert schmidt_number(transposed) == pytest.approx(k, rel=1e-12)
+
+    @settings(max_examples=20, deadline=None)
+    @given(random_grids())
+    def test_spectrum_reports_the_same_k(self, grid):
+        assert schmidt_spectrum(grid).K == schmidt_number(grid)
+
+    def test_zero_or_overflowing_grid_raises(self):
+        t = np.linspace(0.0, 1.0, 32)
+        w = np.full(32, t[1] - t[0])
+        # the constructor rejects a zero grid, so build one past it
+        zero = object.__new__(WavepacketGrid)
+        for name, value in (("t_axis", t), ("amplitudes", np.zeros((32, 32))), ("weights", w)):
+            object.__setattr__(zero, name, value)
+        with np.errstate(over="ignore"):
+            # finite samples whose squared norm overflows
+            huge = WavepacketGrid(t, np.full((32, 32), 1e160), w)
+            for grid in (zero, huge):
+                with pytest.raises(DecompositionError, match="zero/non-finite norm"):
+                    schmidt_number(grid)
+                with pytest.raises(DecompositionError, match="zero/non-finite norm"):
+                    schmidt_spectrum(grid)
+
+    def test_grid_keeps_real_amplitudes_real(self):
+        t = np.linspace(0.0, 1.0, 16)
+        w = np.full(16, t[1] - t[0])
+        ones = np.ones((16, 16), dtype=int)
+        assert WavepacketGrid(t, ones, w).amplitudes.dtype == np.float64
+        assert WavepacketGrid(t, ones.astype(np.complex64), w).amplitudes.dtype == np.complex128
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_grid_copies_the_callers_arrays(self, dtype):
+        t = np.linspace(0.0, 1.0, 16)
+        w = np.full(16, t[1] - t[0])
+        amplitudes = np.ones((16, 16), dtype=dtype)
+        grid = WavepacketGrid(t, amplitudes, w)
+        for arr in (t, amplitudes, w):
+            assert arr.flags.writeable
+            arr *= 2.0
+        assert np.all(grid.amplitudes == 1.0) and grid.t_axis[-1] == 1.0
+        assert grid.weights[0] == pytest.approx(1.0 / 15.0)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_discretize_returns_float64(self, algaas, seed):
+        ring, gc = algaas
+        cfg = random_coupling(np.random.default_rng(seed), gamma_c=gc)
+        grid = discretize_wavepacket(ring, cfg, PUMP, 32)
+        assert grid.amplitudes.dtype == np.float64
 
 
 class TestSchmidtSweep:

@@ -277,7 +277,7 @@ class TestRunSweep:
 
     def test_schmidt_rows_flag_compute_errors_and_propagate_bugs(self, algaas, monkeypatch):
         ring, gc = algaas
-        import ringsfwm.sweep as sweep_mod
+        import ringsfwm.schmidt as schmidt_mod
 
         spec = SweepSpec(
             geometry=Geometry.ADD_DROP_DISTINCT,
@@ -289,7 +289,7 @@ class TestRunSweep:
             gamma_c=gc,
             schmidt_points=32,
         )
-        real = sweep_mod.schmidt_spectrum
+        real = schmidt_mod.schmidt_number
 
         def flaky(grid, exc):
             if grid.t_axis[-1] < 20.0 / (2.5 * gc):  # gamma_b = 2*gamma_c rows
@@ -297,7 +297,7 @@ class TestRunSweep:
             return real(grid)
 
         monkeypatch.setattr(
-            sweep_mod, "schmidt_spectrum",
+            schmidt_mod, "schmidt_number",
             lambda grid: flaky(grid, DecompositionError("injected")),
         )
         rows = run_sweep(spec).rows
@@ -306,7 +306,7 @@ class TestRunSweep:
         assert all(r["K"] >= 1.0 for r in rows[:2])
 
         monkeypatch.setattr(
-            sweep_mod, "schmidt_spectrum", lambda grid: flaky(grid, TypeError("bug"))
+            schmidt_mod, "schmidt_number", lambda grid: flaky(grid, TypeError("bug"))
         )
         with pytest.raises(TypeError, match="bug"):
             run_sweep(spec)
