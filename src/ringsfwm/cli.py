@@ -55,7 +55,7 @@ def _add_common(sub: argparse.ArgumentParser, config_required: bool) -> None:
     sub.add_argument("--grid", type=int, default=None, help="override grid points per axis")
     sub.add_argument(
         "--refine", action="store_true",
-        help="refine reported maxima by local grid zoom",
+        help="sharpen reported maxima by log-grid zoom and a vertex step",
     )
 
 
@@ -266,7 +266,6 @@ _COMPUTE_ERRORS = (
     DecompositionError,
     np.linalg.LinAlgError,
     ArithmeticError,
-    RuntimeError,
 )
 
 

@@ -19,15 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
-from .core import (
-    CouplingConfig,
-    RingParams,
-    _drive_cw,
-    _positive_finite,
-    _UNIT_RING,
-)
+from .core import CouplingConfig, RingParams, _drive_cw, _positive_finite
 
 __all__ = [
     "CwObservables",
@@ -155,40 +148,38 @@ def cw_accidentals_and_car(
         raise ValueError(_CAR_UNDEFINED) from None
 
 
-def _normalized_allpass_rates(gamma_a: float) -> tuple[float, float]:
-    """All-pass (Rs/R0, Rsi/R0) at coupling gamma_a in units of gamma_c."""
-    cfg = CouplingConfig.all_pass(gamma_a, 1.0)
-    return (
-        cw_single_rate(_UNIT_RING, cfg, 1.0),
-        cw_pair_rate(_UNIT_RING, cfg, 1.0),
-    )
+# Peak of the all-pass pair rate, 32*x^4/(1+x)^7 at x = 4/3, in units of R0.
+_ALLPASS_PAIR_PEAK = 221184 / 823543
 
 
-def tolerance_band(
-    frac: float = 0.5, search_range: tuple[float, float] = (1e-3, 1e3)
-) -> tuple[float, float]:
+def tolerance_band(frac: float = 0.5) -> tuple[float, float]:
     """Coupling interval over which an all-pass ring keeps BOTH CW rates high.
 
     Returns ``(lo, hi)`` in units of ``gamma_c``: the set of ``gamma_a`` where
     the one-photon rate stays at or above ``frac`` of its own peak AND the
     pair rate stays at or above ``frac`` of its own peak.  Useful for judging
-    fabrication tolerance of the coupling gap.
+    fabrication tolerance of the coupling gap.  Both level sets are
+    algebraic: ``Rs/R0 = 32x^3/(1+x)^6 = frac/2`` reduces to the quadratic
+    ``c*x^2 + (2c - 1)*x + c = 0`` with ``c = (frac/64)^(1/3)``, whose roots
+    multiply to 1, and ``Rsi/R0 = 32x^4/(1+x)^7`` meets its level at the two
+    positive real roots of a degree-7 polynomial.  Raises
+    :class:`ValueError` when the two bands do not overlap (``frac`` above
+    about 0.9835).
     """
     if not 0.0 < frac < 1.0:
         raise ValueError(f"tolerance_band requires 0 < frac < 1, got {frac!r}")
-    lo_g, hi_g = search_range
-    band_lo = lo_g
-    band_hi = hi_g
-    for which in (0, 1):
-        rate = lambda g: _normalized_allpass_rates(g)[which]  # noqa: E731
-        res = minimize_scalar(
-            lambda g: -rate(g), bounds=(lo_g, hi_g), method="bounded",
-            options={"xatol": 1e-12},
-        )
-        g_peak = res.x
-        level = rate(g_peak) * frac
-        left = brentq(lambda g: rate(g) - level, lo_g, g_peak, xtol=1e-13, rtol=1e-14)
-        right = brentq(lambda g: rate(g) - level, g_peak, hi_g, xtol=1e-12, rtol=1e-14)
-        band_lo = max(band_lo, left)
-        band_hi = min(band_hi, right)
-    return (band_lo, band_hi)
+    c = (frac / 64.0) ** (1.0 / 3.0)
+    singles_hi = (1.0 - 2.0 * c + np.sqrt(1.0 - 4.0 * c)) / (2.0 * c)
+    level = frac * _ALLPASS_PAIR_PEAK
+    # level*(1+x)^7 - 32*x^4, highest power first
+    poly = level * np.array([1.0, 7.0, 21.0, 35.0, 35.0, 21.0, 7.0, 1.0])
+    poly[3] -= 32.0
+    roots = np.roots(poly)
+    pair = np.sort(roots.real[(roots.imag == 0.0) & (roots.real > 0.0)])
+    if pair.size == 2:
+        lo, hi = max(1.0 / singles_hi, pair[0]), min(singles_hi, pair[1])
+        if lo <= hi:
+            return (float(lo), float(hi))
+    raise ValueError(
+        f"tolerance_band: no coupling keeps both rates at {frac!r} of their peaks"
+    )

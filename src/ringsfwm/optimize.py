@@ -1,10 +1,12 @@
 """Optimal coupling rates per geometry and target.
 
 Analytic optima (exact rationals where they exist) are tabulated; a
-derivative-free numeric maximizer (coarse log-grid scan followed by
-Nelder-Mead refinement in log coordinates) re-derives each optimum from the
-closed-form rate/probability engines, and :func:`cross_validate_optima` diffs
-the two routes.
+derivative-free numeric maximizer re-derives each optimum from the
+closed-form rate/probability kernels, and :func:`cross_validate_optima` diffs
+the two routes.  The maximizer scans a log grid in one call of an array
+objective, zooms in on the best cell with finer log grids and ends with a
+parabolic vertex step; the same zoom sharpens the observed maxima of
+coupling sweeps.
 
 Everything is optimized in normalized units: couplings in multiples of the
 intrinsic loss ``gamma_c`` and objectives in units of the scale factors R0
@@ -21,11 +23,18 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .core import CouplingConfig, Geometry, _UNIT_RING, _check_pump_loss, prob_scale_p0
-from .cw import cw_pair_rate, cw_single_rate
-from .pulsed import pulsed_pair_prob, pulsed_single_prob
+from .core import (
+    CouplingConfig,
+    Geometry,
+    _UNIT_RING,
+    _check_pump_loss,
+    _drive_cw,
+    _point_rates,
+    prob_scale_p0,
+)
+from .cw import _pair_rate_kernel, _single_rate_kernel
+from .pulsed import _drive_pulsed, _pair_prob_kernel, _single_prob_kernel
 
 __all__ = [
     "Objective",
@@ -115,6 +124,15 @@ def coupling_parameter_names(geometry: Geometry) -> tuple[str, ...]:
     return ("tgamma_a", "gamma_b")
 
 
+def _check_point(geometry: Geometry, point) -> None:
+    """Reject a wrong number of free couplings, or a negative or non-finite one."""
+    n = len(coupling_parameter_names(geometry))
+    if len(point) != n:
+        raise ValueError(f"{geometry.value} expects {n} coupling parameters, got {len(point)}")
+    if not all(np.all(np.isfinite(p) & (np.asarray(p) >= 0.0)) for p in point):
+        raise ValueError(f"couplings must be non-negative and finite, got {point!r}")
+
+
 def config_from_point(
     geometry: Geometry,
     point: Sequence[float],
@@ -123,11 +141,7 @@ def config_from_point(
 ) -> CouplingConfig:
     """Coupling configuration from free parameters given in gamma_c units."""
     point = tuple(float(p) for p in point)
-    if len(point) != len(coupling_parameter_names(geometry)):
-        raise ValueError(
-            f"{geometry.value} expects {len(coupling_parameter_names(geometry))} "
-            f"coupling parameters, got {len(point)}"
-        )
+    _check_point(geometry, point)
     _check_pump_loss(geometry, tgamma_c)
     if geometry is Geometry.ALL_PASS_IDENTICAL:
         return CouplingConfig.all_pass(point[0] * gamma_c, gamma_c)
@@ -145,31 +159,35 @@ _PULSED_REF_B = 16.0
 
 def normalized_objective(
     geometry: Geometry, target: OptimizationTarget
-) -> Callable[[Sequence[float]], float]:
-    """Objective in gamma_c-normalized units, built on the rate engines.
+) -> Callable[[Sequence], object]:
+    """Objective in gamma_c-normalized units, built on the rate kernels.
 
-    CW targets return rates in units of R0; pulsed targets return per-pulse
-    probabilities in units of p0 (fixed pulse energy, bandwidth scaled with
-    the pump linewidth).
+    The objective takes the free couplings (units of gamma_c, in
+    :func:`coupling_parameter_names` order) as floats or as equal-shape
+    arrays and returns the value(s) of the same shape.  CW targets return
+    rates in units of R0; pulsed targets return per-pulse probabilities in
+    units of p0 (fixed pulse energy, bandwidth scaled with the pump
+    linewidth).  Each value equals the library function's on the matching
+    :class:`CouplingConfig`.
     """
+    one = target.objective is Objective.ONE_PHOTON
     if target.pump_regime is PumpRegime.CW:
-        rate = cw_single_rate if target.objective is Objective.ONE_PHOTON else cw_pair_rate
+        kernel = _single_rate_kernel if one else _pair_rate_kernel
+        drive = _drive_cw(_UNIT_RING, 1.0)
 
-        def objective(point: Sequence[float]) -> float:
-            cfg = config_from_point(geometry, point)
-            return rate(_UNIT_RING, cfg, 1.0)
+        def objective(point):
+            _check_point(geometry, point)
+            return kernel(*_point_rates(geometry, point, 1.0), drive)
 
     else:
-        prob = (
-            pulsed_single_prob
-            if target.objective is Objective.ONE_PHOTON
-            else pulsed_pair_prob
-        )
+        kernel = _single_prob_kernel if one else _pair_prob_kernel
         p0_ref = prob_scale_p0(_UNIT_RING, 1.0, _PULSED_REF_B, 1.0)
 
-        def objective(point: Sequence[float]) -> float:
-            cfg = config_from_point(geometry, point)
-            return prob(_UNIT_RING, cfg, 1.0, _PULSED_REF_B * cfg.tgamma) / p0_ref
+        def objective(point):
+            _check_point(geometry, point)
+            ta, gmu, g, tg = _point_rates(geometry, point, 1.0)
+            y = _drive_pulsed(_UNIT_RING, 1.0, _PULSED_REF_B * tg)
+            return kernel(ta, gmu, g, tg, y) / p0_ref
 
     return objective
 
@@ -255,98 +273,107 @@ def _validate_bounds(bounds, ndim: int) -> tuple[tuple[float, float], ...]:
     return bounds
 
 
-# The simplex stops somewhere inside the floating-point-flat neighborhood of
-# the maximum (~1e-8 wide in log coordinates), and exactly where depends on
-# roundoff details such as a constant rescaling of the objective.  Polishing
-# on a snapped lattice with value-independent stencils makes the reported
-# argmax reproducible to well below 1e-9 under any positive rescaling.
-_SNAP = 1e-6
+def _mesh(values: list[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """Flattened grid over the axis values, axis2-major: axis2 varies slowest."""
+    return tuple(a.ravel() for a in np.meshgrid(*values))
 
 
-def _parabolic_polish(objective, z: np.ndarray, log_bounds) -> np.ndarray:
-    z = np.round(np.asarray(z, dtype=float) / _SNAP) * _SNAP
-    lo = np.array([b[0] for b in log_bounds])
-    hi = np.array([b[1] for b in log_bounds])
-    z = np.clip(z, lo + 2e-3, hi - 2e-3)
-    for h in (1e-3, 1e-5):
-        for k in range(z.size):
-            zp, zm = z.copy(), z.copy()
-            zp[k] += h
-            zm[k] -= h
-            f0 = objective(np.exp(z))
-            fp_ = objective(np.exp(zp))
-            fm_ = objective(np.exp(zm))
-            denom = fm_ - 2.0 * f0 + fp_
-            if denom >= 0.0:  # no curvature resolved; keep the simplex point
-                continue
-            shift = 0.5 * h * (fm_ - fp_) / denom
-            z[k] += float(np.clip(shift, -h, h))
-        z = np.clip(z, lo, hi)
-    return z
+# Each zoom pass re-grids +-1 cell at 17 points per axis, so the cell shrinks
+# 8-fold per pass.  Across a log cell of 1e-7 the objective changes by ~1e-14
+# relative, close to roundoff; the vertex step, whose stencil is 100 such
+# cells wide, takes over there.
+_ZOOM_POINTS = 17
+_ZOOM_CELL = 1e-7
+_VERTEX_STEP = 1e-5
+
+
+def _maximize(objective, point, value, ratios, bounds) -> tuple[tuple[float, ...], float]:
+    """Sharpen a grid maximum ``value`` at ``point`` of an array objective.
+
+    ``objective`` maps a tuple of equal-shape coupling arrays to an array of
+    values; ``ratios`` are the grid's per-axis cell ratios and ``bounds`` its
+    ``(lo, hi)`` box.  Each zoom pass re-grids a +-1-cell log window around
+    the best point in one call and moves to the first candidate (axis2-major)
+    that beats the best value; NaN never wins.  The pass count follows from
+    the start cell.  Last, a 3-point parabolic vertex per axis (log step
+    1e-5, clipped to the box) replaces the point whenever its value is
+    finite.  Returns ``(point, value)``.
+    """
+    shrink = (_ZOOM_POINTS - 1) / 2
+    cell = max(math.log(r) for r in ratios)
+    for _ in range(max(0, math.ceil(math.log(cell / _ZOOM_CELL, shrink)))):
+        candidates = _mesh([
+            np.geomspace(max(p / r, lo), min(p * r, hi), _ZOOM_POINTS)
+            for p, r, (lo, hi) in zip(point, ratios, bounds)
+        ])
+        values = objective(candidates)
+        k = int(np.argmax(np.where(np.isnan(values), -np.inf, values)))
+        if values[k] > value:
+            value = float(values[k])
+            point = tuple(float(c[k]) for c in candidates)
+        ratios = [r ** (1.0 / shrink) for r in ratios]
+
+    h = _VERTEX_STEP
+    n = len(point)
+    steps = np.exp(h * np.vstack([np.zeros(n), -np.eye(n), np.eye(n)]))
+    f = objective(tuple((np.asarray(point) * steps).T))
+    fm, fp = f[1:n + 1], f[n + 1:]
+    denom = fm - 2.0 * f[0] + fp
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shift = np.where(denom < 0.0, np.clip(0.5 * h * (fm - fp) / denom, -h, h), 0.0)
+    vertex = np.clip(np.asarray(point) * np.exp(shift), *np.asarray(bounds, dtype=float).T)
+    vertex_value = float(objective(tuple(vertex[:, None]))[0])
+    if math.isfinite(vertex_value):
+        return tuple(float(c) for c in vertex), vertex_value
+    return point, value
 
 
 def numeric_optimum(
     geometry: Geometry,
     target: OptimizationTarget,
     bounds: Optional[Sequence[tuple[float, float]]] = None,
-    objective: Optional[Callable[[Sequence[float]], float]] = None,
-    grid_points: Optional[int] = None,
+    objective: Optional[Callable[[tuple], object]] = None,
 ) -> OptimumRecord:
     """Derivative-free maximization of the rate/probability objective.
 
-    Coarse logarithmic grid scan (ties resolved toward the smallest
-    couplings), then Nelder-Mead refinement in log coordinates.  Works
-    entirely in gamma_c-normalized units, so the argmax is independent of the
-    physical loss rate.
+    Scans a log grid over ``bounds`` (193 points in 1-D, 61x61 in 2-D) in one
+    objective call and sharpens its best point by log-grid zoom and a
+    parabolic vertex step.  ``objective`` defaults to
+    :func:`normalized_objective`; a custom one takes a tuple of equal-shape
+    coupling arrays (units of gamma_c, one per coupling parameter) and
+    returns an array of values of that shape.  Works entirely in
+    gamma_c-normalized units, so the argmax is independent of the physical
+    loss rate.  Raises :class:`OptimizationError` when the scan meets a
+    non-finite value or finds no positive one.
     """
     ndim = len(coupling_parameter_names(geometry))
     bounds = _validate_bounds(bounds, ndim)
     if objective is None:
         objective = normalized_objective(geometry, target)
 
-    n_scan = grid_points or (193 if ndim == 1 else 61)
-    axes = [np.geomspace(lo, hi, n_scan) for lo, hi in bounds]
-    best_val = -np.inf
-    best_point = None
-    for idx in np.ndindex(*(len(ax) for ax in axes)):
-        point = tuple(axes[k][i] for k, i in enumerate(idx))
-        val = objective(point)
-        if not np.isfinite(val):
-            raise OptimizationError(
-                f"objective returned a non-finite value {val!r} at {point!r}"
-            )
-        if val > best_val:
-            best_val = val
-            best_point = point
-    if best_point is None or best_val <= 0.0:
+    n_scan = 193 if ndim == 1 else 61
+    grid = _mesh([np.geomspace(lo, hi, n_scan) for lo, hi in bounds])
+    values = np.asarray(objective(grid), dtype=float)
+    if values.shape != grid[0].shape:
+        raise ValueError(
+            f"objective must return one value per grid point, shape {grid[0].shape}, "
+            f"got shape {values.shape}"
+        )
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        at = tuple(float(a[bad[0]]) for a in grid)
+        raise OptimizationError(
+            f"objective returned a non-finite value {values[bad[0]]!r} at {at!r}"
+        )
+    k = int(np.argmax(values))
+    if values[k] <= 0.0:
         raise OptimizationError("grid scan found no positive objective value")
 
-    log_bounds = [(math.log(lo), math.log(hi)) for lo, hi in bounds]
-
-    def neg_log_objective(z: np.ndarray) -> float:
-        val = objective(np.exp(z))
-        if not np.isfinite(val) or val <= 0.0:
-            return np.inf
-        return -math.log(val)
-
-    res = minimize(
-        neg_log_objective,
-        x0=np.log(np.asarray(best_point)),
-        method="Nelder-Mead",
-        bounds=log_bounds,
-        options={
-            "xatol": 1e-9,
-            "fatol": 1e-12,
-            "maxiter": 20_000,
-            "maxfev": 40_000,
-        },
+    ratios = [(hi / lo) ** (1.0 / (n_scan - 1)) for lo, hi in bounds]
+    couplings, peak = _maximize(
+        objective, tuple(float(a[k]) for a in grid), float(values[k]), ratios, bounds
     )
-    if not res.success:
-        raise OptimizationError(f"simplex refinement did not converge: {res.message}")
-    z = _parabolic_polish(objective, res.x, log_bounds)
-    couplings = tuple(float(c) for c in np.exp(z))
-    peak = float(objective(couplings))
-    if not np.isfinite(peak) or peak <= 0.0:
+    if not math.isfinite(peak) or peak <= 0.0:
         raise OptimizationError(f"objective is non-finite at the reported optimum {couplings!r}")
     return OptimumRecord(
         geometry=geometry,

@@ -35,6 +35,8 @@ from .optimize import (
     Objective,
     OptimizationTarget,
     PumpRegime,
+    _maximize,
+    _mesh,
     analytic_optimum,
     config_from_point,
     coupling_parameter_names,
@@ -181,11 +183,6 @@ class SweepResult:
         return {"meta": self.meta, "rows": list(self.rows)}
 
 
-def _mesh(values: list[np.ndarray]) -> tuple[np.ndarray, ...]:
-    """Flattened grid over the axis values, axis2-major: axis2 varies slowest."""
-    return tuple(a.ravel() for a in np.meshgrid(*values))
-
-
 def _evaluate(spec: SweepSpec, output: str, point) -> tuple[np.ndarray, dict[int, str]]:
     """One output at every point of a flattened grid (couplings in gamma_c
     units): the values, NaN where a point fails, and each failed point's
@@ -219,38 +216,6 @@ def _evaluate(spec: SweepSpec, output: str, point) -> tuple[np.ndarray, dict[int
     return np.where(ok, values, np.nan), dict(zip(np.flatnonzero(~ok).tolist(), why))
 
 
-def _refine_maximum(
-    spec: SweepSpec,
-    output: str,
-    start_point: tuple[float, ...],
-    start_value: float,
-    axes: list[SweepAxis],
-    iterations: int = 3,
-    sub_points: int = 17,
-) -> tuple[tuple[float, ...], float]:
-    """Local log-space grid refinement of an observed maximum.
-
-    Each pass re-grids a +-1-cell window (in the current resolution) around
-    the best point, evaluates it in one call, and keeps the first candidate
-    (axis2-major order) that beats the best value so far, shrinking the cell
-    by roughly sub_points/2 per pass.  Failed points never win.
-    """
-    best_point, best_value = start_point, start_value
-    ratios = [(ax.stop / ax.start) ** (1.0 / (ax.n_points - 1)) for ax in axes]
-    for _ in range(iterations):
-        candidates = _mesh([
-            np.geomspace(max(p / r, ax.start), min(p * r, ax.stop), sub_points)
-            for p, r, ax in zip(best_point, ratios, axes)
-        ])
-        values, _ = _evaluate(spec, output, candidates)
-        k = int(np.argmax(np.where(np.isnan(values), -np.inf, values)))
-        if values[k] > best_value:
-            best_value = float(values[k])
-            best_point = tuple(float(c[k]) for c in candidates)
-        ratios = [r ** (2.0 / (sub_points - 1)) for r in ratios]
-    return best_point, best_value
-
-
 def run_sweep(spec: SweepSpec, *, refine: bool = False) -> SweepResult:
     """Evaluate every requested output on the coupling grid.
 
@@ -258,8 +223,10 @@ def run_sweep(spec: SweepSpec, *, refine: bool = False) -> SweepResult:
     number ``K`` is a per-point loop).  Rows are ordered axis2-major.  A point
     that fails gets NaN for that output and a message in the ``error`` column
     without affecting the rest of the grid.  With ``refine=True`` the observed
-    maxima reported in the metadata are sharpened by local grid refinement
-    around the best cell.
+    maxima reported in the metadata are sharpened by the maximizer of
+    :func:`ringsfwm.optimize.numeric_optimum`: log-grid zoom from the best
+    cell down to a log cell of 1e-7 within the swept box, then a parabolic
+    vertex step.  Refining leaves the rows unchanged.
     """
     axes = [spec.axis1] + ([spec.axis2] if spec.axis2 is not None else [])
     point = _mesh([ax.values() for ax in axes])
@@ -282,7 +249,11 @@ def run_sweep(spec: SweepSpec, *, refine: bool = False) -> SweepResult:
         k = int(np.nanargmax(values))
         best = tuple(float(a[k]) for a in point), float(values[k])
         if refine:
-            best = _refine_maximum(spec, output, *best, axes)
+            best = _maximize(
+                lambda p: _evaluate(spec, output, p)[0], *best,
+                [(ax.stop / ax.start) ** (1.0 / (ax.n_points - 1)) for ax in axes],
+                [(ax.start, ax.stop) for ax in axes],
+            )
         observed[output] = {"point_over_gamma_c": list(best[0]), "value": best[1]}
     columns["error"] = errors
     rows = tuple(dict(zip(columns, cells)) for cells in zip(*columns.values()))

@@ -139,6 +139,17 @@ class TestValidateCommand:
         assert main(["validate"]) == 2
         assert "FAIL" in capsys.readouterr().out
 
+    def test_programming_error_propagates(self, monkeypatch):
+        """A bug is not reported as a computation failure."""
+        import ringsfwm.cli as cli_mod
+
+        def broken():
+            raise NotImplementedError("bug")
+
+        monkeypatch.setattr(cli_mod, "cross_validate_optima", broken)
+        with pytest.raises(NotImplementedError, match="bug"):
+            main(["validate"])
+
 
 class TestExitCodes:
     def test_unknown_flag_is_validation_error(self, capsys):

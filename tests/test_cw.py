@@ -230,3 +230,12 @@ class TestToleranceBand:
     def test_rejects_bad_fraction(self):
         with pytest.raises(ValueError):
             tolerance_band(1.5)
+
+    def test_rejects_empty_band(self):
+        """Above frac ~ 0.9835 the singles band (around 1) and the pair band
+        (around 4/3) no longer overlap."""
+        lo, hi = tolerance_band(0.983)
+        assert 1.0 < lo <= hi < 4.0 / 3.0
+        for frac in (0.99, 0.999999):
+            with pytest.raises(ValueError, match="no coupling keeps both rates"):
+                tolerance_band(frac)

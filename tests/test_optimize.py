@@ -3,7 +3,10 @@
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringsfwm import (
     Geometry,
@@ -92,6 +95,13 @@ class TestAnalyticTable:
             assert f(rec.couplings) == pytest.approx(rec.peak_value, rel=rtol)
 
 
+@pytest.mark.parametrize("point", [(1.0, 1.0), (-1.0,), (np.array([1.0, np.inf]),)])
+def test_objective_rejects_bad_points(point):
+    f = normalized_objective(Geometry.ALL_PASS_IDENTICAL, OptimizationTarget(TWO, PULSE))
+    with pytest.raises(ValueError, match="coupling"):
+        f(point)
+
+
 def test_config_from_point_rejects_tgamma_c_for_tied_geometries():
     for geometry, point in ((Geometry.ALL_PASS_IDENTICAL, (1.0,)),
                             (Geometry.ADD_DROP_IDENTICAL, (1.0, 1.0))):
@@ -111,16 +121,16 @@ class TestNumericOptimum:
         assert rec.couplings[0] == pytest.approx(1.46, abs=0.01)
         assert rec.couplings[1] == pytest.approx(3.17, abs=0.01)
 
-    def test_argmax_invariant_under_objective_scaling(self):
-        base = normalized_objective(Geometry.ALL_PASS_IDENTICAL, OptimizationTarget(TWO, CW))
-        rec1 = numeric_optimum(
-            Geometry.ALL_PASS_IDENTICAL, OptimizationTarget(TWO, CW), objective=base
-        )
-        rec2 = numeric_optimum(
-            Geometry.ALL_PASS_IDENTICAL, OptimizationTarget(TWO, CW),
-            objective=lambda x: 7.3e5 * base(x),
-        )
-        assert abs(rec1.couplings[0] - rec2.couplings[0]) < 1e-9
+    @settings(max_examples=10, deadline=None)
+    @given(exponent=st.floats(-30.0, 30.0))
+    def test_argmax_invariant_under_objective_scaling(self, exponent):
+        scale = 10.0**exponent
+        for geometry, target in all_targets():
+            base = normalized_objective(geometry, target)
+            rec1 = numeric_optimum(geometry, target, objective=base)
+            rec2 = numeric_optimum(geometry, target, objective=lambda p: scale * base(p))
+            spread = max(abs(a - b) for a, b in zip(rec1.couplings, rec2.couplings))
+            assert spread < 1e-9, (geometry, target, scale)
 
     def test_argmax_invariant_under_loss_rescaling(self, algaas):
         """Building the objective from physical rings with intrinsic losses
@@ -131,14 +141,14 @@ class TestNumericOptimum:
         argmaxes = []
         for gamma_c in (gc * 1e-1, gc, gc * 1e2):
             r0 = rate_scale_R0(ring, 1e-5, gamma_c)
-
-            def objective(point, gamma_c=gamma_c, r0=r0):
-                cfg = CouplingConfig.all_pass(point[0] * gamma_c, gamma_c)
-                return cw_pair_rate(ring, cfg, 1e-5) / r0
-
+            rate = np.vectorize(
+                lambda x, gamma_c=gamma_c, r0=r0: cw_pair_rate(
+                    ring, CouplingConfig.all_pass(x * gamma_c, gamma_c), 1e-5
+                ) / r0
+            )
             rec = numeric_optimum(
                 Geometry.ALL_PASS_IDENTICAL, OptimizationTarget(TWO, CW),
-                objective=objective,
+                objective=lambda point, rate=rate: rate(*point),
             )
             argmaxes.append(rec.couplings[0])
         assert max(argmaxes) - min(argmaxes) < 1e-9
@@ -161,7 +171,14 @@ class TestNumericOptimum:
         with pytest.raises(OptimizationError, match="non-finite"):
             numeric_optimum(
                 Geometry.ALL_PASS_IDENTICAL, OptimizationTarget(ONE, CW),
-                objective=lambda x: float("nan"),
+                objective=lambda point: np.full(point[0].shape, np.nan),
+            )
+
+    def test_objective_must_return_one_value_per_point(self):
+        with pytest.raises(ValueError, match="one value per grid point"):
+            numeric_optimum(
+                Geometry.ALL_PASS_IDENTICAL, OptimizationTarget(ONE, CW),
+                objective=lambda point: 1.0,
             )
 
     def test_joint_equals_axiswise_for_separable_case(self):

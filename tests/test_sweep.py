@@ -22,6 +22,13 @@ from ringsfwm import (
     run_sweep,
 )
 from ringsfwm.core import BroadbandAssumptionWarning
+from ringsfwm.optimize import (
+    Objective,
+    OptimizationTarget,
+    PumpRegime,
+    analytic_optimum,
+    coupling_parameter_names,
+)
 from ringsfwm.schmidt import DecompositionError
 from ringsfwm.sweep import optima_table, render, report_optima
 
@@ -204,14 +211,18 @@ class TestRunSweep:
         assert a2[0] < a2[5]               # axis2 advances across blocks
 
     def test_refined_maximum_hits_analytic_peak(self, algaas):
+        """The figure2 panels' refined maxima sit on the exact optima."""
         ring, gc = algaas
-        result = run_sweep(allpass_spec(ring, gc, n=200), refine=True)
         r0 = rate_scale_R0(ring, PUMP_CW.power, gc)
-        seen = result.meta["observed_maxima"]
-        assert seen["Rs"]["value"] == pytest.approx(r0 / 2.0, rel=1e-3)
-        assert seen["Rs"]["point_over_gamma_c"][0] == pytest.approx(1.0, rel=1e-3)
-        assert seen["Rsi"]["value"] == pytest.approx(0.2685761399222627 * r0, rel=1e-3)
-        assert seen["Rsi"]["point_over_gamma_c"][0] == pytest.approx(4.0 / 3.0, rel=1e-3)
+        for geometry in Geometry:
+            names = coupling_parameter_names(geometry)
+            axes = [SweepAxis(name, 0.05, 5.0, 200) for name in names] + [None]
+            spec = SweepSpec(geometry, axes[0], axes[1], ("Rs", "Rsi"), ring, PUMP_CW, gc)
+            seen = run_sweep(spec, refine=True).meta["observed_maxima"]
+            for output, objective in (("Rs", Objective.ONE_PHOTON), ("Rsi", Objective.TWO_PHOTON)):
+                rec = analytic_optimum(geometry, OptimizationTarget(objective, PumpRegime.CW))
+                assert seen[output]["value"] == pytest.approx(rec.peak_value * r0, rel=1e-7)
+                assert seen[output]["point_over_gamma_c"] == pytest.approx(rec.couplings, rel=1e-7)
 
     def test_meta_carries_analytic_optima(self, algaas):
         ring, gc = algaas
