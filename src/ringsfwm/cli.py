@@ -31,7 +31,7 @@ from .config import (
 from .core import Geometry, PumpMode, PumpSpec, quality_factors, rate_scale_R0, prob_scale_p0
 from .cw import cw_accidentals_and_car, cw_observables
 from .optimize import OptimizationError, coupling_parameter_names, cross_validate_optima
-from .pulsed import QuadratureError, pulsed_observables
+from .pulsed import PulsedMethod, QuadratureError, _single_prob_numeric, pulsed_observables
 from .schmidt import DecompositionError, discretize_wavepacket, schmidt_spectrum
 from .sweep import SweepAxis, SweepSpec, algaas_example, emit, render, report_optima, run_sweep
 
@@ -129,12 +129,23 @@ def _cmd_rates(args) -> int:
             report["cw"]["coincidence_window_s"] = window
             report["cw"]["R_acc_per_s"] = r_acc
             report["cw"]["CAR"] = car
+    elif pump.spectrum is not None:
+        ps, rel_err = _single_prob_numeric(ring, cfg, pump.energy, pump.spectrum)
+        report["pulsed"] = {
+            "pulse_energy_j": pump.energy,
+            "method": PulsedMethod.NUMERIC_QUADRATURE.value,
+            "ps_per_pulse": ps,
+            "pi_per_pulse": ps,
+            "p_acc_per_pulse": ps * ps,
+            "quad_rel_err": rel_err,
+        }
     else:
         delta_omega = pump.delta_omega_for(cfg.tgamma)
         obs = pulsed_observables(ring, cfg, pump.energy, delta_omega)
         report["pulsed"] = {
             "pulse_energy_j": pump.energy,
             "delta_omega_rad_per_s": delta_omega,
+            "method": obs.method.value,
             "ps_per_pulse": obs.ps,
             "pi_per_pulse": obs.pi,
             "psi_per_pulse": obs.psi_pair,
@@ -148,8 +159,20 @@ def _cmd_rates(args) -> int:
     return 0
 
 
+def _load_closed_form_config(path):
+    """Config for the commands built on the flattop closed forms, which
+    cannot honour a tabulated pump spectrum."""
+    cp = load_config(path)
+    if cp.has_option("pump", "spectrum_file"):
+        raise ValueError(
+            "[pump] spectrum_file is only supported by the rates command; "
+            "remove it to use the broadband flattop closed forms"
+        )
+    return cp
+
+
 def _cmd_sweep(args) -> int:
-    cp = load_config(args.config)
+    cp = _load_closed_form_config(args.config)
     spec = sweep_spec_from_config(cp)
     if args.grid is not None:
         spec = _with_grid(spec, args.grid)
@@ -164,7 +187,7 @@ def _with_grid(spec: SweepSpec, n: int) -> SweepSpec:
 
 
 def _cmd_optimize(args) -> int:
-    cp = load_config(args.config)
+    cp = _load_closed_form_config(args.config)
     ring = ring_from_config(cp)
     gamma_c, _ = loss_rates_from_config(cp)
     pump = pump_from_config(cp)
@@ -182,7 +205,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_schmidt(args) -> int:
-    cp = load_config(args.config)
+    cp = _load_closed_form_config(args.config)
     if cp.has_section("sweep"):
         spec = sweep_spec_from_config(cp)
         if "K" not in spec.outputs:
@@ -230,7 +253,7 @@ def _figure_panels(pump: PumpSpec, outputs: tuple[str, ...], n: int) -> dict[str
 def _run_figure(args, pump: PumpSpec, outputs: tuple[str, ...], prefix: str,
                 schmidt_panel: bool) -> int:
     if args.config is not None:
-        pump = pump_from_config(load_config(args.config))
+        pump = pump_from_config(_load_closed_form_config(args.config))
     n = args.grid or 200
     fmt = args.format or "json"
     panels = _figure_panels(pump, outputs, n)

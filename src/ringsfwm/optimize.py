@@ -17,6 +17,7 @@ particular ring.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -295,9 +296,10 @@ def _maximize(objective, point, value, ratios, bounds) -> tuple[tuple[float, ...
     ``(lo, hi)`` box.  Each zoom pass re-grids a +-1-cell log window around
     the best point in one call and moves to the first candidate (axis2-major)
     that beats the best value; NaN never wins.  The pass count follows from
-    the start cell.  Last, a 3-point parabolic vertex per axis (log step
-    1e-5, clipped to the box) replaces the point whenever its value is
-    finite.  Returns ``(point, value)``.
+    the start cell.  Last, the vertex of the quadratic through a 3x3 (or
+    3-point) stencil (log step 1e-5, cross term included, step clipped to
+    the stencil and then to the box) replaces the point whenever its value
+    is finite.  One or two couplings.  Returns ``(point, value)``.
     """
     shrink = (_ZOOM_POINTS - 1) / 2
     cell = max(math.log(r) for r in ratios)
@@ -313,14 +315,42 @@ def _maximize(objective, point, value, ratios, bounds) -> tuple[tuple[float, ...
             point = tuple(float(c[k]) for c in candidates)
         ratios = [r ** (1.0 / shrink) for r in ratios]
 
+    # Gradient and Hessian in log couplings.  Where the zoom stops moves with
+    # roundoff (rescaling the objective can pick a candidate one cell away);
+    # the joint vertex, cross term included, does not follow it.
     h = _VERTEX_STEP
     n = len(point)
-    steps = np.exp(h * np.vstack([np.zeros(n), -np.eye(n), np.eye(n)]))
-    f = objective(tuple((np.asarray(point) * steps).T))
-    fm, fp = f[1:n + 1], f[n + 1:]
-    denom = fm - 2.0 * f[0] + fp
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shift = np.where(denom < 0.0, np.clip(0.5 * h * (fm - fp) / denom, -h, h), 0.0)
+    offsets = [tuple(o) for o in itertools.product((-1, 0, 1), repeat=n)]
+    scaled = np.asarray(point) * np.exp(h * np.array(offsets, dtype=float))
+    f = dict(zip(offsets, np.asarray(objective(tuple(scaled.T)), dtype=float).tolist()))
+
+    def at(*steps):
+        """Value at the sum of signed unit steps ``(axis, sign)``."""
+        index = [0] * n
+        for axis, sign in steps:
+            index[axis] += sign
+        return f[tuple(index)]
+
+    grad = [(at((i, 1)) - at((i, -1))) / (2.0 * h) for i in range(n)]
+    hess = [[
+        (at((i, 1)) - 2.0 * at() + at((i, -1))) / (h * h) if i == j else
+        (at((i, 1), (j, 1)) - at((i, 1), (j, -1)) - at((i, -1), (j, 1))
+         + at((i, -1), (j, -1))) / (4.0 * h * h)
+        for j in range(n)] for i in range(n)]
+    # Newton step -H^-1 grad where H is negative definite.  There are one or
+    # two couplings, so the adjugate inverts H (numpy.linalg would page in
+    # LAPACK, +1 MB RSS per process).
+    shift = np.zeros(n)
+    if all(map(math.isfinite, f.values())):
+        a = hess[0][0]
+        if n == 1 and a < 0.0:
+            shift = np.array([-grad[0] / a])
+        elif n == 2:
+            b, d = hess[0][1], hess[1][1]
+            det = a * d - b * b
+            if a < 0.0 and det > 0.0:
+                shift = np.array([b * grad[1] - d * grad[0], b * grad[0] - a * grad[1]]) / det
+    shift = np.clip(shift, -h, h)
     vertex = np.clip(np.asarray(point) * np.exp(shift), *np.asarray(bounds, dtype=float).T)
     vertex_value = float(objective(tuple(vertex[:, None]))[0])
     if math.isfinite(vertex_value):

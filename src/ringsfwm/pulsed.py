@@ -29,9 +29,11 @@ biphoton linewidths coincide the quotient degenerates to
 
 Arbitrary spectra
 -----------------
-For tabulated pump spectra the lineshape integral and the per-pulse singles
-probability are evaluated by adaptive quadrature
-(:func:`effective_pump_lineshape`, :func:`pulsed_single_prob_numeric`).
+For tabulated pump spectra the lineshape integral is evaluated in closed
+form, exactly for the linearly interpolated spectrum
+(:func:`effective_pump_lineshape`).  The per-pulse singles probability
+(:func:`pulsed_single_prob_numeric`) integrates the Lorentzian pair exactly
+and leaves one adaptive quadrature over the frequency sum.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ __all__ = [
 # wavepacket (bracket -> min(ts, ti)) replaces the generic quotient.
 EPS_DEGENERATE = 1e-6
 
-# Adaptive-quadrature subdivision budget per axis.
+# Subdivision budget of the adaptive quadrature over the frequency sum.
 _SUBDIV_LIMIT = 10_000
 
 
@@ -195,50 +197,49 @@ def load_spectrum(path) -> TabulatedSpectrum:
     return TabulatedSpectrum(data[:, 0], data[:, 1] + 1j * data[:, 2])
 
 
-def _quad_complex(f, a: float, b: float, points=None, epsrel: float = 1e-9) -> complex:
-    """Adaptive quadrature of a complex integrand over [a, b].
+# |h/z| below which J1 is summed as a series in (h/z)^2 instead of from J0.
+_J1_SERIES_MAX = 0.25
 
-    The absolute floor is keyed to a coarse probe of the integrand magnitude so
-    that components that integrate to ~0 (e.g. the imaginary part of a
-    Hermitian-symmetric integrand) do not stall the relative test.
-    """
-    probe = np.abs(f(np.linspace(a, b, 33)))
-    scale = float(np.max(probe)) * (b - a)
-    epsabs = max(scale * 1e-13, 1e-300)
-    parts = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        for component in (np.real, np.imag):
-            try:
-                val, _ = quad(
-                    lambda x: component(f(x)),
-                    a,
-                    b,
-                    points=points,
-                    limit=_SUBDIV_LIMIT,
-                    epsabs=epsabs,
-                    epsrel=epsrel,
-                )
-            except IntegrationWarning as exc:
-                raise QuadratureError(
-                    f"lineshape quadrature did not converge on [{a:g}, {b:g}]: {exc}"
-                ) from exc
-            parts.append(val)
-    return complex(parts[0], parts[1])
+
+def _interval_moments(h, z):
+    """``J_n = integral_{-h}^{h} u^n / (z - i*u) du`` for n = 0, 1, 2, with
+    ``Re z > 0`` so the path never meets the pole."""
+    q = 1j * h / z
+    j0 = -2j * np.arctanh(q)
+    j1 = 1j * (2.0 * h - z * j0)
+    # 2h - z*J0 cancels for small |q|; there J1 = -2ih * sum_k q^(2k)/(2k+1).
+    near = np.abs(q) < _J1_SERIES_MAX
+    if near.any():
+        q2 = q[near] * q[near]
+        n_terms = 1 + int(math.log(1e-17) / math.log(max(float(np.max(np.abs(q2))), 1e-300)))
+        series = np.zeros_like(q2)
+        for k in range(n_terms, 0, -1):
+            series = (series + 1.0 / (2 * k + 1)) * q2
+        j1[near] = -2j * h[near] * series
+    return j0, j1, -1j * z * j1
 
 
 def effective_pump_lineshape(
-    spectrum: TabulatedSpectrum, tgamma: float, omega_sum: float, epsrel: float = 1e-9
+    spectrum: TabulatedSpectrum, tgamma: float, omega_sum: float
 ) -> complex:
     """Two-pump effective lineshape f_p(omega_sum) for a tabulated spectrum.
 
-    Evaluates the convolution-style integral over pump offsets Omega_p of
+    The integral over pump offsets Omega_p of
 
         ``A_p(Omega_p) * A_p(omega_sum - Omega_p)
           / ((tgamma/2 - i*Omega_p) * (tgamma/2 - i*(omega_sum - Omega_p)))``
 
-    by adaptive quadrature (relative target 1e-8).  The integrand has compact
-    support because the tabulated amplitude vanishes outside its grid.
+    is evaluated in closed form, exactly for the linearly interpolated
+    spectrum (to roundoff).  With ``T = tgamma/2`` the partial fractions
+
+        ``1/((T - ix)(T - i(w - x))) = [1/(T - ix) + 1/(T - i(w - x))] / (2T - iw)``
+
+    and the symmetry of ``A_p(x)*A_p(w - x)`` under ``x -> w - x`` leave
+    ``2/(2T - iw)`` times the integral of ``A_p(x)*A_p(w - x)/(T - ix)``.
+    Between consecutive breakpoints (the grid nodes, ``w`` minus the grid
+    nodes and the overlap ends) the product is a quadratic in the offset
+    from the interval midpoint, so each interval contributes three moments
+    of one pole term.
     """
     tgamma = _positive_finite("effective_pump_lineshape", "tgamma", tgamma)
     lo, hi = spectrum.support
@@ -246,16 +247,20 @@ def effective_pump_lineshape(
     b = min(hi, omega_sum - lo)
     if b <= a:
         return 0.0 + 0.0j
-
-    def integrand(x):
-        return (
-            spectrum(x)
-            * spectrum(omega_sum - x)
-            / ((tgamma / 2.0 - 1j * x) * (tgamma / 2.0 - 1j * (omega_sum - x)))
-        )
-
-    interior = [p for p in (lo, hi, omega_sum - lo, omega_sum - hi, 0.0, omega_sum) if a < p < b]
-    return _quad_complex(integrand, a, b, points=sorted(set(interior)) or None, epsrel=epsrel)
+    grid, amp = spectrum.omega, spectrum.amplitude
+    nodes = np.concatenate(([a, b], grid, omega_sum - grid))
+    x = np.unique(nodes[(nodes >= a) & (nodes <= b)])
+    # Every breakpoint lies in the support in exact arithmetic; np.interp's
+    # edge clamping absorbs the roundoff of omega_sum - x at the ends.
+    fa = np.interp(x, grid, amp)
+    fb = np.interp(omega_sum - x, grid, amp)
+    h = 0.5 * np.diff(x)
+    half_t = 0.5 * tgamma
+    j0, j1, j2 = _interval_moments(h, half_t - 0.5j * (x[1:] + x[:-1]))
+    a0, a1 = 0.5 * (fa[1:] + fa[:-1]), 0.5 * np.diff(fa) / h
+    b0, b1 = 0.5 * (fb[1:] + fb[:-1]), 0.5 * np.diff(fb) / h
+    total = np.sum(a0 * b0 * j0 + (a0 * b1 + a1 * b0) * j1 + a1 * b1 * j2)
+    return complex(total / (half_t - 0.5j * omega_sum))
 
 
 _NOT_BROADBAND = "broadband forms require delta_omega >= 5*tgamma, got delta_omega/tgamma = {:.3g}"
@@ -407,53 +412,39 @@ def pulsed_single_prob_numeric(
 ) -> float:
     """Per-pulse one-photon probability for an arbitrary tabulated pump spectrum.
 
-    Evaluates the double spectral integral of ``|f_p(Omega_s + Omega_i)|^2``
-    against the two biphoton Lorentzians, using the change of variables
-    ``w = Omega_s + Omega_i`` so the lineshape is evaluated once per outer
-    node:
+    Integrates ``|f_p(Omega_s + Omega_i)|^2`` against the two biphoton
+    Lorentzians.  In ``w = Omega_s + Omega_i`` the Lorentzian pair
+    integrates over Omega_s to the exact Lorentzian
 
-        outer over w (finite support of f_p)
-        inner over Omega_s of 1 / ((gamma^2/4 + Omega_s^2) * (gamma^2/4 + (w - Omega_s)^2))
+        ``integral dOmega_s / ((gamma^2/4 + Omega_s^2) * (gamma^2/4 + (w - Omega_s)^2))
+          = 4*pi / (gamma * (gamma^2 + w^2))``,
 
-    Relative accuracy target 1e-5.  Raises :class:`QuadratureError` when the
-    adaptive rule does not converge within its subdivision budget.
+    and :func:`effective_pump_lineshape` is exact, so one adaptive rule over
+    ``w`` remains, with relative accuracy target ``epsrel``.  Raises
+    :class:`QuadratureError` when that rule does not converge within its
+    subdivision budget.
     """
+    return _single_prob_numeric(ring, cfg, energy, spectrum, epsrel)[0]
+
+
+def _single_prob_numeric(
+    ring: RingParams,
+    cfg: CouplingConfig,
+    energy: float,
+    spectrum: TabulatedSpectrum,
+    epsrel: float = 1e-6,
+) -> tuple[float, float]:
+    """:func:`pulsed_single_prob_numeric` and the relative error estimate of
+    its quadrature over ``w``."""
     energy = _positive_finite("pulsed_single_prob_numeric", "energy", energy)
     if np.all(spectrum.amplitude == 0.0):
-        return 0.0
+        return 0.0, 0.0
     gamma = cfg.gamma
     tgamma = cfg.tgamma
-    quarter = gamma * gamma / 4.0
-    # Nested rules only need to out-resolve the outer target.
-    eps_nested = max(min(epsrel * 1e-2, 1e-4), 1e-9)
-
-    def s_of(x: float) -> float:
-        # Inverse of the rational map x = gamma*s/(1-s^2) on s in (-1, 1).
-        if x == 0.0:
-            return 0.0
-        return (-gamma + math.hypot(gamma, 2.0 * x)) / (2.0 * x)
-
-    def inner(w: float) -> float:
-        # Two Lorentzians peaked at 0 and w; the rational map turns the
-        # infinite range into (-1, 1) with the slow x^-4 tails integrated
-        # exactly in the endpoint limit.
-        def g(s: float) -> float:
-            one = 1.0 - s * s
-            x = gamma * s / one
-            jac = gamma * (1.0 + s * s) / (one * one)
-            return jac / ((quarter + x * x) * (quarter + (w - x) ** 2))
-
-        pts = [p for p in sorted({0.0, s_of(w)}) if -1.0 < p < 1.0]
-        val, _ = quad(
-            g, -1.0, 1.0, points=pts, limit=_SUBDIV_LIMIT, epsabs=0.0, epsrel=eps_nested
-        )
-        return val
 
     def outer_integrand(w: float) -> float:
-        fp = effective_pump_lineshape(spectrum, tgamma, w, epsrel=eps_nested)
-        if fp == 0.0:
-            return 0.0
-        return (fp.real**2 + fp.imag**2) * inner(w)
+        fp = effective_pump_lineshape(spectrum, tgamma, w)
+        return (fp.real**2 + fp.imag**2) * 4.0 * math.pi / (gamma * (gamma * gamma + w * w))
 
     lo, hi = spectrum.support
     w_lo, w_hi = 2.0 * lo, 2.0 * hi
@@ -465,7 +456,7 @@ def pulsed_single_prob_numeric(
     with warnings.catch_warnings():
         warnings.simplefilter("error", IntegrationWarning)
         try:
-            kernel, _ = quad(
+            kernel, abserr = quad(
                 outer_integrand,
                 w_lo,
                 w_hi,
@@ -484,4 +475,4 @@ def pulsed_single_prob_numeric(
         / (C_VACUUM * ring.area * ring.circumference)
     )
     prefactor = cfg.tgamma_a**2 * cfg.gamma_mu * gamma / (4.0 * math.pi**2) * drive * drive
-    return prefactor * kernel
+    return prefactor * kernel, abserr / kernel

@@ -7,7 +7,14 @@ import sys
 
 import pytest
 
-from ringsfwm import CouplingConfig, cw_observables, pulsed_single_prob
+from ringsfwm import (
+    CouplingConfig,
+    TabulatedSpectrum,
+    cw_observables,
+    pulsed_single_prob,
+    pulsed_single_prob_numeric,
+    save_spectrum,
+)
 from ringsfwm.cli import main
 
 from conftest import write_config
@@ -36,6 +43,26 @@ def pulsed_config(tmp_path):
     )
 
 
+@pytest.fixture()
+def spectrum_config(tmp_path, algaas):
+    """Pulsed all-pass config with a tabulated flattop of width 10*tgamma."""
+    _, gc = algaas
+    path = tmp_path / "pump.txt"
+    save_spectrum(TabulatedSpectrum.flattop(10.0 * 2.0 * gc, n_samples=201), path)
+    return write_config(
+        tmp_path / "spectrum.ini",
+        pump=f"mode = pulsed\npulse_energy_pj = 0.1\nbandwidth_factor = 10\nspectrum_file = {path}",
+        extra="""
+[sweep]
+axis1 = gamma_a
+axis1_min = 0.5
+axis1_max = 2
+axis1_points = 3
+outputs = ps, K
+""",
+    )
+
+
 class TestRates:
     def test_matches_library(self, cw_config, capsys, algaas):
         ring, gc = algaas
@@ -56,6 +83,28 @@ class TestRates:
         cfg = CouplingConfig.distinct(1.37 * gc, 1.83 * gc, gc)
         expected = pulsed_single_prob(ring, cfg, 1e-12, 10.0 * cfg.tgamma)
         assert report["pulsed"]["ps_per_pulse"] == pytest.approx(expected, rel=1e-12)
+
+
+    def test_spectrum_file_is_used(self, spectrum_config, capsys, algaas):
+        ring, gc = algaas
+        assert main(["rates", "--config", str(spectrum_config)]) == 0
+        pulsed = json.loads(capsys.readouterr().out)["pulsed"]
+        spectrum = TabulatedSpectrum.flattop(10.0 * 2.0 * gc, n_samples=201)
+        expected = pulsed_single_prob_numeric(
+            ring, CouplingConfig.all_pass(gc, gc), 1e-13, spectrum
+        )
+        assert pulsed["method"] == "numeric-quadrature"
+        assert pulsed["ps_per_pulse"] == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert pulsed["pi_per_pulse"] == pulsed["ps_per_pulse"]
+        assert pulsed["p_acc_per_pulse"] == pulsed["ps_per_pulse"] ** 2
+        assert 0.0 < pulsed["quad_rel_err"] < 1e-6
+        assert "psi_per_pulse" not in pulsed
+
+    @pytest.mark.parametrize("command", ["sweep", "optimize", "schmidt", "figure2", "figure3"])
+    def test_spectrum_file_rejected_elsewhere(self, spectrum_config, tmp_path, capsys, command):
+        argv = [command, "--config", str(spectrum_config), "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert "spectrum_file" in capsys.readouterr().err
 
 
 class TestSweepCommand:

@@ -5,6 +5,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 
 from ringsfwm import (
     BroadbandAssumptionWarning,
@@ -23,12 +24,69 @@ from ringsfwm import (
     save_spectrum,
 )
 from ringsfwm.core import _UNIT_RING
-from ringsfwm.pulsed import EPS_DEGENERATE, _drive_pulsed
+from ringsfwm.pulsed import EPS_DEGENERATE, _drive_pulsed, _single_prob_numeric
 
-from conftest import pulsed_pair_prob_quadrature, random_coupling
+from conftest import (
+    effective_pump_lineshape_quadrature,
+    pulsed_pair_prob_quadrature,
+    random_coupling,
+)
 
 ENERGY = 1e-12
 B = 10.0
+
+
+def normalized_spectrum(omega, amplitude):
+    amplitude = np.asarray(amplitude, dtype=complex)
+    return TabulatedSpectrum(omega, amplitude / np.sqrt(np.trapezoid(np.abs(amplitude) ** 2, omega)))
+
+
+def gaussian_spectrum(tgamma, n_samples=301):
+    """Gaussian |A_p|^2 of rms width sigma = 8*tgamma, sampled on +-3 sigma."""
+    sigma = 8.0 * tgamma
+    omega = np.linspace(-3.0 * sigma, 3.0 * sigma, n_samples)
+    return normalized_spectrum(omega, np.exp(-(omega**2) / (4.0 * sigma**2)))
+
+
+def _shaped_spectra(tg):
+    """Non-flat spectra: chirped, coarse, and asymmetric complex ones on a
+    non-uniform grid."""
+    chirp = np.linspace(-9.0 * tg, 9.0 * tg, 41)
+    coarse = np.linspace(-4.0 * tg, 4.0 * tg, 7)
+    skew = np.concatenate([np.linspace(-2.0 * tg, 3.0 * tg, 8), np.linspace(3.7 * tg, 9.0 * tg, 6)])
+    offset = np.linspace(-1.0 * tg, 6.0 * tg, 29)
+    return {
+        "chirped-41": normalized_spectrum(
+            chirp, np.exp(-((chirp / (6.0 * tg)) ** 2) + 0.05j * (chirp / tg) ** 2)
+        ),
+        "coarse-7": normalized_spectrum(coarse, [0.2, 1.0, 0.7, 1.1, 0.9, 0.5, 0.1]),
+        "skewed-14": normalized_spectrum(
+            skew, (1.0 + 0.6j * skew / tg) * np.exp(-(((skew - 2.0 * tg) / (4.0 * tg)) ** 2))
+        ),
+        "offset-29": normalized_spectrum(
+            offset, np.exp(-(((offset - tg) / (2.0 * tg)) ** 2) + 0.4j * offset / tg)
+        ),
+    }
+
+
+def _mp_lineshape(spectrum, tgamma, omega_sum):
+    """f_p(omega_sum) of the interpolated spectrum by 30-digit mpmath
+    quadrature, split at every kink of the integrand."""
+    grid = [mp.mpf(float(v)) for v in spectrum.omega]
+    amp = [mp.mpc(complex(v)) for v in spectrum.amplitude]
+    w, half_t = mp.mpf(omega_sum), mp.mpf(tgamma) / 2
+
+    def a_of(x):
+        k = min(max(int(np.searchsorted(spectrum.omega, float(x))) - 1, 0), len(grid) - 2)
+        t = (x - grid[k]) / (grid[k + 1] - grid[k])
+        return amp[k] * (1 - t) + amp[k + 1] * t
+
+    lo = max(grid[0], w - grid[-1])
+    hi = min(grid[-1], w - grid[0])
+    pts = sorted({lo, hi, *(g for g in grid if lo < g < hi), *(w - g for g in grid if lo < w - g < hi)})
+    with mp.workdps(30):
+        val = mp.quad(lambda x: a_of(x) * a_of(w - x) / ((half_t - 1j * x) * (half_t - 1j * (w - x))), pts)
+    return complex(val)
 
 
 class TestTabulatedSpectrum:
@@ -130,6 +188,55 @@ class TestEffectivePumpLineshape:
     def test_disjoint_support_is_zero(self):
         spec = TabulatedSpectrum.flattop(2.0e9)
         assert effective_pump_lineshape(spec, 1.0e9, 10.0e9) == 0.0
+
+    def test_flattop_matches_log_closed_form(self):
+        """Flattop of width dw: f_p(w) = 2/(dw*(tg - i*w)) * i*[log(tg/2 - i*b)
+        - log(tg/2 - i*a)] over the overlap [a, b] of the two supports."""
+        tg = 1.7e9
+        dw = 10.0 * tg
+        spec = TabulatedSpectrum.flattop(dw)
+        for w in np.linspace(-0.99, 0.99, 23) * dw:
+            a, b = max(-dw / 2.0, w - dw / 2.0), min(dw / 2.0, w + dw / 2.0)
+            with mp.workdps(30):  # the log difference cancels near the edges
+                exact = complex(2j / (dw * (tg - 1j * mp.mpf(w))) * (
+                    mp.log(tg / 2 - 1j * mp.mpf(b)) - mp.log(tg / 2 - 1j * mp.mpf(a))
+                ))
+            assert effective_pump_lineshape(spec, tg, w) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("name", ["chirped-41", "coarse-7", "skewed-14", "offset-29"])
+    def test_shaped_spectra_against_adaptive_oracle(self, name):
+        """Where the adaptive rule converges it agrees with the closed form.
+        The oracle runs at epsrel = 1e-11: at 1e-9 its own error reaches
+        2e-10 on these spectra."""
+        tg = 2.0e9
+        spec = _shaped_spectra(tg)[name]
+        lo, hi = spec.support
+        compared = 0
+        for w in np.linspace(2.0 * lo, 2.0 * hi, 21)[1:-1]:
+            try:
+                want = effective_pump_lineshape_quadrature(spec, tg, w, epsrel=1e-11)
+            except IntegrationWarning:
+                continue
+            compared += 1
+            assert effective_pump_lineshape(spec, tg, w) == pytest.approx(want, rel=1e-10, abs=0.0)
+        assert compared >= 3
+
+    @pytest.mark.parametrize("name", ["coarse-7", "skewed-14"])
+    def test_exact_for_interpolated_spectrum(self, name):
+        tg = 2.0e9
+        spec = _shaped_spectra(tg)[name]
+        lo, hi = spec.support
+        for w in np.linspace(2.0 * lo, 2.0 * hi, 6)[1:-1]:
+            want = _mp_lineshape(spec, tg, w)
+            assert effective_pump_lineshape(spec, tg, w) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_finely_sampled_gaussian_at_zero(self):
+        """301 samples put a kink every 0.16*tgamma; adaptive quadrature
+        stalled on them at w = 0."""
+        tg = 1.3e9
+        fp = effective_pump_lineshape(gaussian_spectrum(tg), tg, 0.0)
+        assert np.isfinite(fp) and fp.real > 0.0
+        assert abs(fp.imag) < 1e-12 * fp.real
 
 
 class TestPulsedWavepacket:
@@ -353,3 +460,30 @@ class TestNumericSinglesProbability:
         cfg = CouplingConfig.all_pass(gc, gc)
         spec = TabulatedSpectrum(np.linspace(-1e10, 1e10, 32), np.zeros(32, complex))
         assert pulsed_single_prob_numeric(ring, cfg, ENERGY, spec) == 0.0
+
+    def test_finely_sampled_gaussian(self, algaas):
+        ring, gc = algaas
+        cfg = CouplingConfig.all_pass(1.2 * gc, gc)
+        ps = pulsed_single_prob_numeric(ring, cfg, ENERGY, gaussian_spectrum(cfg.tgamma))
+        assert np.isfinite(ps) and ps > 0.0
+
+    def test_error_estimate_reported(self, algaas):
+        ring, gc = algaas
+        cfg = CouplingConfig.all_pass(1.2 * gc, gc)
+        spec = TabulatedSpectrum.flattop(B * cfg.tgamma)
+        ps, rel_err = _single_prob_numeric(ring, cfg, ENERGY, spec)
+        assert ps == pulsed_single_prob_numeric(ring, cfg, ENERGY, spec)
+        assert 0.0 < rel_err < 1e-6
+
+    @pytest.mark.parametrize("w_over_gamma", [0.0, 0.3, 1.0, 4.0, 25.0])
+    def test_lorentzian_pair_integral(self, w_over_gamma):
+        """The biphoton Lorentzians convolve to 4*pi/(gamma*(gamma^2 + w^2))."""
+        gamma = mp.mpf("1.7")
+        w = w_over_gamma * gamma
+        with mp.workdps(30):
+            val = mp.quad(
+                lambda x: 1 / ((gamma**2 / 4 + x**2) * (gamma**2 / 4 + (w - x) ** 2)),
+                [-mp.inf, 0, w, mp.inf] if w else [-mp.inf, 0, mp.inf],
+            )
+            exact = 4 * mp.pi / (gamma * (gamma**2 + w**2))
+            assert abs(val / exact - 1) < 1e-20
