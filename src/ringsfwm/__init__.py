@@ -59,7 +59,6 @@ from .schmidt import (
     WavepacketGrid,
     discretize_wavepacket,
     schmidt_number,
-    schmidt_number_sweep,
     schmidt_spectrum,
 )
 from .optimize import (
@@ -141,7 +140,6 @@ __all__ = [
     "run_sweep",
     "save_spectrum",
     "schmidt_number",
-    "schmidt_number_sweep",
     "schmidt_spectrum",
     "tolerance_band",
     "total_linewidths",

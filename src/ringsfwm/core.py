@@ -422,6 +422,6 @@ def prob_scale_p0(
 
 # Internal normalization helper: with this ring and unit power/energy the pump
 # strength n2*vg^2*omega0/(c*S*L) equals 1 exactly, so CW rates evaluated at
-# gamma_c = 1 come out directly in units of R0.  Used by the optimizer and the
-# tolerance-band query; never exposed as a physical device.
+# gamma_c = 1 come out directly in units of R0.  Used by the Schmidt-number
+# kernel and the tests; never exposed as a physical device.
 _UNIT_RING = RingParams(n2=C_VACUUM, vg=1.0, area=1.0, circumference=1.0, omega0=1.0)

@@ -28,14 +28,11 @@ import numpy as np
 from .core import (
     CouplingConfig,
     Geometry,
-    _UNIT_RING,
     _check_pump_loss,
-    _drive_cw,
     _point_rates,
-    prob_scale_p0,
 )
 from .cw import _pair_rate_kernel, _single_rate_kernel
-from .pulsed import _drive_pulsed, _pair_prob_kernel, _single_prob_kernel
+from .pulsed import _pair_prob_kernel, _single_prob_kernel
 
 __all__ = [
     "Objective",
@@ -153,11 +150,6 @@ def config_from_point(
     )
 
 
-# Bandwidth factor used internally when evaluating pulsed objectives; the
-# p0 normalization removes it exactly, any value >= 10 gives identical output.
-_PULSED_REF_B = 16.0
-
-
 def normalized_objective(
     geometry: Geometry, target: OptimizationTarget
 ) -> Callable[[Sequence], object]:
@@ -174,21 +166,20 @@ def normalized_objective(
     one = target.objective is Objective.ONE_PHOTON
     if target.pump_regime is PumpRegime.CW:
         kernel = _single_rate_kernel if one else _pair_rate_kernel
-        drive = _drive_cw(_UNIT_RING, 1.0)
 
         def objective(point):
             _check_point(geometry, point)
-            return kernel(*_point_rates(geometry, point, 1.0), drive)
+            # R/R0 = kernel(..., d)/d^2 = kernel(..., 1) at gamma_c = 1
+            return kernel(*_point_rates(geometry, point, 1.0), 1.0)
 
     else:
         kernel = _single_prob_kernel if one else _pair_prob_kernel
-        p0_ref = prob_scale_p0(_UNIT_RING, 1.0, _PULSED_REF_B, 1.0)
 
         def objective(point):
             _check_point(geometry, point)
             ta, gmu, g, tg = _point_rates(geometry, point, 1.0)
-            y = _drive_pulsed(_UNIT_RING, 1.0, _PULSED_REF_B * tg)
-            return kernel(ta, gmu, g, tg, y) / p0_ref
+            # p/p0 = kernel(..., y)/(y*tgamma/gamma_c)^2 = kernel(..., gamma_c/tgamma)
+            return kernel(ta, gmu, g, tg, 1.0 / tg)
 
     return objective
 

@@ -14,16 +14,20 @@ is the Schmidt number.  ``K = 1`` marks a separable (heraldable-pure) biphoton.
 are the squared singular values (:func:`schmidt_number`, one matrix product,
 real for the real broadband wavepacket).  The SVD is kept only where the
 coefficients themselves are reported (:func:`schmidt_spectrum`).
+
+The broadband wavepacket depends on the couplings only through its scale and
+``r = tgamma/gamma`` (in units of ``1/gamma``), and K ignores the scale, so
+sweeps evaluate K per distinct ``r`` on one unit design
+(:func:`_schmidt_number_kernel`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .core import CouplingConfig, PumpMode, PumpSpec, RingParams
+from .core import CouplingConfig, PumpMode, PumpSpec, RingParams, _UNIT_RING
 from .pulsed import pulsed_wavepacket
 
 __all__ = [
@@ -33,19 +37,12 @@ __all__ = [
     "discretize_wavepacket",
     "schmidt_number",
     "schmidt_spectrum",
-    "schmidt_number_sweep",
-    "SchmidtSweepPoint",
 ]
 
 
 class DecompositionError(RuntimeError):
     """The wavepacket grid has no usable Schmidt decomposition: its SVD failed
     or its weighted squared norm is zero or not finite."""
-
-
-# Failures of one sweep point's computation.  Sweeps record these per point
-# and carry on; anything else (a TypeError, say) is a bug and propagates.
-_POINT_ERRORS = (ValueError, ArithmeticError, DecompositionError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,14 +130,23 @@ def discretize_wavepacket(
 ) -> WavepacketGrid:
     """Sample the broadband pulsed wavepacket on [0, t_max_over_gamma/gamma].
 
-    Uniform grid with trapezoid weights.  The exp(-gamma*t/2) envelope makes
-    the default window lossless to well below 1e-8 of the norm.  Rejects CW
-    pumps: the Schmidt number is a per-pulse notion.
+    Uniform grid with trapezoid weights.  For ``tgamma >= gamma`` the
+    exp(-gamma*(ts+ti)/2) envelope makes the default window lossless to well
+    below 1e-8 of the norm.  For ``tgamma < gamma`` |psi| decays only as
+    exp(-tgamma*max(ts, ti)), so the window cuts off part of the wavepacket:
+    at ``tgamma/gamma = 0.175`` the grid K converges, as ``n_points`` grows, to
+    a value 4.8e-3 (relative) below the true K.  Rejects CW pumps (the Schmidt number is a per-pulse notion) and
+    tabulated spectra (the wavepacket is the broadband flattop closed form).
     """
     if pump.mode is not PumpMode.PULSED:
         raise ValueError(
             "discretize_wavepacket requires a pulsed pump; the Schmidt "
             "decomposition is defined per pulse"
+        )
+    if pump.spectrum is not None:
+        raise ValueError(
+            "discretize_wavepacket uses the broadband flattop wavepacket; a "
+            "tabulated pump spectrum is not supported"
         )
     if n_points < 16:
         raise ValueError(f"n_points must be >= 16, got {n_points}")
@@ -202,57 +208,33 @@ def schmidt_spectrum(grid: WavepacketGrid) -> SchmidtResult:
     return SchmidtResult(lambdas=lam / total, K=k, norm=total)
 
 
-@dataclass(frozen=True)
-class SchmidtSweepPoint:
-    """One entry of a Schmidt-number sweep; ``error`` flags a failed point."""
-
-    tgamma_a_over_gamma_c: float
-    gamma_b_over_gamma_c: float
-    K: float
-    K_minus_1: float
-    error: Optional[str] = None
+# Unit pulse for the kernel below: K ignores the wavepacket's scale, and B = 10
+# keeps every unit design inside the broadband forms without a warning.
+_UNIT_PULSE = PumpSpec.pulsed(1.0, bandwidth_factor=10.0)
 
 
-def _schmidt_numbers(
-    ring: RingParams,
-    pump: PumpSpec,
-    points: Iterable,
-    n_points: int,
-    t_max_over_gamma: float,
-    config: Callable[..., CouplingConfig] = lambda cfg: cfg,
+def _schmidt_number_kernel(
+    r: np.ndarray, n_points: int, t_max_over_gamma: float
 ) -> tuple[np.ndarray, dict[int, str]]:
-    """Schmidt number at each point, ``config(point)`` giving its couplings:
-    the values, NaN where a point fails, and each failed point's message by
-    index.  Only computation failures are caught; anything else propagates."""
-    values, failures = [], {}
-    for i, point in enumerate(points):
-        try:
-            grid = discretize_wavepacket(ring, config(point), pump, n_points, t_max_over_gamma)
-            values.append(schmidt_number(grid))
-        except _POINT_ERRORS as exc:
-            values.append(float("nan"))
-            failures[i] = str(exc)
-    return np.array(values, dtype=float), failures
+    """Grid Schmidt number at pump/biphoton linewidth ratios ``r = tgamma/gamma``.
 
-
-def schmidt_number_sweep(
-    ring: RingParams,
-    configs: Iterable[CouplingConfig],
-    pump: PumpSpec,
-    n_points: int = 256,
-    t_max_over_gamma: float = 20.0,
-) -> list[SchmidtSweepPoint]:
-    """Schmidt number for each coupling configuration in ``configs``.
-
-    Per-point computation failures are recorded in the ``error`` field
-    (K = NaN) without aborting the rest of the sweep; any other exception
-    propagates.  ``K - 1`` is included for log-scale
-    closeness-to-separable plots.
+    The broadband wavepacket in units of ``1/gamma`` depends on the couplings
+    only through its scale and ``r``, so each distinct ``r`` is evaluated once,
+    on the unit design ``gamma = 1``, ``tgamma = r`` (exact halves), by
+    :func:`discretize_wavepacket` and :func:`schmidt_number`.  Returns the
+    values, NaN where the decomposition fails, and each failed entry's message
+    by index; anything but a :class:`DecompositionError` propagates.
     """
-    configs = list(configs)
-    values, failures = _schmidt_numbers(ring, pump, configs, n_points, t_max_over_gamma)
-    return [
-        SchmidtSweepPoint(cfg.tgamma_a / cfg.gamma_c, cfg.gamma_b / cfg.gamma_c,
-                          k, k - 1.0, failures.get(i))
-        for i, (cfg, k) in enumerate(zip(configs, values.tolist()))
-    ]
+    distinct, inverse = np.unique(r, return_inverse=True)
+    values, failed = np.empty(distinct.size), {}
+    for j, half in enumerate((0.5 * distinct).tolist()):
+        cfg = CouplingConfig.distinct(half, 0.5, 0.5, tgamma_c=half)
+        try:
+            values[j] = schmidt_number(
+                discretize_wavepacket(_UNIT_RING, cfg, _UNIT_PULSE, n_points, t_max_over_gamma)
+            )
+        except DecompositionError as exc:
+            values[j] = np.nan
+            failed[j] = str(exc)
+    messages = {i: failed[j] for i, j in enumerate(inverse.tolist()) if j in failed}
+    return values[inverse], messages

@@ -1,11 +1,13 @@
 """Coupling-grid sweeps, optimum reports, and CSV/JSON emission.
 
 A sweep evaluates requested observables on a 1-D or 2-D grid of coupling
-rates (in units of gamma_c).  The closed-form outputs are evaluated on the
-whole grid by the same array kernels that back the scalar library functions,
-so every emitted number equals a direct library call with the same inputs;
-the sweep machinery only maps the grid to coupling rates, orders the rows and
-serializes them.
+rates (in units of gamma_c).  Every output is one array-kernel call on the
+whole grid: the closed-form rates and probabilities by the kernels that back
+the scalar library functions, and the Schmidt number ``K`` by a kernel on the
+linewidth ratio ``tgamma/gamma``, which evaluates the library's wavepacket
+grid once per distinct ratio.  So every emitted number equals a direct library
+call with the same inputs; the sweep machinery only maps the grid to coupling
+rates, orders the rows and serializes them.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .optimize import (
     _maximize,
     _mesh,
     analytic_optimum,
-    config_from_point,
     coupling_parameter_names,
 )
 from .pulsed import (
@@ -48,7 +49,7 @@ from .pulsed import (
     _pair_prob_kernel,
     _single_prob_kernel,
 )
-from .schmidt import _schmidt_numbers
+from .schmidt import _schmidt_number_kernel
 
 __all__ = [
     "SweepAxis",
@@ -121,6 +122,11 @@ class SweepSpec:
         bad = [o for o in self.outputs if o in (_PULSED_OUTPUTS if cw else _CW_OUTPUTS)]
         if bad:
             raise ValueError(f"outputs {bad!r} require a {'pulsed' if cw else 'CW'} pump")
+        if self.pump.spectrum is not None:
+            raise ValueError(
+                "sweeps use the broadband flattop closed forms; a tabulated pump "
+                "spectrum is not supported"
+            )
         if "CAR" in self.outputs and self.coincidence_window is None:
             raise ValueError("CAR output requires a coincidence_window [s]")
         for name in ("gamma_c", "tgamma_c", "coincidence_window"):
@@ -187,20 +193,23 @@ def _evaluate(spec: SweepSpec, output: str, point) -> tuple[np.ndarray, dict[int
     """One output at every point of a flattened grid (couplings in gamma_c
     units): the values, NaN where a point fails, and each failed point's
     message by index."""
-    if output == "K":
-        return _schmidt_numbers(
-            spec.ring, spec.pump, zip(*(a.tolist() for a in point)),
-            spec.schmidt_points, spec.t_max_over_gamma,
-            lambda p: config_from_point(spec.geometry, p, spec.gamma_c, spec.tgamma_c),
-        )
     ta, gmu, g, tg = _point_rates(spec.geometry, point, spec.gamma_c, spec.tgamma_c)
     ring, pump = spec.ring, spec.pump
     if pump.mode is PumpMode.PULSED:
         delta_omega = pump.delta_omega_for(tg)
-        kernel = _single_prob_kernel if output == "ps" else _pair_prob_kernel
-        values = kernel(ta, gmu, g, tg, _drive_pulsed(ring, pump.energy, delta_omega))
         ok = _broadband_mask(tg, delta_omega)
         why = [_NOT_BROADBAND.format(r) for r in (delta_omega / tg)[~ok].tolist()]
+        if output == "K":
+            values = np.full(ok.shape, np.nan)
+            values[ok], failed = _schmidt_number_kernel(
+                (tg / g)[ok], spec.schmidt_points, spec.t_max_over_gamma
+            )
+            kept = np.flatnonzero(ok)
+            failures = dict(zip(np.flatnonzero(~ok).tolist(), why))
+            failures.update((int(kept[j]), message) for j, message in failed.items())
+            return values, failures
+        kernel = _single_prob_kernel if output == "ps" else _pair_prob_kernel
+        values = kernel(ta, gmu, g, tg, _drive_pulsed(ring, pump.energy, delta_omega))
     elif output == "CAR":
         d = _drive_cw(ring, pump.power)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -219,14 +228,14 @@ def _evaluate(spec: SweepSpec, output: str, point) -> tuple[np.ndarray, dict[int
 def run_sweep(spec: SweepSpec, *, refine: bool = False) -> SweepResult:
     """Evaluate every requested output on the coupling grid.
 
-    Each output is one array-kernel call over the whole grid (the Schmidt
-    number ``K`` is a per-point loop).  Rows are ordered axis2-major.  A point
-    that fails gets NaN for that output and a message in the ``error`` column
-    without affecting the rest of the grid.  With ``refine=True`` the observed
-    maxima reported in the metadata are sharpened by the maximizer of
-    :func:`ringsfwm.optimize.numeric_optimum`: log-grid zoom from the best
-    cell down to a log cell of 1e-7 within the swept box, then a parabolic
-    vertex step.  Refining leaves the rows unchanged.
+    Each output is one array-kernel call over the whole grid.  Rows are
+    ordered axis2-major.  A point that fails gets NaN for that output and a
+    message in the ``error`` column without affecting the rest of the grid.
+    With ``refine=True`` the observed maxima reported in the metadata are
+    sharpened by the maximizer of :func:`ringsfwm.optimize.numeric_optimum`:
+    log-grid zoom from the best cell down to a log cell of 1e-7 within the
+    swept box, then a parabolic vertex step.  Refining leaves the rows
+    unchanged.
     """
     axes = [spec.axis1] + ([spec.axis2] if spec.axis2 is not None else [])
     point = _mesh([ax.values() for ax in axes])

@@ -1,8 +1,11 @@
-"""Rate identities as properties over random designs.
+"""Physical identities as properties over random designs.
 
 ``Rsi = (gamma_mu/gamma) * Rs`` for a CW pump and ``p_si = (gamma_mu/gamma) * p_s``
 per pulse, for every geometry, coupling and pump-loss split, checked through
 the public scalar functions and through the array kernels the sweeps call.
+The broadband wavepacket is symmetric under exchange of the two photons, and
+its grid Schmidt number is invariant under transposition and under a common
+rescaling of the pump and biphoton linewidths.
 """
 
 import numpy as np
@@ -12,10 +15,15 @@ from hypothesis import strategies as st
 
 from ringsfwm import (
     Geometry,
+    PumpSpec,
+    WavepacketGrid,
     cw_pair_rate,
     cw_single_rate,
+    discretize_wavepacket,
     pulsed_pair_prob,
     pulsed_single_prob,
+    pulsed_wavepacket,
+    schmidt_number,
 )
 from ringsfwm.core import _UNIT_RING, _point_rates
 from ringsfwm.cw import _pair_rate_kernel, _single_rate_kernel
@@ -75,3 +83,44 @@ def test_pulsed_pair_prob_is_eta_times_singles(design, bandwidth_factor):
         assert pulsed_pair_prob(_UNIT_RING, cfg, 1e-3, dw) == pytest.approx(
             cfg.gamma_mu / cfg.gamma * ps, rel=RTOL, abs=0.0
         )
+
+
+PULSE = PumpSpec.pulsed(1e-3, bandwidth_factor=10.0)
+
+
+def _single_config(design):
+    geometry, point, gamma_c, tgamma_c = design
+    return config_from_point(geometry, [p[0] for p in point], gamma_c, tgamma_c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(designs(n_points=1), st.lists(st.floats(-2.0, 40.0), min_size=16, max_size=16))
+def test_wavepacket_exchange_symmetry(design, times):
+    cfg = _single_config(design)
+    t = np.array(times) / cfg.gamma
+    ts, ti = t[:8, None], t[None, 8:]
+    dw = PULSE.delta_omega_for(cfg.tgamma)
+    np.testing.assert_array_equal(
+        pulsed_wavepacket(_UNIT_RING, cfg, 1e-3, dw, ts, ti),
+        pulsed_wavepacket(_UNIT_RING, cfg, 1e-3, dw, ti, ts),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(designs(n_points=1))
+def test_schmidt_number_invariant_under_transposition(design):
+    grid = discretize_wavepacket(_UNIT_RING, _single_config(design), PULSE, 48)
+    transposed = WavepacketGrid(grid.t_axis, grid.amplitudes.T, grid.weights)
+    assert schmidt_number(transposed) == pytest.approx(schmidt_number(grid), rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(designs(n_points=1), _decades(-6.0, 6.0))
+def test_schmidt_number_invariant_under_linewidth_scaling(design, scale):
+    """``(tgamma, gamma) -> (s*tgamma, s*gamma)`` leaves the grid K unchanged:
+    the sweeps evaluate K on a unit design with the same ratio."""
+    geometry, point, gamma_c, tgamma_c = design
+    scaled = (geometry, point, scale * gamma_c, None if tgamma_c is None else scale * tgamma_c)
+    k = schmidt_number(discretize_wavepacket(_UNIT_RING, _single_config(design), PULSE, 48))
+    k_scaled = schmidt_number(discretize_wavepacket(_UNIT_RING, _single_config(scaled), PULSE, 48))
+    assert k_scaled == pytest.approx(k, rel=1e-12, abs=0.0)

@@ -126,7 +126,7 @@ class TestBroadbandLineshape:
         tg, dw = 2.0e9, 40.0e9
         fp = flattop_lineshape_broadband(tg, dw, 0.0)
         assert fp.imag == 0.0
-        assert fp.real == pytest.approx(2.0 * np.pi / (dw * tg), rel=1e-12)
+        assert fp.real == pytest.approx(2.0 * np.pi / (dw * tg), rel=1e-12, abs=0.0)
 
     def test_modulus_even(self):
         tg, dw = 1.7e9, 30.0e9
@@ -141,7 +141,7 @@ class TestBroadbandLineshape:
         tg, dw = 1.0e9, 50.0e9
         f0 = abs(flattop_lineshape_broadband(tg, dw, 0.0))
         fh = abs(flattop_lineshape_broadband(tg, dw, math.sqrt(3.0) * tg))
-        assert fh == pytest.approx(f0 / 2.0, rel=1e-12)
+        assert fh == pytest.approx(f0 / 2.0, rel=1e-12, abs=0.0)
 
     def test_validity_guards(self):
         with pytest.raises(ValueError, match="5"):
@@ -162,7 +162,7 @@ class TestEffectivePumpLineshape:
         fp = effective_pump_lineshape(TabulatedSpectrum.flattop(dw), tg, 0.0)
         exact = 4.0 / (dw * tg) * math.atan(bw_factor)
         assert fp.imag == pytest.approx(0.0, abs=abs(fp) * 1e-10)
-        assert fp.real == pytest.approx(exact, rel=1e-8)
+        assert fp.real == pytest.approx(exact, rel=1e-8, abs=0.0)
         broadband = 2.0 * np.pi / (dw * tg)
         deficit = (broadband - fp.real) / broadband
         assert deficit == pytest.approx(2.0 / (np.pi * bw_factor), rel=0.02)
@@ -174,7 +174,7 @@ class TestEffectivePumpLineshape:
         for w in (0.0, 0.8 * tg, 5.0 * tg):
             f_plus = effective_pump_lineshape(spec, tg, w)
             f_minus = effective_pump_lineshape(spec, tg, -w)
-            assert f_plus == pytest.approx(np.conj(f_minus), rel=1e-10)
+            assert f_plus == pytest.approx(np.conj(f_minus), rel=1e-10, abs=0.0)
 
     def test_narrowband_against_riemann_oracle(self):
         tg = 2.0e9
@@ -183,7 +183,7 @@ class TestEffectivePumpLineshape:
         x = np.linspace(-dw / 2.0, dw / 2.0, 1_000_001)
         integrand = (1.0 / dw) / ((tg / 2.0 - 1j * x) * (tg / 2.0 + 1j * x))
         oracle = np.trapezoid(integrand, x)
-        assert fp == pytest.approx(complex(oracle), rel=1e-8)
+        assert fp == pytest.approx(complex(oracle), rel=1e-8, abs=0.0)
 
     def test_disjoint_support_is_zero(self):
         spec = TabulatedSpectrum.flattop(2.0e9)

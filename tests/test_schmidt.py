@@ -12,8 +12,8 @@ from ringsfwm import (
     WavepacketGrid,
     discretize_wavepacket,
     pulsed_pair_prob,
+    TabulatedSpectrum,
     schmidt_number,
-    schmidt_number_sweep,
     schmidt_spectrum,
 )
 
@@ -31,6 +31,18 @@ class TestDiscretize:
         ring, gc = algaas
         with pytest.raises(ValueError, match="pulsed"):
             discretize_wavepacket(ring, CouplingConfig.all_pass(gc, gc), PumpSpec.cw(1e-5))
+
+    def test_rejects_tabulated_spectrum(self, algaas):
+        """The grid is the broadband flattop closed form; a spectrum it would
+        ignore is refused."""
+        ring, gc = algaas
+        cfg = CouplingConfig.all_pass(gc, gc)
+        pump = PumpSpec.pulsed(
+            1e-12, bandwidth_factor=10.0,
+            spectrum=TabulatedSpectrum.flattop(10.0 * cfg.tgamma, n_samples=11),
+        )
+        with pytest.raises(ValueError, match="tabulated pump spectrum"):
+            discretize_wavepacket(ring, cfg, pump, 32)
 
     def test_causal_edges_zero(self, algaas):
         ring, gc = algaas
@@ -94,6 +106,18 @@ class TestSchmidtSpectrum:
         assert res1.K == pytest.approx(1.119, abs=5e-3)
         res2 = schmidt_spectrum(_grid(ring, CouplingConfig.distinct(1.46 * gc, 3.17 * gc, gc)))
         assert res2.K == pytest.approx(1.199, abs=5e-3)
+
+    def test_benchmarks_at_384_points(self, algaas):
+        ring, gc = algaas
+        k = [
+            schmidt_number(_grid(ring, CouplingConfig.distinct(tga * gc, gb * gc, gc), n=384))
+            for tga, gb in ((1.46, 3.17), (1.0, 1.0), (2.0, 2.0), (0.5, 3.0))
+        ]
+        assert all(v >= 1.0 for v in k)
+        assert k[0] == pytest.approx(1.199, abs=5e-3)
+        # identical pump/biphoton linewidths land on the same kernel shape
+        for v in k[1:3]:
+            assert v == pytest.approx(1.091, abs=3e-3)
 
     def test_separable_limit(self, algaas):
         """Pump linewidth far above the biphoton linewidth factorizes the
@@ -231,51 +255,3 @@ class TestSchmidtNumber:
         cfg = random_coupling(np.random.default_rng(seed), gamma_c=gc)
         grid = discretize_wavepacket(ring, cfg, PUMP, 32)
         assert grid.amplitudes.dtype == np.float64
-
-
-class TestSchmidtSweep:
-    def test_sweep_values(self, algaas):
-        ring, gc = algaas
-        configs = [
-            CouplingConfig.distinct(tga * gc, gb * gc, gc)
-            for tga, gb in ((1.46, 3.17), (1.0, 1.0), (2.0, 2.0), (0.5, 3.0))
-        ]
-        points = schmidt_number_sweep(ring, configs, PUMP, n_points=384)
-        assert all(p.error is None for p in points)
-        assert all(p.K >= 1.0 for p in points)
-        assert points[0].K == pytest.approx(1.199, abs=5e-3)
-        assert points[0].K_minus_1 == pytest.approx(points[0].K - 1.0)
-        # identical pump/biphoton linewidths land on the same kernel shape
-        for p in points[1:3]:
-            assert p.K == pytest.approx(1.091, abs=3e-3)
-
-    def test_sweep_flags_failures_without_aborting(self, algaas, monkeypatch):
-        ring, gc = algaas
-        configs = [
-            CouplingConfig.distinct(1.0 * gc, 1.0 * gc, gc),
-            CouplingConfig.distinct(2.0 * gc, 1.0 * gc, gc),
-        ]
-        import ringsfwm.schmidt as schmidt_mod
-
-        real = schmidt_mod.discretize_wavepacket
-
-        def flaky(ring_, cfg_, pump_, n_points_, t_max_, exc=DecompositionError("injected")):
-            if cfg_.tgamma_a > 1.5 * gc:
-                raise exc
-            return real(ring_, cfg_, pump_, n_points_, t_max_)
-
-        monkeypatch.setattr(schmidt_mod, "discretize_wavepacket", flaky)
-        points = schmidt_number_sweep(ring, configs, PUMP, n_points=64)
-        assert points[0].error is None and points[0].K >= 1.0
-        assert points[1].error == "injected" and np.isnan(points[1].K)
-
-    def test_sweep_propagates_programming_errors(self, algaas, monkeypatch):
-        ring, gc = algaas
-        import ringsfwm.schmidt as schmidt_mod
-
-        def broken(*args):
-            raise TypeError("bug")
-
-        monkeypatch.setattr(schmidt_mod, "discretize_wavepacket", broken)
-        with pytest.raises(TypeError, match="bug"):
-            schmidt_number_sweep(ring, [CouplingConfig.distinct(gc, gc, gc)], PUMP, n_points=64)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringsfwm import (
     CouplingConfig,
@@ -12,14 +14,17 @@ from ringsfwm import (
     PumpSpec,
     SweepAxis,
     SweepSpec,
+    TabulatedSpectrum,
     cw_accidentals_and_car,
     cw_pair_rate,
     cw_single_rate,
+    discretize_wavepacket,
     emit,
     pulsed_pair_prob,
     pulsed_single_prob,
     rate_scale_R0,
     run_sweep,
+    schmidt_number,
 )
 from ringsfwm.core import BroadbandAssumptionWarning
 from ringsfwm.optimize import (
@@ -162,6 +167,19 @@ class TestSpecValidation:
                     ("CAR",), ring, PUMP_CW, gc, coincidence_window=bad,
                 )
 
+    def test_tabulated_spectrum_rejected(self, algaas):
+        """Sweeps evaluate the broadband flattop closed forms only."""
+        ring, gc = algaas
+        pump = PumpSpec.pulsed(
+            1e-12, bandwidth_factor=10.0,
+            spectrum=TabulatedSpectrum.flattop(20.0 * gc, n_samples=11),
+        )
+        with pytest.raises(ValueError, match="tabulated pump spectrum"):
+            SweepSpec(
+                Geometry.ALL_PASS_IDENTICAL, SweepAxis("gamma_a", 0.1, 2.0, 5), None,
+                ("ps", "K"), ring, pump, gc,
+            )
+
     def test_axis_validation(self):
         with pytest.raises(ValueError, match="finite 0 < start"):
             SweepAxis("gamma_a", 0.1, float("inf"), 5)
@@ -290,9 +308,11 @@ class TestRunSweep:
         ring, gc = algaas
         import ringsfwm.schmidt as schmidt_mod
 
+        # r = tgamma/gamma = (1 + tgamma_a)/(1 + gamma_b): 1 and 5/3 on the
+        # gamma_b = gamma_c/2 rows, 1/2 and 5/6 on the gamma_b = 2*gamma_c rows
         spec = SweepSpec(
             geometry=Geometry.ADD_DROP_DISTINCT,
-            axis1=SweepAxis("tgamma_a", 0.5, 2.0, 2),
+            axis1=SweepAxis("tgamma_a", 0.5, 1.5, 2),
             axis2=SweepAxis("gamma_b", 0.5, 2.0, 2),
             outputs=("K",),
             ring=ring,
@@ -300,16 +320,16 @@ class TestRunSweep:
             gamma_c=gc,
             schmidt_points=32,
         )
-        real = schmidt_mod.schmidt_number
+        real = schmidt_mod.discretize_wavepacket
 
-        def flaky(grid, exc):
-            if grid.t_axis[-1] < 20.0 / (2.5 * gc):  # gamma_b = 2*gamma_c rows
+        def flaky(ring_, cfg, pump, n_points, t_max, exc):
+            if cfg.tgamma < cfg.gamma:  # r < 1: the gamma_b = 2*gamma_c rows
                 raise exc
-            return real(grid)
+            return real(ring_, cfg, pump, n_points, t_max)
 
         monkeypatch.setattr(
-            schmidt_mod, "schmidt_number",
-            lambda grid: flaky(grid, DecompositionError("injected")),
+            schmidt_mod, "discretize_wavepacket",
+            lambda *args: flaky(*args, DecompositionError("injected")),
         )
         rows = run_sweep(spec).rows
         assert [r["error"] for r in rows] == [None, None, "K: injected", "K: injected"]
@@ -317,10 +337,87 @@ class TestRunSweep:
         assert all(r["K"] >= 1.0 for r in rows[:2])
 
         monkeypatch.setattr(
-            schmidt_mod, "schmidt_number", lambda grid: flaky(grid, TypeError("bug"))
+            schmidt_mod, "discretize_wavepacket", lambda *args: flaky(*args, TypeError("bug"))
         )
         with pytest.raises(TypeError, match="bug"):
             run_sweep(spec)
+
+    def test_schmidt_rows_outside_broadband_flagged(self, algaas):
+        """K shares the broadband mask and its message with ps."""
+        ring, gc = algaas
+        spec = SweepSpec(
+            geometry=Geometry.ALL_PASS_IDENTICAL,
+            axis1=SweepAxis("gamma_a", 0.05, 5.0, 12),
+            axis2=None,
+            outputs=("ps", "K"),
+            ring=ring,
+            pump=PumpSpec.pulsed(1e-12, delta_omega=20.0 * gc),
+            gamma_c=gc,
+            schmidt_points=32,
+        )
+        with pytest.warns(BroadbandAssumptionWarning, match="marginal"):
+            rows = run_sweep(spec).rows
+        bad = [r for r in rows if r["gamma_a_over_gamma_c"] > 3.0]
+        assert bad and len(bad) < len(rows)
+        for r in bad:
+            ps_message, k_message = r["error"].split("; ")
+            assert ps_message.startswith("ps: broadband forms require")
+            assert k_message == "K" + ps_message[2:]
+            assert np.isnan(r["K"])
+        assert all(r["error"] is None and r["K"] >= 1.0 for r in rows if r not in bad)
+
+    def test_identical_coupler_k_is_one_grid(self, algaas, monkeypatch):
+        """Identical couplers tie tgamma to gamma (r = 1): one grid serves the panel."""
+        ring, gc = algaas
+        import ringsfwm.schmidt as schmidt_mod
+
+        calls = []
+        real = schmidt_mod.discretize_wavepacket
+        monkeypatch.setattr(
+            schmidt_mod, "discretize_wavepacket", lambda *args: calls.append(args) or real(*args)
+        )
+        axis1, axis2 = AXES[Geometry.ADD_DROP_IDENTICAL]
+        rows = run_sweep(SweepSpec(
+            Geometry.ADD_DROP_IDENTICAL, axis1, axis2, ("K",), ring,
+            PumpSpec.pulsed(1e-12, bandwidth_factor=10.0), gc, schmidt_points=32,
+        )).rows
+        assert len(calls) == 1
+        assert len({r["K"] for r in rows}) == 1 and rows[0]["K"] > 1.0
+
+
+@st.composite
+def k_sweeps(draw):
+    """A small K sweep of any geometry: axes within 1e-1.5..1e1 gamma_c, a
+    split pump loss for half of the distinct-coupler draws, and a random
+    Schmidt grid."""
+    geometry = draw(st.sampled_from(list(Geometry)))
+    axes = []
+    for name in coupling_parameter_names(geometry):
+        start = 10.0 ** draw(st.floats(-1.5, 0.5))
+        stop = start * 10.0 ** draw(st.floats(0.1, 0.5))
+        axes.append(SweepAxis(name, start, stop, draw(st.integers(2, 3))))
+    tgamma_c = None
+    if geometry is Geometry.ADD_DROP_DISTINCT and draw(st.booleans()):
+        tgamma_c = 10.0 ** draw(st.floats(-1.0, 1.0))
+    return geometry, axes, tgamma_c, draw(st.integers(16, 48)), draw(st.floats(5.0, 40.0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(k_sweeps())
+def test_sweep_k_matches_direct_grid(algaas, sweep):
+    """The r = tgamma/gamma kernel reproduces the grid K of the physical design."""
+    ring, gc = algaas
+    geometry, axes, tgamma_c, n, t_max = sweep
+    tgc = None if tgamma_c is None else tgamma_c * gc
+    pump = PumpSpec.pulsed(1e-12, bandwidth_factor=10.0)
+    spec = SweepSpec(
+        geometry, axes[0], axes[1] if len(axes) > 1 else None, ("K",), ring, pump, gc,
+        tgamma_c=tgc, schmidt_points=n, t_max_over_gamma=t_max,
+    )
+    for row in run_sweep(spec).rows:
+        grid = discretize_wavepacket(ring, direct_config(geometry, row, gc, tgc), pump, n, t_max)
+        assert row["error"] is None
+        assert row["K"] == pytest.approx(schmidt_number(grid), rel=1e-13, abs=0.0)
 
 
 class TestEmit:
