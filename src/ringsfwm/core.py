@@ -281,14 +281,14 @@ def _point_rates(geometry: Geometry, point, gamma_c: float, tgamma_c: Optional[f
 
 @dataclass(frozen=True)
 class PumpSpec:
-    """Pump drive: CW average power, or pulse energy plus bandwidth.
+    """Pump drive: CW average power, or pulse energy plus spectrum.
 
-    For a pulsed pump the bandwidth is either absolute (``delta_omega``,
-    rad/s) or a multiple of the pump linewidth (``bandwidth_factor`` B, so
-    that ``delta_omega = B*tgamma`` for whichever coupling configuration is
-    being evaluated).  ``spectrum`` may hold a
-    :class:`ringsfwm.pulsed.TabulatedSpectrum` for numeric lineshape work;
-    ``None`` selects the analytic flattop.
+    A pulsed pump takes exactly one of: an absolute flattop bandwidth
+    (``delta_omega``, rad/s); a multiple of the pump linewidth
+    (``bandwidth_factor`` B, so that ``delta_omega = B*tgamma`` for whichever
+    coupling configuration is being evaluated); or a tabulated ``spectrum``
+    (a :class:`ringsfwm.pulsed.TabulatedSpectrum`) for numeric lineshape work,
+    which carries its own bandwidth.
     """
 
     mode: PumpMode
@@ -314,22 +314,18 @@ class PumpSpec:
             if self.energy is None:
                 raise ValueError("PumpSpec: pulsed mode requires energy > 0 [J]")
             object.__setattr__(self, "energy", _positive_finite("PumpSpec", "energy", self.energy))
-            have_abs = self.delta_omega is not None
-            have_rel = self.bandwidth_factor is not None
-            if have_abs == have_rel:
+            given = [
+                name for name in ("delta_omega", "bandwidth_factor", "spectrum")
+                if getattr(self, name) is not None
+            ]
+            if len(given) != 1:
                 raise ValueError(
-                    "PumpSpec: pulsed mode requires exactly one of delta_omega "
-                    "or bandwidth_factor"
+                    "PumpSpec: pulsed mode requires exactly one of delta_omega, "
+                    f"bandwidth_factor or spectrum, got {given or 'none'}"
                 )
-            if have_abs:
+            if given[0] != "spectrum":
                 object.__setattr__(
-                    self, "delta_omega",
-                    _positive_finite("PumpSpec", "delta_omega", self.delta_omega),
-                )
-            else:
-                object.__setattr__(
-                    self, "bandwidth_factor",
-                    _positive_finite("PumpSpec", "bandwidth_factor", self.bandwidth_factor),
+                    self, given[0], _positive_finite("PumpSpec", given[0], getattr(self, given[0]))
                 )
 
     @classmethod
@@ -355,8 +351,8 @@ class PumpSpec:
 
     def delta_omega_for(self, tgamma: float) -> float:
         """Absolute pump bandwidth [rad/s] for a given pump linewidth."""
-        if self.mode is not PumpMode.PULSED:
-            raise ValueError("delta_omega_for() is only defined for a pulsed pump")
+        if self.mode is not PumpMode.PULSED or self.spectrum is not None:
+            raise ValueError("delta_omega_for() is only defined for a pulsed flattop pump")
         if self.delta_omega is not None:
             return self.delta_omega
         return self.bandwidth_factor * tgamma

@@ -265,6 +265,14 @@ def _validate_bounds(bounds, ndim: int) -> tuple[tuple[float, float], ...]:
     return bounds
 
 
+def _log_grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """``np.geomspace(lo, hi, n)`` for ``0 < lo``, bit for bit, without its
+    sign and dtype handling (a third of the cost per call)."""
+    grid = np.power(10.0, np.linspace(np.log10(lo), np.log10(hi), n))
+    grid[0], grid[-1] = lo, hi
+    return grid
+
+
 def _mesh(values: list[np.ndarray]) -> tuple[np.ndarray, ...]:
     """Flattened grid over the axis values, axis2-major: axis2 varies slowest."""
     return tuple(a.ravel() for a in np.meshgrid(*values))
@@ -296,7 +304,7 @@ def _maximize(objective, point, value, ratios, bounds) -> tuple[tuple[float, ...
     cell = max(math.log(r) for r in ratios)
     for _ in range(max(0, math.ceil(math.log(cell / _ZOOM_CELL, shrink)))):
         candidates = _mesh([
-            np.geomspace(max(p / r, lo), min(p * r, hi), _ZOOM_POINTS)
+            _log_grid(max(p / r, lo), min(p * r, hi), _ZOOM_POINTS)
             for p, r, (lo, hi) in zip(point, ratios, bounds)
         ])
         values = objective(candidates)
@@ -373,7 +381,7 @@ def numeric_optimum(
         objective = normalized_objective(geometry, target)
 
     n_scan = 193 if ndim == 1 else 61
-    grid = _mesh([np.geomspace(lo, hi, n_scan) for lo, hi in bounds])
+    grid = _mesh([_log_grid(lo, hi, n_scan) for lo, hi in bounds])
     values = np.asarray(objective(grid), dtype=float)
     if values.shape != grid[0].shape:
         raise ValueError(

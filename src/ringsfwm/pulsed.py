@@ -31,20 +31,24 @@ Arbitrary spectra
 -----------------
 For tabulated pump spectra the lineshape integral is evaluated in closed
 form, exactly for the linearly interpolated spectrum
-(:func:`effective_pump_lineshape`).  The per-pulse singles probability
-(:func:`pulsed_single_prob_numeric`) integrates the Lorentzian pair exactly
-and leaves one adaptive quadrature over the frequency sum.
+(:func:`effective_pump_lineshape`).  It runs on the spectrum's compacted
+knots: samples inside a run of equal amplitudes (plateaus, zero padding) are
+dropped once, which leaves the interpolant unchanged bit for bit.  The
+per-pulse singles probability (:func:`pulsed_single_prob_numeric`)
+integrates the Lorentzian pair exactly and leaves one adaptive quadrature
+over the frequency sum: QUADPACK's 21-point Gauss-Kronrod rule (Piessens et
+al., *QUADPACK*, 1983), bisecting the panel with the largest error estimate.
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .core import (
     TWO_PI,
@@ -77,12 +81,50 @@ __all__ = [
 # wavepacket (bracket -> min(ts, ti)) replaces the generic quotient.
 EPS_DEGENERATE = 1e-6
 
-# Subdivision budget of the adaptive quadrature over the frequency sum.
+# Panel budget of the adaptive Gauss-Kronrod rule over the frequency sum:
+# the rule bisects until the summed error estimate meets epsrel, and fails
+# once this many panels would not suffice.
 _SUBDIV_LIMIT = 10_000
+
+# QUADPACK's qk21 rule on [-1, 1]: the 21 Kronrod nodes are the 10 Gauss-
+# Legendre nodes (odd positions here) and the 11 roots of the Stieltjes
+# polynomial E11, the last one 0; the weights match the moments.  K21 is
+# exact to degree 31, the embedded G10 to degree 19.
+_GK_HALF_NODES = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+])
+_K21_HALF_WEIGHTS = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_G10_HALF_WEIGHTS = np.array([
+    0.0, 0.066671344308688137593568809893332,
+    0.0, 0.149451349150580593145776339657697,
+    0.0, 0.219086362515982043995534934228163,
+    0.0, 0.269266719309996355091226921569469,
+    0.0, 0.295524224714752870173892994651338,
+    0.0,
+])
+# Full rules, ascending nodes from -1 to +1.
+_GK_NODES = np.concatenate((-_GK_HALF_NODES, _GK_HALF_NODES[-2::-1]))
+_K21_WEIGHTS = np.concatenate((_K21_HALF_WEIGHTS, _K21_HALF_WEIGHTS[-2::-1]))
+_G10_WEIGHTS = np.concatenate((_G10_HALF_WEIGHTS, _G10_HALF_WEIGHTS[-2::-1]))
+_EPS = float(np.finfo(float).eps)
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to converge within its subdivision budget."""
+    """The adaptive Gauss-Kronrod rule over the frequency sum did not meet
+    its relative accuracy target: ``_SUBDIV_LIMIT`` panels did not suffice,
+    or the target lies below the roundoff floor of its error estimate."""
 
 
 class PulsedMethod(enum.Enum):
@@ -126,10 +168,15 @@ class TabulatedSpectrum:
     grid, relative tolerance 1e-9); an identically zero amplitude is also
     accepted and represents a switched-off pump.  Values between samples are
     linearly interpolated and zero outside the grid.
+
+    ``knots`` holds ``(omega, amplitude)`` without the samples whose
+    amplitude equals both neighbours' (plateaus, zero padding): the same
+    linear interpolant, bit for bit, on fewer nodes.
     """
 
     omega: np.ndarray
     amplitude: np.ndarray
+    knots: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         omega = np.asarray(self.omega, dtype=float)
@@ -153,6 +200,9 @@ class TabulatedSpectrum:
         amplitude.setflags(write=False)
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "amplitude", amplitude)
+        flat = (amplitude[1:-1] == amplitude[:-2]) & (amplitude[1:-1] == amplitude[2:])
+        keep = np.concatenate(([True], ~flat, [True]))
+        object.__setattr__(self, "knots", (omega[keep], amplitude[keep]))
 
     @property
     def support(self) -> tuple[float, float]:
@@ -160,8 +210,9 @@ class TabulatedSpectrum:
 
     def __call__(self, omega):
         """Linearly interpolated complex amplitude, zero outside the grid."""
-        re = np.interp(omega, self.omega, self.amplitude.real, left=0.0, right=0.0)
-        im = np.interp(omega, self.omega, self.amplitude.imag, left=0.0, right=0.0)
+        grid, amp = self.knots
+        re = np.interp(omega, grid, amp.real, left=0.0, right=0.0)
+        im = np.interp(omega, grid, amp.imag, left=0.0, right=0.0)
         return re + 1j * im
 
     @classmethod
@@ -239,7 +290,7 @@ def effective_pump_lineshape(
     Between consecutive breakpoints (the grid nodes, ``w`` minus the grid
     nodes and the overlap ends) the product is a quadratic in the offset
     from the interval midpoint, so each interval contributes three moments
-    of one pole term.
+    of one pole term.  The grid is the spectrum's compacted ``knots``.
     """
     tgamma = _positive_finite("effective_pump_lineshape", "tgamma", tgamma)
     lo, hi = spectrum.support
@@ -247,7 +298,7 @@ def effective_pump_lineshape(
     b = min(hi, omega_sum - lo)
     if b <= a:
         return 0.0 + 0.0j
-    grid, amp = spectrum.omega, spectrum.amplitude
+    grid, amp = spectrum.knots
     nodes = np.concatenate(([a, b], grid, omega_sum - grid))
     x = np.unique(nodes[(nodes >= a) & (nodes <= b)])
     # Every breakpoint lies in the support in exact arithmetic; np.interp's
@@ -403,6 +454,60 @@ def pulsed_accidental_prob(
     return ps * ps
 
 
+def _gauss_kronrod_21(f, a: float, b: float) -> tuple[float, float, float]:
+    """QUADPACK's qk21 on ``[a, b]``: the K21 integral of ``f``, its error
+    estimate ``resasc*min(1, (200*|K21 - G10|/resasc)^1.5)`` (``resasc`` is
+    the integral of ``|f - mean(f)|``), and that estimate's roundoff floor,
+    50 ulp of the integral of ``|f|``, which the estimate never falls below."""
+    center, half = 0.5 * (a + b), 0.5 * (b - a)
+    fx = np.array([f(x) for x in (center + half * _GK_NODES).tolist()])
+    resk = _K21_WEIGHTS @ fx
+    diff = abs((resk - _G10_WEIGHTS @ fx) * half)
+    resasc = abs(half) * (_K21_WEIGHTS @ np.abs(fx - 0.5 * resk))
+    err = resasc * min(1.0, (200.0 * diff / resasc) ** 1.5) if resasc and diff else diff
+    floor = 50.0 * _EPS * abs(half) * (_K21_WEIGHTS @ np.abs(fx))
+    return float(resk * half), float(max(err, floor)), float(floor)
+
+
+def _adaptive_gauss_kronrod(f, edges, epsrel: float) -> tuple[float, float]:
+    """Integral of ``f`` over ``[edges[0], edges[-1]]`` and its absolute
+    error estimate.  Starts with one :func:`_gauss_kronrod_21` panel per
+    interval of ``edges`` and bisects the panel with the largest error
+    estimate until the summed estimate is at most ``epsrel`` times the
+    integral.  Raises :class:`QuadratureError` when that would take more
+    than ``_SUBDIV_LIMIT`` panels, or when the target lies below the summed
+    roundoff floor of the estimate.
+    """
+    panels = []
+    for a, b in zip(edges, edges[1:]):
+        result, err, floor = _gauss_kronrod_21(f, a, b)
+        panels.append((-err, a, b, result, floor))
+    heapq.heapify(panels)
+    total = sum(p[3] for p in panels)
+    abserr = -sum(p[0] for p in panels)
+    roundoff = sum(p[4] for p in panels)
+    while abserr > epsrel * abs(total):
+        if len(panels) >= _SUBDIV_LIMIT or epsrel * abs(total) < roundoff:
+            why = (
+                f"{_SUBDIV_LIMIT} panels do not suffice" if len(panels) >= _SUBDIV_LIMIT
+                else f"the target is below the roundoff floor {roundoff:.3g}"
+            )
+            raise QuadratureError(
+                f"singles-probability quadrature did not converge: {why}; error "
+                f"estimate {abserr:.3g} > {epsrel:g} * |{total:.6g}|"
+            )
+        neg_err, a, b, result, floor = heapq.heappop(panels)
+        mid = 0.5 * (a + b)
+        r1, e1, f1 = _gauss_kronrod_21(f, a, mid)
+        r2, e2, f2 = _gauss_kronrod_21(f, mid, b)
+        heapq.heappush(panels, (-e1, a, mid, r1, f1))
+        heapq.heappush(panels, (-e2, mid, b, r2, f2))
+        total += r1 + r2 - result
+        abserr += e1 + e2 + neg_err
+        roundoff += f1 + f2 - floor
+    return total, abserr
+
+
 def pulsed_single_prob_numeric(
     ring: RingParams,
     cfg: CouplingConfig,
@@ -419,10 +524,12 @@ def pulsed_single_prob_numeric(
         ``integral dOmega_s / ((gamma^2/4 + Omega_s^2) * (gamma^2/4 + (w - Omega_s)^2))
           = 4*pi / (gamma * (gamma^2 + w^2))``,
 
-    and :func:`effective_pump_lineshape` is exact, so one adaptive rule over
-    ``w`` remains, with relative accuracy target ``epsrel``.  Raises
-    :class:`QuadratureError` when that rule does not converge within its
-    subdivision budget.
+    and :func:`effective_pump_lineshape` is exact, so one integral over
+    ``w`` remains.  An adaptive 21-point Gauss-Kronrod rule (QUADPACK's
+    qk21 panels, bisecting the panel with the largest error estimate)
+    evaluates it to relative accuracy ``epsrel``, starting from panels split
+    at ``0, +-1, +-3, +-10, +-30, +-100 * tgamma``.  Raises
+    :class:`QuadratureError` when the rule cannot meet ``epsrel``.
     """
     return _single_prob_numeric(ring, cfg, energy, spectrum, epsrel)[0]
 
@@ -437,6 +544,7 @@ def _single_prob_numeric(
     """:func:`pulsed_single_prob_numeric` and the relative error estimate of
     its quadrature over ``w``."""
     energy = _positive_finite("pulsed_single_prob_numeric", "energy", energy)
+    epsrel = _positive_finite("pulsed_single_prob_numeric", "epsrel", epsrel)
     if np.all(spectrum.amplitude == 0.0):
         return 0.0, 0.0
     gamma = cfg.gamma
@@ -451,24 +559,8 @@ def _single_prob_numeric(
     # Breakpoint ladder resolving the Lorentzian-like core of |f_p|^2 without
     # forcing fine panels across the whole (wide) support.
     ladder = [k * tgamma for k in (1.0, 3.0, 10.0, 30.0, 100.0)]
-    pts = [p for p in [0.0, *ladder, *(-q for q in ladder)] if w_lo < p < w_hi]
-    pts.sort()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        try:
-            kernel, abserr = quad(
-                outer_integrand,
-                w_lo,
-                w_hi,
-                points=pts or None,
-                limit=_SUBDIV_LIMIT,
-                epsabs=0.0,
-                epsrel=epsrel,
-            )
-        except IntegrationWarning as exc:
-            raise QuadratureError(
-                f"singles-probability quadrature did not converge: {exc}"
-            ) from exc
+    pts = sorted(p for p in [0.0, *ladder, *(-q for q in ladder)] if w_lo < p < w_hi)
+    kernel, abserr = _adaptive_gauss_kronrod(outer_integrand, [w_lo, *pts, w_hi], epsrel)
 
     drive = (
         ring.n2 * ring.vg**2 * ring.omega0 * energy

@@ -51,7 +51,7 @@ def spectrum_config(tmp_path, algaas):
     save_spectrum(TabulatedSpectrum.flattop(10.0 * 2.0 * gc, n_samples=201), path)
     return write_config(
         tmp_path / "spectrum.ini",
-        pump=f"mode = pulsed\npulse_energy_pj = 0.1\nbandwidth_factor = 10\nspectrum_file = {path}",
+        pump=f"mode = pulsed\npulse_energy_pj = 0.1\nspectrum_file = {path}",
         extra="""
 [sweep]
 axis1 = gamma_a
@@ -99,6 +99,21 @@ class TestRates:
         assert pulsed["p_acc_per_pulse"] == pulsed["ps_per_pulse"] ** 2
         assert 0.0 < pulsed["quad_rel_err"] < 1e-6
         assert "psi_per_pulse" not in pulsed
+
+    def test_spectrum_file_golden_value(self, spectrum_config, capsys):
+        """Pinned to the value of the QUADPACK qagp integration this rule
+        replaced: same panels, so agreement to roundoff."""
+        assert main(["rates", "--config", str(spectrum_config)]) == 0
+        pulsed = json.loads(capsys.readouterr().out)["pulsed"]
+        assert pulsed["ps_per_pulse"] == pytest.approx(0.001832397591177774, rel=1e-12, abs=0.0)
+        assert pulsed["quad_rel_err"] == pytest.approx(7.237249867786356e-07, rel=1e-9)
+
+    def test_spectrum_file_with_bandwidth_rejected(self, spectrum_config, capsys):
+        """A flattop bandwidth next to a spectrum would be ignored."""
+        text = spectrum_config.read_text()
+        spectrum_config.write_text(text.replace("spectrum_file =", "bandwidth_factor = 10\nspectrum_file =", 1))
+        assert main(["rates", "--config", str(spectrum_config)]) == 1
+        assert "exactly one" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["sweep", "optimize", "schmidt", "figure2", "figure3"])
     def test_spectrum_file_rejected_elsewhere(self, spectrum_config, tmp_path, capsys, command):
@@ -252,3 +267,14 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(out.read_text())["geometry"] == "all-pass-identical"
+
+    def test_import_loads_no_scipy(self):
+        """scipy is a test-only oracle: importing the package and its CLI
+        must not load it."""
+        code = (
+            "import sys, ringsfwm, ringsfwm.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

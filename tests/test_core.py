@@ -12,6 +12,7 @@ from ringsfwm import (
     PumpMode,
     PumpSpec,
     RingParams,
+    TabulatedSpectrum,
     prob_scale_p0,
     quality_factors,
     rate_scale_R0,
@@ -101,6 +102,18 @@ class TestPumpSpec:
             PumpSpec.pulsed(1e-12)
         with pytest.raises(ValueError, match="exactly one"):
             PumpSpec.pulsed(1e-12, delta_omega=1e9, bandwidth_factor=10.0)
+
+    def test_spectrum_is_the_only_bandwidth(self):
+        """A tabulated spectrum carries its own bandwidth; a flattop one next
+        to it would be ignored, so it is refused."""
+        spectrum = TabulatedSpectrum.flattop(2.0e10, n_samples=11)
+        pump = PumpSpec.pulsed(1e-12, spectrum=spectrum)
+        assert pump.spectrum is spectrum
+        with pytest.raises(ValueError, match="flattop pump"):
+            pump.delta_omega_for(2.0e9)
+        for extra in ({"bandwidth_factor": 10.0}, {"delta_omega": 2.0e10}):
+            with pytest.raises(ValueError, match="exactly one"):
+                PumpSpec.pulsed(1e-12, spectrum=spectrum, **extra)
 
     def test_cw_rejects_pulsed_fields(self):
         with pytest.raises(ValueError, match="not meaningful"):

@@ -17,7 +17,7 @@ from ringsfwm import (
     cross_validate_optima,
     numeric_optimum,
 )
-from ringsfwm.optimize import all_targets, config_from_point, normalized_objective
+from ringsfwm.optimize import _log_grid, all_targets, config_from_point, normalized_objective
 
 CW = PumpRegime.CW
 PULSE = PumpRegime.BROADBAND_PULSE
@@ -227,3 +227,17 @@ class TestCrossValidation:
         failed = [e for e in report.entries if not e.passed]
         assert failed[0].geometry is Geometry.ADD_DROP_IDENTICAL
         assert "FAIL" in str(report)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lo_exp=st.floats(-6.0, 6.0),
+    span_exp=st.floats(1e-12, 6.0),
+    n=st.integers(2, 200),
+)
+def test_log_grid_is_geomspace(lo_exp, span_exp, n):
+    """The maximizer's log grid equals np.geomspace bit for bit for positive
+    bounds, so zoom candidates and scan grids are unchanged."""
+    lo = 10.0**lo_exp
+    hi = lo * 10.0**span_exp
+    np.testing.assert_array_equal(_log_grid(lo, hi, n), np.geomspace(lo, hi, n))

@@ -5,7 +5,9 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.integrate import IntegrationWarning
+from scipy.integrate import IntegrationWarning, quad
+
+import ringsfwm.pulsed as pulsed
 
 from ringsfwm import (
     BroadbandAssumptionWarning,
@@ -24,7 +26,13 @@ from ringsfwm import (
     save_spectrum,
 )
 from ringsfwm.core import _UNIT_RING
-from ringsfwm.pulsed import EPS_DEGENERATE, _drive_pulsed, _single_prob_numeric
+from ringsfwm.pulsed import (
+    EPS_DEGENERATE,
+    QuadratureError,
+    _adaptive_gauss_kronrod,
+    _drive_pulsed,
+    _single_prob_numeric,
+)
 
 from conftest import (
     effective_pump_lineshape_quadrature,
@@ -55,6 +63,12 @@ def _shaped_spectra(tg):
     coarse = np.linspace(-4.0 * tg, 4.0 * tg, 7)
     skew = np.concatenate([np.linspace(-2.0 * tg, 3.0 * tg, 8), np.linspace(3.7 * tg, 9.0 * tg, 6)])
     offset = np.linspace(-1.0 * tg, 6.0 * tg, 29)
+    padded = np.linspace(-6.0 * tg, 6.0 * tg, 49)
+    plateaus = np.zeros(49, complex)
+    plateaus[8:14] = np.linspace(0.2, 1.0, 6)
+    plateaus[14:30] = 1.0
+    plateaus[30:35] = 0.5 + 0.5j
+    plateaus[35:41] = np.linspace(0.5, 0.1, 6)
     return {
         "chirped-41": normalized_spectrum(
             chirp, np.exp(-((chirp / (6.0 * tg)) ** 2) + 0.05j * (chirp / tg) ** 2)
@@ -66,6 +80,7 @@ def _shaped_spectra(tg):
         "offset-29": normalized_spectrum(
             offset, np.exp(-(((offset - tg) / (2.0 * tg)) ** 2) + 0.4j * offset / tg)
         ),
+        "plateau-padded-49": normalized_spectrum(padded, plateaus),
     }
 
 
@@ -114,6 +129,22 @@ class TestTabulatedSpectrum:
         back = load_spectrum(path)
         np.testing.assert_array_equal(back.omega, spec.omega)
         np.testing.assert_array_equal(back.amplitude, spec.amplitude)
+
+    def test_knots_drop_plateaus_and_padding(self):
+        assert TabulatedSpectrum.flattop(2.0e9).knots[0].size == 2
+        spec = _shaped_spectra(2.0e9)["plateau-padded-49"]
+        grid, amp = spec.knots
+        assert grid.size == 19  # of 49: 7 + 15 + 3 + 6 samples inside equal runs
+        assert grid[0] == spec.omega[0] and grid[-1] == spec.omega[-1]
+
+    def test_knots_keep_the_interpolant_bit_for_bit(self, rng):
+        spec = _shaped_spectra(2.0e9)["plateau-padded-49"]
+        lo, hi = spec.support
+        omega = np.concatenate([spec.omega, rng.uniform(1.1 * lo, 1.1 * hi, 2000)])
+        full = (np.interp(omega, spec.omega, spec.amplitude.real, left=0.0, right=0.0)
+                + 1j * np.interp(omega, spec.omega, spec.amplitude.imag, left=0.0, right=0.0))
+        np.testing.assert_array_equal(spec(omega), full)
+        np.testing.assert_array_equal(spec(spec.omega), spec.amplitude)
 
     def test_interpolation_compact_support(self):
         spec = TabulatedSpectrum.flattop(2.0)
@@ -221,7 +252,7 @@ class TestEffectivePumpLineshape:
             assert effective_pump_lineshape(spec, tg, w) == pytest.approx(want, rel=1e-10, abs=0.0)
         assert compared >= 3
 
-    @pytest.mark.parametrize("name", ["coarse-7", "skewed-14"])
+    @pytest.mark.parametrize("name", ["coarse-7", "skewed-14", "plateau-padded-49"])
     def test_exact_for_interpolated_spectrum(self, name):
         tg = 2.0e9
         spec = _shaped_spectra(tg)[name]
@@ -475,6 +506,21 @@ class TestNumericSinglesProbability:
         assert ps == pulsed_single_prob_numeric(ring, cfg, ENERGY, spec)
         assert 0.0 < rel_err < 1e-6
 
+    def test_subdivision_budget_exhausted_raises(self, algaas, monkeypatch):
+        ring, gc = algaas
+        cfg = CouplingConfig.all_pass(1.2 * gc, gc)
+        spec = TabulatedSpectrum.flattop(B * cfg.tgamma)
+        monkeypatch.setattr(pulsed, "_SUBDIV_LIMIT", 8)
+        with pytest.raises(QuadratureError, match="8 panels"):
+            pulsed_single_prob_numeric(ring, cfg, ENERGY, spec, epsrel=1e-10)
+
+    @pytest.mark.parametrize("epsrel", [0.0, -1e-6, float("nan")])
+    def test_rejects_nonpositive_epsrel(self, algaas, epsrel):
+        ring, gc = algaas
+        cfg = CouplingConfig.all_pass(gc, gc)
+        with pytest.raises(ValueError, match="epsrel"):
+            pulsed_single_prob_numeric(ring, cfg, ENERGY, TabulatedSpectrum.flattop(B * cfg.tgamma), epsrel)
+
     @pytest.mark.parametrize("w_over_gamma", [0.0, 0.3, 1.0, 4.0, 25.0])
     def test_lorentzian_pair_integral(self, w_over_gamma):
         """The biphoton Lorentzians convolve to 4*pi/(gamma*(gamma^2 + w^2))."""
@@ -487,3 +533,61 @@ class TestNumericSinglesProbability:
             )
             exact = 4 * mp.pi / (gamma * (gamma**2 + w**2))
             assert abs(val / exact - 1) < 1e-20
+
+
+class TestGaussKronrodRule:
+    """The adaptive rule behind :func:`pulsed_single_prob_numeric`."""
+
+    def test_degrees_of_exactness(self):
+        """G10 is exact to degree 19 and K21 to degree 31 on [-1, 1]; each
+        fails one degree higher, which a mistyped constant would also show."""
+        x = pulsed._GK_NODES
+        for weights, degree in ((pulsed._G10_WEIGHTS, 19), (pulsed._K21_WEIGHTS, 31)):
+            assert weights.sum() == pytest.approx(2.0, rel=1e-15)
+            for k in range(degree + 2):
+                got, exact = weights @ x**k, (2.0 / (k + 1) if k % 2 == 0 else 0.0)
+                if k <= degree:
+                    assert got == pytest.approx(exact, rel=1e-15, abs=1e-15), (degree, k)
+                else:
+                    assert abs(got / exact - 1.0) > 1e-11, (degree, k)
+
+    @pytest.mark.parametrize("bw", [10.0, 30.0])
+    def test_matches_quadpack_panels(self, algaas, bw):
+        """On the flattop designs the rule bisects the same panels as
+        QUADPACK's qagp: same evaluation count, value and error estimate."""
+        ring, gc = algaas
+        cfg = CouplingConfig.all_pass(gc, gc)
+        spec = TabulatedSpectrum.flattop(bw * cfg.tgamma)
+        tg, g = cfg.tgamma, cfg.gamma
+        calls = []
+
+        def f(w):
+            calls.append(w)
+            fp = effective_pump_lineshape(spec, tg, w)
+            return abs(fp) ** 2 / (g * g + w * w)
+
+        ladder = sorted(k * tg for k in (0, 1, 3, 10, 30, -1, -3, -10, -30) if abs(k) < bw)
+        edges = [-bw * tg, *ladder, bw * tg]  # w spans twice the +-bw*tg/2 support
+        got, err = _adaptive_gauss_kronrod(f, edges, 1e-6)
+        n_calls = len(calls)
+        want, want_err, info = quad(
+            f, edges[0], edges[-1], points=edges[1:-1], limit=10_000,
+            epsabs=0.0, epsrel=1e-6, full_output=1,
+        )
+        assert n_calls == info["neval"]
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert err == pytest.approx(want_err, rel=1e-6)
+
+    def test_oscillating_integrand_to_tight_tolerance(self):
+        """``integral_0^3 exp(-x)*cos(7x) dx``; the integral of ``|f|`` is
+        ~25 times larger, which puts the roundoff floor of the error
+        estimate at ~3e-13 relative: 1e-12 is met, 1e-13 is refused."""
+        def f(x):
+            return math.exp(-x) * math.cos(7.0 * x)
+
+        exact = (1.0 - math.exp(-3.0) * (math.cos(21.0) - 7.0 * math.sin(21.0))) / 50.0
+        got, err = _adaptive_gauss_kronrod(f, [0.0, 0.5, 3.0], 1e-12)
+        assert got == pytest.approx(exact, rel=1e-13, abs=0.0)
+        assert 0.0 < err <= 1e-12 * abs(got)
+        with pytest.raises(QuadratureError, match="roundoff"):
+            _adaptive_gauss_kronrod(f, [0.0, 0.5, 3.0], 1e-13)

@@ -38,7 +38,7 @@ class TestDiscretize:
         ring, gc = algaas
         cfg = CouplingConfig.all_pass(gc, gc)
         pump = PumpSpec.pulsed(
-            1e-12, bandwidth_factor=10.0,
+            1e-12,
             spectrum=TabulatedSpectrum.flattop(10.0 * cfg.tgamma, n_samples=11),
         )
         with pytest.raises(ValueError, match="tabulated pump spectrum"):

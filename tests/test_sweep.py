@@ -171,7 +171,7 @@ class TestSpecValidation:
         """Sweeps evaluate the broadband flattop closed forms only."""
         ring, gc = algaas
         pump = PumpSpec.pulsed(
-            1e-12, bandwidth_factor=10.0,
+            1e-12,
             spectrum=TabulatedSpectrum.flattop(20.0 * gc, n_samples=11),
         )
         with pytest.raises(ValueError, match="tabulated pump spectrum"):
