@@ -33,7 +33,17 @@ from .cw import cw_accidentals_and_car, cw_observables
 from .optimize import OptimizationError, coupling_parameter_names, cross_validate_optima
 from .pulsed import PulsedMethod, QuadratureError, _single_prob_numeric, pulsed_observables
 from .schmidt import DecompositionError, discretize_wavepacket, schmidt_spectrum
-from .sweep import SweepAxis, SweepSpec, algaas_example, emit, render, report_optima, run_sweep
+from .sweep import (
+    SweepAxis,
+    SweepSpec,
+    _write_text,
+    algaas_example,
+    emit,
+    optima_table,
+    render,
+    report_optima,
+    run_sweep,
+)
 
 _FIGURE_RANGE = (0.05, 5.0)
 _FIGURE_K_GRID = 25
@@ -48,15 +58,24 @@ class _Parser(argparse.ArgumentParser):
         raise _CliValidationError(message)
 
 
-def _add_common(sub: argparse.ArgumentParser, config_required: bool) -> None:
-    sub.add_argument("--config", required=config_required, help="INI config file")
-    sub.add_argument("--out", default=None, help="output file (default: stdout)")
-    sub.add_argument("--format", default=None, choices=("csv", "json"))
-    sub.add_argument("--grid", type=int, default=None, help="override grid points per axis")
-    sub.add_argument(
-        "--refine", action="store_true",
-        help="sharpen reported maxima by log-grid zoom and a vertex step",
-    )
+# Every flag a subcommand can declare; each subcommand declares only the
+# flags it honours (see _build_parser), with the departures below.
+_FLAGS = {
+    "--config": {"required": True, "help": "INI config file"},
+    "--out": {"help": "output file (default: stdout)"},
+    "--format": {"choices": ("csv", "json")},
+    "--grid": {"type": int, "help": "override grid points per axis"},
+    "--refine": {
+        "action": "store_true",
+        "help": "sharpen reported maxima by log-grid zoom and a vertex step",
+    },
+}
+_FLAG_DEPARTURES = {
+    ("optimize", "--format"): {"choices": ("json",)},
+    ("figure2", "--config"): {"required": False},
+    ("figure3", "--config"): {"required": False},
+}
+_GRID_FLAGS = ("--config", "--out", "--format", "--grid", "--refine")
 
 
 def _build_parser() -> _Parser:
@@ -64,38 +83,23 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"ringsfwm {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for name, handler, config_required, help_text in (
-        ("rates", _cmd_rates, True, "rates/probabilities at a single design point"),
-        ("sweep", _cmd_sweep, True, "evaluate outputs on a coupling grid"),
-        ("optimize", _cmd_optimize, True, "report all optimal coupling conditions"),
-        ("schmidt", _cmd_schmidt, True, "Schmidt number at a point or on a grid"),
-        ("validate", _cmd_validate, False, "cross-validate analytic vs numeric optima"),
-        ("figure2", _cmd_figure2, False, "canned CW coupling scans (AlGaAs example)"),
-        ("figure3", _cmd_figure3, False, "canned pulsed coupling scans (AlGaAs example)"),
+    for name, handler, flags, help_text in (
+        ("rates", _cmd_rates, ("--config", "--out"),
+         "rates/probabilities at a single design point"),
+        ("sweep", _cmd_sweep, _GRID_FLAGS, "evaluate outputs on a coupling grid"),
+        ("optimize", _cmd_optimize, ("--config", "--out", "--format"),
+         "report all optimal coupling conditions"),
+        ("schmidt", _cmd_schmidt, ("--config", "--out", "--format", "--grid"),
+         "Schmidt number at a point or on a grid"),
+        ("validate", _cmd_validate, ("--out",), "cross-validate analytic vs numeric optima"),
+        ("figure2", _cmd_figure2, _GRID_FLAGS, "canned CW coupling scans (AlGaAs example)"),
+        ("figure3", _cmd_figure3, _GRID_FLAGS, "canned pulsed coupling scans (AlGaAs example)"),
     ):
         sub = subs.add_parser(name, help=help_text)
-        _add_common(sub, config_required)
+        for flag in flags:
+            sub.add_argument(flag, **{**_FLAGS[flag], **_FLAG_DEPARTURES.get((name, flag), {})})
         sub.set_defaults(handler=handler)
     return parser
-
-
-def _write_text(text: str, out) -> None:
-    if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-        return
-    try:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    except OSError as exc:
-        raise OSError(f"failed to write output to {out!s}: {exc}") from exc
-
-
-def _emit_result(result, args) -> None:
-    fmt = args.format or "json"
-    if args.out is None:
-        sys.stdout.write(render(result, fmt))
-    else:
-        emit(result, fmt, args.out)
 
 
 def _cmd_rates(args) -> int:
@@ -172,35 +176,29 @@ def _load_closed_form_config(path):
 
 
 def _cmd_sweep(args) -> int:
-    cp = _load_closed_form_config(args.config)
-    spec = sweep_spec_from_config(cp)
+    spec = sweep_spec_from_config(_load_closed_form_config(args.config))
+    return _write_sweep(spec, args, refine=args.refine)
+
+
+def _write_sweep(spec: SweepSpec, args, refine: bool) -> int:
+    """Run ``spec`` at ``--grid`` points per axis and write it in ``--format``."""
     if args.grid is not None:
-        spec = _with_grid(spec, args.grid)
-    result = run_sweep(spec, refine=args.refine)
-    _emit_result(result, args)
+        axis2 = None if spec.axis2 is None else replace(spec.axis2, n_points=args.grid)
+        spec = replace(spec, axis1=replace(spec.axis1, n_points=args.grid), axis2=axis2)
+    _write_text(render(run_sweep(spec, refine=refine), args.format or "json"), args.out)
     return 0
-
-
-def _with_grid(spec: SweepSpec, n: int) -> SweepSpec:
-    axis2 = None if spec.axis2 is None else replace(spec.axis2, n_points=n)
-    return replace(spec, axis1=replace(spec.axis1, n_points=n), axis2=axis2)
 
 
 def _cmd_optimize(args) -> int:
     cp = _load_closed_form_config(args.config)
     ring = ring_from_config(cp)
     gamma_c, _ = loss_rates_from_config(cp)
-    pump = pump_from_config(cp)
-    power = pump.power if pump.mode is PumpMode.CW else None
-    energy = pump.energy if pump.mode is PumpMode.PULSED else None
-    bandwidth = pump.bandwidth_factor if pump.mode is PumpMode.PULSED else None
+    pump = pump_from_config(cp)  # a CW pump has no energy, a pulsed one no power
+    drive = (ring, gamma_c, pump.power, pump.energy, pump.bandwidth_factor)
     if args.format == "json":
-        from .sweep import optima_table
-
-        table = optima_table(ring, gamma_c, power, energy, bandwidth)
-        _write_text(json.dumps({"optima": table}, indent=2), args.out)
+        _write_text(json.dumps({"optima": optima_table(*drive)}, indent=2), args.out)
     else:
-        _write_text(report_optima(ring, gamma_c, power, energy, bandwidth), args.out)
+        _write_text(report_optima(*drive), args.out)
     return 0
 
 
@@ -210,11 +208,9 @@ def _cmd_schmidt(args) -> int:
         spec = sweep_spec_from_config(cp)
         if "K" not in spec.outputs:
             raise ValueError("[sweep] outputs must include K for the schmidt command")
-        if args.grid is not None:
-            spec = _with_grid(spec, args.grid)
-        result = run_sweep(spec, refine=False)
-        _emit_result(result, args)
-        return 0
+        return _write_sweep(spec, args, refine=False)
+    if args.grid is not None or args.format is not None:
+        raise ValueError("--grid and --format apply to a [sweep] grid; the config has none")
     ring = ring_from_config(cp)
     cfg = point_config_from_config(cp)
     pump = pump_from_config(cp)

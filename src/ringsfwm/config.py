@@ -35,10 +35,17 @@ and are converted to angular frequencies (rad/s) on load.
 from __future__ import annotations
 
 import configparser
-import math
 from typing import Optional
 
-from .core import CouplingConfig, Geometry, PumpSpec, RingParams, _check_pump_loss
+from .core import (
+    TWO_PI,
+    CouplingConfig,
+    Geometry,
+    PumpSpec,
+    RingParams,
+    _config_from_couplings,
+    coupling_parameter_names,
+)
 from .pulsed import load_spectrum
 from .sweep import SweepAxis, SweepSpec
 
@@ -51,9 +58,6 @@ __all__ = [
     "sweep_spec_from_config",
     "coincidence_window_from_config",
 ]
-
-TWO_PI = 2.0 * math.pi
-
 
 def load_config(path) -> configparser.ConfigParser:
     parser = configparser.ConfigParser()
@@ -191,23 +195,11 @@ def point_config_from_config(cp: configparser.ConfigParser) -> CouplingConfig:
     """Coupling configuration for single-point commands (rates, schmidt)."""
     geometry = geometry_from_config(cp)
     gamma_c, tgamma_c = loss_rates_from_config(cp)
-
-    def knob(name: str) -> float:
-        value = _get_quantity(
-            cp,
-            "coupling",
-            {f"{name}_over_gamma_c": gamma_c, **_linewidth_choices(name)},
-        )
-        return value
-
-    _check_pump_loss(geometry, tgamma_c)
-    if geometry is Geometry.ALL_PASS_IDENTICAL:
-        return CouplingConfig.all_pass(knob("gamma_a"), gamma_c)
-    if geometry is Geometry.ADD_DROP_IDENTICAL:
-        return CouplingConfig.add_drop(knob("gamma_a"), knob("gamma_b"), gamma_c)
-    return CouplingConfig.distinct(
-        knob("tgamma_a"), knob("gamma_b"), gamma_c, tgamma_c=tgamma_c
-    )
+    couplings = [
+        _get_quantity(cp, "coupling", {f"{name}_over_gamma_c": gamma_c, **_linewidth_choices(name)})
+        for name in coupling_parameter_names(geometry)
+    ]
+    return _config_from_couplings(geometry, couplings, gamma_c, tgamma_c)
 
 
 def coincidence_window_from_config(
@@ -233,7 +225,7 @@ def _axis_from_config(
         start=cp.getfloat("sweep", f"{prefix}_min"),
         stop=cp.getfloat("sweep", f"{prefix}_max"),
         n_points=cp.getint("sweep", f"{prefix}_points"),
-        scale=cp.get("sweep", f"{prefix}_scale", fallback="log").strip(),
+        scale=cp.get("sweep", f"{prefix}_scale", fallback=SweepAxis.scale).strip(),
     )
 
 
@@ -257,6 +249,6 @@ def sweep_spec_from_config(cp: configparser.ConfigParser) -> SweepSpec:
         gamma_c=gamma_c,
         tgamma_c=tgamma_c,
         coincidence_window=coincidence_window_from_config(cp),
-        schmidt_points=cp.getint("sweep", "schmidt_points", fallback=192),
-        t_max_over_gamma=cp.getfloat("sweep", "t_max_over_gamma", fallback=20.0),
+        schmidt_points=cp.getint("sweep", "schmidt_points", fallback=SweepSpec.schmidt_points),
+        t_max_over_gamma=cp.getfloat("sweep", "t_max_over_gamma", fallback=SweepSpec.t_max_over_gamma),
     )

@@ -263,6 +263,29 @@ def _check_pump_loss(geometry: Geometry, tgamma_c: Optional[float]) -> None:
         )
 
 
+def coupling_parameter_names(geometry: Geometry) -> tuple[str, ...]:
+    """Free coupling knobs of a geometry, in record/axis order."""
+    if geometry is Geometry.ALL_PASS_IDENTICAL:
+        return ("gamma_a",)
+    if geometry is Geometry.ADD_DROP_IDENTICAL:
+        return ("gamma_a", "gamma_b")
+    return ("tgamma_a", "gamma_b")
+
+
+def _config_from_couplings(
+    geometry: Geometry, couplings, gamma_c: float, tgamma_c: Optional[float] = None
+) -> CouplingConfig:
+    """The one map from a geometry's free couplings [rad/s], in
+    :func:`coupling_parameter_names` order, to its :class:`CouplingConfig`;
+    ``tgamma_c`` (add-drop-distinct only) defaults to ``gamma_c``."""
+    _check_pump_loss(geometry, tgamma_c)
+    if geometry is Geometry.ALL_PASS_IDENTICAL:
+        return CouplingConfig.all_pass(couplings[0], gamma_c)
+    if geometry is Geometry.ADD_DROP_IDENTICAL:
+        return CouplingConfig.add_drop(couplings[0], couplings[1], gamma_c)
+    return CouplingConfig.distinct(couplings[0], couplings[1], gamma_c, tgamma_c=tgamma_c)
+
+
 def _point_rates(geometry: Geometry, point, gamma_c: float, tgamma_c: Optional[float] = None):
     """``(tgamma_a, gamma_mu, gamma, tgamma)`` [rad/s] at free couplings ``point``
     (units of ``gamma_c``; floats or arrays), without building a config: the
@@ -370,7 +393,8 @@ def quality_factors(ring: RingParams, cfg: CouplingConfig) -> tuple[float, float
 
 
 def _drive_cw(ring: RingParams, power: float) -> float:
-    """Pump strength n2*vg^2*omega0*P/(c*S*L) entering every CW rate [1/s^2]."""
+    """Pump strength n2*vg^2*omega0*P/(c*S*L) entering every CW rate [1/s^2];
+    with a pulse energy E for P, the strength [1/s] every pulsed one uses."""
     return (
         ring.n2 * ring.vg**2 * ring.omega0 * power
         / (C_VACUUM * ring.area * ring.circumference)
@@ -389,30 +413,41 @@ def rate_scale_R0(ring: RingParams, power: float, gamma_c: float) -> float:
     return drive * drive / gamma_c**3
 
 
+_NOT_BROADBAND = "broadband forms require delta_omega >= 5*tgamma, got delta_omega/tgamma = {:.3g}"
+_MARGINAL = "delta_omega = {:.3g}*tgamma < 10*tgamma: broadband closed forms are marginal here"
+
+
+def _broadband_rule(tgamma, delta_omega):
+    """``(holds, marginal)`` of the broadband-pump rule, on floats or arrays:
+    the flattop closed forms hold for ``delta_omega >= 5*tgamma`` and are
+    marginal where they hold below ``10*tgamma``."""
+    holds = delta_omega >= 5.0 * tgamma
+    return holds, holds & (delta_omega < 10.0 * tgamma)
+
+
 def prob_scale_p0(
     ring: RingParams, energy: float, bandwidth_factor: float, gamma_c: float
 ) -> float:
     """Coupling-independent per-pulse probability scale (dimensionless).
 
     ``p0 = (2*pi*n2*vg^2*omega0*E / (c*S*L*B*gamma_c))^2`` for a broadband
-    flattop pulse whose bandwidth is ``B`` pump linewidths.  Emits
-    :class:`BroadbandAssumptionWarning` for ``B < 10``, where the underlying
-    broadband approximation starts to degrade.
+    flattop pulse whose bandwidth is ``B`` pump linewidths, on the pump
+    strength of :func:`_drive_cw`.  Where :func:`_broadband_rule` fails or is
+    marginal at ``B`` (``B < 10``) it warns with
+    :class:`BroadbandAssumptionWarning`; it never raises on ``B``.
     """
     energy = _positive_finite("prob_scale_p0", "energy", energy)
     bandwidth_factor = _positive_finite("prob_scale_p0", "bandwidth_factor", bandwidth_factor)
     gamma_c = _positive_finite("prob_scale_p0", "gamma_c", gamma_c)
-    if bandwidth_factor < 10.0:
+    holds, marginal = _broadband_rule(1.0, bandwidth_factor)
+    if marginal or not holds:
         warnings.warn(
             f"bandwidth factor B = {bandwidth_factor:g} < 10: the broadband "
             "pump assumption (bandwidth >> pump linewidth) is weak",
             BroadbandAssumptionWarning,
             stacklevel=2,
         )
-    amp = (
-        TWO_PI * ring.n2 * ring.vg**2 * ring.omega0 * energy
-        / (C_VACUUM * ring.area * ring.circumference * bandwidth_factor * gamma_c)
-    )
+    amp = TWO_PI * _drive_cw(ring, energy) / (bandwidth_factor * gamma_c)
     return amp * amp
 
 

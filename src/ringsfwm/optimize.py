@@ -28,8 +28,9 @@ import numpy as np
 from .core import (
     CouplingConfig,
     Geometry,
-    _check_pump_loss,
+    _config_from_couplings,
     _point_rates,
+    coupling_parameter_names,
 )
 from .cw import _pair_rate_kernel, _single_rate_kernel
 from .pulsed import _pair_prob_kernel, _single_prob_kernel
@@ -113,15 +114,6 @@ def all_targets() -> list[tuple[Geometry, OptimizationTarget]]:
     ]
 
 
-def coupling_parameter_names(geometry: Geometry) -> tuple[str, ...]:
-    """Free coupling knobs of a geometry, in record/axis order."""
-    if geometry is Geometry.ALL_PASS_IDENTICAL:
-        return ("gamma_a",)
-    if geometry is Geometry.ADD_DROP_IDENTICAL:
-        return ("gamma_a", "gamma_b")
-    return ("tgamma_a", "gamma_b")
-
-
 def _check_point(geometry: Geometry, point) -> None:
     """Reject a wrong number of free couplings, or a negative or non-finite one."""
     n = len(coupling_parameter_names(geometry))
@@ -140,14 +132,7 @@ def config_from_point(
     """Coupling configuration from free parameters given in gamma_c units."""
     point = tuple(float(p) for p in point)
     _check_point(geometry, point)
-    _check_pump_loss(geometry, tgamma_c)
-    if geometry is Geometry.ALL_PASS_IDENTICAL:
-        return CouplingConfig.all_pass(point[0] * gamma_c, gamma_c)
-    if geometry is Geometry.ADD_DROP_IDENTICAL:
-        return CouplingConfig.add_drop(point[0] * gamma_c, point[1] * gamma_c, gamma_c)
-    return CouplingConfig.distinct(
-        point[0] * gamma_c, point[1] * gamma_c, gamma_c, tgamma_c=tgamma_c
-    )
+    return _config_from_couplings(geometry, [p * gamma_c for p in point], gamma_c, tgamma_c)
 
 
 def normalized_objective(

@@ -53,9 +53,12 @@ import numpy as np
 from .core import (
     TWO_PI,
     BroadbandAssumptionWarning,
-    C_VACUUM,
     CouplingConfig,
     RingParams,
+    _MARGINAL,
+    _NOT_BROADBAND,
+    _broadband_rule,
+    _drive_cw,
     _positive_finite,
 )
 
@@ -314,29 +317,22 @@ def effective_pump_lineshape(
     return complex(total / (half_t - 0.5j * omega_sum))
 
 
-_NOT_BROADBAND = "broadband forms require delta_omega >= 5*tgamma, got delta_omega/tgamma = {:.3g}"
-_MARGINAL = "delta_omega = {:.3g}*tgamma < 10*tgamma: broadband closed forms are marginal here"
+def _broadband_mask(tgamma, delta_omega, stacklevel: int = 3):
+    """:func:`ringsfwm.core._broadband_rule` on floats or arrays: True where
+    the broadband forms hold.  Warns once, for the smallest ratio, if any
+    such point is marginal, naming the frame ``stacklevel`` calls up."""
+    holds, marginal = _broadband_rule(tgamma, delta_omega)
+    if np.any(marginal):
+        ratio = np.min(np.asarray(delta_omega / tgamma)[marginal])
+        warnings.warn(_MARGINAL.format(ratio), BroadbandAssumptionWarning, stacklevel=stacklevel)
+    return holds
 
 
 def _require_broadband(tgamma: float, delta_omega: float) -> None:
-    if not delta_omega >= 5.0 * tgamma:
+    """Raise where :func:`_broadband_mask` is False; a marginal warning names
+    the caller of the public function that checks."""
+    if not _broadband_mask(tgamma, delta_omega, stacklevel=4):
         raise ValueError(_NOT_BROADBAND.format(delta_omega / tgamma))
-    if delta_omega < 10.0 * tgamma:
-        warnings.warn(
-            _MARGINAL.format(delta_omega / tgamma), BroadbandAssumptionWarning, stacklevel=3
-        )
-
-
-def _broadband_mask(tgamma: np.ndarray, delta_omega) -> np.ndarray:
-    """Per-point :func:`_require_broadband` on arrays: True where the broadband
-    forms hold.  Warns once, for the smallest ratio, if any such point is
-    marginal."""
-    ok = delta_omega >= 5.0 * tgamma
-    marginal = ok & (delta_omega < 10.0 * tgamma)
-    if marginal.any():
-        ratio = np.min((delta_omega / tgamma)[marginal])
-        warnings.warn(_MARGINAL.format(ratio), BroadbandAssumptionWarning, stacklevel=3)
-    return ok
 
 
 def flattop_lineshape_broadband(
@@ -354,11 +350,10 @@ def flattop_lineshape_broadband(
 
 
 def _drive_pulsed(ring: RingParams, energy: float, delta_omega: float) -> float:
-    """Pulse strength 2*pi*n2*vg^2*omega0*E/(c*S*L*delta_omega) [1/s]."""
-    return (
-        TWO_PI * ring.n2 * ring.vg**2 * ring.omega0 * energy
-        / (C_VACUUM * ring.area * ring.circumference * delta_omega)
-    )
+    """Pulse strength 2*pi*n2*vg^2*omega0*E/(c*S*L*delta_omega) [1/s]: the
+    pump strength of :func:`ringsfwm.core._drive_cw` at energy E, times
+    2*pi/delta_omega."""
+    return TWO_PI * _drive_cw(ring, energy) / delta_omega
 
 
 def pulsed_wavepacket(
@@ -437,11 +432,12 @@ def pulsed_pair_prob(
 def pulsed_observables(
     ring: RingParams, cfg: CouplingConfig, energy: float, delta_omega: float
 ) -> PulsedObservables:
-    ps = pulsed_single_prob(ring, cfg, energy, delta_omega)
+    ps = pulsed_single_prob(ring, cfg, energy, delta_omega)  # the one broadband check
+    y = _drive_pulsed(ring, energy, delta_omega)
     return PulsedObservables(
         ps=ps,
         pi=ps,
-        psi_pair=pulsed_pair_prob(ring, cfg, energy, delta_omega),
+        psi_pair=_pair_prob_kernel(cfg.tgamma_a, cfg.gamma_mu, cfg.gamma, cfg.tgamma, y),
         method=PulsedMethod.BROADBAND_CLOSED_FORM,
     )
 
@@ -562,9 +558,6 @@ def _single_prob_numeric(
     pts = sorted(p for p in [0.0, *ladder, *(-q for q in ladder)] if w_lo < p < w_hi)
     kernel, abserr = _adaptive_gauss_kronrod(outer_integrand, [w_lo, *pts, w_hi], epsrel)
 
-    drive = (
-        ring.n2 * ring.vg**2 * ring.omega0 * energy
-        / (C_VACUUM * ring.area * ring.circumference)
-    )
+    drive = _drive_cw(ring, energy)
     prefactor = cfg.tgamma_a**2 * cfg.gamma_mu * gamma / (4.0 * math.pi**2) * drive * drive
     return prefactor * kernel, abserr / kernel

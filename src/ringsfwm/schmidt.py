@@ -23,7 +23,7 @@ sweeps evaluate K per distinct ``r`` on one unit design
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,11 +53,14 @@ class WavepacketGrid:
     ``amplitudes`` the N x N matrix psi(t_s, t_i) [1/s], and ``weights`` the
     per-sample quadrature weights [s].  Real amplitudes are stored as float64
     and complex ones as complex128; neither need be symmetric.
+    ``weighted_norm`` is the trapezoid estimate of the double integral of
+    |psi|^2 (dimensionless), computed once.
     """
 
     t_axis: np.ndarray
     amplitudes: np.ndarray
     weights: np.ndarray
+    weighted_norm: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         # private copies: freezing them below must not freeze the caller's arrays
@@ -86,16 +89,11 @@ class WavepacketGrid:
         object.__setattr__(self, "t_axis", t)
         object.__setattr__(self, "amplitudes", a)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weighted_norm", norm)
 
     @property
     def n_points(self) -> int:
         return self.t_axis.size
-
-    @property
-    def weighted_norm(self) -> float:
-        """Trapezoid estimate of the double integral of |psi|^2 (dimensionless)."""
-        return float(np.einsum("i,j,ij->", self.weights, self.weights,
-                               np.abs(self.amplitudes) ** 2).real)
 
 
 @dataclass(frozen=True, eq=False)

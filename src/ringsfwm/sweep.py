@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -26,6 +27,7 @@ from .core import (
     PumpMode,
     PumpSpec,
     RingParams,
+    _NOT_BROADBAND,
     _check_pump_loss,
     _drive_cw,
     _point_rates,
@@ -42,13 +44,7 @@ from .optimize import (
     analytic_optimum,
     coupling_parameter_names,
 )
-from .pulsed import (
-    _NOT_BROADBAND,
-    _broadband_mask,
-    _drive_pulsed,
-    _pair_prob_kernel,
-    _single_prob_kernel,
-)
+from .pulsed import _broadband_mask, _drive_pulsed, _pair_prob_kernel, _single_prob_kernel
 from .schmidt import _schmidt_number_kernel
 
 __all__ = [
@@ -260,7 +256,7 @@ def run_sweep(spec: SweepSpec, *, refine: bool = False) -> SweepResult:
         if refine:
             best = _maximize(
                 lambda p: _evaluate(spec, output, p)[0], *best,
-                [(ax.stop / ax.start) ** (1.0 / (ax.n_points - 1)) for ax in axes],
+                [_cell_ratio(ax, p) for ax, p in zip(axes, best[0])],
                 [(ax.start, ax.stop) for ax in axes],
             )
         observed[output] = {"point_over_gamma_c": list(best[0]), "value": best[1]}
@@ -278,31 +274,30 @@ def run_sweep(spec: SweepSpec, *, refine: bool = False) -> SweepResult:
     return SweepResult(spec=spec, columns=tuple(columns), rows=rows, meta=meta)
 
 
+def _cell_ratio(axis: SweepAxis, p: float) -> float:
+    """Ratio ``r`` whose log window ``[p/r, p*r]`` spans +-1 grid cell around
+    the grid value ``p``; on a linear axis of step ``h``, ``p/(p - h)``."""
+    if axis.scale == "log":
+        return (axis.stop / axis.start) ** (1.0 / (axis.n_points - 1))
+    h = (axis.stop - axis.start) / (axis.n_points - 1)
+    return 1.0 + h / max(p - h, axis.start)  # the axis start bounds the first cell
+
+
 def _analytic_optima_meta(spec: SweepSpec) -> dict:
-    """Analytic optimum locations/values for the swept geometry and regime."""
-    regime = spec.pump_regime
-    if regime is PumpRegime.CW:
-        scale = rate_scale_R0(spec.ring, spec.pump.power, spec.gamma_c)
-        scale_name = "R0_per_s"
-        out_names = {Objective.ONE_PHOTON: "Rs", Objective.TWO_PHOTON: "Rsi"}
-    else:
-        if spec.pump.bandwidth_factor is not None:
-            scale = prob_scale_p0(
-                spec.ring, spec.pump.energy, spec.pump.bandwidth_factor, spec.gamma_c
-            )
-        else:
-            scale = None  # absolute-bandwidth pump: p0 is not defined
-        scale_name = "p0"
-        out_names = {Objective.ONE_PHOTON: "ps", Objective.TWO_PHOTON: "psi"}
-    optima = {"scale_name": scale_name, "scale_value": scale,
+    """Analytic optimum locations/values for the swept geometry and regime:
+    the :func:`optima_table` rows of that geometry and regime."""
+    pump = spec.pump
+    rows, r0, p0 = _optima(spec.ring, spec.gamma_c, pump.power, pump.energy, pump.bandwidth_factor)
+    cw = spec.pump_regime is PumpRegime.CW
+    scale = r0 if cw else p0  # None for an absolute-bandwidth pump: p0 is not defined
+    optima = {"scale_name": "R0_per_s" if cw else "p0", "scale_value": scale,
               "plot_normalization": None if scale is None else 0.5 * scale}
-    for obj, out in out_names.items():
-        rec = analytic_optimum(spec.geometry, OptimizationTarget(obj, regime))
-        optima[out] = {
-            "couplings_over_gamma_c": list(rec.couplings),
-            "peak_normalized": rec.peak_value,
-            "peak_absolute": None if scale is None else rec.peak_value * scale,
-        }
+    outputs = dict(zip((o.value for o in Objective), ("Rs", "Rsi") if cw else ("ps", "psi")))
+    for row in rows:
+        if (row["regime"], row["geometry"]) == (spec.pump_regime.value, spec.geometry.value):
+            optima[outputs[row["objective"]]] = {
+                key: row[key] for key in ("couplings_over_gamma_c", "peak_normalized", "peak_absolute")
+            }
     return optima
 
 
@@ -326,29 +321,28 @@ def render(result: SweepResult, fmt: str) -> str:
     raise ValueError(f"unknown emit format {fmt!r}; expected 'csv' or 'json'")
 
 
-def emit(result: SweepResult, fmt: str, path) -> None:
-    """Write a sweep result to ``path``; I/O failures carry the path context."""
-    text = render(result, fmt)
+def _write_text(text: str, out) -> None:
+    """The one output writer: ``text`` with a final newline, to stdout when
+    ``out`` is None, else to the file ``out``; I/O failures carry the path."""
+    text = text if text.endswith("\n") else text + "\n"
+    if out is None:
+        sys.stdout.write(text)
+        return
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise OSError(f"failed to write sweep output to {path!s}: {exc}") from exc
+        raise OSError(f"failed to write output to {out!s}: {exc}") from exc
 
 
-def optima_table(
-    ring: RingParams,
-    gamma_c: float,
-    power: Optional[float] = None,
-    energy: Optional[float] = None,
-    bandwidth_factor: Optional[float] = None,
-) -> list[dict]:
-    """All 12 analytic optima with absolute values for the supplied drive.
+def emit(result: SweepResult, fmt: str, path) -> None:
+    """Write a sweep result to ``path``; I/O failures carry the path context."""
+    _write_text(render(result, fmt), path)
 
-    CW rows get absolute rates when ``power`` is given; pulsed rows get
-    absolute per-pulse probabilities when ``energy`` and ``bandwidth_factor``
-    are given.
-    """
+
+def _optima(ring, gamma_c, power, energy, bandwidth_factor):
+    """The 12 optimum rows of :func:`optima_table` and the scales ``R0`` and
+    ``p0`` they use, each None where its drive is not given."""
     r0 = rate_scale_R0(ring, power, gamma_c) if power is not None else None
     p0 = (
         prob_scale_p0(ring, energy, bandwidth_factor, gamma_c)
@@ -374,7 +368,23 @@ def optima_table(
                         "absolute_unit": "1/s" if regime is PumpRegime.CW else "per pulse",
                     }
                 )
-    return rows
+    return rows, r0, p0
+
+
+def optima_table(
+    ring: RingParams,
+    gamma_c: float,
+    power: Optional[float] = None,
+    energy: Optional[float] = None,
+    bandwidth_factor: Optional[float] = None,
+) -> list[dict]:
+    """All 12 analytic optima with absolute values for the supplied drive.
+
+    CW rows get absolute rates when ``power`` is given; pulsed rows get
+    absolute per-pulse probabilities when ``energy`` and ``bandwidth_factor``
+    are given.
+    """
+    return _optima(ring, gamma_c, power, energy, bandwidth_factor)[0]
 
 
 def report_optima(
@@ -385,19 +395,17 @@ def report_optima(
     bandwidth_factor: Optional[float] = None,
 ) -> str:
     """Human-readable table of all 12 optimal coupling conditions."""
-    rows = optima_table(ring, gamma_c, power, energy, bandwidth_factor)
+    rows, r0, p0 = _optima(ring, gamma_c, power, energy, bandwidth_factor)
     lines = []
     qc = ring.omega0 / gamma_c
     lines.append(
         f"ring: Qc = {qc:.3g}, FSR = {ring.fsr / 1e9:.4g} GHz, "
         f"gamma_c/2pi = {gamma_c / TWO_PI / 1e6:.4g} MHz"
     )
-    if power is not None:
-        lines.append(f"CW scale: R0 = {rate_scale_R0(ring, power, gamma_c):.4g} 1/s")
-    if energy is not None and bandwidth_factor is not None:
-        lines.append(
-            f"pulse scale: p0 = {prob_scale_p0(ring, energy, bandwidth_factor, gamma_c):.4g}"
-        )
+    if r0 is not None:
+        lines.append(f"CW scale: R0 = {r0:.4g} 1/s")
+    if p0 is not None:
+        lines.append(f"pulse scale: p0 = {p0:.4g}")
     header = (
         f"{'regime':>15s}  {'geometry':>20s}  {'objective':>10s}  "
         f"{'couplings/gamma_c':>22s}  {'peak':>15s}  {'absolute':>20s}"

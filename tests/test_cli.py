@@ -1,9 +1,14 @@
 """Command-line interface: subcommands, exit codes, and golden parity with
 direct library evaluation."""
 
+import argparse
+import collections
 import json
+import re
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -11,11 +16,13 @@ from ringsfwm import (
     CouplingConfig,
     TabulatedSpectrum,
     cw_observables,
+    optima_table,
     pulsed_single_prob,
     pulsed_single_prob_numeric,
     save_spectrum,
 )
-from ringsfwm.cli import main
+from ringsfwm.cli import _build_parser, main
+from ringsfwm.config import load_config, loss_rates_from_config, pump_from_config, ring_from_config
 
 from conftest import write_config
 
@@ -122,6 +129,29 @@ class TestRates:
         assert "spectrum_file" in capsys.readouterr().err
 
 
+class TestOptimizeCommand:
+    def test_json_rows_equal_optima_table(self, cw_config, capsys):
+        cp = load_config(cw_config)
+        expected = optima_table(
+            ring_from_config(cp), loss_rates_from_config(cp)[0], power=pump_from_config(cp).power
+        )
+        assert main(["optimize", "--config", str(cw_config), "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["optima"]
+        assert len(rows) == 12
+        assert rows == expected
+
+    def test_text_report_has_twelve_rows(self, cw_config, capsys):
+        assert main(["optimize", "--config", str(cw_config)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rule = next(i for i, line in enumerate(lines) if set(line) == {"-"})
+        assert len(lines[rule + 1:]) == 12
+
+    def test_csv_format_rejected(self, cw_config, capsys):
+        """The optimum report has no CSV form."""
+        assert main(["optimize", "--config", str(cw_config), "--format", "csv"]) == 1
+        assert "invalid choice" in capsys.readouterr().err
+
+
 class TestSweepCommand:
     def test_csv_output(self, cw_config, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -148,6 +178,12 @@ class TestSchmidtCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["K"] == pytest.approx(1.119, abs=5e-3)
         assert report["K_minus_1"] == pytest.approx(report["K"] - 1.0)
+
+    @pytest.mark.parametrize("flag", [["--grid", "24"], ["--format", "csv"]])
+    def test_point_mode_rejects_grid_flags(self, pulsed_config, capsys, flag):
+        """Without a [sweep] section there is no grid to size or format."""
+        assert main(["schmidt", "--config", str(pulsed_config), *flag]) == 1
+        assert "[sweep]" in capsys.readouterr().err
 
     def test_grid_mode(self, tmp_path, capsys):
         cfg = write_config(
@@ -219,6 +255,24 @@ class TestExitCodes:
     def test_unknown_flag_is_validation_error(self, capsys):
         assert main(["sweep", "--no-such-flag"]) == 1
 
+    @pytest.mark.parametrize("command, flag", [
+        ("rates", ["--format", "json"]),
+        ("rates", ["--grid", "5"]),
+        ("rates", ["--refine"]),
+        ("optimize", ["--grid", "5"]),
+        ("optimize", ["--refine"]),
+        ("schmidt", ["--refine"]),
+        ("validate", ["--config", "/nonexistent.ini"]),
+        ("validate", ["--format", "csv"]),
+        ("validate", ["--grid", "3"]),
+        ("validate", ["--refine"]),
+    ])
+    def test_unhonoured_flag_rejected(self, pulsed_config, capsys, command, flag):
+        """A subcommand accepts only the flags it acts on."""
+        config = [] if command == "validate" else ["--config", str(pulsed_config)]
+        assert main([command, *config, *flag]) == 1
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
     def test_missing_config_file_is_io_error(self):
         assert main(["rates", "--config", "/nonexistent/x.ini"]) == 3
 
@@ -278,3 +332,37 @@ class TestModuleEntryPoint:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["rates", "optimize"])
+def test_each_warning_once_per_command(tmp_path, capsys, command):
+    """A marginal bandwidth (B = 7) is reported once per distinct message,
+    even with no de-duplication by the warnings filter."""
+    cfg = write_config(
+        tmp_path / "b7.ini",
+        geometry="add-drop-distinct",
+        knobs="tgamma_a_over_gamma_c = 1.37\ngamma_b_over_gamma_c = 1.83",
+        pump="mode = pulsed\npulse_energy_pj = 0.1\nbandwidth_factor = 7",
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", str(cfg)]) == 0
+    counts = collections.Counter(str(w.message) for w in caught)
+    assert any("B = 7 < 10" in message for message in counts)
+    assert set(counts.values()) == {1}, counts
+
+
+def test_readme_flag_table_matches_parser():
+    """The README's subcommand table lists exactly each subcommand's flags."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    documented = {
+        m[1]: set(re.findall(r"--[a-z-]+", m[2]))
+        for m in re.finditer(r"^\| `(\w+)` +\|[^|\n]*\|([^|\n]*)\|$", readme, re.MULTILINE)
+    }
+    parser = _build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {
+        name: {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, sub in subs.choices.items()
+    }
+    assert documented == declared

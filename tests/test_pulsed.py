@@ -1,10 +1,13 @@
 """Pulsed-pump lineshapes, wavepacket, and per-pulse probabilities."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
 import ringsfwm.pulsed as pulsed
@@ -181,6 +184,63 @@ class TestBroadbandLineshape:
             flattop_lineshape_broadband(1.0e9, 4.9e9, 0.0)
         with pytest.warns(BroadbandAssumptionWarning):
             flattop_lineshape_broadband(1.0e9, 7.0e9, 0.0)
+
+
+def _outcome(call, *args):
+    """``(result, warning messages)`` of one call, warnings unfiltered; the
+    result is the ValueError if it raised one."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = call(*args)
+        except ValueError as exc:
+            result = exc
+    return result, [str(w.message) for w in caught]
+
+
+@settings(max_examples=200, deadline=None)
+@given(tgamma=st.floats(1e-3, 1e12), ratio=st.floats(0.0, 30.0))
+@example(tgamma=1.0, ratio=5.0)
+@example(tgamma=1.7e9, ratio=5.0)
+@example(tgamma=1.0, ratio=10.0)
+@example(tgamma=1.7e9, ratio=10.0)
+def test_scalar_rule_is_the_array_mask(tgamma, ratio):
+    """The scalar check raises exactly where the array mask is False and
+    warns, with the mask's message, exactly where the rule is marginal;
+    p0 at B = ratio warns wherever either applies and never raises."""
+    delta_omega = ratio * tgamma
+    mask, mask_warnings = _outcome(pulsed._broadband_mask, np.array([tgamma]), delta_omega)
+    holds = bool(mask[0])
+    scalar, scalar_warnings = _outcome(pulsed._require_broadband, tgamma, delta_omega)
+    assert isinstance(scalar, ValueError) == (not holds)
+    assert scalar_warnings == mask_warnings
+    assert len(mask_warnings) == (holds and delta_omega < 10.0 * tgamma)
+    if ratio > 0.0:
+        p0, p0_warnings = _outcome(prob_scale_p0, _UNIT_RING, 1.0, ratio, 1.0)
+        assert p0 > 0.0
+        assert len(p0_warnings) == (not holds or bool(mask_warnings))
+
+
+@pytest.mark.parametrize("function", [
+    pulsed_single_prob, pulsed_pair_prob, pulsed_observables, pulsed_accidental_prob,
+])
+def test_marginal_warning_once_per_call(function):
+    """Each public probability checks the broadband rule once per call."""
+    cfg = CouplingConfig.all_pass(1.0, 1.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        function(_UNIT_RING, cfg, 1e-3, 7.0 * cfg.tgamma)
+    assert [w.category for w in caught] == [BroadbandAssumptionWarning]
+
+
+def test_marginal_warning_names_the_caller():
+    """The scalar check reports at the line that called the public function."""
+    cfg = CouplingConfig.all_pass(1.0, 1.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pulsed_single_prob(_UNIT_RING, cfg, 1e-3, 7.0 * cfg.tgamma)
+        flattop_lineshape_broadband(1.0, 7.0, 0.0)
+    assert [w.filename for w in caught] == [__file__, __file__]
 
 
 class TestEffectivePumpLineshape:

@@ -242,6 +242,19 @@ class TestRunSweep:
                 assert seen[output]["value"] == pytest.approx(rec.peak_value * r0, rel=1e-7)
                 assert seen[output]["point_over_gamma_c"] == pytest.approx(rec.couplings, rel=1e-7)
 
+    @pytest.mark.parametrize("axis", [
+        SweepAxis("gamma_a", 0.2, 50.0, 6, "linear"),
+        SweepAxis("gamma_a", 0.01, 100.0, 11, "linear"),
+    ])
+    def test_refined_maximum_on_linear_axis(self, algaas, axis):
+        """The best grid point is the axis start, one coarse linear cell
+        below the optimum gamma_a = gamma_c; the first zoom window spans
+        that whole cell."""
+        ring, gc = algaas
+        spec = SweepSpec(Geometry.ALL_PASS_IDENTICAL, axis, None, ("Rs",), ring, PUMP_CW, gc)
+        seen = run_sweep(spec, refine=True).meta["observed_maxima"]["Rs"]
+        assert seen["point_over_gamma_c"] == pytest.approx([1.0], rel=1e-7)
+
     def test_meta_carries_analytic_optima(self, algaas):
         ring, gc = algaas
         result = run_sweep(allpass_spec(ring, gc, n=10))
