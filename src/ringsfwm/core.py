@@ -288,9 +288,9 @@ def _config_from_couplings(
 
 def _point_rates(geometry: Geometry, point, gamma_c: float, tgamma_c: Optional[float] = None):
     """``(tgamma_a, gamma_mu, gamma, tgamma)`` [rad/s] at free couplings ``point``
-    (units of ``gamma_c``; floats or arrays), without building a config: the
-    constraints of the :class:`CouplingConfig` constructors, summed in the
-    order of its properties so each value rounds as that config's would."""
+    (units of ``gamma_c``; floats, arrays or Fractions), without building a
+    config: the constraints of the :class:`CouplingConfig` constructors, summed
+    in the order of its properties so each value rounds as that config's would."""
     x = point[0] * gamma_c
     if geometry is Geometry.ALL_PASS_IDENTICAL:
         total = x + gamma_c

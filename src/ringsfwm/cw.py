@@ -17,6 +17,7 @@ wavepacket is returned real and non-negative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -56,17 +57,18 @@ class CwObservables:
             )
 
 
-# Rate kernels on (tgamma_a, gamma_mu, gamma, tgamma) and the drive d, for floats
-# or arrays alike.  Powers are grouped products because ``**`` rounds differently
-# on floats (libm pow) and on arrays; + - * / round the same on both.
+# Rate kernels on (tgamma_a, gamma_mu, gamma, tgamma) and the drive d, for floats,
+# arrays or Fractions (exactly) alike.  Powers are grouped products because ``**``
+# rounds differently on floats (libm pow) and on arrays; + - * / round the same
+# on both.
 def _single_rate_kernel(ta, gmu, g, tg, d):
     tg2 = tg * tg
-    return 32.0 * (ta * ta) * gmu / ((tg2 * tg2) * (g * g)) * d * d
+    return 32 * (ta * ta) * gmu / ((tg2 * tg2) * (g * g)) * d * d
 
 
 def _pair_rate_kernel(ta, gmu, g, tg, d):
     tg2 = tg * tg
-    return 32.0 * (ta * ta) * (gmu * gmu) / ((tg2 * tg2) * (g * g * g)) * d * d
+    return 32 * (ta * ta) * (gmu * gmu) / ((tg2 * tg2) * (g * g * g)) * d * d
 
 
 def cw_single_rate(ring: RingParams, cfg: CouplingConfig, power: float) -> float:
@@ -148,10 +150,6 @@ def cw_accidentals_and_car(
         raise ValueError(_CAR_UNDEFINED) from None
 
 
-# Peak of the all-pass pair rate, 32*x^4/(1+x)^7 at x = 4/3, in units of R0.
-_ALLPASS_PAIR_PEAK = 221184 / 823543
-
-
 def tolerance_band(frac: float = 0.5) -> tuple[float, float]:
     """Coupling interval over which an all-pass ring keeps BOTH CW rates high.
 
@@ -170,7 +168,8 @@ def tolerance_band(frac: float = 0.5) -> tuple[float, float]:
         raise ValueError(f"tolerance_band requires 0 < frac < 1, got {frac!r}")
     c = (frac / 64.0) ** (1.0 / 3.0)
     singles_hi = (1.0 - 2.0 * c + np.sqrt(1.0 - 4.0 * c)) / (2.0 * c)
-    level = frac * _ALLPASS_PAIR_PEAK
+    x = Fraction(4, 3)  # argmax of the pair rate
+    level = frac * float(_pair_rate_kernel(x, x, x + 1, x + 1, 1))
     # level*(1+x)^7 - 32*x^4, highest power first
     poly = level * np.array([1.0, 7.0, 21.0, 35.0, 35.0, 21.0, 7.0, 1.0])
     poly[3] -= 32.0

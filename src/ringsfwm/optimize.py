@@ -1,12 +1,12 @@
 """Optimal coupling rates per geometry and target.
 
-Analytic optima (exact rationals where they exist) are tabulated; a
-derivative-free numeric maximizer re-derives each optimum from the
-closed-form rate/probability kernels, and :func:`cross_validate_optima` diffs
-the two routes.  The maximizer scans a log grid in one call of an array
-objective, zooms in on the best cell with finer log grids and ends with a
-parabolic vertex step; the same zoom sharpens the observed maxima of
-coupling sweeps.
+Analytic optima are tabulated as couplings (exact rationals, or the roots of
+cubics) and their peaks are the closed-form rate/probability kernels there; a
+derivative-free numeric maximizer re-derives each optimum from the same
+kernels, and :func:`cross_validate_optima` diffs the two routes.  The
+maximizer scans a log grid in one call of an array objective, zooms in on the
+best cell with finer log grids and ends with a parabolic vertex step; the same
+zoom sharpens the observed maxima of coupling sweeps.
 
 Everything is optimized in normalized units: couplings in multiples of the
 intrinsic loss ``gamma_c`` and objectives in units of the scale factors R0
@@ -135,6 +135,18 @@ def config_from_point(
     return _config_from_couplings(geometry, [p * gamma_c for p in point], gamma_c, tgamma_c)
 
 
+def _normalized_value(geometry: Geometry, target: OptimizationTarget, point):
+    """The rate kernel of ``target`` at free couplings ``point`` in gamma_c
+    units: floats, equal-shape arrays or ``Fraction``s (then exact)."""
+    one = target.objective is Objective.ONE_PHOTON
+    ta, gmu, g, tg = _point_rates(geometry, point, 1)
+    if target.pump_regime is PumpRegime.CW:
+        # R/R0 = kernel(..., d)/d^2 = kernel(..., 1) at gamma_c = 1
+        return (_single_rate_kernel if one else _pair_rate_kernel)(ta, gmu, g, tg, 1)
+    # p/p0 = kernel(..., y)/(y*tgamma/gamma_c)^2 = kernel(..., gamma_c/tgamma)
+    return (_single_prob_kernel if one else _pair_prob_kernel)(ta, gmu, g, tg, 1 / tg)
+
+
 def normalized_objective(
     geometry: Geometry, target: OptimizationTarget
 ) -> Callable[[Sequence], object]:
@@ -148,86 +160,71 @@ def normalized_objective(
     linewidth).  Each value equals the library function's on the matching
     :class:`CouplingConfig`.
     """
-    one = target.objective is Objective.ONE_PHOTON
-    if target.pump_regime is PumpRegime.CW:
-        kernel = _single_rate_kernel if one else _pair_rate_kernel
 
-        def objective(point):
-            _check_point(geometry, point)
-            # R/R0 = kernel(..., d)/d^2 = kernel(..., 1) at gamma_c = 1
-            return kernel(*_point_rates(geometry, point, 1.0), 1.0)
-
-    else:
-        kernel = _single_prob_kernel if one else _pair_prob_kernel
-
-        def objective(point):
-            _check_point(geometry, point)
-            ta, gmu, g, tg = _point_rates(geometry, point, 1.0)
-            # p/p0 = kernel(..., y)/(y*tgamma/gamma_c)^2 = kernel(..., gamma_c/tgamma)
-            return kernel(ta, gmu, g, tg, 1.0 / tg)
+    def objective(point):
+        _check_point(geometry, point)
+        return _normalized_value(geometry, target, point)
 
     return objective
 
 
-# Distinct-coupling pulsed optima have no rational closed form; these peaks
-# solve the stationarity conditions of the normalized per-pulse probabilities
-# to double precision.  The table quotes their couplings to two decimals, the
-# customary precision for the argmax, which is flat at the 1e-5 level there.
-_DISTINCT_PULSED_SINGLES_PEAK = 0.017533154899126
-_DISTINCT_PULSED_PAIRS_PEAK = 0.012480560984425
+def _largest_root(a: float, b: float, c: float) -> float:
+    """Largest root of ``y^3 + a*y^2 + b*y + c`` when all three are real
+    (trigonometric form; ``numpy.roots`` would page in LAPACK)."""
+    p = b - a * a / 3
+    q = 2 * a**3 / 27 - a * b / 3 + c
+    m = 2 * math.sqrt(-p / 3)
+    return m * math.cos(math.acos(3 * q / (p * m)) / 3) - a / 3
+
+
+# Distinct-coupler pulsed optima (x, y) = (tgamma_a, gamma_b)/gamma_c.  The
+# y-stationarity condition gives x in terms of y; the x-condition then leaves
+# a cubic in y.  Singles: x = y^2 - 2, 2y^3 - y^2 - 6y + 2 = 0.  Pairs:
+# x = (y^2 - y - 4)/2, y^3 - 2y^2 - 5y + 4 = 0.
+_Y1 = _largest_root(-1 / 2, -3, 1)
+_Y2 = _largest_root(-2, -5, 4)
 
 _F = Fraction
 
-_ANALYTIC_TABLE: dict[
-    tuple[Geometry, Objective, PumpRegime],
-    tuple[tuple, object],
-] = {
-    # CW: rates in units of R0.
-    (Geometry.ALL_PASS_IDENTICAL, Objective.ONE_PHOTON, PumpRegime.CW):
-        ((_F(1),), _F(1, 2)),
-    (Geometry.ALL_PASS_IDENTICAL, Objective.TWO_PHOTON, PumpRegime.CW):
-        ((_F(4, 3),), _F(221184, 823543)),
-    (Geometry.ADD_DROP_IDENTICAL, Objective.ONE_PHOTON, PumpRegime.CW):
-        ((_F(2, 3), _F(1, 3)), _F(2, 27)),
-    (Geometry.ADD_DROP_IDENTICAL, Objective.TWO_PHOTON, PumpRegime.CW):
-        ((_F(2, 3), _F(2, 3)), _F(13824, 823543)),
-    (Geometry.ADD_DROP_DISTINCT, Objective.ONE_PHOTON, PumpRegime.CW):
-        ((_F(1), _F(1)), _F(1, 2)),
-    (Geometry.ADD_DROP_DISTINCT, Objective.TWO_PHOTON, PumpRegime.CW):
-        ((_F(1), _F(2)), _F(8, 27)),
-    # Broadband pulse: probabilities in units of p0.
-    (Geometry.ALL_PASS_IDENTICAL, Objective.ONE_PHOTON, PumpRegime.BROADBAND_PULSE):
-        ((_F(3, 2),), _F(54, 3125)),
-    (Geometry.ALL_PASS_IDENTICAL, Objective.TWO_PHOTON, PumpRegime.BROADBAND_PULSE):
-        ((_F(2),), _F(8, 729)),
+# The argmax of each (geometry, objective, regime); its peak is the kernel there.
+_ANALYTIC_TABLE: dict[tuple[Geometry, Objective, PumpRegime], tuple] = {
+    (Geometry.ALL_PASS_IDENTICAL, Objective.ONE_PHOTON, PumpRegime.CW): (_F(1),),
+    (Geometry.ALL_PASS_IDENTICAL, Objective.TWO_PHOTON, PumpRegime.CW): (_F(4, 3),),
+    (Geometry.ADD_DROP_IDENTICAL, Objective.ONE_PHOTON, PumpRegime.CW): (_F(2, 3), _F(1, 3)),
+    (Geometry.ADD_DROP_IDENTICAL, Objective.TWO_PHOTON, PumpRegime.CW): (_F(2, 3), _F(2, 3)),
+    (Geometry.ADD_DROP_DISTINCT, Objective.ONE_PHOTON, PumpRegime.CW): (_F(1), _F(1)),
+    (Geometry.ADD_DROP_DISTINCT, Objective.TWO_PHOTON, PumpRegime.CW): (_F(1), _F(2)),
+    (Geometry.ALL_PASS_IDENTICAL, Objective.ONE_PHOTON, PumpRegime.BROADBAND_PULSE): (_F(3, 2),),
+    (Geometry.ALL_PASS_IDENTICAL, Objective.TWO_PHOTON, PumpRegime.BROADBAND_PULSE): (_F(2),),
     (Geometry.ADD_DROP_IDENTICAL, Objective.ONE_PHOTON, PumpRegime.BROADBAND_PULSE):
-        ((_F(1), _F(1, 2)), _F(8, 3125)),
+        (_F(1), _F(1, 2)),
     (Geometry.ADD_DROP_IDENTICAL, Objective.TWO_PHOTON, PumpRegime.BROADBAND_PULSE):
-        ((_F(1), _F(1)), _F(1, 1458)),
+        (_F(1), _F(1)),
     (Geometry.ADD_DROP_DISTINCT, Objective.ONE_PHOTON, PumpRegime.BROADBAND_PULSE):
-        ((1.37, 1.83), _DISTINCT_PULSED_SINGLES_PEAK),
+        (_Y1 * _Y1 - 2, _Y1),
     (Geometry.ADD_DROP_DISTINCT, Objective.TWO_PHOTON, PumpRegime.BROADBAND_PULSE):
-        ((1.46, 3.17), _DISTINCT_PULSED_PAIRS_PEAK),
+        ((_Y2 * _Y2 - _Y2 - 4) / 2, _Y2),
 }
 
 
 def analytic_optimum(geometry: Geometry, target: OptimizationTarget) -> OptimumRecord:
-    """Tabulated optimal couplings and peak for (geometry, objective, regime).
+    """Tabulated optimal couplings for (geometry, objective, regime) and the
+    objective's value there.
 
     CW and identical-coupling pulsed entries are exact rationals (also exposed
     through ``couplings_exact``/``peak_value_exact``); the distinct-coupling
-    pulsed entries carry numerically solved constants, with couplings quoted
-    to two decimals.
+    pulsed couplings are the roots of cubics, to double precision.
     """
-    couplings, value = _ANALYTIC_TABLE[(geometry, target.objective, target.pump_regime)]
-    exact = all(isinstance(c, Fraction) for c in couplings) and isinstance(value, Fraction)
+    couplings = _ANALYTIC_TABLE[(geometry, target.objective, target.pump_regime)]
+    value = _normalized_value(geometry, target, couplings)
+    exact = isinstance(value, Fraction)
     return OptimumRecord(
         geometry=geometry,
         target=target,
         couplings=tuple(float(c) for c in couplings),
         peak_value=float(value),
         source=Source.ANALYTIC,
-        couplings_exact=tuple(couplings) if exact else None,
+        couplings_exact=couplings if exact else None,
         peak_value_exact=value if exact else None,
     )
 
@@ -441,34 +438,14 @@ class CrossValidationReport:
         return "\n".join(lines)
 
 
-def cross_validate_optima(
-    overrides: Optional[dict] = None,
-) -> CrossValidationReport:
-    """Re-derive all 12 optima numerically and diff against the analytic table.
-
-    Exact-rational entries are held to 1e-3*gamma_c on couplings and 1e-6
-    relative on peak values; the stored-numeric (distinct pulsed) entries to
-    0.01*gamma_c and 1e-3.  ``overrides`` may map
-    ``(geometry, objective, regime)`` to ``(couplings, peak_value)`` to
-    replace an analytic entry (fault injection / what-if checks).
-    """
-    overrides = overrides or {}
+def cross_validate_optima() -> CrossValidationReport:
+    """Re-derive all 12 optima numerically and diff against the analytic table:
+    couplings to 1e-3*gamma_c, peak values to 1e-6 relative."""
+    ctol, vtol = 1e-3, 1e-6
     entries = []
     for geometry, target in all_targets():
         analytic = analytic_optimum(geometry, target)
-        key = (geometry, target.objective, target.pump_regime)
-        if key in overrides:
-            couplings, value = overrides[key]
-            analytic = OptimumRecord(
-                geometry=geometry,
-                target=target,
-                couplings=tuple(float(c) for c in couplings),
-                peak_value=float(value),
-                source=Source.ANALYTIC,
-            )
         numeric = numeric_optimum(geometry, target)
-        stored_numeric = analytic.peak_value_exact is None
-        ctol, vtol = (0.01, 1e-3) if stored_numeric else (1e-3, 1e-6)
         cerr = max(
             abs(a - n) for a, n in zip(analytic.couplings, numeric.couplings)
         )

@@ -402,7 +402,8 @@ def pulsed_wavepacket(
 
 
 # Probability kernels on (tgamma_a, gamma_mu, gamma, tgamma) and the pulse
-# strength y, for floats or arrays alike; + - * / only, as in the CW kernels.
+# strength y, for floats, arrays or Fractions alike; + - * / only, as in the
+# CW kernels.
 def _single_prob_kernel(ta, gmu, g, tg, y):
     return (ta * ta) * gmu / (tg * g * (tg + g)) * y * y
 
@@ -432,8 +433,9 @@ def pulsed_pair_prob(
 def pulsed_observables(
     ring: RingParams, cfg: CouplingConfig, energy: float, delta_omega: float
 ) -> PulsedObservables:
-    ps = pulsed_single_prob(ring, cfg, energy, delta_omega)  # the one broadband check
+    _require_broadband(cfg.tgamma, delta_omega)
     y = _drive_pulsed(ring, energy, delta_omega)
+    ps = _single_prob_kernel(cfg.tgamma_a, cfg.gamma_mu, cfg.gamma, cfg.tgamma, y)
     return PulsedObservables(
         ps=ps,
         pi=ps,
@@ -446,7 +448,9 @@ def pulsed_accidental_prob(
     ring: RingParams, cfg: CouplingConfig, energy: float, delta_omega: float
 ) -> float:
     """Per-pulse accidental-coincidence probability p_acc = p_s * p_i."""
-    ps = pulsed_single_prob(ring, cfg, energy, delta_omega)
+    _require_broadband(cfg.tgamma, delta_omega)
+    y = _drive_pulsed(ring, energy, delta_omega)
+    ps = _single_prob_kernel(cfg.tgamma_a, cfg.gamma_mu, cfg.gamma, cfg.tgamma, y)
     return ps * ps
 
 

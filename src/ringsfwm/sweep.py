@@ -28,6 +28,7 @@ from .core import (
     PumpSpec,
     RingParams,
     _NOT_BROADBAND,
+    _broadband_rule,
     _check_pump_loss,
     _drive_cw,
     _point_rates,
@@ -193,7 +194,7 @@ def _evaluate(spec: SweepSpec, output: str, point) -> tuple[np.ndarray, dict[int
     ring, pump = spec.ring, spec.pump
     if pump.mode is PumpMode.PULSED:
         delta_omega = pump.delta_omega_for(tg)
-        ok = _broadband_mask(tg, delta_omega)
+        ok = _broadband_rule(tg, delta_omega)[0]
         why = [_NOT_BROADBAND.format(r) for r in (delta_omega / tg)[~ok].tolist()]
         if output == "K":
             values = np.full(ok.shape, np.nan)
@@ -238,6 +239,12 @@ def run_sweep(spec: SweepSpec, *, refine: bool = False) -> SweepResult:
     names = coupling_parameter_names(spec.geometry)
     columns = {f"{n}_over_gamma_c": a.tolist() for n, a in zip(names, point)}
     errors: list[Optional[str]] = [None] * point[0].size
+    if spec.pump.mode is PumpMode.PULSED:
+        # One marginal-bandwidth warning per call, naming the caller.  tgamma
+        # grows with every coupling, so the grid corner bounds delta_omega/tgamma
+        # over the swept box, and the refining zoom needs no check of its own.
+        tg = _point_rates(spec.geometry, point, spec.gamma_c, spec.tgamma_c)[3]
+        _broadband_mask(tg, spec.pump.delta_omega_for(tg))
     observed = {}
     for output in spec.outputs:
         values, failures = _evaluate(spec, output, point)

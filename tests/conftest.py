@@ -7,6 +7,7 @@ and spectral integrals are done with their own mapped adaptive rules.
 
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -14,6 +15,7 @@ from scipy.integrate import IntegrationWarning, quad
 
 from ringsfwm import (
     CouplingConfig,
+    Objective,
     cw_wavepacket,
     flattop_lineshape_broadband,
     pulsed_wavepacket,
@@ -152,6 +154,28 @@ def effective_pump_lineshape_quadrature(spectrum, tgamma, omega_sum, epsrel=1e-9
             )
             parts.append(val)
     return complex(parts[0], parts[1])
+
+
+def solve_distinct_pulsed_optimum(objective):
+    """Arbitrary-precision solution of the stationarity conditions of the
+    normalized per-pulse probabilities for the distinct geometry."""
+    mp.mp.dps = 30
+    if objective is Objective.ONE_PHOTON:
+        eqs = lambda x, y: (  # noqa: E731
+            2 / x - 3 / (x + 1) - 1 / (x + y + 2),
+            1 / y - 1 / (y + 1) - 1 / (x + y + 2),
+        )
+        value = lambda x, y: x**2 * y / ((x + 1) ** 3 * (y + 1) * (x + y + 2))  # noqa: E731
+        seed = (mp.mpf("1.4"), mp.mpf("1.8"))
+    else:
+        eqs = lambda x, y: (  # noqa: E731
+            2 / x - 3 / (x + 1) - 1 / (x + y + 2),
+            2 / y - 2 / (y + 1) - 1 / (x + y + 2),
+        )
+        value = lambda x, y: x**2 * y**2 / ((x + 1) ** 3 * (y + 1) ** 2 * (x + y + 2))  # noqa: E731
+        seed = (mp.mpf("1.5"), mp.mpf("3.2"))
+    x, y = mp.findroot(lambda x, y: eqs(x, y), seed)
+    return (float(x), float(y)), float(value(x, y))
 
 
 def parabola_argmax(f, grid, refinements=(1e-2, 1e-4)):

@@ -3,6 +3,7 @@ direct library evaluation."""
 
 import argparse
 import collections
+import dataclasses
 import json
 import re
 import subprocess
@@ -14,6 +15,7 @@ import pytest
 
 from ringsfwm import (
     CouplingConfig,
+    Objective,
     TabulatedSpectrum,
     cw_observables,
     optima_table,
@@ -24,7 +26,7 @@ from ringsfwm import (
 from ringsfwm.cli import _build_parser, main
 from ringsfwm.config import load_config, loss_rates_from_config, pump_from_config, ring_from_config
 
-from conftest import write_config
+from conftest import solve_distinct_pulsed_optimum, write_config
 
 
 @pytest.fixture()
@@ -220,24 +222,23 @@ class TestValidateCommand:
         assert "12/12" in out
 
     def test_mismatch_exits_with_computation_failure(self, capsys, monkeypatch):
-        import ringsfwm.cli as cli_mod
-        from ringsfwm import Geometry, Objective, PumpRegime, analytic_optimum
-        from ringsfwm.optimize import OptimizationTarget, cross_validate_optima
+        import ringsfwm.optimize as optimize_mod
+        from ringsfwm import Geometry, PumpRegime
+        from ringsfwm.optimize import OptimizationTarget
 
-        clean = analytic_optimum(
-            Geometry.ALL_PASS_IDENTICAL,
-            OptimizationTarget(Objective.ONE_PHOTON, PumpRegime.CW),
-        )
-        key = (Geometry.ALL_PASS_IDENTICAL, Objective.ONE_PHOTON, PumpRegime.CW)
+        clean = optimize_mod.analytic_optimum
+        key = (Geometry.ALL_PASS_IDENTICAL, OptimizationTarget(Objective.ONE_PHOTON, PumpRegime.CW))
 
-        def rigged():
-            return cross_validate_optima(
-                overrides={key: (clean.couplings, clean.peak_value * 1.5)}
-            )
+        def rigged(geometry, target):
+            rec = clean(geometry, target)
+            if (geometry, target) == key:
+                return dataclasses.replace(rec, peak_value=rec.peak_value * 1.5)
+            return rec
 
-        monkeypatch.setattr(cli_mod, "cross_validate_optima", rigged)
+        monkeypatch.setattr(optimize_mod, "analytic_optimum", rigged)
         assert main(["validate"]) == 2
-        assert "FAIL" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert out.count("FAIL") == 1
 
     def test_programming_error_propagates(self, monkeypatch):
         """A bug is not reported as a computation failure."""
@@ -307,7 +308,10 @@ class TestFigureCommands:
         ks = [row["K"] for row in data["rows"]]
         assert all(k >= 1.0 for k in ks)
         rates = json.loads((tmp_path / "fig3_c.json").read_text())
-        assert rates["meta"]["optima"]["psi"]["couplings_over_gamma_c"] == [1.46, 3.17]
+        (x, y), _ = solve_distinct_pulsed_optimum(Objective.TWO_PHOTON)
+        assert rates["meta"]["optima"]["psi"]["couplings_over_gamma_c"] == pytest.approx(
+            [x, y], rel=1e-12
+        )
 
 
 class TestModuleEntryPoint:
@@ -366,3 +370,11 @@ def test_readme_flag_table_matches_parser():
         for name, sub in subs.choices.items()
     }
     assert documented == declared
+
+
+def test_readme_quick_start_runs():
+    """The README's quick-start Python block runs against the current API."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    quick_start = readme.split("## Quick start (library)", 1)[1]
+    code = re.search(r"```python\n(.*?)```", quick_start, re.DOTALL)[1]
+    exec(compile(code, "README.md", "exec"), {})

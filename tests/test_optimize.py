@@ -1,8 +1,9 @@
 """Analytic optimum table, numeric maximizer, and cross-validation."""
 
+import dataclasses
+import itertools
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,32 +20,12 @@ from ringsfwm import (
 )
 from ringsfwm.optimize import _log_grid, all_targets, config_from_point, normalized_objective
 
+from conftest import solve_distinct_pulsed_optimum
+
 CW = PumpRegime.CW
 PULSE = PumpRegime.BROADBAND_PULSE
 ONE = Objective.ONE_PHOTON
 TWO = Objective.TWO_PHOTON
-
-
-def solve_distinct_pulsed_optimum(objective):
-    """Arbitrary-precision solution of the stationarity conditions of the
-    normalized per-pulse probabilities for the distinct geometry."""
-    mp.mp.dps = 30
-    if objective is ONE:
-        eqs = lambda x, y: (  # noqa: E731
-            2 / x - 3 / (x + 1) - 1 / (x + y + 2),
-            1 / y - 1 / (y + 1) - 1 / (x + y + 2),
-        )
-        value = lambda x, y: x**2 * y / ((x + 1) ** 3 * (y + 1) * (x + y + 2))  # noqa: E731
-        seed = (mp.mpf("1.4"), mp.mpf("1.8"))
-    else:
-        eqs = lambda x, y: (  # noqa: E731
-            2 / x - 3 / (x + 1) - 1 / (x + y + 2),
-            2 / y - 2 / (y + 1) - 1 / (x + y + 2),
-        )
-        value = lambda x, y: x**2 * y**2 / ((x + 1) ** 3 * (y + 1) ** 2 * (x + y + 2))  # noqa: E731
-        seed = (mp.mpf("1.5"), mp.mpf("3.2"))
-    x, y = mp.findroot(lambda x, y: eqs(x, y), seed)
-    return (float(x), float(y)), float(value(x, y))
 
 
 class TestAnalyticTable:
@@ -71,28 +52,36 @@ class TestAnalyticTable:
         assert rec.couplings == tuple(float(c) for c in couplings)
 
     def test_distinct_pulsed_entries_match_stationarity_solution(self):
-        """Stored constants agree with an independent high-precision solve of
-        the stationarity conditions (couplings stored to two decimals)."""
+        """The cubic-root couplings and their peaks agree with an independent
+        high-precision solve of the stationarity conditions."""
         for objective in (ONE, TWO):
             rec = analytic_optimum(
                 Geometry.ADD_DROP_DISTINCT, OptimizationTarget(objective, PULSE)
             )
             (x, y), value = solve_distinct_pulsed_optimum(objective)
-            # stored couplings carry two-decimal precision
-            assert rec.couplings[0] == pytest.approx(x, abs=8e-3)
-            assert rec.couplings[1] == pytest.approx(y, abs=8e-3)
-            assert rec.peak_value == pytest.approx(value, rel=1e-12)
+            assert rec.couplings[0] == pytest.approx(x, rel=1e-13)
+            assert rec.couplings[1] == pytest.approx(y, rel=1e-13)
+            assert rec.peak_value == pytest.approx(value, rel=1e-13)
 
     def test_analytic_value_is_objective_at_argmax(self):
         """Table values are consistent with the rate engines themselves."""
         for geometry, target in all_targets():
             rec = analytic_optimum(geometry, target)
             f = normalized_objective(geometry, target)
-            # exact entries sit exactly at the argmax; stored-numeric entries
-            # quote couplings to two decimals, where the surface is flat to
-            # ~1e-5 relative
-            rtol = 1e-12 if rec.peak_value_exact is not None else 2e-5
-            assert f(rec.couplings) == pytest.approx(rec.peak_value, rel=rtol)
+            assert f(rec.couplings) == pytest.approx(rec.peak_value, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "geometry,target", all_targets(),
+        ids=lambda v: getattr(v, "value", None) or f"{v.objective.value}-{v.pump_regime.value}",
+    )
+    def test_table_couplings_beat_their_log_stencil(self, geometry, target):
+        """No point of the +-1e-5 log stencil around the table couplings has a
+        larger objective: the tabulated point is the argmax, not near it."""
+        f = normalized_objective(geometry, target)
+        couplings = np.array(analytic_optimum(geometry, target).couplings)
+        steps = np.array(list(itertools.product((-1e-5, 0.0, 1e-5), repeat=couplings.size)))
+        stencil = couplings * np.exp(steps)
+        assert np.all(f(tuple(couplings)) >= f(tuple(stencil.T)))
 
 
 @pytest.mark.parametrize("point", [(1.0, 1.0), (-1.0,), (np.array([1.0, np.inf]),)])
@@ -208,6 +197,7 @@ class TestCrossValidation:
         assert len(report.entries) == 12
         assert report.n_failed == 0, str(report)
         assert report.passed
+        assert {(e.coupling_tol, e.value_rtol) for e in report.entries} == {(1e-3, 1e-6)}
 
     def test_numeric_never_beats_analytic_beyond_tolerance(self):
         report = cross_validate_optima()
@@ -215,14 +205,19 @@ class TestCrossValidation:
             overshoot = (entry.numeric.peak_value - entry.analytic.peak_value)
             assert overshoot <= entry.value_rtol * entry.analytic.peak_value
 
-    def test_fault_injection_fails_exactly_one(self):
-        key = (Geometry.ADD_DROP_IDENTICAL, TWO, CW)
-        clean = analytic_optimum(
-            Geometry.ADD_DROP_IDENTICAL, OptimizationTarget(TWO, CW)
-        )
-        report = cross_validate_optima(
-            overrides={key: (clean.couplings, clean.peak_value + 0.1)}
-        )
+    def test_fault_injection_fails_exactly_one(self, monkeypatch):
+        import ringsfwm.optimize as optimize_mod
+
+        clean = optimize_mod.analytic_optimum
+
+        def rigged(geometry, target):
+            rec = clean(geometry, target)
+            if (geometry, target) == (Geometry.ADD_DROP_IDENTICAL, OptimizationTarget(TWO, CW)):
+                return dataclasses.replace(rec, peak_value=rec.peak_value + 0.1)
+            return rec
+
+        monkeypatch.setattr(optimize_mod, "analytic_optimum", rigged)
+        report = cross_validate_optima()
         assert report.n_failed == 1
         failed = [e for e in report.entries if not e.passed]
         assert failed[0].geometry is Geometry.ADD_DROP_IDENTICAL

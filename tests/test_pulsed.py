@@ -234,13 +234,18 @@ def test_marginal_warning_once_per_call(function):
 
 
 def test_marginal_warning_names_the_caller():
-    """The scalar check reports at the line that called the public function."""
+    """Each scalar check reports at the line that called the public function."""
     cfg = CouplingConfig.all_pass(1.0, 1.0)
+    dw = 7.0 * cfg.tgamma
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        pulsed_single_prob(_UNIT_RING, cfg, 1e-3, 7.0 * cfg.tgamma)
+        pulsed_single_prob(_UNIT_RING, cfg, 1e-3, dw)
+        pulsed_pair_prob(_UNIT_RING, cfg, 1e-3, dw)
+        pulsed_observables(_UNIT_RING, cfg, 1e-3, dw)
+        pulsed_accidental_prob(_UNIT_RING, cfg, 1e-3, dw)
+        pulsed_wavepacket(_UNIT_RING, cfg, 1e-3, dw, 1.0, 2.0)
         flattop_lineshape_broadband(1.0, 7.0, 0.0)
-    assert [w.filename for w in caught] == [__file__, __file__]
+    assert [w.filename for w in caught] == [__file__] * 6
 
 
 class TestEffectivePumpLineshape:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -295,6 +296,30 @@ class TestRunSweep:
         assert all(
             math.isfinite(m["value"]) for m in result.meta["observed_maxima"].values()
         )
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_marginal_warning_once_per_sweep(self, algaas, refine):
+        """A marginal bandwidth (B = 7) gives each distinct message once per
+        call, however many outputs and zoom passes evaluate the grid; the
+        marginal-bandwidth warning names the caller."""
+        ring, gc = algaas
+        spec = SweepSpec(
+            geometry=Geometry.ALL_PASS_IDENTICAL,
+            axis1=SweepAxis("gamma_a", 0.1, 10.0, 20),
+            axis2=None,
+            outputs=("ps", "psi"),
+            ring=ring,
+            pump=PumpSpec.pulsed(1e-12, bandwidth_factor=7.0),
+            gamma_c=gc,
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_sweep(spec, refine=refine)
+        messages = [str(w.message) for w in caught]
+        assert all(w.category is BroadbandAssumptionWarning for w in caught)
+        assert len(messages) == len(set(messages)) == 2
+        marginal = [w for w in caught if "marginal" in str(w.message)]
+        assert [w.filename for w in marginal] == [__file__]
 
     def test_car_undefined_where_singles_vanish(self, algaas):
         ring, gc = algaas
