@@ -17,14 +17,12 @@ from .core import (
     BroadbandAssumptionWarning,
     CouplingConfig,
     Geometry,
-    OutputPort,
     PumpMode,
     PumpSpec,
     RingParams,
     prob_scale_p0,
     quality_factors,
     rate_scale_R0,
-    total_linewidths,
 )
 from .cw import (
     CwObservables,
@@ -96,7 +94,6 @@ __all__ = [
     "OptimizationError",
     "OptimizationTarget",
     "OptimumRecord",
-    "OutputPort",
     "PulsedMethod",
     "PulsedObservables",
     "PumpMode",
@@ -142,5 +139,4 @@ __all__ = [
     "schmidt_number",
     "schmidt_spectrum",
     "tolerance_band",
-    "total_linewidths",
 ]

@@ -43,7 +43,6 @@ from .core import (
     Geometry,
     PumpSpec,
     RingParams,
-    _config_from_couplings,
     coupling_parameter_names,
 )
 from .pulsed import load_spectrum
@@ -61,10 +60,28 @@ __all__ = [
 
 def load_config(path) -> configparser.ConfigParser:
     parser = configparser.ConfigParser()
-    read = parser.read(str(path))
+    try:
+        read = parser.read(str(path))
+    except configparser.Error as exc:
+        raise ValueError(f"config file {path!s}: {exc}") from exc
     if not read:
         raise OSError(f"config file {path!s} not found or unreadable")
     return parser
+
+
+def _number(cp: configparser.ConfigParser, section: str, key: str, kind=float, fallback=None):
+    """``kind`` (float or int) of ``[section] key``, or ``fallback`` where the
+    key is absent; without a fallback it is required.  Errors name the key."""
+    if not cp.has_option(section, key):
+        if fallback is None:
+            raise ValueError(f"[{section}] {key} is required")
+        return fallback
+    raw = cp.get(section, key)
+    try:
+        return kind(raw)
+    except ValueError as exc:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"[{section}] {key} = {raw!r} is not {what}") from exc
 
 
 def _get_quantity(
@@ -92,12 +109,7 @@ def _get_quantity(
             )
         return None
     key = found[0]
-    raw = cp.get(section, key)
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ValueError(f"[{section}] {key} = {raw!r} is not a number") from exc
-    return value * choices[key]
+    return _number(cp, section, key) * choices[key]
 
 
 _LINEWIDTH_KEYS = {"_over_2pi_hz": TWO_PI, "_over_2pi_mhz": TWO_PI * 1e6,
@@ -199,7 +211,7 @@ def point_config_from_config(cp: configparser.ConfigParser) -> CouplingConfig:
         _get_quantity(cp, "coupling", {f"{name}_over_gamma_c": gamma_c, **_linewidth_choices(name)})
         for name in coupling_parameter_names(geometry)
     ]
-    return _config_from_couplings(geometry, couplings, gamma_c, tgamma_c)
+    return CouplingConfig(geometry, couplings, gamma_c, tgamma_c)
 
 
 def coincidence_window_from_config(
@@ -222,9 +234,9 @@ def _axis_from_config(
     name = cp.get("sweep", prefix).strip()
     return SweepAxis(
         name=name,
-        start=cp.getfloat("sweep", f"{prefix}_min"),
-        stop=cp.getfloat("sweep", f"{prefix}_max"),
-        n_points=cp.getint("sweep", f"{prefix}_points"),
+        start=_number(cp, "sweep", f"{prefix}_min"),
+        stop=_number(cp, "sweep", f"{prefix}_max"),
+        n_points=_number(cp, "sweep", f"{prefix}_points", int),
         scale=cp.get("sweep", f"{prefix}_scale", fallback=SweepAxis.scale).strip(),
     )
 
@@ -249,6 +261,6 @@ def sweep_spec_from_config(cp: configparser.ConfigParser) -> SweepSpec:
         gamma_c=gamma_c,
         tgamma_c=tgamma_c,
         coincidence_window=coincidence_window_from_config(cp),
-        schmidt_points=cp.getint("sweep", "schmidt_points", fallback=SweepSpec.schmidt_points),
-        t_max_over_gamma=cp.getfloat("sweep", "t_max_over_gamma", fallback=SweepSpec.t_max_over_gamma),
+        schmidt_points=_number(cp, "sweep", "schmidt_points", int, SweepSpec.schmidt_points),
+        t_max_over_gamma=_number(cp, "sweep", "t_max_over_gamma", float, SweepSpec.t_max_over_gamma),
     )

@@ -13,22 +13,22 @@ Unit conventions
 
 Coupling geometry
 -----------------
-A single resonance couples to a bus waveguide (rate ``gamma_a``), optionally a
-drop waveguide (``gamma_b``), and an intrinsic-loss channel (``gamma_c``).
-The biphoton (signal/idler) rates may differ from the pump rates ``tgamma_*``
-when the couplers are dispersive or interferometric.  Three named geometries
-cover the practically relevant cases:
+A single resonance couples to a bus waveguide (port a, rate ``gamma_a``),
+optionally a drop waveguide (port b, ``gamma_b``), and an intrinsic-loss
+channel (``gamma_c``); the pump rates ``tgamma_*`` may differ from these
+biphoton (signal/idler) rates.  Each geometry has free couplings (in
+:func:`coupling_parameter_names` order) and ties the other rates:
 
-* ``ALL_PASS_IDENTICAL``   - one bus, pump and biphoton coupled identically,
-  photons collected in port a.
-* ``ADD_DROP_IDENTICAL``   - bus + drop, identical coupling, collection at the
-  drop port b.
-* ``ADD_DROP_DISTINCT``    - bus + drop with independently engineered rates:
-  only the pump couples to the bus (``gamma_a = 0``) and only the biphoton to
-  the drop (``tgamma_b = 0``).
+* ``ALL_PASS_IDENTICAL``  - free ``gamma_a``; ``tgamma_a = gamma_a`` and
+  ``gamma_b = tgamma_b = 0``.  Photons are collected in port a.
+* ``ADD_DROP_IDENTICAL``  - free ``(gamma_a, gamma_b)``; each pump rate equals
+  its biphoton rate.  Photons are collected in port b.
+* ``ADD_DROP_DISTINCT``   - free ``(tgamma_a, gamma_b)``; ``gamma_a =
+  tgamma_b = 0``.  Photons are collected in port b.
 
-The total linewidths are ``gamma = gamma_a + gamma_b + gamma_c`` for the
-biphoton and ``tgamma = tgamma_a + tgamma_b + tgamma_c`` for the pump.
+Only ``ADD_DROP_DISTINCT`` may set the pump loss ``tgamma_c`` apart from
+``gamma_c``.  The totals are ``gamma = gamma_a + gamma_b + gamma_c`` and
+``tgamma = tgamma_a + tgamma_b + tgamma_c``.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 C_VACUUM = 299792458.0  # speed of light [m/s], exact by SI definition
 
@@ -57,13 +59,6 @@ class Geometry(enum.Enum):
     ADD_DROP_DISTINCT = "add-drop-distinct"
 
 
-class OutputPort(enum.Enum):
-    """Waveguide port where signal and idler photons are collected."""
-
-    A = "a"
-    B = "b"
-
-
 class PumpMode(enum.Enum):
     CW = "cw"
     PULSED = "pulsed"
@@ -74,15 +69,6 @@ def _positive_finite(owner: str, name: str, value: float) -> float:
     if not math.isfinite(value) or value <= 0.0:
         raise ValueError(
             f"{owner}.{name} must be strictly positive and finite, got {value!r}"
-        )
-    return value
-
-
-def _nonnegative_finite(owner: str, name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value < 0.0:
-        raise ValueError(
-            f"{owner}.{name} must be non-negative and finite, got {value!r}"
         )
     return value
 
@@ -136,81 +122,101 @@ class RingParams:
         return self.vg / self.circumference
 
 
+def coupling_parameter_names(geometry: Geometry) -> tuple[str, ...]:
+    """Free coupling knobs of a geometry, in record/axis order."""
+    if geometry is Geometry.ALL_PASS_IDENTICAL:
+        return ("gamma_a",)
+    if geometry is Geometry.ADD_DROP_IDENTICAL:
+        return ("gamma_a", "gamma_b")
+    return ("tgamma_a", "gamma_b")
+
+
+def _check_couplings(geometry: Geometry, couplings) -> None:
+    """Reject a wrong number of free couplings, or a negative or non-finite
+    one (floats or arrays), naming it."""
+    names = coupling_parameter_names(geometry)
+    if len(couplings) != len(names):
+        raise ValueError(
+            f"{geometry.value} expects {len(names)} coupling parameters, got {len(couplings)}"
+        )
+    for name, value in zip(names, couplings):
+        ok = (value >= 0.0) & (value < math.inf)
+        if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+            raise ValueError(f"coupling {name} must be non-negative and finite, got {value!r}")
+
+
+def _check_pump_loss(geometry: Geometry, tgamma_c: Optional[float]) -> None:
+    """Reject a separate pump loss where the geometry ties it to ``gamma_c``."""
+    if tgamma_c is not None and geometry is not Geometry.ADD_DROP_DISTINCT:
+        raise ValueError(
+            f"tgamma_c applies to add-drop-distinct only; {geometry.value} "
+            "ties the pump loss to gamma_c"
+        )
+
+
+def _rates(geometry: Geometry, couplings, gamma_c, tgamma_c=None) -> tuple:
+    """The one geometry ladder: the six rates ``(gamma_a, gamma_b, gamma_c,
+    tgamma_a, tgamma_b, tgamma_c)`` from free couplings on floats, arrays or
+    Fractions.  Tied zeros are the int ``0``, which keeps a Fraction exact and
+    a float sum bit-identical."""
+    if geometry is Geometry.ALL_PASS_IDENTICAL:
+        (a,) = couplings
+        return a, 0, gamma_c, a, 0, gamma_c
+    if geometry is Geometry.ADD_DROP_IDENTICAL:
+        a, b = couplings
+        return a, b, gamma_c, a, b, gamma_c
+    ta, b = couplings
+    return 0, b, gamma_c, ta, 0, gamma_c if tgamma_c is None else tgamma_c
+
+
+def _kernel_rates(geometry: Geometry, couplings, gamma_c, tgamma_c=None) -> tuple:
+    """``(tgamma_a, gamma_mu, gamma, tgamma)``, the arguments of every rate
+    kernel, from the ladder :func:`_rates`."""
+    ga, gb, gc, ta, tb, tc = _rates(geometry, couplings, gamma_c, tgamma_c)
+    gamma_mu = ga if geometry is Geometry.ALL_PASS_IDENTICAL else gb
+    return ta, gamma_mu, ga + gb + gc, ta + tb + tc
+
+
+def _point_rates(geometry: Geometry, point, gamma_c, tgamma_c=None) -> tuple:
+    """:func:`_kernel_rates` at free couplings ``point`` in units of
+    ``gamma_c``, without building a config."""
+    return _kernel_rates(geometry, [p * gamma_c for p in point], gamma_c, tgamma_c)
+
+
 @dataclass(frozen=True)
 class CouplingConfig:
-    """The six ring coupling/loss rates plus geometry and collection port.
-
-    ``gamma_a/gamma_b/gamma_c`` apply to the signal and idler (biphoton) and
-    ``tgamma_a/tgamma_b/tgamma_c`` to the pump; all in rad/s.  Prefer the
-    :meth:`all_pass`, :meth:`add_drop` and :meth:`distinct` constructors, which
-    fill in the constrained rates for each geometry.
+    """A coupling geometry and its free couplings [rad/s], in
+    :func:`coupling_parameter_names` order; the other rates follow from the
+    geometry (see the module docstring).  ``tgamma_c`` may be given for
+    add-drop-distinct only and otherwise holds ``gamma_c``.
     """
 
-    gamma_a: float
-    gamma_b: float
-    gamma_c: float
-    tgamma_a: float
-    tgamma_b: float
-    tgamma_c: float
     geometry: Geometry
-    output_port: OutputPort
+    couplings: tuple[float, ...]
+    gamma_c: float
+    tgamma_c: Optional[float] = None
 
     def __post_init__(self) -> None:
-        for name in ("gamma_a", "gamma_b", "tgamma_a", "tgamma_b"):
-            object.__setattr__(
-                self, name, _nonnegative_finite("CouplingConfig", name, getattr(self, name))
-            )
-        for name in ("gamma_c", "tgamma_c"):
-            object.__setattr__(
-                self, name, _positive_finite("CouplingConfig", name, getattr(self, name))
-            )
         if not isinstance(self.geometry, Geometry):
             raise ValueError(f"CouplingConfig.geometry must be a Geometry, got {self.geometry!r}")
-        if not isinstance(self.output_port, OutputPort):
-            raise ValueError(
-                f"CouplingConfig.output_port must be an OutputPort, got {self.output_port!r}"
-            )
-
-        geo = self.geometry
-        if geo is Geometry.ALL_PASS_IDENTICAL:
-            self._require("gamma_b == 0", self.gamma_b == 0.0)
-            self._require("tgamma_b == 0", self.tgamma_b == 0.0)
-            self._require("tgamma_a == gamma_a", self.tgamma_a == self.gamma_a)
-            self._require("tgamma_c == gamma_c", self.tgamma_c == self.gamma_c)
-            self._require("output_port == a", self.output_port is OutputPort.A)
-        elif geo is Geometry.ADD_DROP_IDENTICAL:
-            self._require("tgamma_a == gamma_a", self.tgamma_a == self.gamma_a)
-            self._require("tgamma_b == gamma_b", self.tgamma_b == self.gamma_b)
-            self._require("tgamma_c == gamma_c", self.tgamma_c == self.gamma_c)
-            self._require("output_port == b", self.output_port is OutputPort.B)
-        elif geo is Geometry.ADD_DROP_DISTINCT:
-            self._require("gamma_a == 0", self.gamma_a == 0.0)
-            self._require("tgamma_b == 0", self.tgamma_b == 0.0)
-            self._require("output_port == b", self.output_port is OutputPort.B)
-
-        # gamma_c > 0 and tgamma_c > 0 already guarantee positive totals.
-
-    def _require(self, condition: str, satisfied: bool) -> None:
-        if not satisfied:
-            raise ValueError(
-                f"CouplingConfig violates '{condition}' for geometry {self.geometry.value}"
-            )
+        couplings = tuple(float(c) for c in self.couplings)
+        _check_couplings(self.geometry, couplings)
+        object.__setattr__(self, "couplings", couplings)
+        gamma_c = _positive_finite("CouplingConfig", "gamma_c", self.gamma_c)
+        object.__setattr__(self, "gamma_c", gamma_c)
+        _check_pump_loss(self.geometry, self.tgamma_c)
+        tgamma_c = gamma_c if self.tgamma_c is None else self.tgamma_c
+        object.__setattr__(self, "tgamma_c", _positive_finite("CouplingConfig", "tgamma_c", tgamma_c))
 
     @classmethod
     def all_pass(cls, gamma_a: float, gamma_c: float) -> "CouplingConfig":
         """All-pass ring, identical pump/biphoton coupling, output in port a."""
-        return cls(
-            gamma_a, 0.0, gamma_c, gamma_a, 0.0, gamma_c,
-            Geometry.ALL_PASS_IDENTICAL, OutputPort.A,
-        )
+        return cls(Geometry.ALL_PASS_IDENTICAL, (gamma_a,), gamma_c)
 
     @classmethod
     def add_drop(cls, gamma_a: float, gamma_b: float, gamma_c: float) -> "CouplingConfig":
         """Add-drop ring, identical pump/biphoton coupling, collection at b."""
-        return cls(
-            gamma_a, gamma_b, gamma_c, gamma_a, gamma_b, gamma_c,
-            Geometry.ADD_DROP_IDENTICAL, OutputPort.B,
-        )
+        return cls(Geometry.ADD_DROP_IDENTICAL, (gamma_a, gamma_b), gamma_c)
 
     @classmethod
     def distinct(
@@ -225,81 +231,58 @@ class CouplingConfig:
         The pump loss ``tgamma_c`` defaults to the biphoton loss ``gamma_c``,
         the usual situation for closely spaced resonances.
         """
-        if tgamma_c is None:
-            tgamma_c = gamma_c
-        return cls(
-            0.0, gamma_b, gamma_c, tgamma_a, 0.0, tgamma_c,
-            Geometry.ADD_DROP_DISTINCT, OutputPort.B,
-        )
+        return cls(Geometry.ADD_DROP_DISTINCT, (tgamma_a, gamma_b), gamma_c, tgamma_c)
+
+    def _rate(self, index: int) -> float:
+        return float(_rates(self.geometry, self.couplings, self.gamma_c, self.tgamma_c)[index])
+
+    @property
+    def gamma_a(self) -> float:
+        """Biphoton coupling rate into the bus, port a [rad/s]."""
+        return self._rate(0)
+
+    @property
+    def gamma_b(self) -> float:
+        """Biphoton coupling rate into the drop, port b [rad/s]."""
+        return self._rate(1)
+
+    @property
+    def tgamma_a(self) -> float:
+        """Pump coupling rate into the bus [rad/s]."""
+        return self._rate(3)
+
+    @property
+    def tgamma_b(self) -> float:
+        """Pump coupling rate into the drop [rad/s]."""
+        return self._rate(4)
+
+    @property
+    def kernel_rates(self) -> tuple[float, float, float, float]:
+        """``(tgamma_a, gamma_mu, gamma, tgamma)`` [rad/s], the arguments of
+        every rate kernel."""
+        return _kernel_rates(self.geometry, self.couplings, self.gamma_c, self.tgamma_c)
 
     @property
     def gamma(self) -> float:
         """Total biphoton linewidth gamma_a + gamma_b + gamma_c [rad/s]."""
-        return self.gamma_a + self.gamma_b + self.gamma_c
+        return self.kernel_rates[2]
 
     @property
     def tgamma(self) -> float:
         """Total pump linewidth tgamma_a + tgamma_b + tgamma_c [rad/s]."""
-        return self.tgamma_a + self.tgamma_b + self.tgamma_c
+        return self.kernel_rates[3]
 
     @property
     def gamma_mu(self) -> float:
         """Biphoton coupling rate into the collection port [rad/s]."""
-        return self.gamma_a if self.output_port is OutputPort.A else self.gamma_b
+        return self.kernel_rates[1]
 
     @property
     def heralding_efficiency(self) -> float:
         """Probability gamma_mu/gamma that a generated photon exits into the
         collection port."""
-        return self.gamma_mu / self.gamma
-
-
-def _check_pump_loss(geometry: Geometry, tgamma_c: Optional[float]) -> None:
-    """Reject a separate pump loss where the geometry ties it to ``gamma_c``."""
-    if tgamma_c is not None and geometry is not Geometry.ADD_DROP_DISTINCT:
-        raise ValueError(
-            f"tgamma_c applies to add-drop-distinct only; {geometry.value} "
-            "ties the pump loss to gamma_c"
-        )
-
-
-def coupling_parameter_names(geometry: Geometry) -> tuple[str, ...]:
-    """Free coupling knobs of a geometry, in record/axis order."""
-    if geometry is Geometry.ALL_PASS_IDENTICAL:
-        return ("gamma_a",)
-    if geometry is Geometry.ADD_DROP_IDENTICAL:
-        return ("gamma_a", "gamma_b")
-    return ("tgamma_a", "gamma_b")
-
-
-def _config_from_couplings(
-    geometry: Geometry, couplings, gamma_c: float, tgamma_c: Optional[float] = None
-) -> CouplingConfig:
-    """The one map from a geometry's free couplings [rad/s], in
-    :func:`coupling_parameter_names` order, to its :class:`CouplingConfig`;
-    ``tgamma_c`` (add-drop-distinct only) defaults to ``gamma_c``."""
-    _check_pump_loss(geometry, tgamma_c)
-    if geometry is Geometry.ALL_PASS_IDENTICAL:
-        return CouplingConfig.all_pass(couplings[0], gamma_c)
-    if geometry is Geometry.ADD_DROP_IDENTICAL:
-        return CouplingConfig.add_drop(couplings[0], couplings[1], gamma_c)
-    return CouplingConfig.distinct(couplings[0], couplings[1], gamma_c, tgamma_c=tgamma_c)
-
-
-def _point_rates(geometry: Geometry, point, gamma_c: float, tgamma_c: Optional[float] = None):
-    """``(tgamma_a, gamma_mu, gamma, tgamma)`` [rad/s] at free couplings ``point``
-    (units of ``gamma_c``; floats, arrays or Fractions), without building a
-    config: the constraints of the :class:`CouplingConfig` constructors, summed
-    in the order of its properties so each value rounds as that config's would."""
-    x = point[0] * gamma_c
-    if geometry is Geometry.ALL_PASS_IDENTICAL:
-        total = x + gamma_c
-        return x, x, total, total
-    y = point[1] * gamma_c
-    if geometry is Geometry.ADD_DROP_IDENTICAL:
-        total = x + y + gamma_c
-        return x, y, total, total
-    return x, y, y + gamma_c, x + (gamma_c if tgamma_c is None else tgamma_c)
+        _, gamma_mu, gamma, _ = self.kernel_rates
+        return gamma_mu / gamma
 
 
 @dataclass(frozen=True)
@@ -381,11 +364,6 @@ class PumpSpec:
         return self.bandwidth_factor * tgamma
 
 
-def total_linewidths(cfg: CouplingConfig) -> tuple[float, float]:
-    """Return ``(gamma, tgamma)``, the biphoton and pump total linewidths."""
-    return (cfg.gamma, cfg.tgamma)
-
-
 def quality_factors(ring: RingParams, cfg: CouplingConfig) -> tuple[float, float]:
     """Return ``(Q_c, Q)``: intrinsic and loaded quality factors of the
     biphoton resonances, ``Q_c = omega0/gamma_c`` and ``Q = omega0/gamma``."""
@@ -436,6 +414,14 @@ def prob_scale_p0(
     marginal at ``B`` (``B < 10``) it warns with
     :class:`BroadbandAssumptionWarning`; it never raises on ``B``.
     """
+    return _prob_scale_p0(ring, energy, bandwidth_factor, gamma_c, stacklevel=3)
+
+
+def _prob_scale_p0(
+    ring: RingParams, energy: float, bandwidth_factor: float, gamma_c: float, stacklevel: int
+) -> float:
+    """:func:`prob_scale_p0`, whose warning names the frame ``stacklevel``
+    calls up."""
     energy = _positive_finite("prob_scale_p0", "energy", energy)
     bandwidth_factor = _positive_finite("prob_scale_p0", "bandwidth_factor", bandwidth_factor)
     gamma_c = _positive_finite("prob_scale_p0", "gamma_c", gamma_c)
@@ -445,7 +431,7 @@ def prob_scale_p0(
             f"bandwidth factor B = {bandwidth_factor:g} < 10: the broadband "
             "pump assumption (bandwidth >> pump linewidth) is weak",
             BroadbandAssumptionWarning,
-            stacklevel=2,
+            stacklevel=stacklevel,
         )
     amp = TWO_PI * _drive_cw(ring, energy) / (bandwidth_factor * gamma_c)
     return amp * amp

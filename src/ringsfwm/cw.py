@@ -74,13 +74,13 @@ def _pair_rate_kernel(ta, gmu, g, tg, d):
 def cw_single_rate(ring: RingParams, cfg: CouplingConfig, power: float) -> float:
     """One-photon (singles) rate Rs = Ri [1/s] extracted at the collection port."""
     d = _drive_cw(ring, power)
-    return _single_rate_kernel(cfg.tgamma_a, cfg.gamma_mu, cfg.gamma, cfg.tgamma, d)
+    return _single_rate_kernel(*cfg.kernel_rates, d)
 
 
 def cw_pair_rate(ring: RingParams, cfg: CouplingConfig, power: float) -> float:
     """Photon-pair rate Rsi [1/s]: both photons exit the collection port."""
     d = _drive_cw(ring, power)
-    return _pair_rate_kernel(cfg.tgamma_a, cfg.gamma_mu, cfg.gamma, cfg.tgamma, d)
+    return _pair_rate_kernel(*cfg.kernel_rates, d)
 
 
 def cw_wavepacket(ring: RingParams, cfg: CouplingConfig, power: float, tau):

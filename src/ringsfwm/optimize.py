@@ -28,7 +28,7 @@ import numpy as np
 from .core import (
     CouplingConfig,
     Geometry,
-    _config_from_couplings,
+    _check_couplings,
     _point_rates,
     coupling_parameter_names,
 )
@@ -114,15 +114,6 @@ def all_targets() -> list[tuple[Geometry, OptimizationTarget]]:
     ]
 
 
-def _check_point(geometry: Geometry, point) -> None:
-    """Reject a wrong number of free couplings, or a negative or non-finite one."""
-    n = len(coupling_parameter_names(geometry))
-    if len(point) != n:
-        raise ValueError(f"{geometry.value} expects {n} coupling parameters, got {len(point)}")
-    if not all(np.all(np.isfinite(p) & (np.asarray(p) >= 0.0)) for p in point):
-        raise ValueError(f"couplings must be non-negative and finite, got {point!r}")
-
-
 def config_from_point(
     geometry: Geometry,
     point: Sequence[float],
@@ -130,9 +121,7 @@ def config_from_point(
     tgamma_c: Optional[float] = None,
 ) -> CouplingConfig:
     """Coupling configuration from free parameters given in gamma_c units."""
-    point = tuple(float(p) for p in point)
-    _check_point(geometry, point)
-    return _config_from_couplings(geometry, [p * gamma_c for p in point], gamma_c, tgamma_c)
+    return CouplingConfig(geometry, [float(p) * gamma_c for p in point], gamma_c, tgamma_c)
 
 
 def _normalized_value(geometry: Geometry, target: OptimizationTarget, point):
@@ -162,7 +151,7 @@ def normalized_objective(
     """
 
     def objective(point):
-        _check_point(geometry, point)
+        _check_couplings(geometry, point)
         return _normalized_value(geometry, target, point)
 
     return objective

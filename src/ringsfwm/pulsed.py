@@ -152,13 +152,6 @@ class PulsedObservables:
                 "PulsedObservables requires 0 <= psi_pair <= ps <= 1, got "
                 f"psi_pair={self.psi_pair!r}, ps={self.ps!r}"
             )
-        if self.ps > 0.1:
-            warnings.warn(
-                f"per-pulse probability ps = {self.ps:.3g} > 0.1: the "
-                "single-pair (perturbative) assumption is strained",
-                UserWarning,
-                stacklevel=2,
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -418,7 +411,7 @@ def pulsed_single_prob(
     """Per-pulse one-photon extraction probability (broadband closed form)."""
     _require_broadband(cfg.tgamma, delta_omega)
     y = _drive_pulsed(ring, energy, delta_omega)
-    return _single_prob_kernel(cfg.tgamma_a, cfg.gamma_mu, cfg.gamma, cfg.tgamma, y)
+    return _single_prob_kernel(*cfg.kernel_rates, y)
 
 
 def pulsed_pair_prob(
@@ -427,19 +420,28 @@ def pulsed_pair_prob(
     """Per-pulse pair extraction probability (broadband closed form)."""
     _require_broadband(cfg.tgamma, delta_omega)
     y = _drive_pulsed(ring, energy, delta_omega)
-    return _pair_prob_kernel(cfg.tgamma_a, cfg.gamma_mu, cfg.gamma, cfg.tgamma, y)
+    return _pair_prob_kernel(*cfg.kernel_rates, y)
 
 
 def pulsed_observables(
     ring: RingParams, cfg: CouplingConfig, energy: float, delta_omega: float
 ) -> PulsedObservables:
+    """The broadband closed-form probabilities as one bundle; warns when
+    ``ps > 0.1`` strains the single-pair (perturbative) assumption."""
     _require_broadband(cfg.tgamma, delta_omega)
     y = _drive_pulsed(ring, energy, delta_omega)
-    ps = _single_prob_kernel(cfg.tgamma_a, cfg.gamma_mu, cfg.gamma, cfg.tgamma, y)
+    ps = _single_prob_kernel(*cfg.kernel_rates, y)
+    if ps > 0.1:
+        warnings.warn(
+            f"per-pulse probability ps = {ps:.3g} > 0.1: the "
+            "single-pair (perturbative) assumption is strained",
+            UserWarning,
+            stacklevel=2,
+        )
     return PulsedObservables(
         ps=ps,
         pi=ps,
-        psi_pair=_pair_prob_kernel(cfg.tgamma_a, cfg.gamma_mu, cfg.gamma, cfg.tgamma, y),
+        psi_pair=_pair_prob_kernel(*cfg.kernel_rates, y),
         method=PulsedMethod.BROADBAND_CLOSED_FORM,
     )
 
@@ -450,7 +452,7 @@ def pulsed_accidental_prob(
     """Per-pulse accidental-coincidence probability p_acc = p_s * p_i."""
     _require_broadband(cfg.tgamma, delta_omega)
     y = _drive_pulsed(ring, energy, delta_omega)
-    ps = _single_prob_kernel(cfg.tgamma_a, cfg.gamma_mu, cfg.gamma, cfg.tgamma, y)
+    ps = _single_prob_kernel(*cfg.kernel_rates, y)
     return ps * ps
 
 

@@ -282,6 +282,24 @@ class TestExitCodes:
         bad.write_text("[ring]\nn2_m2_per_w = 2.6e-17\n")
         assert main(["rates", "--config", str(bad)]) == 1
 
+    def test_file_without_section_header_is_validation_error(self, tmp_path, capsys):
+        bad = tmp_path / "headless.ini"
+        bad.write_text("n2_m2_per_w = 2.6e-17\n")
+        assert main(["rates", "--config", str(bad)]) == 1
+        assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, replacement, named", [
+        ("axis1_min = 0.05\n", "", "[sweep] axis1_min"),
+        ("axis1_max = 5\n", "axis1_max = five\n", "[sweep] axis1_max"),
+        ("axis1_points = 40\n", "axis1_points = 4.5\n", "[sweep] axis1_points"),
+        ("outputs = Rs, Rsi\n", "outputs = Rs, Rsi\nschmidt_points = many\n",
+         "[sweep] schmidt_points"),
+    ], ids=["missing", "word", "fraction", "word-with-fallback"])
+    def test_bad_sweep_key_is_validation_error(self, cw_config, capsys, line, replacement, named):
+        cw_config.write_text(cw_config.read_text().replace(line, replacement))
+        assert main(["sweep", "--config", str(cw_config)]) == 1
+        assert named in capsys.readouterr().err
+
     def test_unwritable_output_is_io_error(self, cw_config, tmp_path):
         out = tmp_path / "missing" / "dir" / "x.csv"
         assert main([

@@ -1,14 +1,17 @@
 """Domain types, validation, and the coupling-independent scale factors."""
 
+import importlib
+import pkgutil
 
 import mpmath as mp
 import pytest
+
+import ringsfwm
 
 from ringsfwm import (
     BroadbandAssumptionWarning,
     CouplingConfig,
     Geometry,
-    OutputPort,
     PumpMode,
     PumpSpec,
     RingParams,
@@ -16,9 +19,19 @@ from ringsfwm import (
     prob_scale_p0,
     quality_factors,
     rate_scale_R0,
-    total_linewidths,
 )
-from ringsfwm.core import C_VACUUM, TWO_PI
+from ringsfwm.core import C_VACUUM, TWO_PI, coupling_parameter_names
+
+
+@pytest.mark.parametrize(
+    "module", ["ringsfwm", *(f"ringsfwm.{m.name}" for m in pkgutil.iter_modules(ringsfwm.__path__)
+                             if m.name != "__main__")]
+)
+def test_export_lists_resolve(module):
+    """Every name in a module's ``__all__`` exists, so a deleted public name
+    leaves no stale export behind."""
+    mod = importlib.import_module(module)
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
 
 
 class TestRingParams:
@@ -42,20 +55,20 @@ class TestRingParams:
 
 
 class TestCouplingConfig:
-    def test_total_linewidths_simple_sum(self):
+    def test_add_drop_totals_simple_sum(self):
         cfg = CouplingConfig.add_drop(1.0, 0.0, 1.0)
-        assert total_linewidths(cfg) == (2.0, 2.0)
+        assert (cfg.gamma, cfg.tgamma) == (2.0, 2.0)
 
     def test_all_pass_identical_totals(self):
         gc = 3.7e8
         cfg = CouplingConfig.all_pass(gc, gc)
-        gamma, tgamma = total_linewidths(cfg)
+        gamma, tgamma = cfg.gamma, cfg.tgamma
         assert gamma == tgamma == 2.0 * gc
 
     def test_distinct_totals(self):
         gc = 2.0
         cfg = CouplingConfig.distinct(gc, 2.0 * gc, gc)
-        assert total_linewidths(cfg) == (3.0 * gc, 2.0 * gc)
+        assert (cfg.gamma, cfg.tgamma) == (3.0 * gc, 2.0 * gc)
 
     def test_rejects_negative_rates(self):
         with pytest.raises(ValueError, match="gamma_a"):
@@ -63,19 +76,30 @@ class TestCouplingConfig:
         with pytest.raises(ValueError, match="gamma_c"):
             CouplingConfig.all_pass(1.0, 0.0)
 
-    def test_geometry_constraints_named_in_diagnostic(self):
-        with pytest.raises(ValueError, match="tgamma_a == gamma_a"):
-            CouplingConfig(1.0, 0.0, 1.0, 2.0, 0.0, 1.0,
-                           Geometry.ALL_PASS_IDENTICAL, OutputPort.A)
-        with pytest.raises(ValueError, match="gamma_b == 0"):
-            CouplingConfig(1.0, 0.5, 1.0, 1.0, 0.5, 1.0,
-                           Geometry.ALL_PASS_IDENTICAL, OutputPort.A)
-        with pytest.raises(ValueError, match="gamma_a == 0"):
-            CouplingConfig(0.5, 1.0, 1.0, 1.0, 0.0, 1.0,
-                           Geometry.ADD_DROP_DISTINCT, OutputPort.B)
-        with pytest.raises(ValueError, match="output_port == b"):
-            CouplingConfig(1.0, 1.0, 1.0, 1.0, 1.0, 1.0,
-                           Geometry.ADD_DROP_IDENTICAL, OutputPort.A)
+    @pytest.mark.parametrize("geometry", list(Geometry))
+    def test_rejects_wrong_coupling_count(self, geometry):
+        n = 2 if geometry is Geometry.ALL_PASS_IDENTICAL else 1
+        with pytest.raises(ValueError, match=f"{geometry.value} expects"):
+            CouplingConfig(geometry, (1.0,) * n, 1.0)
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("geometry", list(Geometry))
+    def test_rejects_bad_coupling_by_name(self, geometry, bad):
+        names = coupling_parameter_names(geometry)
+        for k, name in enumerate(names):
+            couplings = [1.0] * len(names)
+            couplings[k] = bad
+            with pytest.raises(ValueError, match=f"coupling {name} must be non-negative"):
+                CouplingConfig(geometry, couplings, 1.0)
+
+    @pytest.mark.parametrize(
+        "geometry", [Geometry.ALL_PASS_IDENTICAL, Geometry.ADD_DROP_IDENTICAL]
+    )
+    def test_tied_geometry_rejects_pump_loss(self, geometry):
+        couplings = (1.0,) * len(coupling_parameter_names(geometry))
+        with pytest.raises(ValueError, match="ties the pump loss to gamma_c"):
+            CouplingConfig(geometry, couplings, 1.0, tgamma_c=1.0)
+        assert CouplingConfig(geometry, couplings, 1.0).tgamma_c == 1.0
 
     def test_gamma_mu_follows_port(self):
         assert CouplingConfig.all_pass(2.0, 1.0).gamma_mu == 2.0

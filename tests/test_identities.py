@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringsfwm import (
+    CouplingConfig,
     Geometry,
     PumpSpec,
     WavepacketGrid,
@@ -83,6 +84,45 @@ def test_pulsed_pair_prob_is_eta_times_singles(design, bandwidth_factor):
         assert pulsed_pair_prob(_UNIT_RING, cfg, 1e-3, dw) == pytest.approx(
             cfg.gamma_mu / cfg.gamma * ps, rel=RTOL, abs=0.0
         )
+
+
+_NAMED = {
+    Geometry.ALL_PASS_IDENTICAL: lambda c, gc, tgc: CouplingConfig.all_pass(*c, gc),
+    Geometry.ADD_DROP_IDENTICAL: lambda c, gc, tgc: CouplingConfig.add_drop(*c, gc),
+    Geometry.ADD_DROP_DISTINCT: lambda c, gc, tgc: CouplingConfig.distinct(*c, gc, tgamma_c=tgc),
+}
+
+# (gamma_a, gamma_b, gamma_c, tgamma_a, tgamma_b, tgamma_c) each geometry ties
+_SIX = {
+    Geometry.ALL_PASS_IDENTICAL: lambda c, gc, tgc: (c[0], 0.0, gc, c[0], 0.0, gc),
+    Geometry.ADD_DROP_IDENTICAL: lambda c, gc, tgc: (c[0], c[1], gc, c[0], c[1], gc),
+    Geometry.ADD_DROP_DISTINCT: lambda c, gc, tgc: (0.0, c[1], gc, c[0], 0.0, tgc or gc),
+}
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=60, deadline=None)
+@given(designs())
+def test_general_constructor_is_the_ladder(design):
+    """The general constructor equals the named one, has each geometry's
+    tied rates, and its kernel tuple is the array ladder's, bit for bit."""
+    geometry, point, gamma_c, tgamma_c = design
+    rates = _point_rates(geometry, point, gamma_c, tgamma_c)
+    for k in range(len(point[0])):
+        couplings = [p[k] * gamma_c for p in point]
+        cfg = CouplingConfig(geometry, couplings, gamma_c, tgamma_c)
+        assert cfg == _NAMED[geometry](couplings, gamma_c, tgamma_c)
+        six = (cfg.gamma_a, cfg.gamma_b, cfg.gamma_c, cfg.tgamma_a, cfg.tgamma_b, cfg.tgamma_c)
+        assert all(type(v) is float for v in (*six, *cfg.kernel_rates))
+        assert _bits(six) == _bits(_SIX[geometry](couplings, gamma_c, tgamma_c))
+        ga, gb, gc, ta, tb, tc = six
+        port = ga if geometry is Geometry.ALL_PASS_IDENTICAL else gb
+        kernel = _bits((ta, port, ga + gb + gc, ta + tb + tc))
+        assert _bits(cfg.kernel_rates) == kernel == _bits(r[k] for r in rates)
+        assert _bits((cfg.gamma_mu, cfg.gamma, cfg.tgamma)) == kernel[1:]
 
 
 PULSE = PumpSpec.pulsed(1e-3, bandwidth_factor=10.0)

@@ -245,7 +245,9 @@ def test_marginal_warning_names_the_caller():
         pulsed_accidental_prob(_UNIT_RING, cfg, 1e-3, dw)
         pulsed_wavepacket(_UNIT_RING, cfg, 1e-3, dw, 1.0, 2.0)
         flattop_lineshape_broadband(1.0, 7.0, 0.0)
-    assert [w.filename for w in caught] == [__file__] * 6
+        pulsed_observables(_UNIT_RING, cfg, 4.28, 10.0 * cfg.tgamma)  # ps = 0.113
+    assert [w.filename for w in caught] == [__file__] * 7
+    assert "single-pair" in str(caught[-1].message)
 
 
 class TestEffectivePumpLineshape:

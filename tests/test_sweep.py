@@ -300,8 +300,8 @@ class TestRunSweep:
     @pytest.mark.parametrize("refine", [False, True])
     def test_marginal_warning_once_per_sweep(self, algaas, refine):
         """A marginal bandwidth (B = 7) gives each distinct message once per
-        call, however many outputs and zoom passes evaluate the grid; the
-        marginal-bandwidth warning names the caller."""
+        call, however many outputs and zoom passes evaluate the grid; each
+        warning names the caller."""
         ring, gc = algaas
         spec = SweepSpec(
             geometry=Geometry.ALL_PASS_IDENTICAL,
@@ -318,8 +318,7 @@ class TestRunSweep:
         messages = [str(w.message) for w in caught]
         assert all(w.category is BroadbandAssumptionWarning for w in caught)
         assert len(messages) == len(set(messages)) == 2
-        marginal = [w for w in caught if "marginal" in str(w.message)]
-        assert [w.filename for w in marginal] == [__file__]
+        assert [w.filename for w in caught] == [__file__] * 2
 
     def test_car_undefined_where_singles_vanish(self, algaas):
         ring, gc = algaas
@@ -534,3 +533,12 @@ class TestOptimaReport:
         assert text.count("all-pass-identical") == 4
         assert text.count("add-drop-distinct") == 4
         assert "R0" in text and "p0" in text
+
+    def test_p0_warning_names_the_caller(self, algaas):
+        ring, gc = algaas
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            optima_table(ring, gc, energy=1e-12, bandwidth_factor=7.0)
+            report_optima(ring, gc, energy=1e-12, bandwidth_factor=7.0)
+        assert [w.filename for w in caught] == [__file__] * 2
+        assert all("B = 7 < 10" in str(w.message) for w in caught)
