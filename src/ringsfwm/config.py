@@ -59,7 +59,8 @@ __all__ = [
 ]
 
 def load_config(path) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
+    # no interpolation: a "%" in a value is an ordinary character
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(str(path))
     except configparser.Error as exc:

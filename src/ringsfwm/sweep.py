@@ -4,10 +4,10 @@ A sweep evaluates requested observables on a 1-D or 2-D grid of coupling
 rates (in units of gamma_c).  Every output is one array-kernel call on the
 whole grid: the closed-form rates and probabilities by the kernels that back
 the scalar library functions, and the Schmidt number ``K`` by a kernel on the
-linewidth ratio ``tgamma/gamma``, which evaluates the library's wavepacket
-grid once per distinct ratio.  So every emitted number equals a direct library
-call with the same inputs; the sweep machinery only maps the grid to coupling
-rates, orders the rows and serializes them.
+linewidth ratio ``tgamma/gamma``, which computes the same trapezoid-grid K as
+the library's wavepacket grid by O(N) recurrences, once per distinct ratio,
+equal to the library grid path to <= 1e-13 relative.  The sweep machinery
+only maps the grid to coupling rates, orders the rows and serializes them.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -126,10 +127,12 @@ class SweepSpec:
             )
         if "CAR" in self.outputs and self.coincidence_window is None:
             raise ValueError("CAR output requires a coincidence_window [s]")
-        for name in ("gamma_c", "tgamma_c", "coincidence_window"):
+        for name in ("gamma_c", "tgamma_c", "coincidence_window", "t_max_over_gamma"):
             value = getattr(self, name)
             if value is not None and not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if self.schmidt_points < 16:
+            raise ValueError(f"schmidt_points must be >= 16, got {self.schmidt_points!r}")
         _check_pump_loss(self.geometry, self.tgamma_c)
 
         names = coupling_parameter_names(self.geometry)
@@ -198,15 +201,12 @@ def _evaluate(spec: SweepSpec, output: str, point) -> tuple[np.ndarray, dict[int
         why = [_NOT_BROADBAND.format(r) for r in (delta_omega / tg)[~ok].tolist()]
         if output == "K":
             values = np.full(ok.shape, np.nan)
-            values[ok], failed = _schmidt_number_kernel(
+            values[ok] = _schmidt_number_kernel(
                 (tg / g)[ok], spec.schmidt_points, spec.t_max_over_gamma
             )
-            kept = np.flatnonzero(ok)
-            failures = dict(zip(np.flatnonzero(~ok).tolist(), why))
-            failures.update((int(kept[j]), message) for j, message in failed.items())
-            return values, failures
-        kernel = _single_prob_kernel if output == "ps" else _pair_prob_kernel
-        values = kernel(ta, gmu, g, tg, _drive_pulsed(ring, pump.energy, delta_omega))
+        else:
+            kernel = _single_prob_kernel if output == "ps" else _pair_prob_kernel
+            values = kernel(ta, gmu, g, tg, _drive_pulsed(ring, pump.energy, delta_omega))
     elif output == "CAR":
         d = _drive_cw(ring, pump.power)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -310,21 +310,30 @@ def _analytic_optima_meta(spec: SweepSpec) -> dict:
     return optima
 
 
-def _format_cell(value) -> str:
+def _csv_text(value: Optional[str]) -> str:
+    """A text cell: empty for None, and quoted as RFC 4180 asks where it holds
+    a comma, a double quote or a line break."""
     if value is None:
         return ""
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+    if any(ch in value for ch in ',"\r\n'):
+        return '"' + value.replace('"', '""') + '"'
+    return value
 
 
 def render(result: SweepResult, fmt: str) -> str:
-    """Serialize a sweep result: 'csv' (rows only) or 'json' (meta + rows)."""
+    """Serialize a sweep result: 'csv' (rows only) or 'json' (meta + rows).
+
+    CSV numbers are written with 17 significant digits, so they read back
+    bit-exact; the ``error`` column is text."""
     if fmt == "csv":
-        lines = [",".join(result.columns)]
-        for row in result.rows:
-            lines.append(",".join(_format_cell(row[c]) for c in result.columns))
-        return "\n".join(lines) + "\n"
+        cells = [
+            [_csv_text(row[c]) for row in result.rows] if c == "error"
+            else [row[c] for row in result.rows]
+            for c in result.columns
+        ]
+        row_format = ",".join("%s" if c == "error" else "%.17g" for c in result.columns)
+        table = (row_format + "\n") * len(result.rows) % tuple(chain.from_iterable(zip(*cells)))
+        return ",".join(result.columns) + "\n" + table
     if fmt == "json":
         return json.dumps(result.to_json_dict()) + "\n"
     raise ValueError(f"unknown emit format {fmt!r}; expected 'csv' or 'json'")

@@ -282,6 +282,14 @@ class TestExitCodes:
         bad.write_text("[ring]\nn2_m2_per_w = 2.6e-17\n")
         assert main(["rates", "--config", str(bad)]) == 1
 
+    def test_percent_in_value_is_validation_error(self, tmp_path, capsys):
+        """A "%" is an ordinary character: the bad number is named, with no
+        interpolation traceback."""
+        bad = write_config(tmp_path / "percent.ini")
+        bad.write_text(bad.read_text().replace("wavelength_nm = 1550", "wavelength_nm = 1550%"))
+        assert main(["rates", "--config", str(bad)]) == 1
+        assert "[ring] wavelength_nm = '1550%' is not a number" in capsys.readouterr().err
+
     def test_file_without_section_header_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "headless.ini"
         bad.write_text("n2_m2_per_w = 2.6e-17\n")
@@ -294,7 +302,11 @@ class TestExitCodes:
         ("axis1_points = 40\n", "axis1_points = 4.5\n", "[sweep] axis1_points"),
         ("outputs = Rs, Rsi\n", "outputs = Rs, Rsi\nschmidt_points = many\n",
          "[sweep] schmidt_points"),
-    ], ids=["missing", "word", "fraction", "word-with-fallback"])
+        ("outputs = Rs, Rsi\n", "outputs = Rs, Rsi\nschmidt_points = 8\n", "schmidt_points"),
+        ("outputs = Rs, Rsi\n", "outputs = Rs, Rsi\nt_max_over_gamma = inf\n",
+         "t_max_over_gamma"),
+    ], ids=["missing", "word", "fraction", "word-with-fallback", "too-few-points",
+            "infinite-window"])
     def test_bad_sweep_key_is_validation_error(self, cw_config, capsys, line, replacement, named):
         cw_config.write_text(cw_config.read_text().replace(line, replacement))
         assert main(["sweep", "--config", str(cw_config)]) == 1

@@ -1,5 +1,8 @@
 """Wavepacket discretization and Schmidt decomposition."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,9 @@ from ringsfwm import (
     schmidt_number,
     schmidt_spectrum,
 )
+
+from ringsfwm.core import _UNIT_RING
+from ringsfwm.schmidt import _schmidt_number_kernel
 
 from conftest import random_coupling
 
@@ -255,3 +261,56 @@ class TestSchmidtNumber:
         cfg = random_coupling(np.random.default_rng(seed), gamma_c=gc)
         grid = discretize_wavepacket(ring, cfg, PUMP, 32)
         assert grid.amplitudes.dtype == np.float64
+
+
+def _library_k(r, n, t_max):
+    """Grid K of the unit design gamma = 1, tgamma = r by the library path."""
+    cfg = CouplingConfig.distinct(0.5 * r, 0.5, 0.5, tgamma_c=0.5 * r)
+    pump = PumpSpec.pulsed(1.0, bandwidth_factor=10.0)
+    return schmidt_number(discretize_wavepacket(_UNIT_RING, cfg, pump, n, t_max))
+
+
+class TestGridKernel:
+    """The sweep's O(N) recurrence K against the library grid path."""
+
+    @pytest.mark.parametrize("n", [16, 192, 400])
+    @pytest.mark.parametrize("t_max", [5.0, 400.0, 5000.0])
+    def test_matches_library_grid_at_extremes(self, n, t_max):
+        r = np.array([1e-3, 0.05, 1.0, 30.0, 1e3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k = _schmidt_number_kernel(r, n, t_max)
+        assert np.all(np.isfinite(k)) and np.all(k >= 1.0 - 1e-12)
+        for value, ratio in zip(k.tolist(), r.tolist()):
+            assert value == pytest.approx(_library_k(ratio, n, t_max), rel=1e-13, abs=0.0)
+
+    def test_continuous_across_degenerate_ratio(self):
+        r = np.array([1.0 - 1e-13, 1.0, 1.0 + 1e-13, 1.0 - 2e-6, 1.0 + 2e-6])
+        k = _schmidt_number_kernel(r, 192, 20.0)
+        assert k[[0, 2]] == pytest.approx([k[1]] * 2, rel=1e-12, abs=0.0)
+        # the expm1 form just outside the degenerate band moves K by O(r - 1) only
+        assert k[[3, 4]] == pytest.approx([k[1]] * 2, rel=1e-5, abs=0.0)
+
+    def test_repeated_ratios_share_one_value(self):
+        r = np.array([2.0, 0.5, 2.0, 0.5, 0.5])
+        k = _schmidt_number_kernel(r, 48, 20.0)
+        assert k[0] == k[2] and k[1] == k[3] == k[4] and k[0] != k[1]
+
+    def test_zero_norm_raises(self):
+        """Every sample after t = 0 underflows at N = 16 over 20000/gamma: the
+        kernel raises, as the library grid does, and emits no NaN."""
+        with pytest.raises(ValueError, match="weighted squared norm must be > 0"):
+            _schmidt_number_kernel(np.array([1.0, 2.0]), 16, 20000.0)
+        with pytest.raises(ValueError, match="weighted squared norm must be > 0"):
+            _library_k(1.0, 16, 20000.0)
+
+    def test_allocates_no_square_grid(self):
+        n = 400
+        _schmidt_number_kernel(np.array([0.7]), n, 20.0)  # warm up
+        tracemalloc.start()
+        try:
+            _schmidt_number_kernel(np.array([0.7]), n, 20.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n  # an eighth of one N x N float64 array

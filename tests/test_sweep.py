@@ -1,5 +1,6 @@
 """Grid sweeps, serialization, and the optimum report."""
 
+import csv
 import json
 import math
 import warnings
@@ -35,7 +36,6 @@ from ringsfwm.optimize import (
     analytic_optimum,
     coupling_parameter_names,
 )
-from ringsfwm.schmidt import DecompositionError
 from ringsfwm.sweep import optima_table, render, report_optima
 
 PUMP_CW = PumpSpec.cw(10e-6)
@@ -341,12 +341,12 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="CAR is undefined"):
             cw_accidentals_and_car(ring, CouplingConfig.all_pass(gc, gc), pump.power, 1e-9)
 
-    def test_schmidt_rows_flag_compute_errors_and_propagate_bugs(self, algaas, monkeypatch):
+    def test_schmidt_kernel_errors_propagate(self, algaas, monkeypatch):
+        """K has no compute failures of its own: an exception raised inside the
+        K kernel, here a bug, propagates out of run_sweep."""
         ring, gc = algaas
         import ringsfwm.schmidt as schmidt_mod
 
-        # r = tgamma/gamma = (1 + tgamma_a)/(1 + gamma_b): 1 and 5/3 on the
-        # gamma_b = gamma_c/2 rows, 1/2 and 5/6 on the gamma_b = 2*gamma_c rows
         spec = SweepSpec(
             geometry=Geometry.ADD_DROP_DISTINCT,
             axis1=SweepAxis("tgamma_a", 0.5, 1.5, 2),
@@ -357,25 +357,12 @@ class TestRunSweep:
             gamma_c=gc,
             schmidt_points=32,
         )
-        real = schmidt_mod.discretize_wavepacket
+        assert all(r["error"] is None and r["K"] >= 1.0 for r in run_sweep(spec).rows)
 
-        def flaky(ring_, cfg, pump, n_points, t_max, exc):
-            if cfg.tgamma < cfg.gamma:  # r < 1: the gamma_b = 2*gamma_c rows
-                raise exc
-            return real(ring_, cfg, pump, n_points, t_max)
+        def bug(*args):
+            raise TypeError("bug")
 
-        monkeypatch.setattr(
-            schmidt_mod, "discretize_wavepacket",
-            lambda *args: flaky(*args, DecompositionError("injected")),
-        )
-        rows = run_sweep(spec).rows
-        assert [r["error"] for r in rows] == [None, None, "K: injected", "K: injected"]
-        assert all(np.isnan(r["K"]) and np.isnan(r["K_minus_1"]) for r in rows[2:])
-        assert all(r["K"] >= 1.0 for r in rows[:2])
-
-        monkeypatch.setattr(
-            schmidt_mod, "discretize_wavepacket", lambda *args: flaky(*args, TypeError("bug"))
-        )
+        monkeypatch.setattr(schmidt_mod, "_grid_k", bug)
         with pytest.raises(TypeError, match="bug"):
             run_sweep(spec)
 
@@ -403,23 +390,37 @@ class TestRunSweep:
             assert np.isnan(r["K"])
         assert all(r["error"] is None and r["K"] >= 1.0 for r in rows if r not in bad)
 
-    def test_identical_coupler_k_is_one_grid(self, algaas, monkeypatch):
-        """Identical couplers tie tgamma to gamma (r = 1): one grid serves the panel."""
+    def test_identical_coupler_k_is_one_ratio(self, algaas, monkeypatch):
+        """Identical couplers tie tgamma to gamma (r = 1): the panel evaluates
+        exactly one distinct ratio."""
         ring, gc = algaas
         import ringsfwm.schmidt as schmidt_mod
 
-        calls = []
-        real = schmidt_mod.discretize_wavepacket
+        evaluated = []
+        real = schmidt_mod._grid_k
         monkeypatch.setattr(
-            schmidt_mod, "discretize_wavepacket", lambda *args: calls.append(args) or real(*args)
+            schmidt_mod, "_grid_k", lambda r, *args: evaluated.append(r.tolist()) or real(r, *args)
         )
         axis1, axis2 = AXES[Geometry.ADD_DROP_IDENTICAL]
         rows = run_sweep(SweepSpec(
             Geometry.ADD_DROP_IDENTICAL, axis1, axis2, ("K",), ring,
             PumpSpec.pulsed(1e-12, bandwidth_factor=10.0), gc, schmidt_points=32,
         )).rows
-        assert len(calls) == 1
+        assert evaluated == [[1.0]]
         assert len({r["K"] for r in rows}) == 1 and rows[0]["K"] > 1.0
+
+    @pytest.mark.parametrize("knob, value", [
+        ("schmidt_points", 15), ("schmidt_points", 0), ("t_max_over_gamma", 0.0),
+        ("t_max_over_gamma", -1.0), ("t_max_over_gamma", math.inf),
+        ("t_max_over_gamma", math.nan),
+    ])
+    def test_schmidt_grid_knobs_validated(self, algaas, knob, value):
+        ring, gc = algaas
+        with pytest.raises(ValueError, match=knob):
+            SweepSpec(
+                Geometry.ALL_PASS_IDENTICAL, SweepAxis("gamma_a", 0.5, 2.0, 3), None, ("K",),
+                ring, PumpSpec.pulsed(1e-12, bandwidth_factor=10.0), gc, **{knob: value},
+            )
 
 
 @st.composite
@@ -473,6 +474,27 @@ class TestEmit:
                 if name == "error":
                     continue
                 assert float(cell) == row[name]
+
+    def test_csv_quotes_error_text(self, algaas, tmp_path):
+        """An error message holds a comma: its cell is quoted, so a CSV reader
+        keeps every row at the header's width and the message intact."""
+        ring, gc = algaas
+        spec = SweepSpec(
+            Geometry.ALL_PASS_IDENTICAL, SweepAxis("gamma_a", 0.05, 5.0, 6), None, ("ps",),
+            ring, PumpSpec.pulsed(1e-12, delta_omega=20.0 * gc), gc,
+        )
+        with pytest.warns(BroadbandAssumptionWarning, match="marginal"):
+            result = run_sweep(spec)
+        assert any("," in (r["error"] or "") for r in result.rows)
+        path = tmp_path / "sweep.csv"
+        emit(result, "csv", path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            back = list(csv.DictReader(fh))
+        assert len(back) == len(result.rows)
+        for loaded, row in zip(back, result.rows):
+            assert list(loaded) == list(result.columns)
+            assert loaded["error"] == (row["error"] or "")
+            assert repr(float(loaded["ps"])) == repr(row["ps"])
 
     def test_json_round_trip_and_meta(self, algaas, tmp_path):
         ring, gc = algaas
