@@ -40,7 +40,6 @@ from .sweep import (
     algaas_example,
     emit,
     optima_table,
-    render,
     report_optima,
     run_sweep,
 )
@@ -185,7 +184,7 @@ def _write_sweep(spec: SweepSpec, args, refine: bool) -> int:
     if args.grid is not None:
         axis2 = None if spec.axis2 is None else replace(spec.axis2, n_points=args.grid)
         spec = replace(spec, axis1=replace(spec.axis1, n_points=args.grid), axis2=axis2)
-    _write_text(render(run_sweep(spec, refine=refine), args.format or "json"), args.out)
+    emit(run_sweep(spec, refine=refine), args.format or "json", args.out)
     return 0
 
 
@@ -250,7 +249,7 @@ def _run_figure(args, pump: PumpSpec, outputs: tuple[str, ...], prefix: str,
                 schmidt_panel: bool) -> int:
     if args.config is not None:
         pump = pump_from_config(_load_closed_form_config(args.config))
-    n = args.grid or 200
+    n = 200 if args.grid is None else args.grid
     fmt = args.format or "json"
     panels = _figure_panels(pump, outputs, n)
     stem = args.out or prefix

@@ -73,6 +73,16 @@ def _positive_finite(owner: str, name: str, value: float) -> float:
     return value
 
 
+def _point_count(name: str, value, minimum: int) -> int:
+    """``value`` as an int, if it is a Python or NumPy integer (not a bool)
+    of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class RingParams:
     """Material and geometry constants of a single microring resonance.
@@ -436,9 +446,3 @@ def _prob_scale_p0(
     amp = TWO_PI * _drive_cw(ring, energy) / (bandwidth_factor * gamma_c)
     return amp * amp
 
-
-# Internal normalization helper: with this ring and unit power/energy the pump
-# strength n2*vg^2*omega0/(c*S*L) equals 1 exactly, so CW rates evaluated at
-# gamma_c = 1 come out directly in units of R0.  Used by the Schmidt-number
-# kernel and the tests; never exposed as a physical device.
-_UNIT_RING = RingParams(n2=C_VACUUM, vg=1.0, area=1.0, circumference=1.0, omega0=1.0)

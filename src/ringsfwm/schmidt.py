@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CouplingConfig, PumpMode, PumpSpec, RingParams
+from .core import CouplingConfig, PumpMode, PumpSpec, RingParams, _point_count
 from .pulsed import EPS_DEGENERATE, pulsed_wavepacket
 
 __all__ = [
@@ -150,12 +150,11 @@ def discretize_wavepacket(
             "discretize_wavepacket uses the broadband flattop wavepacket; a "
             "tabulated pump spectrum is not supported"
         )
-    if n_points < 16:
-        raise ValueError(f"n_points must be >= 16, got {n_points}")
+    n_points = _point_count("n_points", n_points, 16)
     if t_max_over_gamma <= 0.0:
         raise ValueError(f"t_max_over_gamma must be > 0, got {t_max_over_gamma}")
     delta_omega = pump.delta_omega_for(cfg.tgamma)
-    t = np.linspace(0.0, t_max_over_gamma / cfg.gamma, int(n_points))
+    t = np.linspace(0.0, t_max_over_gamma / cfg.gamma, n_points)
     step = t[1] - t[0]
     w = np.full(t.shape, step)
     w[0] *= 0.5
@@ -307,7 +306,7 @@ def _schmidt_number_kernel(
     ratio's wavepacket underflows to 0.
     """
     distinct, inverse = np.unique(r, return_inverse=True)
-    t = np.linspace(0.0, t_max_over_gamma, int(n_points))
+    t = np.linspace(0.0, t_max_over_gamma, n_points)
     values = np.empty(distinct.size)
     for lo in range(0, distinct.size, _RATIO_BLOCK):
         block = slice(lo, lo + _RATIO_BLOCK)

@@ -7,7 +7,8 @@ the scalar library functions, and the Schmidt number ``K`` by a kernel on the
 linewidth ratio ``tgamma/gamma``, which computes the same trapezoid-grid K as
 the library's wavepacket grid by O(N) recurrences, once per distinct ratio,
 equal to the library grid path to <= 1e-13 relative.  The sweep machinery
-only maps the grid to coupling rates, orders the rows and serializes them.
+only maps the grid to coupling rates, keeps each output as one column of
+Python values, and serializes the columns.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .core import (
     _broadband_rule,
     _check_pump_loss,
     _drive_cw,
+    _point_count,
     _point_rates,
     _prob_scale_p0,
     rate_scale_R0,
@@ -82,8 +84,9 @@ class SweepAxis:
                 f"SweepAxis {self.name!r} requires finite 0 < start < stop, got "
                 f"[{self.start}, {self.stop}]"
             )
-        if self.n_points < 2:
-            raise ValueError(f"SweepAxis {self.name!r} requires n_points >= 2")
+        object.__setattr__(
+            self, "n_points", _point_count(f"SweepAxis {self.name!r} n_points", self.n_points, 2)
+        )
         if self.scale not in ("linear", "log"):
             raise ValueError(f"SweepAxis scale must be 'linear' or 'log', got {self.scale!r}")
 
@@ -116,6 +119,8 @@ class SweepSpec:
         unknown = [o for o in self.outputs if o not in _ALL_OUTPUTS]
         if unknown:
             raise ValueError(f"unknown sweep outputs {unknown!r}; valid: {sorted(_ALL_OUTPUTS)}")
+        if len(set(self.outputs)) < len(self.outputs):
+            raise ValueError(f"sweep outputs must not repeat, got {list(self.outputs)!r}")
         cw = self.pump.mode is PumpMode.CW
         bad = [o for o in self.outputs if o in (_PULSED_OUTPUTS if cw else _CW_OUTPUTS)]
         if bad:
@@ -131,8 +136,9 @@ class SweepSpec:
             value = getattr(self, name)
             if value is not None and not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if self.schmidt_points < 16:
-            raise ValueError(f"schmidt_points must be >= 16, got {self.schmidt_points!r}")
+        object.__setattr__(
+            self, "schmidt_points", _point_count("schmidt_points", self.schmidt_points, 16)
+        )
         _check_pump_loss(self.geometry, self.tgamma_c)
 
         names = coupling_parameter_names(self.geometry)
@@ -180,13 +186,20 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """A sweep's values, held as columns.
+
+    ``columns`` maps each column name to a list with one Python value per
+    grid point, axis2-major: the couplings in gamma_c units, then the
+    outputs, then ``error`` (None, or the failure text).  ``rows`` derives
+    the same table as one dict per grid point."""
+
     spec: SweepSpec
-    columns: tuple[str, ...]
-    rows: tuple[dict, ...]
+    columns: dict[str, list]
     meta: dict = field(compare=False)
 
-    def to_json_dict(self) -> dict:
-        return {"meta": self.meta, "rows": list(self.rows)}
+    @property
+    def rows(self) -> tuple[dict, ...]:
+        return tuple(dict(zip(self.columns, cells)) for cells in zip(*self.columns.values()))
 
 
 def _evaluate(spec: SweepSpec, output: str, point) -> tuple[np.ndarray, dict[int, str]]:
@@ -225,13 +238,14 @@ def _evaluate(spec: SweepSpec, output: str, point) -> tuple[np.ndarray, dict[int
 def run_sweep(spec: SweepSpec, *, refine: bool = False) -> SweepResult:
     """Evaluate every requested output on the coupling grid.
 
-    Each output is one array-kernel call over the whole grid.  Rows are
-    ordered axis2-major.  A point that fails gets NaN for that output and a
-    message in the ``error`` column without affecting the rest of the grid.
+    Each output is one array-kernel call over the whole grid.  Each column
+    lists the grid points axis2-major.  A point that fails gets NaN for that
+    output and a message in the ``error`` column without affecting the rest
+    of the grid.
     With ``refine=True`` the observed maxima reported in the metadata are
     sharpened by the maximizer of :func:`ringsfwm.optimize.numeric_optimum`:
     log-grid zoom from the best cell down to a log cell of 1e-7 within the
-    swept box, then a parabolic vertex step.  Refining leaves the rows
+    swept box, then a parabolic vertex step.  Refining leaves the columns
     unchanged.
     """
     axes = [spec.axis1] + ([spec.axis2] if spec.axis2 is not None else [])
@@ -268,7 +282,6 @@ def run_sweep(spec: SweepSpec, *, refine: bool = False) -> SweepResult:
             )
         observed[output] = {"point_over_gamma_c": list(best[0]), "value": best[1]}
     columns["error"] = errors
-    rows = tuple(dict(zip(columns, cells)) for cells in zip(*columns.values()))
 
     meta = {
         "version": _pkg_version,
@@ -278,7 +291,7 @@ def run_sweep(spec: SweepSpec, *, refine: bool = False) -> SweepResult:
         "observed_maxima": observed,
         "optima": _analytic_optima_meta(spec),
     }
-    return SweepResult(spec=spec, columns=tuple(columns), rows=rows, meta=meta)
+    return SweepResult(spec=spec, columns=columns, meta=meta)
 
 
 def _cell_ratio(axis: SweepAxis, p: float) -> float:
@@ -326,16 +339,13 @@ def render(result: SweepResult, fmt: str) -> str:
     CSV numbers are written with 17 significant digits, so they read back
     bit-exact; the ``error`` column is text."""
     if fmt == "csv":
-        cells = [
-            [_csv_text(row[c]) for row in result.rows] if c == "error"
-            else [row[c] for row in result.rows]
-            for c in result.columns
-        ]
-        row_format = ",".join("%s" if c == "error" else "%.17g" for c in result.columns)
-        table = (row_format + "\n") * len(result.rows) % tuple(chain.from_iterable(zip(*cells)))
-        return ",".join(result.columns) + "\n" + table
+        columns = result.columns
+        cells = zip(*(map(_csv_text, v) if c == "error" else v for c, v in columns.items()))
+        row_format = ",".join("%s" if c == "error" else "%.17g" for c in columns)
+        table = (row_format + "\n") * len(columns["error"]) % tuple(chain.from_iterable(cells))
+        return ",".join(columns) + "\n" + table
     if fmt == "json":
-        return json.dumps(result.to_json_dict()) + "\n"
+        return json.dumps({"meta": result.meta, "rows": result.rows}) + "\n"
     raise ValueError(f"unknown emit format {fmt!r}; expected 'csv' or 'json'")
 
 
@@ -354,7 +364,8 @@ def _write_text(text: str, out) -> None:
 
 
 def emit(result: SweepResult, fmt: str, path) -> None:
-    """Write a sweep result to ``path``; I/O failures carry the path context."""
+    """Write a sweep result to ``path``, or to stdout when ``path`` is None;
+    I/O failures carry the path context."""
     _write_text(render(result, fmt), path)
 
 

@@ -16,12 +16,17 @@ from scipy.integrate import IntegrationWarning, quad
 from ringsfwm import (
     CouplingConfig,
     Objective,
+    RingParams,
     cw_wavepacket,
     flattop_lineshape_broadband,
     pulsed_wavepacket,
 )
 from ringsfwm.core import C_VACUUM
 from ringsfwm.sweep import algaas_example
+
+# With this ring and unit power/energy the pump strength n2*vg^2*omega0/(c*S*L)
+# equals 1 exactly, so rates at gamma_c = 1 come out directly in units of R0.
+UNIT_RING = RingParams(n2=C_VACUUM, vg=1.0, area=1.0, circumference=1.0, omega0=1.0)
 
 
 @pytest.fixture(scope="session")

@@ -32,10 +32,10 @@ from ringsfwm import (
     tolerance_band,
 )
 from ringsfwm.cli import main as cli_main
-from ringsfwm.core import _UNIT_RING
 from ringsfwm.sweep import algaas_example
 
 from conftest import (
+    UNIT_RING,
     cw_pair_rate_quadrature,
     pulsed_pair_prob_quadrature,
     pulsed_single_prob_quadrature_broadband,
@@ -222,12 +222,12 @@ def test_criterion_6_identity_suite():
     worst_cw = worst_pulsed = 0.0
     for _ in range(1000):
         cfg = random_coupling(rng, lo=0.05, hi=8.0)
-        rs = cw_single_rate(_UNIT_RING, cfg, 1.0)
-        rsi = cw_pair_rate(_UNIT_RING, cfg, 1.0)
+        rs = cw_single_rate(UNIT_RING, cfg, 1.0)
+        rsi = cw_pair_rate(UNIT_RING, cfg, 1.0)
         worst_cw = max(worst_cw, abs(rsi - cfg.gamma_mu / cfg.gamma * rs) / rsi)
         dw = 20.0 * cfg.tgamma
-        ps = pulsed_single_prob(_UNIT_RING, cfg, 1e-3, dw)
-        psi = pulsed_pair_prob(_UNIT_RING, cfg, 1e-3, dw)
+        ps = pulsed_single_prob(UNIT_RING, cfg, 1e-3, dw)
+        psi = pulsed_pair_prob(UNIT_RING, cfg, 1e-3, dw)
         worst_pulsed = max(worst_pulsed, abs(psi - cfg.gamma_mu / cfg.gamma * ps) / psi)
     checks.check("pair = heralding * singles (CW, 1000 configs)",
                  worst_cw < 1e-13, f"worst rel dev {worst_cw:.2e}")
@@ -266,7 +266,7 @@ def test_criterion_6_identity_suite():
     # pair rate factorizes: rates at two pump couplings keep one ratio over
     # the whole gamma_b scan, up to the kernel's roundings.
     spread = ratio_spread_ulps(
-        lambda tga, gb: cw_pair_rate(_UNIT_RING, CouplingConfig.distinct(tga, gb, 1.0), 1.0),
+        lambda tga, gb: cw_pair_rate(UNIT_RING, CouplingConfig.distinct(tga, gb, 1.0), 1.0),
         np.linspace(0.2, 5.0, 10), np.geomspace(0.05, 10.0, 121),
     )
     checks.check("CW distinct pair-rate factorization in the pump coupling (16 ulps)",

@@ -343,6 +343,12 @@ class TestFigureCommands:
             [x, y], rel=1e-12
         )
 
+    @pytest.mark.parametrize("command", ["figure2", "figure3"])
+    def test_zero_grid_rejected(self, command, tmp_path, capsys):
+        assert main([command, "--grid", "0", "--out", str(tmp_path / "fig")]) == 1
+        assert "n_points must be >= 2" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self, cw_config, tmp_path):

@@ -15,9 +15,9 @@ from ringsfwm import (
     rate_scale_R0,
     tolerance_band,
 )
-from ringsfwm.core import _UNIT_RING
 
 from conftest import (
+    UNIT_RING,
     cw_pair_rate_quadrature,
     parabola_argmax,
     random_coupling,
@@ -69,8 +69,8 @@ class TestPairRate:
     def test_pair_singles_identity_random(self, rng):
         for _ in range(300):
             cfg = random_coupling(rng, gamma_c=4.47e8, lo=0.05, hi=8.0)
-            rs = cw_single_rate(_UNIT_RING, cfg, 1.0)
-            rsi = cw_pair_rate(_UNIT_RING, cfg, 1.0)
+            rs = cw_single_rate(UNIT_RING, cfg, 1.0)
+            rsi = cw_pair_rate(UNIT_RING, cfg, 1.0)
             assert rsi == pytest.approx(cfg.gamma_mu / cfg.gamma * rs, rel=5e-14)
 
     def test_rates_nonnegative_and_continuous(self, algaas):
@@ -196,7 +196,7 @@ class TestDistinctSeparability:
         grid = np.geomspace(0.05, 10.0, 121)
         tgammas = np.linspace(0.2, 5.0, 10)
         rate = lambda tga, gb: cw_pair_rate(  # noqa: E731
-            _UNIT_RING, CouplingConfig.distinct(tga, gb, 1.0), 1.0
+            UNIT_RING, CouplingConfig.distinct(tga, gb, 1.0), 1.0
         )
         assert ratio_spread_ulps(rate, tgammas, grid) <= 16.0
         argmax = parabola_argmax(lambda gb: rate(tgammas[0], gb), grid)
@@ -208,8 +208,8 @@ class TestToleranceBand:
         frac = 0.5
         lo, hi = tolerance_band(frac)
         rates = lambda g: (  # noqa: E731
-            cw_single_rate(_UNIT_RING, CouplingConfig.all_pass(g, 1.0), 1.0),
-            cw_pair_rate(_UNIT_RING, CouplingConfig.all_pass(g, 1.0), 1.0),
+            cw_single_rate(UNIT_RING, CouplingConfig.all_pass(g, 1.0), 1.0),
+            cw_pair_rate(UNIT_RING, CouplingConfig.all_pass(g, 1.0), 1.0),
         )
         grid = np.geomspace(1e-3, 1e3, 20001)
         table = np.array([rates(g) for g in grid])

@@ -26,10 +26,12 @@ from ringsfwm import (
     pulsed_wavepacket,
     schmidt_number,
 )
-from ringsfwm.core import _UNIT_RING, _point_rates
+from ringsfwm.core import _point_rates
 from ringsfwm.cw import _pair_rate_kernel, _single_rate_kernel
 from ringsfwm.optimize import config_from_point, coupling_parameter_names
 from ringsfwm.pulsed import _pair_prob_kernel, _single_prob_kernel
+
+from conftest import UNIT_RING
 
 RTOL = 5e-14
 
@@ -65,8 +67,8 @@ def test_cw_pair_rate_is_eta_times_singles(design):
     _check(_single_rate_kernel(ta, gmu, g, tg, 1.0), _pair_rate_kernel(ta, gmu, g, tg, 1.0), gmu / g)
     for k in range(len(point[0])):
         cfg = config_from_point(geometry, [p[k] for p in point], gamma_c, tgamma_c)
-        rs = cw_single_rate(_UNIT_RING, cfg, 1.0)
-        assert cw_pair_rate(_UNIT_RING, cfg, 1.0) == pytest.approx(
+        rs = cw_single_rate(UNIT_RING, cfg, 1.0)
+        assert cw_pair_rate(UNIT_RING, cfg, 1.0) == pytest.approx(
             cfg.gamma_mu / cfg.gamma * rs, rel=RTOL, abs=0.0
         )
 
@@ -80,8 +82,8 @@ def test_pulsed_pair_prob_is_eta_times_singles(design, bandwidth_factor):
     for k in range(len(point[0])):
         cfg = config_from_point(geometry, [p[k] for p in point], gamma_c, tgamma_c)
         dw = bandwidth_factor * cfg.tgamma
-        ps = pulsed_single_prob(_UNIT_RING, cfg, 1e-3, dw)
-        assert pulsed_pair_prob(_UNIT_RING, cfg, 1e-3, dw) == pytest.approx(
+        ps = pulsed_single_prob(UNIT_RING, cfg, 1e-3, dw)
+        assert pulsed_pair_prob(UNIT_RING, cfg, 1e-3, dw) == pytest.approx(
             cfg.gamma_mu / cfg.gamma * ps, rel=RTOL, abs=0.0
         )
 
@@ -141,15 +143,15 @@ def test_wavepacket_exchange_symmetry(design, times):
     ts, ti = t[:8, None], t[None, 8:]
     dw = PULSE.delta_omega_for(cfg.tgamma)
     np.testing.assert_array_equal(
-        pulsed_wavepacket(_UNIT_RING, cfg, 1e-3, dw, ts, ti),
-        pulsed_wavepacket(_UNIT_RING, cfg, 1e-3, dw, ti, ts),
+        pulsed_wavepacket(UNIT_RING, cfg, 1e-3, dw, ts, ti),
+        pulsed_wavepacket(UNIT_RING, cfg, 1e-3, dw, ti, ts),
     )
 
 
 @settings(max_examples=30, deadline=None)
 @given(designs(n_points=1))
 def test_schmidt_number_invariant_under_transposition(design):
-    grid = discretize_wavepacket(_UNIT_RING, _single_config(design), PULSE, 48)
+    grid = discretize_wavepacket(UNIT_RING, _single_config(design), PULSE, 48)
     transposed = WavepacketGrid(grid.t_axis, grid.amplitudes.T, grid.weights)
     assert schmidt_number(transposed) == pytest.approx(schmidt_number(grid), rel=1e-12, abs=0.0)
 
@@ -161,6 +163,6 @@ def test_schmidt_number_invariant_under_linewidth_scaling(design, scale):
     the sweeps evaluate K on a unit design with the same ratio."""
     geometry, point, gamma_c, tgamma_c = design
     scaled = (geometry, point, scale * gamma_c, None if tgamma_c is None else scale * tgamma_c)
-    k = schmidt_number(discretize_wavepacket(_UNIT_RING, _single_config(design), PULSE, 48))
-    k_scaled = schmidt_number(discretize_wavepacket(_UNIT_RING, _single_config(scaled), PULSE, 48))
+    k = schmidt_number(discretize_wavepacket(UNIT_RING, _single_config(design), PULSE, 48))
+    k_scaled = schmidt_number(discretize_wavepacket(UNIT_RING, _single_config(scaled), PULSE, 48))
     assert k_scaled == pytest.approx(k, rel=1e-12, abs=0.0)

@@ -28,7 +28,6 @@ from ringsfwm import (
     pulsed_wavepacket,
     save_spectrum,
 )
-from ringsfwm.core import _UNIT_RING
 from ringsfwm.pulsed import (
     EPS_DEGENERATE,
     QuadratureError,
@@ -38,6 +37,7 @@ from ringsfwm.pulsed import (
 )
 
 from conftest import (
+    UNIT_RING,
     effective_pump_lineshape_quadrature,
     pulsed_pair_prob_quadrature,
     random_coupling,
@@ -216,7 +216,7 @@ def test_scalar_rule_is_the_array_mask(tgamma, ratio):
     assert scalar_warnings == mask_warnings
     assert len(mask_warnings) == (holds and delta_omega < 10.0 * tgamma)
     if ratio > 0.0:
-        p0, p0_warnings = _outcome(prob_scale_p0, _UNIT_RING, 1.0, ratio, 1.0)
+        p0, p0_warnings = _outcome(prob_scale_p0, UNIT_RING, 1.0, ratio, 1.0)
         assert p0 > 0.0
         assert len(p0_warnings) == (not holds or bool(mask_warnings))
 
@@ -229,7 +229,7 @@ def test_marginal_warning_once_per_call(function):
     cfg = CouplingConfig.all_pass(1.0, 1.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        function(_UNIT_RING, cfg, 1e-3, 7.0 * cfg.tgamma)
+        function(UNIT_RING, cfg, 1e-3, 7.0 * cfg.tgamma)
     assert [w.category for w in caught] == [BroadbandAssumptionWarning]
 
 
@@ -239,13 +239,13 @@ def test_marginal_warning_names_the_caller():
     dw = 7.0 * cfg.tgamma
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        pulsed_single_prob(_UNIT_RING, cfg, 1e-3, dw)
-        pulsed_pair_prob(_UNIT_RING, cfg, 1e-3, dw)
-        pulsed_observables(_UNIT_RING, cfg, 1e-3, dw)
-        pulsed_accidental_prob(_UNIT_RING, cfg, 1e-3, dw)
-        pulsed_wavepacket(_UNIT_RING, cfg, 1e-3, dw, 1.0, 2.0)
+        pulsed_single_prob(UNIT_RING, cfg, 1e-3, dw)
+        pulsed_pair_prob(UNIT_RING, cfg, 1e-3, dw)
+        pulsed_observables(UNIT_RING, cfg, 1e-3, dw)
+        pulsed_accidental_prob(UNIT_RING, cfg, 1e-3, dw)
+        pulsed_wavepacket(UNIT_RING, cfg, 1e-3, dw, 1.0, 2.0)
         flattop_lineshape_broadband(1.0, 7.0, 0.0)
-        pulsed_observables(_UNIT_RING, cfg, 4.28, 10.0 * cfg.tgamma)  # ps = 0.113
+        pulsed_observables(UNIT_RING, cfg, 4.28, 10.0 * cfg.tgamma)  # ps = 0.113
     assert [w.filename for w in caught] == [__file__] * 7
     assert "single-pair" in str(caught[-1].message)
 
@@ -501,8 +501,8 @@ class TestClosedFormProbabilities:
         for _ in range(300):
             cfg = random_coupling(rng, lo=0.05, hi=8.0)
             dw = 20.0 * cfg.tgamma
-            ps = pulsed_single_prob(_UNIT_RING, cfg, 1e-3, dw)
-            psi = pulsed_pair_prob(_UNIT_RING, cfg, 1e-3, dw)
+            ps = pulsed_single_prob(UNIT_RING, cfg, 1e-3, dw)
+            psi = pulsed_pair_prob(UNIT_RING, cfg, 1e-3, dw)
             assert psi == pytest.approx(cfg.gamma_mu / cfg.gamma * ps, rel=5e-14)
 
     def test_quadrature_recovers_pair_prob(self, algaas, rng):

@@ -20,10 +20,9 @@ from ringsfwm import (
     schmidt_spectrum,
 )
 
-from ringsfwm.core import _UNIT_RING
 from ringsfwm.schmidt import _schmidt_number_kernel
 
-from conftest import random_coupling
+from conftest import UNIT_RING, random_coupling
 
 PUMP = PumpSpec.pulsed(1e-12, bandwidth_factor=10.0)
 
@@ -85,6 +84,11 @@ class TestDiscretize:
             assert abs(k1024 - k512) < 1e-3
 
     def test_grid_validation(self):
+        cfg = CouplingConfig.all_pass(1.0, 1.0)
+        for n_points in (15, 100.7, 64.0, True):
+            with pytest.raises(ValueError, match="n_points"):
+                discretize_wavepacket(UNIT_RING, cfg, PUMP, n_points)
+        assert discretize_wavepacket(UNIT_RING, cfg, PUMP, np.int64(16)).n_points == 16
         t = np.linspace(0.0, 1.0, 32)
         w = np.full(32, t[1] - t[0])
         good = np.exp(-np.add.outer(t, t)).astype(complex)
@@ -267,7 +271,7 @@ def _library_k(r, n, t_max):
     """Grid K of the unit design gamma = 1, tgamma = r by the library path."""
     cfg = CouplingConfig.distinct(0.5 * r, 0.5, 0.5, tgamma_c=0.5 * r)
     pump = PumpSpec.pulsed(1.0, bandwidth_factor=10.0)
-    return schmidt_number(discretize_wavepacket(_UNIT_RING, cfg, pump, n, t_max))
+    return schmidt_number(discretize_wavepacket(UNIT_RING, cfg, pump, n, t_max))
 
 
 class TestGridKernel:

@@ -15,6 +15,7 @@ from ringsfwm import (
     Geometry,
     PumpSpec,
     SweepAxis,
+    SweepResult,
     SweepSpec,
     TabulatedSpectrum,
     cw_accidentals_and_car,
@@ -94,6 +95,8 @@ class TestSpecValidation:
         ring, gc = algaas
         with pytest.raises(ValueError, match="at least one output"):
             allpass_spec(ring, gc, outputs=())
+        with pytest.raises(ValueError, match="must not repeat"):
+            allpass_spec(ring, gc, outputs=("Rs", "Rsi", "Rs"))
 
     def test_regime_incompatible_outputs_rejected(self, algaas):
         ring, gc = algaas
@@ -186,8 +189,11 @@ class TestSpecValidation:
             SweepAxis("gamma_a", 0.1, float("inf"), 5)
         with pytest.raises(ValueError, match="0 < start"):
             SweepAxis("gamma_a", -1.0, 2.0, 5)
-        with pytest.raises(ValueError, match="n_points"):
-            SweepAxis("gamma_a", 0.1, 2.0, 1)
+        for n_points in (1, 3.0, 2.5, True, np.float64(4.0)):
+            with pytest.raises(ValueError, match="n_points"):
+                SweepAxis("gamma_a", 0.1, 2.0, n_points)
+        axis = SweepAxis("gamma_a", 0.1, 2.0, np.int64(5))
+        assert axis.n_points == 5 and type(axis.n_points) is int
         with pytest.raises(ValueError, match="scale"):
             SweepAxis("gamma_a", 0.1, 2.0, 5, scale="cubic")
 
@@ -410,7 +416,8 @@ class TestRunSweep:
         assert len({r["K"] for r in rows}) == 1 and rows[0]["K"] > 1.0
 
     @pytest.mark.parametrize("knob, value", [
-        ("schmidt_points", 15), ("schmidt_points", 0), ("t_max_over_gamma", 0.0),
+        ("schmidt_points", 15), ("schmidt_points", 0), ("schmidt_points", 40.9),
+        ("schmidt_points", 32.0), ("schmidt_points", True), ("t_max_over_gamma", 0.0),
         ("t_max_over_gamma", -1.0), ("t_max_over_gamma", math.inf),
         ("t_max_over_gamma", math.nan),
     ])
@@ -456,6 +463,54 @@ def test_sweep_k_matches_direct_grid(algaas, sweep):
         grid = discretize_wavepacket(ring, direct_config(geometry, row, gc, tgc), pump, n, t_max)
         assert row["error"] is None
         assert row["K"] == pytest.approx(schmidt_number(grid), rel=1e-13, abs=0.0)
+
+
+class TestColumns:
+    def test_equal_runs_compare_equal(self, algaas):
+        ring, gc = algaas
+        axis1, axis2 = AXES[Geometry.ADD_DROP_DISTINCT]
+        spec = SweepSpec(
+            Geometry.ADD_DROP_DISTINCT, axis1, axis2, ("K", "ps"), ring,
+            PumpSpec.pulsed(1e-12, bandwidth_factor=10.0), gc, schmidt_points=np.int64(32),
+        )
+        assert spec.schmidt_points == 32 and type(spec.schmidt_points) is int
+        assert run_sweep(spec) == run_sweep(spec)
+
+    def test_rows_are_the_columns_zipped(self, algaas):
+        """One dict per grid point from the columns, holding Python floats and
+        ``None`` or text in ``error``; failed points included."""
+        ring, gc = algaas
+        result = _failing_pulsed_sweep(ring, gc)
+        columns = result.columns
+        n = len(columns["error"])
+        assert result.rows == tuple({c: v[i] for c, v in columns.items()} for i in range(n))
+        errors = [row["error"] for row in result.rows]
+        assert None in errors and any(isinstance(e, str) for e in errors)
+        assert all(e is None or isinstance(e, str) for e in errors)
+        for row in result.rows:
+            assert all(type(v) is float for c, v in row.items() if c != "error")
+
+    def test_csv_reads_columns_not_rows(self, algaas, monkeypatch):
+        ring, gc = algaas
+        result = _failing_pulsed_sweep(ring, gc)
+        text = render(result, "csv")
+
+        def no_rows(self):
+            raise AssertionError("CSV rendering built rows")
+
+        monkeypatch.setattr(SweepResult, "rows", property(no_rows))
+        assert render(result, "csv") == text
+
+
+def _failing_pulsed_sweep(ring, gc):
+    """A pulsed sweep whose widest couplings fail the broadband rule, with
+    quotable error text."""
+    spec = SweepSpec(
+        Geometry.ALL_PASS_IDENTICAL, SweepAxis("gamma_a", 0.05, 5.0, 6), None, ("ps", "K"),
+        ring, PumpSpec.pulsed(1e-12, delta_omega=20.0 * gc), gc, schmidt_points=32,
+    )
+    with pytest.warns(BroadbandAssumptionWarning, match="marginal"):
+        return run_sweep(spec)
 
 
 class TestEmit:
