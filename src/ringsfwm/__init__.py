@@ -36,7 +36,6 @@ from .cw import (
 )
 from .pulsed import (
     EPS_DEGENERATE,
-    PulsedMethod,
     PulsedObservables,
     QuadratureError,
     TabulatedSpectrum,
@@ -65,7 +64,6 @@ from .optimize import (
     OptimizationTarget,
     OptimumRecord,
     PumpRegime,
-    Source,
     all_targets,
     analytic_optimum,
     cross_validate_optima,
@@ -94,7 +92,6 @@ __all__ = [
     "OptimizationError",
     "OptimizationTarget",
     "OptimumRecord",
-    "PulsedMethod",
     "PulsedObservables",
     "PumpMode",
     "PumpRegime",
@@ -102,7 +99,6 @@ __all__ = [
     "QuadratureError",
     "RingParams",
     "SchmidtResult",
-    "Source",
     "SweepAxis",
     "SweepResult",
     "SweepSpec",

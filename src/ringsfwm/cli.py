@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: ``rates`` (single design point), ``sweep`` (coupling grids),
-``optimize`` (optimum report), ``schmidt`` (Schmidt numbers), ``validate``
+``optimize`` (optimum report), ``schmidt`` (Schmidt number at one design
+point; a grid of K runs through ``sweep``), ``validate``
 (analytic-vs-numeric cross check), and ``figure2``/``figure3`` (canned AlGaAs
 coupling scans for CW and broadband-pulse pumping).
 
@@ -31,7 +32,7 @@ from .config import (
 from .core import Geometry, PumpMode, PumpSpec, quality_factors, rate_scale_R0, prob_scale_p0
 from .cw import cw_accidentals_and_car, cw_observables
 from .optimize import OptimizationError, coupling_parameter_names, cross_validate_optima
-from .pulsed import PulsedMethod, QuadratureError, _single_prob_numeric, pulsed_observables
+from .pulsed import QuadratureError, _single_prob_numeric, pulsed_observables
 from .schmidt import DecompositionError, discretize_wavepacket, schmidt_spectrum
 from .sweep import (
     SweepAxis,
@@ -88,8 +89,8 @@ def _build_parser() -> _Parser:
         ("sweep", _cmd_sweep, _GRID_FLAGS, "evaluate outputs on a coupling grid"),
         ("optimize", _cmd_optimize, ("--config", "--out", "--format"),
          "report all optimal coupling conditions"),
-        ("schmidt", _cmd_schmidt, ("--config", "--out", "--format", "--grid"),
-         "Schmidt number at a point or on a grid"),
+        ("schmidt", _cmd_schmidt, ("--config", "--out"),
+         "Schmidt number and leading coefficients at one design point"),
         ("validate", _cmd_validate, ("--out",), "cross-validate analytic vs numeric optima"),
         ("figure2", _cmd_figure2, _GRID_FLAGS, "canned CW coupling scans (AlGaAs example)"),
         ("figure3", _cmd_figure3, _GRID_FLAGS, "canned pulsed coupling scans (AlGaAs example)"),
@@ -136,7 +137,7 @@ def _cmd_rates(args) -> int:
         ps, rel_err = _single_prob_numeric(ring, cfg, pump.energy, pump.spectrum)
         report["pulsed"] = {
             "pulse_energy_j": pump.energy,
-            "method": PulsedMethod.NUMERIC_QUADRATURE.value,
+            "method": "numeric-quadrature",
             "ps_per_pulse": ps,
             "pi_per_pulse": ps,
             "p_acc_per_pulse": ps * ps,
@@ -148,7 +149,7 @@ def _cmd_rates(args) -> int:
         report["pulsed"] = {
             "pulse_energy_j": pump.energy,
             "delta_omega_rad_per_s": delta_omega,
-            "method": obs.method.value,
+            "method": "broadband-closed-form",
             "ps_per_pulse": obs.ps,
             "pi_per_pulse": obs.pi,
             "psi_per_pulse": obs.psi_pair,
@@ -175,16 +176,13 @@ def _load_closed_form_config(path):
 
 
 def _cmd_sweep(args) -> int:
+    """Run the ``[sweep]`` grid at ``--grid`` points per axis and write it in
+    ``--format``."""
     spec = sweep_spec_from_config(_load_closed_form_config(args.config))
-    return _write_sweep(spec, args, refine=args.refine)
-
-
-def _write_sweep(spec: SweepSpec, args, refine: bool) -> int:
-    """Run ``spec`` at ``--grid`` points per axis and write it in ``--format``."""
     if args.grid is not None:
         axis2 = None if spec.axis2 is None else replace(spec.axis2, n_points=args.grid)
         spec = replace(spec, axis1=replace(spec.axis1, n_points=args.grid), axis2=axis2)
-    emit(run_sweep(spec, refine=refine), args.format or "json", args.out)
+    emit(run_sweep(spec, refine=args.refine), args.format or "json", args.out)
     return 0
 
 
@@ -204,12 +202,10 @@ def _cmd_optimize(args) -> int:
 def _cmd_schmidt(args) -> int:
     cp = _load_closed_form_config(args.config)
     if cp.has_section("sweep"):
-        spec = sweep_spec_from_config(cp)
-        if "K" not in spec.outputs:
-            raise ValueError("[sweep] outputs must include K for the schmidt command")
-        return _write_sweep(spec, args, refine=False)
-    if args.grid is not None or args.format is not None:
-        raise ValueError("--grid and --format apply to a [sweep] grid; the config has none")
+        raise ValueError(
+            "schmidt reports one design point; run a [sweep] grid with outputs = K "
+            "through `ringsfwm sweep`"
+        )
     ring = ring_from_config(cp)
     cfg = point_config_from_config(cp)
     pump = pump_from_config(cp)

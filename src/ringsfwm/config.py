@@ -59,6 +59,9 @@ __all__ = [
 ]
 
 def load_config(path) -> configparser.ConfigParser:
+    """Parse an INI file, rejecting any section or key that no getter below
+    reads (a typo would otherwise be ignored).  No key belongs in every
+    section, so ``[DEFAULT]`` keys are rejected too."""
     # no interpolation: a "%" in a value is an ordinary character
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -67,6 +70,15 @@ def load_config(path) -> configparser.ConfigParser:
         raise ValueError(f"config file {path!s}: {exc}") from exc
     if not read:
         raise OSError(f"config file {path!s} not found or unreadable")
+    for section in (parser.default_section, *parser.sections()):
+        if section not in _KEYS and section != parser.default_section:
+            raise ValueError(
+                f"config file {path!s}: unknown section [{section}]; "
+                f"expected {', '.join(f'[{s}]' for s in _KEYS)}"
+            )
+        for key in parser[section]:
+            if key not in _KEYS.get(section, ()):
+                raise ValueError(f"config file {path!s}: unknown key [{section}] {key}")
     return parser
 
 
@@ -121,25 +133,29 @@ def _linewidth_choices(base: str) -> dict[str, float]:
     return {base + suffix: factor for suffix, factor in _LINEWIDTH_KEYS.items()}
 
 
+# The [ring] quantities, in RingParams order: n2, vg, area, circumference,
+# and the wavelength (or omega0).
+_RING_KEYS = (
+    {"n2_m2_per_w": 1.0},
+    {"vg_m_per_s": 1.0},
+    {"area_um2": 1e-12, "area_m2": 1.0},
+    {"circumference_um": 1e-6, "circumference_m": 1.0,
+     "radius_um": TWO_PI * 1e-6, "radius_m": TWO_PI},
+    {"wavelength_nm": 1e-9, "wavelength_m": 1.0, "omega0_rad_per_s": 1.0},
+)
+
+
 def ring_from_config(cp: configparser.ConfigParser) -> RingParams:
-    n2 = _get_quantity(cp, "ring", {"n2_m2_per_w": 1.0})
-    vg = _get_quantity(cp, "ring", {"vg_m_per_s": 1.0})
-    area = _get_quantity(cp, "ring", {"area_um2": 1e-12, "area_m2": 1.0})
-    circumference = _get_quantity(
-        cp,
-        "ring",
-        {"circumference_um": 1e-6, "circumference_m": 1.0,
-         "radius_um": TWO_PI * 1e-6, "radius_m": TWO_PI},
-    )
-    omega0 = _get_quantity(
-        cp,
-        "ring",
-        {"wavelength_nm": 1e-9, "wavelength_m": 1.0, "omega0_rad_per_s": 1.0},
-        required=True,
-    )
+    n2, vg, area, circumference, omega0 = (_get_quantity(cp, "ring", c) for c in _RING_KEYS)
     if cp.has_option("ring", "omega0_rad_per_s"):
         return RingParams(n2, vg, area, circumference, omega0)
     return RingParams.from_wavelength(n2, vg, area, circumference, omega0)
+
+
+_POWER_KEYS = {"power_uw": 1e-6, "power_mw": 1e-3, "power_w": 1.0}
+_ENERGY_KEYS = {"pulse_energy_pj": 1e-12, "pulse_energy_nj": 1e-9, "pulse_energy_j": 1.0}
+_BANDWIDTH_KEYS = {"bandwidth_factor": 1.0}
+_DELTA_OMEGA_KEYS = _linewidth_choices("delta_omega")
 
 
 def pump_from_config(cp: configparser.ConfigParser) -> PumpSpec:
@@ -150,25 +166,11 @@ def pump_from_config(cp: configparser.ConfigParser) -> PumpSpec:
         raise ValueError("[pump] must set mode = cw or mode = pulsed")
     mode = mode.strip().lower()
     if mode == "cw":
-        power = _get_quantity(
-            cp, "pump", {"power_uw": 1e-6, "power_mw": 1e-3, "power_w": 1.0}
-        )
-        return PumpSpec.cw(power)
+        return PumpSpec.cw(_get_quantity(cp, "pump", _POWER_KEYS))
     if mode == "pulsed":
-        energy = _get_quantity(
-            cp,
-            "pump",
-            {"pulse_energy_pj": 1e-12, "pulse_energy_nj": 1e-9, "pulse_energy_j": 1.0},
-        )
-        bandwidth_factor = _get_quantity(
-            cp, "pump", {"bandwidth_factor": 1.0}, required=False
-        )
-        delta_omega = _get_quantity(
-            cp,
-            "pump",
-            _linewidth_choices("delta_omega"),
-            required=False,
-        )
+        energy = _get_quantity(cp, "pump", _ENERGY_KEYS)
+        bandwidth_factor = _get_quantity(cp, "pump", _BANDWIDTH_KEYS, required=False)
+        delta_omega = _get_quantity(cp, "pump", _DELTA_OMEGA_KEYS, required=False)
         spectrum = None
         if cp.has_option("pump", "spectrum_file"):
             spectrum = load_spectrum(cp.get("pump", "spectrum_file"))
@@ -181,12 +183,14 @@ def pump_from_config(cp: configparser.ConfigParser) -> PumpSpec:
     raise ValueError(f"[pump] mode must be 'cw' or 'pulsed', got {mode!r}")
 
 
+_GAMMA_C_KEYS = _linewidth_choices("gamma_c")
+_TGAMMA_C_KEYS = _linewidth_choices("tgamma_c")
+
+
 def loss_rates_from_config(cp: configparser.ConfigParser) -> tuple[float, Optional[float]]:
     """Biphoton and (optional, distinct) pump intrinsic loss rates [rad/s]."""
-    gamma_c = _get_quantity(cp, "coupling", _linewidth_choices("gamma_c"))
-    tgamma_c = _get_quantity(
-        cp, "coupling", _linewidth_choices("tgamma_c"), required=False
-    )
+    gamma_c = _get_quantity(cp, "coupling", _GAMMA_C_KEYS)
+    tgamma_c = _get_quantity(cp, "coupling", _TGAMMA_C_KEYS, required=False)
     return gamma_c, tgamma_c
 
 
@@ -204,33 +208,41 @@ def geometry_from_config(cp: configparser.ConfigParser) -> Geometry:
     )
 
 
+def _coupling_keys(name: str, gamma_c: float) -> dict[str, float]:
+    return {f"{name}_over_gamma_c": gamma_c, **_linewidth_choices(name)}
+
+
 def point_config_from_config(cp: configparser.ConfigParser) -> CouplingConfig:
     """Coupling configuration for single-point commands (rates, schmidt)."""
     geometry = geometry_from_config(cp)
     gamma_c, tgamma_c = loss_rates_from_config(cp)
     couplings = [
-        _get_quantity(cp, "coupling", {f"{name}_over_gamma_c": gamma_c, **_linewidth_choices(name)})
+        _get_quantity(cp, "coupling", _coupling_keys(name, gamma_c))
         for name in coupling_parameter_names(geometry)
     ]
     return CouplingConfig(geometry, couplings, gamma_c, tgamma_c)
 
 
+_WINDOW_KEYS = {"coincidence_window_ns": 1e-9, "coincidence_window_ps": 1e-12,
+                "coincidence_window_s": 1.0}
+
+
 def coincidence_window_from_config(
     cp: configparser.ConfigParser,
 ) -> Optional[float]:
-    return _get_quantity(
-        cp,
-        "detector",
-        {"coincidence_window_ns": 1e-9, "coincidence_window_ps": 1e-12,
-         "coincidence_window_s": 1.0},
-        required=False,
-    )
+    return _get_quantity(cp, "detector", _WINDOW_KEYS, required=False)
+
+
+_AXIS_SUFFIXES = ("", "_min", "_max", "_points", "_scale")
 
 
 def _axis_from_config(
     cp: configparser.ConfigParser, prefix: str
 ) -> Optional[SweepAxis]:
     if not cp.has_option("sweep", prefix):
+        for key in (prefix + suffix for suffix in _AXIS_SUFFIXES[1:]):
+            if cp.has_option("sweep", key):
+                raise ValueError(f"[sweep] {key} needs {prefix} = <coupling name>")
         return None
     name = cp.get("sweep", prefix).strip()
     return SweepAxis(
@@ -265,3 +277,20 @@ def sweep_spec_from_config(cp: configparser.ConfigParser) -> SweepSpec:
         schmidt_points=_number(cp, "sweep", "schmidt_points", int, SweepSpec.schmidt_points),
         t_max_over_gamma=_number(cp, "sweep", "t_max_over_gamma", float, SweepSpec.t_max_over_gamma),
     )
+
+
+# Every key a getter above reads, by section.  A coupling key that another
+# geometry reads is accepted; the getters ignore it.
+_KEYS = {
+    "ring": set().union(*_RING_KEYS),
+    "coupling": {
+        "geometry", *_GAMMA_C_KEYS, *_TGAMMA_C_KEYS,
+        *(key for geometry in Geometry for name in coupling_parameter_names(geometry)
+          for key in _coupling_keys(name, 1.0)),
+    },
+    "pump": {"mode", "spectrum_file", *_POWER_KEYS, *_ENERGY_KEYS, *_BANDWIDTH_KEYS,
+             *_DELTA_OMEGA_KEYS},
+    "detector": set(_WINDOW_KEYS),
+    "sweep": {"outputs", "schmidt_points", "t_max_over_gamma",
+              *(axis + suffix for axis in ("axis1", "axis2") for suffix in _AXIS_SUFFIXES)},
+}

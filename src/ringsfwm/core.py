@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -49,6 +50,18 @@ TWO_PI = 2.0 * math.pi
 class BroadbandAssumptionWarning(UserWarning):
     """The pump bandwidth only marginally exceeds the pump linewidth, so
     broadband closed forms are used outside their comfort zone."""
+
+
+def _warn(message: str, category: type[Warning]) -> None:
+    """``warnings.warn`` naming the line that called into ``ringsfwm``: the
+    first frame up from the caller whose module is outside the package, or
+    the outermost frame."""
+    frame, level = sys._getframe(1), 2  # level 1 is the warn call below
+    while frame.f_back is not None and (
+        frame.f_globals.get("__name__", "").partition(".")[0] == __package__
+    ):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)
 
 
 class Geometry(enum.Enum):
@@ -424,24 +437,15 @@ def prob_scale_p0(
     marginal at ``B`` (``B < 10``) it warns with
     :class:`BroadbandAssumptionWarning`; it never raises on ``B``.
     """
-    return _prob_scale_p0(ring, energy, bandwidth_factor, gamma_c, stacklevel=3)
-
-
-def _prob_scale_p0(
-    ring: RingParams, energy: float, bandwidth_factor: float, gamma_c: float, stacklevel: int
-) -> float:
-    """:func:`prob_scale_p0`, whose warning names the frame ``stacklevel``
-    calls up."""
     energy = _positive_finite("prob_scale_p0", "energy", energy)
     bandwidth_factor = _positive_finite("prob_scale_p0", "bandwidth_factor", bandwidth_factor)
     gamma_c = _positive_finite("prob_scale_p0", "gamma_c", gamma_c)
     holds, marginal = _broadband_rule(1.0, bandwidth_factor)
     if marginal or not holds:
-        warnings.warn(
+        _warn(
             f"bandwidth factor B = {bandwidth_factor:g} < 10: the broadband "
             "pump assumption (bandwidth >> pump linewidth) is weak",
             BroadbandAssumptionWarning,
-            stacklevel=stacklevel,
         )
     amp = TWO_PI * _drive_cw(ring, energy) / (bandwidth_factor * gamma_c)
     return amp * amp

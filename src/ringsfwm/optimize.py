@@ -39,7 +39,6 @@ __all__ = [
     "Objective",
     "PumpRegime",
     "OptimizationTarget",
-    "Source",
     "OptimumRecord",
     "OptimizationError",
     "all_targets",
@@ -80,11 +79,6 @@ class OptimizationTarget:
             raise ValueError(f"invalid pump regime {self.pump_regime!r}")
 
 
-class Source(enum.Enum):
-    ANALYTIC = "analytic"
-    NUMERIC = "numeric"
-
-
 @dataclass(frozen=True)
 class OptimumRecord:
     """Optimal couplings (units of gamma_c) and peak value (units of R0/p0)."""
@@ -93,7 +87,6 @@ class OptimumRecord:
     target: OptimizationTarget
     couplings: tuple[float, ...]
     peak_value: float
-    source: Source
     couplings_exact: Optional[tuple[Fraction, ...]] = None
     peak_value_exact: Optional[Fraction] = None
 
@@ -212,7 +205,6 @@ def analytic_optimum(geometry: Geometry, target: OptimizationTarget) -> OptimumR
         target=target,
         couplings=tuple(float(c) for c in couplings),
         peak_value=float(value),
-        source=Source.ANALYTIC,
         couplings_exact=couplings if exact else None,
         peak_value_exact=value if exact else None,
     )
@@ -380,7 +372,6 @@ def numeric_optimum(
         target=target,
         couplings=couplings,
         peak_value=peak,
-        source=Source.NUMERIC,
     )
 
 

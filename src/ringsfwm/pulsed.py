@@ -42,10 +42,8 @@ al., *QUADPACK*, 1983), bisecting the panel with the largest error estimate.
 
 from __future__ import annotations
 
-import enum
 import heapq
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,11 +58,11 @@ from .core import (
     _broadband_rule,
     _drive_cw,
     _positive_finite,
+    _warn,
 )
 
 __all__ = [
     "EPS_DEGENERATE",
-    "PulsedMethod",
     "PulsedObservables",
     "QuadratureError",
     "TabulatedSpectrum",
@@ -130,11 +128,6 @@ class QuadratureError(RuntimeError):
     or the target lies below the roundoff floor of its error estimate."""
 
 
-class PulsedMethod(enum.Enum):
-    BROADBAND_CLOSED_FORM = "broadband-closed-form"
-    NUMERIC_QUADRATURE = "numeric-quadrature"
-
-
 @dataclass(frozen=True)
 class PulsedObservables:
     """Per-pulse one- and two-photon extraction probabilities."""
@@ -142,7 +135,6 @@ class PulsedObservables:
     ps: float
     pi: float
     psi_pair: float
-    method: PulsedMethod
 
     def __post_init__(self) -> None:
         if self.ps != self.pi:
@@ -310,21 +302,20 @@ def effective_pump_lineshape(
     return complex(total / (half_t - 0.5j * omega_sum))
 
 
-def _broadband_mask(tgamma, delta_omega, stacklevel: int = 3):
+def _broadband_mask(tgamma, delta_omega):
     """:func:`ringsfwm.core._broadband_rule` on floats or arrays: True where
     the broadband forms hold.  Warns once, for the smallest ratio, if any
-    such point is marginal, naming the frame ``stacklevel`` calls up."""
+    such point is marginal."""
     holds, marginal = _broadband_rule(tgamma, delta_omega)
     if np.any(marginal):
         ratio = np.min(np.asarray(delta_omega / tgamma)[marginal])
-        warnings.warn(_MARGINAL.format(ratio), BroadbandAssumptionWarning, stacklevel=stacklevel)
+        _warn(_MARGINAL.format(ratio), BroadbandAssumptionWarning)
     return holds
 
 
 def _require_broadband(tgamma: float, delta_omega: float) -> None:
-    """Raise where :func:`_broadband_mask` is False; a marginal warning names
-    the caller of the public function that checks."""
-    if not _broadband_mask(tgamma, delta_omega, stacklevel=4):
+    """Raise where :func:`_broadband_mask` is False."""
+    if not _broadband_mask(tgamma, delta_omega):
         raise ValueError(_NOT_BROADBAND.format(delta_omega / tgamma))
 
 
@@ -432,17 +423,15 @@ def pulsed_observables(
     y = _drive_pulsed(ring, energy, delta_omega)
     ps = _single_prob_kernel(*cfg.kernel_rates, y)
     if ps > 0.1:
-        warnings.warn(
+        _warn(
             f"per-pulse probability ps = {ps:.3g} > 0.1: the "
             "single-pair (perturbative) assumption is strained",
             UserWarning,
-            stacklevel=2,
         )
     return PulsedObservables(
         ps=ps,
         pi=ps,
         psi_pair=_pair_prob_kernel(*cfg.kernel_rates, y),
-        method=PulsedMethod.BROADBAND_CLOSED_FORM,
     )
 
 

@@ -27,7 +27,7 @@ N x N array, equal to the library grid path to <= 1e-13 relative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,14 +57,11 @@ class WavepacketGrid:
     ``amplitudes`` the N x N matrix psi(t_s, t_i) [1/s], and ``weights`` the
     per-sample quadrature weights [s].  Real amplitudes are stored as float64
     and complex ones as complex128; neither need be symmetric.
-    ``weighted_norm`` is the trapezoid estimate of the double integral of
-    |psi|^2 (dimensionless), computed once.
     """
 
     t_axis: np.ndarray
     amplitudes: np.ndarray
     weights: np.ndarray
-    weighted_norm: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         # private copies: freezing them below must not freeze the caller's arrays
@@ -85,15 +82,13 @@ class WavepacketGrid:
             raise ValueError("WavepacketGrid weights must be positive, one per sample")
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(a)) and np.all(np.isfinite(w))):
             raise ValueError("WavepacketGrid requires finite samples")
-        norm = float(np.einsum("i,j,ij->", w, w, np.abs(a) ** 2).real)
-        if norm <= 0.0:
+        if not np.any(a):
             raise ValueError("WavepacketGrid weighted squared norm must be > 0")
         for arr in (t, a, w):
             arr.setflags(write=False)
         object.__setattr__(self, "t_axis", t)
         object.__setattr__(self, "amplitudes", a)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "weighted_norm", norm)
 
     @property
     def n_points(self) -> int:
@@ -151,8 +146,10 @@ def discretize_wavepacket(
             "tabulated pump spectrum is not supported"
         )
     n_points = _point_count("n_points", n_points, 16)
-    if t_max_over_gamma <= 0.0:
-        raise ValueError(f"t_max_over_gamma must be > 0, got {t_max_over_gamma}")
+    if not 0.0 < t_max_over_gamma < math.inf:
+        raise ValueError(
+            f"t_max_over_gamma must be positive and finite, got {t_max_over_gamma!r}"
+        )
     delta_omega = pump.delta_omega_for(cfg.tgamma)
     t = np.linspace(0.0, t_max_over_gamma / cfg.gamma, n_points)
     step = t[1] - t[0]

@@ -35,7 +35,7 @@ from .core import (
     _drive_cw,
     _point_count,
     _point_rates,
-    _prob_scale_p0,
+    prob_scale_p0,
     rate_scale_R0,
 )
 from .cw import _CAR_UNDEFINED, _car_kernel, _pair_rate_kernel, _single_rate_kernel
@@ -308,7 +308,7 @@ def _analytic_optima_meta(spec: SweepSpec) -> dict:
     the :func:`optima_table` rows of that geometry and regime."""
     pump = spec.pump
     rows, r0, p0 = _optima(
-        spec.ring, spec.gamma_c, pump.power, pump.energy, pump.bandwidth_factor, stacklevel=4
+        spec.ring, spec.gamma_c, pump.power, pump.energy, pump.bandwidth_factor
     )
     cw = spec.pump_regime is PumpRegime.CW
     scale = r0 if cw else p0  # None for an absolute-bandwidth pump: p0 is not defined
@@ -369,13 +369,12 @@ def emit(result: SweepResult, fmt: str, path) -> None:
     _write_text(render(result, fmt), path)
 
 
-def _optima(ring, gamma_c, power, energy, bandwidth_factor, stacklevel):
+def _optima(ring, gamma_c, power, energy, bandwidth_factor):
     """The 12 optimum rows of :func:`optima_table` and the scales ``R0`` and
-    ``p0`` they use, each None where its drive is not given; a ``p0``
-    warning names the frame ``stacklevel`` calls up."""
+    ``p0`` they use, each None where its drive is not given."""
     r0 = rate_scale_R0(ring, power, gamma_c) if power is not None else None
     p0 = (
-        _prob_scale_p0(ring, energy, bandwidth_factor, gamma_c, stacklevel + 1)
+        prob_scale_p0(ring, energy, bandwidth_factor, gamma_c)
         if (energy is not None and bandwidth_factor is not None)
         else None
     )
@@ -414,7 +413,7 @@ def optima_table(
     absolute per-pulse probabilities when ``energy`` and ``bandwidth_factor``
     are given.
     """
-    return _optima(ring, gamma_c, power, energy, bandwidth_factor, stacklevel=3)[0]
+    return _optima(ring, gamma_c, power, energy, bandwidth_factor)[0]
 
 
 def report_optima(
@@ -425,7 +424,7 @@ def report_optima(
     bandwidth_factor: Optional[float] = None,
 ) -> str:
     """Human-readable table of all 12 optimal coupling conditions."""
-    rows, r0, p0 = _optima(ring, gamma_c, power, energy, bandwidth_factor, stacklevel=3)
+    rows, r0, p0 = _optima(ring, gamma_c, power, energy, bandwidth_factor)
     lines = []
     qc = ring.omega0 / gamma_c
     lines.append(

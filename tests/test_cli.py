@@ -86,8 +86,9 @@ class TestRates:
     def test_pulsed_point(self, pulsed_config, capsys, algaas):
         ring, gc = algaas
         # 1 pJ at this optimum sits above the 10% per-pulse comfort zone
-        with pytest.warns(UserWarning, match="single-pair"):
+        with pytest.warns(UserWarning, match="single-pair") as caught:
             assert main(["rates", "--config", str(pulsed_config)]) == 0
+        assert {w.filename for w in caught} == {__file__}  # the caller of main
         report = json.loads(capsys.readouterr().out)
         cfg = CouplingConfig.distinct(1.37 * gc, 1.83 * gc, gc)
         expected = pulsed_single_prob(ring, cfg, 1e-12, 10.0 * cfg.tgamma)
@@ -181,19 +182,9 @@ class TestSchmidtCommand:
         assert report["K"] == pytest.approx(1.119, abs=5e-3)
         assert report["K_minus_1"] == pytest.approx(report["K"] - 1.0)
 
-    @pytest.mark.parametrize("flag", [["--grid", "24"], ["--format", "csv"]])
-    def test_point_mode_rejects_grid_flags(self, pulsed_config, capsys, flag):
-        """Without a [sweep] section there is no grid to size or format."""
-        assert main(["schmidt", "--config", str(pulsed_config), *flag]) == 1
-        assert "[sweep]" in capsys.readouterr().err
-
-    def test_grid_mode(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path / "grid.ini",
-            geometry="add-drop-distinct",
-            knobs="tgamma_a_over_gamma_c = 1.0\ngamma_b_over_gamma_c = 1.0",
-            pump="mode = pulsed\npulse_energy_pj = 1\nbandwidth_factor = 10",
-            extra="""
+    def test_sweep_section_points_to_sweep(self, pulsed_config, tmp_path, capsys):
+        """schmidt reports one point; a [sweep] grid is the sweep command's."""
+        pulsed_config.write_text(pulsed_config.read_text() + """
 [sweep]
 axis1 = tgamma_a
 axis1_min = 0.5
@@ -204,15 +195,11 @@ axis2_min = 0.5
 axis2_max = 3
 axis2_points = 3
 outputs = K
-schmidt_points = 96
-""",
-        )
+""")
         out = tmp_path / "k.json"
-        assert main(["schmidt", "--config", str(cfg), "--out", str(out)]) == 0
-        data = json.loads(out.read_text())
-        assert len(data["rows"]) == 9
-        assert all(row["K"] >= 1.0 for row in data["rows"])
-        assert all(row["K_minus_1"] == row["K"] - 1.0 for row in data["rows"])
+        assert main(["schmidt", "--config", str(pulsed_config), "--out", str(out)]) == 1
+        assert "ringsfwm sweep" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestValidateCommand:
@@ -267,6 +254,8 @@ class TestExitCodes:
         ("validate", ["--format", "csv"]),
         ("validate", ["--grid", "3"]),
         ("validate", ["--refine"]),
+        ("schmidt", ["--grid", "5"]),
+        ("schmidt", ["--format", "csv"]),
     ])
     def test_unhonoured_flag_rejected(self, pulsed_config, capsys, command, flag):
         """A subcommand accepts only the flags it acts on."""
@@ -290,6 +279,14 @@ class TestExitCodes:
         assert main(["rates", "--config", str(bad)]) == 1
         assert "[ring] wavelength_nm = '1550%' is not a number" in capsys.readouterr().err
 
+    def test_unknown_config_key_is_validation_error(self, cw_config, capsys):
+        """A misspelt unit suffix no longer drops CAR silently."""
+        cw_config.write_text(cw_config.read_text().replace(
+            "coincidence_window_ns = 1", "coincidence_window_us = 1"))
+        assert main(["rates", "--config", str(cw_config)]) == 1
+        err = capsys.readouterr().err
+        assert str(cw_config) in err and "[detector] coincidence_window_us" in err
+
     def test_file_without_section_header_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "headless.ini"
         bad.write_text("n2_m2_per_w = 2.6e-17\n")
@@ -305,8 +302,9 @@ class TestExitCodes:
         ("outputs = Rs, Rsi\n", "outputs = Rs, Rsi\nschmidt_points = 8\n", "schmidt_points"),
         ("outputs = Rs, Rsi\n", "outputs = Rs, Rsi\nt_max_over_gamma = inf\n",
          "t_max_over_gamma"),
+        ("outputs = Rs, Rsi\n", "outputs = Rs, Rsi\naxis2_min = 0.5\n", "[sweep] axis2_min"),
     ], ids=["missing", "word", "fraction", "word-with-fallback", "too-few-points",
-            "infinite-window"])
+            "infinite-window", "axis2-key-without-axis2"])
     def test_bad_sweep_key_is_validation_error(self, cw_config, capsys, line, replacement, named):
         cw_config.write_text(cw_config.read_text().replace(line, replacement))
         assert main(["sweep", "--config", str(cw_config)]) == 1

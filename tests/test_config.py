@@ -67,6 +67,30 @@ def test_duplicate_unit_keys_rejected(tmp_path):
         ring_from_config(load_config(cfg))
 
 
+@pytest.mark.parametrize("old, new, named", [
+    ("power_uw = 10", "power_uw = 10\npower_typo = 3", "[pump] power_typo"),
+    ("[detector]", "[detectors]", "[detectors]"),
+    ("[ring]", "[DEFAULT]\nmode = cw\n\n[ring]", "[DEFAULT] mode"),
+], ids=["pump-key", "section", "default-key"])
+def test_unknown_section_or_key_rejected(tmp_path, old, new, named):
+    """A key no getter reads would be silently ignored; ``[DEFAULT]`` keys
+    would land in every section, and no key is known in every section."""
+    cfg = write_config(tmp_path / "a.ini")
+    cfg.write_text(cfg.read_text().replace(old, new, 1))
+    with pytest.raises(ValueError, match="unknown") as exc:
+        load_config(cfg)
+    assert str(cfg) in str(exc.value) and named in str(exc.value)
+
+
+def test_other_geometry_coupling_key_accepted(tmp_path):
+    """A coupling another geometry reads is known; all-pass ignores it."""
+    path = write_config(
+        tmp_path / "a.ini", knobs="gamma_a_over_gamma_c = 1.0\ngamma_b_over_gamma_c = 2"
+    )
+    cfg = point_config_from_config(load_config(path))
+    assert cfg.couplings == (cfg.gamma_c,)
+
+
 def test_missing_section_is_named(tmp_path):
     cfg = tmp_path / "a.ini"
     cfg.write_text("[ring]\nn2_m2_per_w = 2.6e-17\n")

@@ -1,7 +1,11 @@
 """Domain types, validation, and the coupling-independent scale factors."""
 
+import _thread
 import importlib
 import pkgutil
+import time
+import warnings
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -198,6 +202,21 @@ class TestProbScale:
         ring, gc = algaas
         with pytest.warns(BroadbandAssumptionWarning):
             prob_scale_p0(ring, 1e-12, 5.0, gc)
+
+    def test_warning_names_the_caller_or_the_outermost_frame(self, algaas):
+        """The warning names the line that called into ringsfwm; a package
+        frame that has no caller (a thread's entry point) is named itself."""
+        ring, gc = algaas
+        with pytest.warns(BroadbandAssumptionWarning) as caught:
+            prob_scale_p0(ring, 1e-12, 5.0, gc)
+        assert [w.filename for w in caught] == [__file__]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _thread.start_new_thread(prob_scale_p0, (ring, 1e-12, 5.0, gc))
+            deadline = time.monotonic() + 10.0
+            while not caught and time.monotonic() < deadline:
+                time.sleep(0.01)
+        assert [Path(w.filename).name for w in caught] == ["core.py"]
 
     def test_algaas_reference_value(self, algaas):
         """Arbitrary-precision evaluation of the same expression."""

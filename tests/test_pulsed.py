@@ -15,7 +15,9 @@ import ringsfwm.pulsed as pulsed
 from ringsfwm import (
     BroadbandAssumptionWarning,
     CouplingConfig,
+    PumpSpec,
     TabulatedSpectrum,
+    discretize_wavepacket,
     effective_pump_lineshape,
     flattop_lineshape_broadband,
     load_spectrum,
@@ -246,8 +248,9 @@ def test_marginal_warning_names_the_caller():
         pulsed_wavepacket(UNIT_RING, cfg, 1e-3, dw, 1.0, 2.0)
         flattop_lineshape_broadband(1.0, 7.0, 0.0)
         pulsed_observables(UNIT_RING, cfg, 4.28, 10.0 * cfg.tgamma)  # ps = 0.113
-    assert [w.filename for w in caught] == [__file__] * 7
-    assert "single-pair" in str(caught[-1].message)
+        discretize_wavepacket(UNIT_RING, cfg, PumpSpec.pulsed(1e-3, bandwidth_factor=7.0), 16)
+    assert [w.filename for w in caught] == [__file__] * 8
+    assert "single-pair" in str(caught[-2].message)
 
 
 class TestEffectivePumpLineshape:

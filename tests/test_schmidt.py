@@ -1,5 +1,6 @@
 """Wavepacket discretization and Schmidt decomposition."""
 
+import math
 import tracemalloc
 import warnings
 
@@ -62,7 +63,7 @@ class TestDiscretize:
         cfg = CouplingConfig.distinct(1.46 * gc, 3.17 * gc, gc)
         grid = _grid(ring, cfg)
         expected = pulsed_pair_prob(ring, cfg, PUMP.energy, PUMP.delta_omega_for(cfg.tgamma))
-        assert grid.weighted_norm == pytest.approx(expected, rel=1.5e-4)
+        assert schmidt_spectrum(grid).norm == pytest.approx(expected, rel=1.5e-4)
 
     def test_doubling_points_stabilizes_k(self, algaas):
         ring, gc = algaas
@@ -89,6 +90,9 @@ class TestDiscretize:
             with pytest.raises(ValueError, match="n_points"):
                 discretize_wavepacket(UNIT_RING, cfg, PUMP, n_points)
         assert discretize_wavepacket(UNIT_RING, cfg, PUMP, np.int64(16)).n_points == 16
+        for t_max in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="t_max_over_gamma must be positive and finite"):
+                discretize_wavepacket(UNIT_RING, cfg, PUMP, 32, t_max)
         t = np.linspace(0.0, 1.0, 32)
         w = np.full(32, t[1] - t[0])
         good = np.exp(-np.add.outer(t, t)).astype(complex)
@@ -230,10 +234,12 @@ class TestSchmidtNumber:
         zero = object.__new__(WavepacketGrid)
         for name, value in (("t_axis", t), ("amplitudes", np.zeros((32, 32))), ("weights", w)):
             object.__setattr__(zero, name, value)
+        # nonzero samples whose squares underflow
+        tiny = WavepacketGrid(t, np.full((32, 32), 1e-170), w)
         with np.errstate(over="ignore"):
             # finite samples whose squared norm overflows
             huge = WavepacketGrid(t, np.full((32, 32), 1e160), w)
-            for grid in (zero, huge):
+            for grid in (zero, tiny, huge):
                 with pytest.raises(DecompositionError, match="zero/non-finite norm"):
                     schmidt_number(grid)
                 with pytest.raises(DecompositionError, match="zero/non-finite norm"):
