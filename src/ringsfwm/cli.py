@@ -140,6 +140,8 @@ def _cmd_rates(args) -> int:
             "method": "numeric-quadrature",
             "ps_per_pulse": ps,
             "pi_per_pulse": ps,
+            # the Lorentzian pair factor is shared, so this holds for any spectrum
+            "psi_per_pulse": cfg.heralding_efficiency * ps,
             "p_acc_per_pulse": ps * ps,
             "quad_rel_err": rel_err,
         }

@@ -61,7 +61,8 @@ __all__ = [
 def load_config(path) -> configparser.ConfigParser:
     """Parse an INI file, rejecting any section or key that no getter below
     reads (a typo would otherwise be ignored).  No key belongs in every
-    section, so ``[DEFAULT]`` keys are rejected too."""
+    section, so ``[DEFAULT]`` keys are rejected too, and a coincidence
+    window, read only for a CW pump, is rejected beside a pulsed one."""
     # no interpolation: a "%" in a value is an ordinary character
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -79,6 +80,12 @@ def load_config(path) -> configparser.ConfigParser:
         for key in parser[section]:
             if key not in _KEYS.get(section, ()):
                 raise ValueError(f"config file {path!s}: unknown key [{section}] {key}")
+    window = [key for key in _WINDOW_KEYS if parser.has_option("detector", key)]
+    if window and parser.get("pump", "mode", fallback="").strip().lower() == "pulsed":
+        raise ValueError(
+            f"config file {path!s}: [detector] {window[0]} sets a CW coincidence window; "
+            "a pulsed pump has no CAR output"
+        )
     return parser
 
 

@@ -8,7 +8,8 @@ linewidth ratio ``tgamma/gamma``, which computes the same trapezoid-grid K as
 the library's wavepacket grid by O(N) recurrences, once per distinct ratio,
 equal to the library grid path to <= 1e-13 relative.  The sweep machinery
 only maps the grid to coupling rates, keeps each output as one column of
-Python values, and serializes the columns.
+Python values, and serializes the columns.  CSV and JSON rendering read the
+columns in one format pass; ``SweepResult.rows`` serves library callers.
 """
 
 from __future__ import annotations
@@ -132,6 +133,8 @@ class SweepSpec:
             )
         if "CAR" in self.outputs and self.coincidence_window is None:
             raise ValueError("CAR output requires a coincidence_window [s]")
+        if self.coincidence_window is not None and not cw:
+            raise ValueError("coincidence_window applies to a CW pump; a pulsed sweep has no CAR")
         for name in ("gamma_c", "tgamma_c", "coincidence_window", "t_max_over_gamma"):
             value = getattr(self, name)
             if value is not None and not 0.0 < value < math.inf:
@@ -191,7 +194,8 @@ class SweepResult:
     ``columns`` maps each column name to a list with one Python value per
     grid point, axis2-major: the couplings in gamma_c units, then the
     outputs, then ``error`` (None, or the failure text).  ``rows`` derives
-    the same table as one dict per grid point."""
+    the same table as one dict per grid point, for library callers;
+    :func:`render` reads the columns."""
 
     spec: SweepSpec
     columns: dict[str, list]
@@ -251,7 +255,7 @@ def run_sweep(spec: SweepSpec, *, refine: bool = False) -> SweepResult:
     axes = [spec.axis1] + ([spec.axis2] if spec.axis2 is not None else [])
     point = _mesh([ax.values() for ax in axes])
     names = coupling_parameter_names(spec.geometry)
-    columns = {f"{n}_over_gamma_c": a.tolist() for n, a in zip(names, point)}
+    columns = {_coupling_column(n): a.tolist() for n, a in zip(names, point)}
     errors: list[Optional[str]] = [None] * point[0].size
     if spec.pump.mode is PumpMode.PULSED:
         # One marginal-bandwidth warning per call, naming the caller.  tgamma
@@ -294,6 +298,11 @@ def run_sweep(spec: SweepSpec, *, refine: bool = False) -> SweepResult:
     return SweepResult(spec=spec, columns=columns, meta=meta)
 
 
+def _coupling_column(name: str) -> str:
+    """The column of coupling ``name``, in units of gamma_c."""
+    return f"{name}_over_gamma_c"
+
+
 def _cell_ratio(axis: SweepAxis, p: float) -> float:
     """Ratio ``r`` whose log window ``[p/r, p*r]`` spans +-1 grid cell around
     the grid value ``p``; on a linear axis of step ``h``, ``p/(p - h)``."""
@@ -333,20 +342,54 @@ def _csv_text(value: Optional[str]) -> str:
     return value
 
 
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_number(value: float) -> str:
+    """A float as ``json.dumps`` writes it."""
+    text = float.__repr__(value)
+    return _JSON_NONFINITE.get(text, text)
+
+
 def render(result: SweepResult, fmt: str) -> str:
     """Serialize a sweep result: 'csv' (rows only) or 'json' (meta + rows).
 
-    CSV numbers are written with 17 significant digits, so they read back
-    bit-exact; the ``error`` column is text."""
+    Both formats read the columns, never ``rows``: one row template,
+    repeated once per grid point, is filled by a single ``%``.  A coupling
+    column repeats one axis's values, so each distinct value is formatted
+    once.  CSV numbers are written with 17 significant digits, so they read
+    back bit-exact, and the ``error`` column is text.  The JSON text is that
+    of ``json.dumps({"meta": meta, "rows": rows})``."""
     if fmt == "csv":
-        columns = result.columns
-        cells = zip(*(map(_csv_text, v) if c == "error" else v for c, v in columns.items()))
-        row_format = ",".join("%s" if c == "error" else "%.17g" for c in columns)
-        table = (row_format + "\n") * len(columns["error"]) % tuple(chain.from_iterable(cells))
-        return ",".join(columns) + "\n" + table
-    if fmt == "json":
-        return json.dumps({"meta": result.meta, "rows": result.rows}) + "\n"
-    raise ValueError(f"unknown emit format {fmt!r}; expected 'csv' or 'json'")
+        number, text, inline = "%.17g".__mod__, _csv_text, "%.17g"
+    elif fmt == "json":
+        number, text, inline = _json_number, json.dumps, "%r"
+    else:
+        raise ValueError(f"unknown emit format {fmt!r}; expected 'csv' or 'json'")
+    columns = result.columns
+    couplings = {_coupling_column(n) for n in coupling_parameter_names(result.spec.geometry)}
+    specs, cells = [], []
+    for name, values in columns.items():
+        if name == "error" or name in couplings:
+            # few distinct values; couplings are positive, so equal keys have equal texts
+            memo = {v: (text if name == "error" else number)(v) for v in dict.fromkeys(values)}
+            spec, values = "%s", map(memo.__getitem__, values)
+        elif fmt == "json" and not math.isfinite(sum(values)):
+            spec, values = "%s", map(_json_number, values)
+        else:
+            spec = inline  # every value finite: the % pass formats them itself
+        specs.append(spec)
+        cells.append(values)
+    if fmt == "csv":
+        head, row, sep, tail = ",".join(columns) + "\n", ",".join(specs) + "\n", "", ""
+    else:
+        head = '{"meta": ' + json.dumps(result.meta) + ', "rows": ['
+        row = "{" + ", ".join(
+            json.dumps(c).replace("%", "%%") + ": " + s for c, s in zip(columns, specs)
+        ) + "}"
+        sep, tail = ", ", "]}\n"
+    template = head.replace("%", "%%") + sep.join([row] * len(columns["error"])) + tail
+    return template % tuple(chain.from_iterable(zip(*cells)))
 
 
 def _write_text(text: str, out) -> None:

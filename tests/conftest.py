@@ -228,16 +228,22 @@ gamma_c_over_2pi_mhz = 71.1
 
 [pump]
 {pump}
+{detector}
+{extra}
+"""
 
+# The coincidence window is read for a CW pump only; a pulsed config rejects it.
+CW_DETECTOR = """
 [detector]
 coincidence_window_ns = 1
-{extra}
 """
 
 
 def write_config(path, geometry="all-pass-identical", knobs="gamma_a_over_gamma_c = 1.0",
                  pump="mode = cw\npower_uw = 10", extra=""):
+    detector = CW_DETECTOR if "mode = cw" in pump else ""
     path.write_text(
-        ALGAAS_INI.format(geometry=geometry, knobs=knobs, pump=pump, extra=extra)
+        ALGAAS_INI.format(geometry=geometry, knobs=knobs, pump=pump, detector=detector,
+                          extra=extra)
     )
     return path

@@ -108,7 +108,21 @@ class TestRates:
         assert pulsed["pi_per_pulse"] == pulsed["ps_per_pulse"]
         assert pulsed["p_acc_per_pulse"] == pulsed["ps_per_pulse"] ** 2
         assert 0.0 < pulsed["quad_rel_err"] < 1e-6
-        assert "psi_per_pulse" not in pulsed
+
+    def test_spectrum_file_pair_probability(self, spectrum_config, capsys, algaas):
+        """``psi = eta * ps`` holds for any spectrum: the Lorentzian pair
+        factor is shared.  Checked on an add-drop design, where eta is not 1/2."""
+        _, gc = algaas
+        text = spectrum_config.read_text().replace("all-pass-identical", "add-drop-distinct")
+        spectrum_config.write_text(text.replace(
+            "gamma_a_over_gamma_c = 1.0", "tgamma_a_over_gamma_c = 1.37\ngamma_b_over_gamma_c = 1.83"
+        ))
+        assert main(["rates", "--config", str(spectrum_config)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        eta = CouplingConfig.distinct(1.37 * gc, 1.83 * gc, gc).heralding_efficiency
+        assert report["heralding_efficiency"] == eta
+        pulsed = report["pulsed"]
+        assert pulsed["psi_per_pulse"] / pulsed["ps_per_pulse"] == pytest.approx(eta, rel=1e-15)
 
     def test_spectrum_file_golden_value(self, spectrum_config, capsys):
         """Pinned to the value of the QUADPACK qagp integration this rule
@@ -286,6 +300,29 @@ class TestExitCodes:
         assert main(["rates", "--config", str(cw_config)]) == 1
         err = capsys.readouterr().err
         assert str(cw_config) in err and "[detector] coincidence_window_us" in err
+
+    @pytest.mark.parametrize("command", ["rates", "sweep"])
+    @pytest.mark.parametrize("key", ["coincidence_window_ns", "coincidence_window_s"])
+    def test_pulsed_coincidence_window_rejected(self, tmp_path, capsys, command, key):
+        """A pulsed pump has no CAR output, so the window would be dropped."""
+        cfg = write_config(
+            tmp_path / "pulsed.ini", pump="mode = pulsed\npulse_energy_pj = 1\nbandwidth_factor = 10",
+            extra=f"""
+[detector]
+{key} = 1
+
+[sweep]
+axis1 = gamma_a
+axis1_min = 0.5
+axis1_max = 2
+axis1_points = 3
+outputs = ps
+""")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(cfg) in err and f"[detector] {key}" in err
+        assert not out.exists()
 
     def test_file_without_section_header_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "headless.ini"

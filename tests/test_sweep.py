@@ -1,9 +1,11 @@
 """Grid sweeps, serialization, and the optimum report."""
 
 import csv
+import io
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,7 +39,7 @@ from ringsfwm.optimize import (
     analytic_optimum,
     coupling_parameter_names,
 )
-from ringsfwm.sweep import optima_table, render, report_optima
+from ringsfwm.sweep import algaas_example, optima_table, render, report_optima
 
 PUMP_CW = PumpSpec.cw(10e-6)
 
@@ -170,6 +172,16 @@ class TestSpecValidation:
                     Geometry.ALL_PASS_IDENTICAL, SweepAxis("gamma_a", 0.1, 2.0, 5), None,
                     ("CAR",), ring, PUMP_CW, gc, coincidence_window=bad,
                 )
+
+    def test_coincidence_window_needs_cw_pump(self, algaas):
+        """No pulsed output reads the window; it is rejected, not ignored."""
+        ring, gc = algaas
+        with pytest.raises(ValueError, match="coincidence_window applies to a CW pump"):
+            SweepSpec(
+                Geometry.ALL_PASS_IDENTICAL, SweepAxis("gamma_a", 0.1, 2.0, 5), None,
+                ("ps",), ring, PumpSpec.pulsed(1e-12, bandwidth_factor=10.0), gc,
+                coincidence_window=1e-9,
+            )
 
     def test_tabulated_spectrum_rejected(self, algaas):
         """Sweeps evaluate the broadband flattop closed forms only."""
@@ -490,16 +502,17 @@ class TestColumns:
         for row in result.rows:
             assert all(type(v) is float for c, v in row.items() if c != "error")
 
-    def test_csv_reads_columns_not_rows(self, algaas, monkeypatch):
+    def test_render_reads_columns_not_rows(self, algaas, monkeypatch):
         ring, gc = algaas
         result = _failing_pulsed_sweep(ring, gc)
-        text = render(result, "csv")
+        texts = {fmt: render(result, fmt) for fmt in ("csv", "json")}
 
         def no_rows(self):
-            raise AssertionError("CSV rendering built rows")
+            raise AssertionError("rendering built rows")
 
         monkeypatch.setattr(SweepResult, "rows", property(no_rows))
-        assert render(result, "csv") == text
+        for fmt, text in texts.items():
+            assert render(result, fmt) == text
 
 
 def _failing_pulsed_sweep(ring, gc):
@@ -577,6 +590,138 @@ class TestEmit:
         result = run_sweep(allpass_spec(ring, gc, n=5))
         with pytest.raises(ValueError, match="format"):
             render(result, "xml")
+
+
+def json_oracle(result):
+    """The row-wise JSON encoder: meta and one dict per grid point."""
+    return json.dumps({"meta": result.meta, "rows": result.rows}) + "\n"
+
+
+def csv_oracle(result):
+    """The row-wise CSV encoder: numbers with 17 significant digits, and the
+    ``error`` text empty for None, quoted where it holds ``,`` ``"`` or a
+    line break."""
+
+    def text(value):
+        if value is None:
+            return ""
+        if any(ch in value for ch in ',"\r\n'):
+            return '"' + value.replace('"', '""') + '"'
+        return value
+
+    lines = [",".join(result.columns)]
+    for row in result.rows:
+        lines.append(",".join(text(v) if c == "error" else "%.17g" % v for c, v in row.items()))
+    return "\n".join(lines) + "\n"
+
+
+def with_columns(result, **columns):
+    return replace(result, columns={**result.columns, **columns})
+
+
+class TestRenderMatchesRowEncoders:
+    """``render`` writes the same bytes as the row-wise encoders."""
+
+    @staticmethod
+    def check(result):
+        assert render(result, "json") == json_oracle(result)
+        assert render(result, "csv") == csv_oracle(result)
+
+    def test_log_axis(self, algaas):
+        self.check(run_sweep(allpass_spec(*algaas, n=40)))
+
+    def test_log_by_linear_grid(self, algaas):
+        ring, gc = algaas
+        spec = replace(adddrop_spec(ring, gc), axis2=SweepAxis("gamma_b", 0.1, 3.0, 9, "linear"))
+        self.check(run_sweep(spec))
+
+    def test_failing_pulsed_sweep(self, algaas):
+        """NaN cells, and error text holding a comma, a quote, a line break,
+        a ``%`` and a non-ASCII character."""
+        result = _failing_pulsed_sweep(*algaas)
+        errors = result.columns["error"]
+        assert None in errors and any("," in (e or "") for e in errors)
+        assert any(math.isnan(v) for v in result.columns["ps"])
+        self.check(result)
+        odd = [e and f'{e} "quoted"\r\n100% %s %(x)s \u03b3\u2264 \U0001d6fe' for e in errors]
+        self.check(with_columns(result, error=odd))
+
+    def test_cw_car_with_nan(self, algaas):
+        ring, gc = algaas
+        spec = SweepSpec(
+            Geometry.ALL_PASS_IDENTICAL, SweepAxis("gamma_a", 0.5, 2.0, 4), None, ("Rs", "CAR"),
+            ring, PumpSpec.cw(1e-200), gc, coincidence_window=1e-9,
+        )
+        result = run_sweep(spec)
+        assert all(math.isnan(v) for v in result.columns["CAR"])
+        self.check(result)
+
+    def test_infinite_cells(self, algaas):
+        ring, gc = algaas
+        result = run_sweep(adddrop_spec(ring, gc, n=4))
+        rs, rsi = list(result.columns["Rs"]), list(result.columns["Rsi"])
+        rs[1], rs[5], rsi[2] = math.inf, -math.inf, math.nan
+        rsi[3] = -math.inf
+        self.check(with_columns(result, Rs=rs, Rsi=rsi))
+
+    def test_meta_text_with_percent_and_quote(self, algaas):
+        result = run_sweep(allpass_spec(*algaas, n=5))
+        meta = {**result.meta, 'note "%s"': '100% "quoted" %(x)s %% \u03b3', "n": 3, "ok": True}
+        self.check(replace(result, meta=meta))
+        columns = {("Rs %s %%" if c == "Rs" else c): v for c, v in result.columns.items()}
+        self.check(replace(result, columns=columns))
+
+
+def _nan_equal(a, b):
+    return a == b or (isinstance(a, float) and isinstance(b, float) and a != a and b != b)
+
+
+@st.composite
+def sweep_results(draw):
+    """A random sweep: geometry, axis sizes (2-40) and scales, coupling
+    ranges, and a CW or pulsed pump whose bandwidth may fail some points."""
+    geometry = draw(st.sampled_from(list(Geometry)))
+    axes = []
+    for name in coupling_parameter_names(geometry):
+        start = draw(st.floats(0.01, 5.0))
+        stop = start * draw(st.floats(1.01, 100.0))
+        axes.append(SweepAxis(
+            name, start, stop, draw(st.integers(2, 40)), draw(st.sampled_from(["log", "linear"]))
+        ))
+    ring, gc = algaas_example()
+    if draw(st.booleans()):
+        pump, outputs, window = PumpSpec.cw(draw(st.floats(1e-6, 1e-3))), ("Rs", "Rsi", "CAR"), 1e-9
+    else:
+        delta_omega = draw(st.floats(2.0, 400.0)) * gc
+        pump, outputs, window = PumpSpec.pulsed(1e-12, delta_omega=delta_omega), ("ps", "psi", "K"), None
+    spec = SweepSpec(
+        geometry, axes[0], axes[1] if len(axes) > 1 else None, outputs, ring, pump, gc,
+        coincidence_window=window, schmidt_points=16,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BroadbandAssumptionWarning)
+        return run_sweep(spec)
+
+
+@settings(max_examples=30, deadline=None)
+@given(sweep_results())
+def test_render_round_trip(result):
+    """JSON rows read back equal to ``rows`` (NaN-aware); CSV cells read back
+    bit-exact."""
+    rows = result.rows
+    loaded = json.loads(render(result, "json"))["rows"]
+    assert len(loaded) == len(rows)
+    for back, row in zip(loaded, rows):
+        assert list(back) == list(row)
+        assert all(_nan_equal(back[c], v) for c, v in row.items())
+    back = list(csv.DictReader(io.StringIO(render(result, "csv"), newline="")))
+    assert len(back) == len(rows)
+    for cells, row in zip(back, rows):
+        assert list(cells) == list(row)
+        assert cells["error"] == (row["error"] or "")
+        assert all(
+            _nan_equal(float(cells[c]), v) for c, v in row.items() if c != "error"
+        )
 
 
 class TestOptimaReport:
