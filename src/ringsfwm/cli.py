@@ -246,7 +246,14 @@ def _figure_panels(pump: PumpSpec, outputs: tuple[str, ...], n: int) -> dict[str
 def _run_figure(args, pump: PumpSpec, outputs: tuple[str, ...], prefix: str,
                 schmidt_panel: bool) -> int:
     if args.config is not None:
-        pump = pump_from_config(_load_closed_form_config(args.config))
+        cp = _load_closed_form_config(args.config)
+        for section in cp.sections():
+            if section != "pump":
+                raise ValueError(
+                    f"config file {args.config}: {args.command} reads only [pump] and runs "
+                    f"on the AlGaAs example ring; remove [{section}]"
+                )
+        pump = pump_from_config(cp)
     n = 200 if args.grid is None else args.grid
     fmt = args.format or "json"
     panels = _figure_panels(pump, outputs, n)

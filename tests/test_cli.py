@@ -378,6 +378,30 @@ class TestFigureCommands:
             [x, y], rel=1e-12
         )
 
+    @pytest.mark.parametrize("command, section, key", [
+        ("figure2", "ring", "n2_m2_per_w = 1e-17"),
+        ("figure3", "coupling", "geometry = all-pass-identical"),
+        ("figure2", "detector", "coincidence_window_ns = 1"),
+    ], ids=["figure2-ring", "figure3-coupling", "figure2-detector"])
+    def test_config_sections_beyond_pump_rejected(self, command, section, key, tmp_path, capsys):
+        """The figures run on the AlGaAs example ring, so any section but
+        [pump] would be ignored; the file is rejected before writing."""
+        pump = "mode = cw\npower_uw = 10" if command == "figure2" else (
+            "mode = pulsed\npulse_energy_pj = 1\nbandwidth_factor = 10")
+        path = tmp_path / "figure.ini"
+        path.write_text(f"[{section}]\n{key}\n\n[pump]\n{pump}\n")
+        assert main([command, "--grid", "5", "--config", str(path), "--out", str(tmp_path / "fig")]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and f"[{section}]" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["figure.ini"]
+
+    def test_config_with_pump_only(self, tmp_path, capsys):
+        path = tmp_path / "figure.ini"
+        path.write_text("[pump]\nmode = pulsed\npulse_energy_pj = 2\nbandwidth_factor = 10\n")
+        assert main(["figure3", "--grid", "3", "--config", str(path), "--out", str(tmp_path / "fig")]) == 0
+        meta = json.loads((tmp_path / "fig_a.json").read_text())["meta"]
+        assert meta["spec"]["pump"]["pulse_energy_j"] == 2e-12
+
     @pytest.mark.parametrize("command", ["figure2", "figure3"])
     def test_zero_grid_rejected(self, command, tmp_path, capsys):
         assert main([command, "--grid", "0", "--out", str(tmp_path / "fig")]) == 1

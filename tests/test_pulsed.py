@@ -6,7 +6,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
@@ -253,6 +253,25 @@ def test_marginal_warning_names_the_caller():
     assert "single-pair" in str(caught[-2].message)
 
 
+@st.composite
+def tabulated_spectra(draw):
+    """Normalized spectra on 2-60 knots of a non-uniform grid: complex
+    amplitudes, at random with a plateau and zero padding at either end."""
+    n = draw(st.integers(2, 60))
+    steps = draw(st.lists(st.floats(0.05, 1.0), min_size=n - 1, max_size=n - 1))
+    omega = draw(st.floats(-5.0, 5.0)) + np.concatenate(([0.0], np.cumsum(steps)))
+    parts = st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)
+    amplitude = np.array(draw(parts)) + 1j * np.array(draw(parts))
+    if n >= 4 and draw(st.booleans()):
+        first = draw(st.integers(0, n - 3))
+        amplitude[first:draw(st.integers(first + 2, n - 1)) + 1] = amplitude[first]
+    amplitude[:draw(st.integers(0, n // 3))] = 0.0
+    amplitude[n - draw(st.integers(0, n // 3)):] = 0.0
+    norm = np.trapezoid(np.abs(amplitude) ** 2, omega)
+    assume(norm > 1e-6)
+    return TabulatedSpectrum(omega, amplitude / np.sqrt(norm))
+
+
 class TestEffectivePumpLineshape:
     def test_wideband_flattop_matches_closed_forms(self):
         """Finite-support value is (4/(dw*tg))*atan(dw/tg); the broadband
@@ -338,6 +357,54 @@ class TestEffectivePumpLineshape:
         fp = effective_pump_lineshape(gaussian_spectrum(tg), tg, 0.0)
         assert np.isfinite(fp) and fp.real > 0.0
         assert abs(fp.imag) < 1e-12 * fp.real
+
+    @settings(max_examples=80, deadline=None)
+    @given(tabulated_spectra(), st.floats(0.05, 20.0),
+           st.lists(st.floats(-1.3, 1.3), min_size=1, max_size=30))
+    def test_array_matches_per_element(self, spectrum, tgamma, offsets):
+        """An array of frequency sums evaluates to its elements' scalar
+        values: inside the support [2*lo, 2*hi] of f_p, outside it, on its
+        edges and far past them, where the two pump supports are disjoint."""
+        lo, hi = spectrum.support
+        w = np.concatenate((
+            (lo + hi) + (hi - lo) * np.array(offsets),
+            [2.0 * lo, 2.0 * hi, np.nextafter(2.0 * lo, 0.0), np.nextafter(2.0 * hi, 0.0),
+             2.0 * hi + 10.0 * (hi - lo), 2.0 * lo - 10.0 * (hi - lo)],
+        ))
+        got = effective_pump_lineshape(spectrum, tgamma, w)
+        each = [effective_pump_lineshape(spectrum, tgamma, float(v)) for v in w]
+        assert all(type(v) is complex for v in each)
+        assert got.shape == w.shape and got.dtype == complex
+        np.testing.assert_allclose(got, each, rtol=1e-14, atol=0.0)
+        outside = (w <= 2.0 * lo) | (w >= 2.0 * hi)
+        assert np.all(got[outside] == 0.0)
+
+    def test_shape_and_type(self):
+        spec = _shaped_spectra(2.0e9)["skewed-14"]
+        w = np.linspace(-5.0e9, 25.0e9, 12).reshape(3, 4)
+        grid = effective_pump_lineshape(spec, 2.0e9, w)
+        assert grid.shape == (3, 4) and grid.dtype == complex
+        np.testing.assert_array_equal(grid.ravel(), effective_pump_lineshape(spec, 2.0e9, w.ravel()))
+        zero_d = effective_pump_lineshape(spec, 2.0e9, np.array(3.0e9))
+        assert isinstance(zero_d, np.ndarray) and zero_d.shape == ()
+        for scalar in (3.0e9, np.float64(3.0e9), 3_000_000_000):
+            value = effective_pump_lineshape(spec, 2.0e9, scalar)
+            assert type(value) is complex and value == zero_d
+        assert effective_pump_lineshape(spec, 2.0e9, np.empty((0, 2))).shape == (0, 2)
+
+    @pytest.mark.parametrize("w", [float("nan"), np.array([0.0, np.nan]), np.full((2, 2), np.nan)])
+    def test_nan_rejected(self, w):
+        with pytest.raises(ValueError, match="effective_pump_lineshape"):
+            effective_pump_lineshape(TabulatedSpectrum.flattop(2.0e9), 1.0e9, w)
+
+    def test_infinite_sum_is_zero(self):
+        spec = TabulatedSpectrum.flattop(2.0e9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert effective_pump_lineshape(spec, 1.0e9, math.inf) == 0.0
+            assert effective_pump_lineshape(spec, 1.0e9, -math.inf) == 0.0
+            both = effective_pump_lineshape(spec, 1.0e9, np.array([-np.inf, 0.0, np.inf]))
+        assert both[0] == both[2] == 0.0 and both[1].real > 0.0
 
 
 class TestPulsedWavepacket:
@@ -624,27 +691,31 @@ class TestGaussKronrodRule:
     @pytest.mark.parametrize("bw", [10.0, 30.0])
     def test_matches_quadpack_panels(self, algaas, bw):
         """On the flattop designs the rule bisects the same panels as
-        QUADPACK's qagp: same evaluation count, value and error estimate."""
+        QUADPACK's qagp: same evaluation count, value and error estimate.
+        The integrand takes arrays (the rule's panels) and scalars (qagp's
+        points) alike."""
         ring, gc = algaas
         cfg = CouplingConfig.all_pass(gc, gc)
         spec = TabulatedSpectrum.flattop(bw * cfg.tgamma)
         tg, g = cfg.tgamma, cfg.gamma
-        calls = []
+        nodes = []
 
         def f(w):
-            calls.append(w)
+            nodes.append(np.size(w))
             fp = effective_pump_lineshape(spec, tg, w)
             return abs(fp) ** 2 / (g * g + w * w)
 
         ladder = sorted(k * tg for k in (0, 1, 3, 10, 30, -1, -3, -10, -30) if abs(k) < bw)
         edges = [-bw * tg, *ladder, bw * tg]  # w spans twice the +-bw*tg/2 support
         got, err = _adaptive_gauss_kronrod(f, edges, 1e-6)
-        n_calls = len(calls)
+        panel_nodes = list(nodes)
+        nodes.clear()
         want, want_err, info = quad(
             f, edges[0], edges[-1], points=edges[1:-1], limit=10_000,
             epsabs=0.0, epsrel=1e-6, full_output=1,
         )
-        assert n_calls == info["neval"]
+        assert set(panel_nodes) == {21}
+        assert sum(panel_nodes) == info["neval"]
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
         assert err == pytest.approx(want_err, rel=1e-6)
 
@@ -652,12 +723,33 @@ class TestGaussKronrodRule:
         """``integral_0^3 exp(-x)*cos(7x) dx``; the integral of ``|f|`` is
         ~25 times larger, which puts the roundoff floor of the error
         estimate at ~3e-13 relative: 1e-12 is met, 1e-13 is refused."""
+        nodes = []
+
         def f(x):
-            return math.exp(-x) * math.cos(7.0 * x)
+            nodes.append(np.size(x))
+            return np.exp(-x) * np.cos(7.0 * x)
 
         exact = (1.0 - math.exp(-3.0) * (math.cos(21.0) - 7.0 * math.sin(21.0))) / 50.0
         got, err = _adaptive_gauss_kronrod(f, [0.0, 0.5, 3.0], 1e-12)
         assert got == pytest.approx(exact, rel=1e-13, abs=0.0)
         assert 0.0 < err <= 1e-12 * abs(got)
+        assert set(nodes) == {21} and len(nodes) > 2  # one call per panel, bisected
         with pytest.raises(QuadratureError, match="roundoff"):
             _adaptive_gauss_kronrod(f, [0.0, 0.5, 3.0], 1e-13)
+
+    def test_one_lineshape_call_per_panel(self, algaas, monkeypatch):
+        """The singles probability evaluates the lineshape once per panel,
+        on its 21 nodes: 10 + 16 panels on the identical-coupler flattop
+        designs at B = 10 and 30."""
+        ring, gc = algaas
+        cfg = CouplingConfig.all_pass(gc, gc)
+        lineshape, sizes = pulsed.effective_pump_lineshape, []
+
+        def counted(spectrum, tgamma, omega_sum):
+            sizes.append(np.shape(omega_sum))
+            return lineshape(spectrum, tgamma, omega_sum)
+
+        monkeypatch.setattr(pulsed, "effective_pump_lineshape", counted)
+        for bw in (10.0, 30.0):
+            pulsed_single_prob_numeric(ring, cfg, ENERGY, TabulatedSpectrum.flattop(bw * cfg.tgamma))
+        assert sizes == [(21,)] * 26
