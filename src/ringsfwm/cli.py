@@ -103,7 +103,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_rates(args) -> int:
-    cp = load_config(args.config)
+    cp = load_config(args.config, args.command)
     ring = ring_from_config(cp)
     cfg = point_config_from_config(cp)
     pump = pump_from_config(cp)
@@ -165,22 +165,10 @@ def _cmd_rates(args) -> int:
     return 0
 
 
-def _load_closed_form_config(path):
-    """Config for the commands built on the flattop closed forms, which
-    cannot honour a tabulated pump spectrum."""
-    cp = load_config(path)
-    if cp.has_option("pump", "spectrum_file"):
-        raise ValueError(
-            "[pump] spectrum_file is only supported by the rates command; "
-            "remove it to use the broadband flattop closed forms"
-        )
-    return cp
-
-
 def _cmd_sweep(args) -> int:
     """Run the ``[sweep]`` grid at ``--grid`` points per axis and write it in
     ``--format``."""
-    spec = sweep_spec_from_config(_load_closed_form_config(args.config))
+    spec = sweep_spec_from_config(load_config(args.config, args.command))
     if args.grid is not None:
         axis2 = None if spec.axis2 is None else replace(spec.axis2, n_points=args.grid)
         spec = replace(spec, axis1=replace(spec.axis1, n_points=args.grid), axis2=axis2)
@@ -189,7 +177,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    cp = _load_closed_form_config(args.config)
+    cp = load_config(args.config, args.command)
     ring = ring_from_config(cp)
     gamma_c, _ = loss_rates_from_config(cp)
     pump = pump_from_config(cp)  # a CW pump has no energy, a pulsed one no power
@@ -202,12 +190,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_schmidt(args) -> int:
-    cp = _load_closed_form_config(args.config)
-    if cp.has_section("sweep"):
-        raise ValueError(
-            "schmidt reports one design point; run a [sweep] grid with outputs = K "
-            "through `ringsfwm sweep`"
-        )
+    cp = load_config(args.config, args.command)
     ring = ring_from_config(cp)
     cfg = point_config_from_config(cp)
     pump = pump_from_config(cp)
@@ -246,14 +229,7 @@ def _figure_panels(pump: PumpSpec, outputs: tuple[str, ...], n: int) -> dict[str
 def _run_figure(args, pump: PumpSpec, outputs: tuple[str, ...], prefix: str,
                 schmidt_panel: bool) -> int:
     if args.config is not None:
-        cp = _load_closed_form_config(args.config)
-        for section in cp.sections():
-            if section != "pump":
-                raise ValueError(
-                    f"config file {args.config}: {args.command} reads only [pump] and runs "
-                    f"on the AlGaAs example ring; remove [{section}]"
-                )
-        pump = pump_from_config(cp)
+        pump = pump_from_config(load_config(args.config, args.command))
     n = 200 if args.grid is None else args.grid
     fmt = args.format or "json"
     panels = _figure_panels(pump, outputs, n)

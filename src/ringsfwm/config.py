@@ -30,11 +30,16 @@ verbatim from datasheets, e.g.::
 
 Linewidth keys suffixed ``_over_2pi_<hz|mhz|ghz>`` hold ordinary frequencies
 and are converted to angular frequencies (rad/s) on load.
+
+Each command reads its own sections and keys (``_READS``; the example above
+is a ``sweep`` file), and a pump only those of its ``mode``.  ``load_config``
+rejects the rest of the file, naming each entry and the commands that read it.
 """
 
 from __future__ import annotations
 
 import configparser
+import itertools
 from typing import Optional
 
 from .core import (
@@ -58,11 +63,11 @@ __all__ = [
     "coincidence_window_from_config",
 ]
 
-def load_config(path) -> configparser.ConfigParser:
-    """Parse an INI file, rejecting any section or key that no getter below
-    reads (a typo would otherwise be ignored).  No key belongs in every
-    section, so ``[DEFAULT]`` keys are rejected too, and a coincidence
-    window, read only for a CW pump, is rejected beside a pulsed one."""
+def load_config(path, command: str) -> configparser.ConfigParser:
+    """Parse an INI file, rejecting any section or key that ``command``
+    does not read (``_READS``): a typo, or input meant for another command
+    or pump mode, would otherwise be ignored.  No key belongs in every
+    section, so ``[DEFAULT]`` keys are rejected too."""
     # no interpolation: a "%" in a value is an ordinary character
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -71,22 +76,35 @@ def load_config(path) -> configparser.ConfigParser:
         raise ValueError(f"config file {path!s}: {exc}") from exc
     if not read:
         raise OSError(f"config file {path!s} not found or unreadable")
-    for section in (parser.default_section, *parser.sections()):
-        if section not in _KEYS and section != parser.default_section:
-            raise ValueError(
-                f"config file {path!s}: unknown section [{section}]; "
-                f"expected {', '.join(f'[{s}]' for s in _KEYS)}"
-            )
-        for key in parser[section]:
-            if key not in _KEYS.get(section, ()):
-                raise ValueError(f"config file {path!s}: unknown key [{section}] {key}")
-    window = [key for key in _WINDOW_KEYS if parser.has_option("detector", key)]
-    if window and parser.get("pump", "mode", fallback="").strip().lower() == "pulsed":
+    mode = parser.get("pump", "mode", fallback="").strip().lower()
+    defaults = parser.defaults()
+    unread = [(f"[{parser.default_section}] {key}", "unknown") for key in defaults]
+    for section in parser.sections():
+        keys = [key for key in parser[section] if key not in defaults] or [None]
+        unread += [(f"[{section}]" + (f" {key}" if key else ""), why) for key in keys
+                   if (why := _why_unread(command, mode, section, key))]
+    if unread:
         raise ValueError(
-            f"config file {path!s}: [detector] {window[0]} sets a CW coincidence window; "
-            "a pulsed pump has no CAR output"
-        )
+            f"config file {path!s}: ringsfwm {command} does not read "
+            + "; ".join(f"{', '.join(name for name, _ in group)} ({why})"
+                        for why, group in itertools.groupby(unread, key=lambda e: e[1])))
     return parser
+
+
+def _why_unread(command: str, mode: str, section: str, key: Optional[str]) -> Optional[str]:
+    """Why ``command`` with a ``mode`` pump does not read ``[section] key``
+    (a section without keys for ``key=None``), or None if it does."""
+    readers = [c for c, row in _READS.items() if section in row and key in {None, *row[section]}]
+    other_modes = [m for m, keys in _MODE_KEYS.items() if mode in _MODE_KEYS and m != mode
+                   and key in keys]
+    if command in readers and not other_modes:
+        return None
+    if not readers:
+        return "unknown"
+    why = "read by " + ", ".join(f"ringsfwm {c}" for c in readers)
+    why += "".join(f" for a {m} pump" for m in other_modes)
+    note = _WHY_UNREAD.get(command, {}).get(key)
+    return why if note is None else f"{why}; {note}"
 
 
 def _number(cp: configparser.ConfigParser, section: str, key: str, kind=float, fallback=None):
@@ -113,12 +131,8 @@ def _get_quantity(
     """Fetch one physical quantity given alternative unit-suffixed keys.
 
     ``choices`` maps key name to the factor converting its value to internal
-    units (SI, angular frequencies in rad/s).
+    units (SI, angular frequencies in rad/s).  A missing section holds no key.
     """
-    if not cp.has_section(section):
-        if required:
-            raise ValueError(f"config is missing the [{section}] section")
-        return None
     found = [k for k in choices if cp.has_option(section, k)]
     if len(found) > 1:
         raise ValueError(f"[{section}] gives {found!r}: specify exactly one of them")
@@ -166,12 +180,7 @@ _DELTA_OMEGA_KEYS = _linewidth_choices("delta_omega")
 
 
 def pump_from_config(cp: configparser.ConfigParser) -> PumpSpec:
-    if not cp.has_section("pump"):
-        raise ValueError("config is missing the [pump] section")
-    mode = cp.get("pump", "mode", fallback=None)
-    if mode is None:
-        raise ValueError("[pump] must set mode = cw or mode = pulsed")
-    mode = mode.strip().lower()
+    mode = cp.get("pump", "mode", fallback="").strip().lower()
     if mode == "cw":
         return PumpSpec.cw(_get_quantity(cp, "pump", _POWER_KEYS))
     if mode == "pulsed":
@@ -187,7 +196,7 @@ def pump_from_config(cp: configparser.ConfigParser) -> PumpSpec:
             bandwidth_factor=bandwidth_factor,
             spectrum=spectrum,
         )
-    raise ValueError(f"[pump] mode must be 'cw' or 'pulsed', got {mode!r}")
+    raise ValueError(f"[pump] must set mode = cw or mode = pulsed, not {mode!r}")
 
 
 _GAMMA_C_KEYS = _linewidth_choices("gamma_c")
@@ -202,17 +211,12 @@ def loss_rates_from_config(cp: configparser.ConfigParser) -> tuple[float, Option
 
 
 def geometry_from_config(cp: configparser.ConfigParser) -> Geometry:
-    raw = cp.get("coupling", "geometry", fallback=None)
-    if raw is None:
-        raise ValueError("[coupling] must set geometry")
-    key = raw.strip().lower().replace("_", "-")
-    for geo in Geometry:
-        if geo.value == key:
-            return geo
-    raise ValueError(
-        f"unknown geometry {raw!r}; expected one of "
-        f"{[g.value for g in Geometry]}"
-    )
+    raw = cp.get("coupling", "geometry", fallback="")
+    try:
+        return Geometry(raw.strip().lower().replace("_", "-"))
+    except ValueError:
+        raise ValueError(f"[coupling] geometry = {raw!r}: expected one of "
+                         f"{[g.value for g in Geometry]}") from None
 
 
 def _coupling_keys(name: str, gamma_c: float) -> dict[str, float]:
@@ -262,8 +266,6 @@ def _axis_from_config(
 
 
 def sweep_spec_from_config(cp: configparser.ConfigParser) -> SweepSpec:
-    if not cp.has_section("sweep"):
-        raise ValueError("config is missing the [sweep] section")
     axis1 = _axis_from_config(cp, "axis1")
     if axis1 is None:
         raise ValueError("[sweep] must define axis1")
@@ -288,7 +290,7 @@ def sweep_spec_from_config(cp: configparser.ConfigParser) -> SweepSpec:
 
 # Every key a getter above reads, by section.  A coupling key that another
 # geometry reads is accepted; the getters ignore it.
-_KEYS = {
+_GETTER_KEYS = {
     "ring": set().union(*_RING_KEYS),
     "coupling": {
         "geometry", *_GAMMA_C_KEYS, *_TGAMMA_C_KEYS,
@@ -301,3 +303,23 @@ _KEYS = {
     "sweep": {"outputs", "schmidt_points", "t_max_over_gamma",
               *(axis + suffix for axis in ("axis1", "axis2") for suffix in _AXIS_SUFFIXES)},
 }
+# Each pump mode reads only its own [pump] and [detector] keys.
+_MODE_KEYS = {"cw": {*_POWER_KEYS, *_WINDOW_KEYS},
+              "pulsed": {*_ENERGY_KEYS, *_BANDWIDTH_KEYS, *_DELTA_OMEGA_KEYS, "spectrum_file"}}
+
+# The sections each command reads, less the keys of them it leaves out.  Only
+# rates evaluates a tabulated spectrum; the rest use the flattop closed forms.
+_READS = {command: {section: _GETTER_KEYS[section] - set(skip) for section, skip in row.items()}
+          for command, row in {
+    "rates": {"ring": (), "coupling": (), "pump": (), "detector": ()},
+    "sweep": {"ring": (), "coupling": (), "pump": {"spectrum_file"}, "detector": (), "sweep": ()},
+    "optimize": {"ring": (), "coupling": _TGAMMA_C_KEYS,
+                 "pump": {"spectrum_file", *_DELTA_OMEGA_KEYS}},
+    "schmidt": {"ring": (), "coupling": (), "pump": {"spectrum_file"}},
+    "figure2": {"pump": {"spectrum_file"}},
+    "figure3": {"pump": {"spectrum_file"}},
+}.items()}
+_WHY_UNREAD = {"optimize": {
+    **dict.fromkeys(_TGAMMA_C_KEYS, "optimize assumes tgamma_c = gamma_c"),
+    **dict.fromkeys(_DELTA_OMEGA_KEYS, "the absolute pulsed scale p0 needs bandwidth_factor"),
+}}

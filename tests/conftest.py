@@ -240,8 +240,10 @@ coincidence_window_ns = 1
 
 
 def write_config(path, geometry="all-pass-identical", knobs="gamma_a_over_gamma_c = 1.0",
-                 pump="mode = cw\npower_uw = 10", extra=""):
-    detector = CW_DETECTOR if "mode = cw" in pump else ""
+                 pump="mode = cw\npower_uw = 10", extra="", window=True):
+    """The AlGaAs example design; a CW pump gets a coincidence window unless
+    ``window`` is false (``optimize`` reads none)."""
+    detector = CW_DETECTOR if window and "mode = cw" in pump else ""
     path.write_text(
         ALGAAS_INI.format(geometry=geometry, knobs=knobs, pump=pump, detector=detector,
                           extra=extra)

@@ -3,9 +3,11 @@ direct library evaluation."""
 
 import argparse
 import collections
+import configparser
 import dataclasses
 import json
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -24,14 +26,18 @@ from ringsfwm import (
     save_spectrum,
 )
 from ringsfwm.cli import _build_parser, main
-from ringsfwm.config import load_config, loss_rates_from_config, pump_from_config, ring_from_config
+from ringsfwm.config import (
+    _READS,
+    load_config,
+    loss_rates_from_config,
+    pump_from_config,
+    ring_from_config,
+)
 
 from conftest import solve_distinct_pulsed_optimum, write_config
 
 
-@pytest.fixture()
-def cw_config(tmp_path):
-    return write_config(tmp_path / "cw.ini", extra="""
+CW_SWEEP = """
 [sweep]
 axis1 = gamma_a
 axis1_min = 0.05
@@ -39,7 +45,32 @@ axis1_max = 5
 axis1_points = 40
 axis1_scale = log
 outputs = Rs, Rsi
-""")
+"""
+
+PULSED_SWEEP = """
+[sweep]
+axis1 = gamma_a
+axis1_min = 0.5
+axis1_max = 2
+axis1_points = 3
+outputs = ps, K
+"""
+
+
+@pytest.fixture()
+def cw_config(tmp_path):
+    """CW all-pass design with a coincidence window: what ``rates`` reads."""
+    return write_config(tmp_path / "cw.ini")
+
+
+@pytest.fixture()
+def cw_sweep_config(tmp_path):
+    return write_config(tmp_path / "cw_sweep.ini", extra=CW_SWEEP)
+
+
+@pytest.fixture()
+def cw_optimize_config(tmp_path):
+    return write_config(tmp_path / "cw_optimize.ini", window=False)
 
 
 @pytest.fixture()
@@ -61,14 +92,6 @@ def spectrum_config(tmp_path, algaas):
     return write_config(
         tmp_path / "spectrum.ini",
         pump=f"mode = pulsed\npulse_energy_pj = 0.1\nspectrum_file = {path}",
-        extra="""
-[sweep]
-axis1 = gamma_a
-axis1_min = 0.5
-axis1_max = 2
-axis1_points = 3
-outputs = ps, K
-""",
     )
 
 
@@ -141,39 +164,69 @@ class TestRates:
 
     @pytest.mark.parametrize("command", ["sweep", "optimize", "schmidt", "figure2", "figure3"])
     def test_spectrum_file_rejected_elsewhere(self, spectrum_config, tmp_path, capsys, command):
+        if command == "sweep":
+            spectrum_config.write_text(spectrum_config.read_text() + PULSED_SWEEP)
         argv = [command, "--config", str(spectrum_config), "--out", str(tmp_path / "out")]
         assert main(argv) == 1
         assert "spectrum_file" in capsys.readouterr().err
 
 
 class TestOptimizeCommand:
-    def test_json_rows_equal_optima_table(self, cw_config, capsys):
-        cp = load_config(cw_config)
+    def test_json_rows_equal_optima_table(self, cw_optimize_config, capsys):
+        cp = load_config(cw_optimize_config, "optimize")
         expected = optima_table(
             ring_from_config(cp), loss_rates_from_config(cp)[0], power=pump_from_config(cp).power
         )
-        assert main(["optimize", "--config", str(cw_config), "--format", "json"]) == 0
+        assert main(["optimize", "--config", str(cw_optimize_config), "--format", "json"]) == 0
         rows = json.loads(capsys.readouterr().out)["optima"]
         assert len(rows) == 12
         assert rows == expected
 
-    def test_text_report_has_twelve_rows(self, cw_config, capsys):
-        assert main(["optimize", "--config", str(cw_config)]) == 0
+    def test_text_report_has_twelve_rows(self, cw_optimize_config, capsys):
+        assert main(["optimize", "--config", str(cw_optimize_config)]) == 0
         lines = capsys.readouterr().out.splitlines()
         rule = next(i for i, line in enumerate(lines) if set(line) == {"-"})
         assert len(lines[rule + 1:]) == 12
 
-    def test_csv_format_rejected(self, cw_config, capsys):
+    def test_csv_format_rejected(self, cw_optimize_config, capsys):
         """The optimum report has no CSV form."""
-        assert main(["optimize", "--config", str(cw_config), "--format", "csv"]) == 1
+        assert main(["optimize", "--config", str(cw_optimize_config), "--format", "csv"]) == 1
         assert "invalid choice" in capsys.readouterr().err
+
+    def test_distinct_pump_loss_rejected(self, tmp_path, capsys):
+        """The optimum table assumes tgamma_c = gamma_c, so a distinct pump
+        loss would be dropped."""
+        cfg = write_config(
+            tmp_path / "distinct.ini", geometry="add-drop-distinct", window=False,
+            knobs="tgamma_a_over_gamma_c = 1.0\ngamma_b_over_gamma_c = 1.0\n"
+            "tgamma_c_over_2pi_mhz = 80",
+        )
+        out = tmp_path / "optima.json"
+        assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "[coupling] tgamma_c_over_2pi_mhz" in err and "tgamma_c = gamma_c" in err
+        assert not out.exists()
+
+    def test_pulse_bandwidth_without_factor_rejected(self, tmp_path, capsys):
+        """The absolute pulsed scale p0 is set by bandwidth_factor; beside a
+        delta_omega the pulse energy would go unused."""
+        cfg = write_config(
+            tmp_path / "delta.ini",
+            pump="mode = pulsed\npulse_energy_pj = 1\ndelta_omega_over_2pi_ghz = 5",
+        )
+        out = tmp_path / "optima.json"
+        assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "[pump] delta_omega_over_2pi_ghz" in err
+        assert "p0 needs bandwidth_factor" in err
+        assert not out.exists()
 
 
 class TestSweepCommand:
-    def test_csv_output(self, cw_config, tmp_path):
+    def test_csv_output(self, cw_sweep_config, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main([
-            "sweep", "--config", str(cw_config), "--format", "csv",
+            "sweep", "--config", str(cw_sweep_config), "--format", "csv",
             "--out", str(out),
         ])
         assert code == 0
@@ -181,10 +234,10 @@ class TestSweepCommand:
         assert lines[0] == "gamma_a_over_gamma_c,Rs,Rsi,error"
         assert len(lines) == 41
 
-    def test_grid_override(self, cw_config, tmp_path):
+    def test_grid_override(self, cw_sweep_config, tmp_path):
         out = tmp_path / "sweep.json"
         assert main([
-            "sweep", "--config", str(cw_config), "--grid", "11", "--out", str(out),
+            "sweep", "--config", str(cw_sweep_config), "--grid", "11", "--out", str(out),
         ]) == 0
         assert len(json.loads(out.read_text())["rows"]) == 11
 
@@ -307,17 +360,8 @@ class TestExitCodes:
         """A pulsed pump has no CAR output, so the window would be dropped."""
         cfg = write_config(
             tmp_path / "pulsed.ini", pump="mode = pulsed\npulse_energy_pj = 1\nbandwidth_factor = 10",
-            extra=f"""
-[detector]
-{key} = 1
-
-[sweep]
-axis1 = gamma_a
-axis1_min = 0.5
-axis1_max = 2
-axis1_points = 3
-outputs = ps
-""")
+            extra=f"\n[detector]\n{key} = 1\n" + (PULSED_SWEEP if command == "sweep" else ""),
+        )
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -342,15 +386,16 @@ outputs = ps
         ("outputs = Rs, Rsi\n", "outputs = Rs, Rsi\naxis2_min = 0.5\n", "[sweep] axis2_min"),
     ], ids=["missing", "word", "fraction", "word-with-fallback", "too-few-points",
             "infinite-window", "axis2-key-without-axis2"])
-    def test_bad_sweep_key_is_validation_error(self, cw_config, capsys, line, replacement, named):
-        cw_config.write_text(cw_config.read_text().replace(line, replacement))
-        assert main(["sweep", "--config", str(cw_config)]) == 1
+    def test_bad_sweep_key_is_validation_error(self, cw_sweep_config, capsys, line, replacement,
+                                               named):
+        cw_sweep_config.write_text(cw_sweep_config.read_text().replace(line, replacement))
+        assert main(["sweep", "--config", str(cw_sweep_config)]) == 1
         assert named in capsys.readouterr().err
 
-    def test_unwritable_output_is_io_error(self, cw_config, tmp_path):
+    def test_unwritable_output_is_io_error(self, cw_sweep_config, tmp_path):
         out = tmp_path / "missing" / "dir" / "x.csv"
         assert main([
-            "sweep", "--config", str(cw_config), "--format", "csv", "--out", str(out),
+            "sweep", "--config", str(cw_sweep_config), "--format", "csv", "--out", str(out),
         ]) == 3
 
 
@@ -433,6 +478,59 @@ class TestModuleEntryPoint:
         assert proc.stdout.strip() == "[]"
 
 
+# Per pump mode: the [pump] body, a [sweep] section, and the keys of the
+# other mode.
+PUMP_MODES = {
+    "cw": ("mode = cw\npower_uw = 10", CW_SWEEP,
+           ("spectrum_file", "pulse_energy_pj", "bandwidth_factor")),
+    "pulsed": ("mode = pulsed\npulse_energy_pj = 1\nbandwidth_factor = 10", PULSED_SWEEP,
+               ("power_uw",)),
+}
+
+
+def _unread_entries():
+    """(command, pump mode, section, key or None) for each section a command
+    does not read and each other-mode pump key, walked from the table."""
+    sections = set().union(*_READS.values())
+    for command, reads in _READS.items():
+        for section in sorted(sections - set(reads)):
+            yield command, "cw", section, None
+        if "pump" in reads:
+            for mode, (_, _, keys) in PUMP_MODES.items():
+                for key in keys:
+                    yield command, mode, "pump", key
+
+
+@pytest.mark.parametrize("command, mode, section, key", list(_unread_entries()))
+def test_unread_config_entry_rejected(tmp_path, capsys, command, mode, section, key):
+    """Each command accepts a file holding what it reads, and exits 1 once
+    one entry it does not read is added, naming the file, the entry and the
+    command, and writing nothing."""
+    pump, sweep, _ = PUMP_MODES[mode]
+    full = configparser.ConfigParser(interpolation=None)
+    full.read(write_config(tmp_path / "full.ini", pump=pump, extra=sweep))
+    cfg = configparser.ConfigParser(interpolation=None)
+    cfg.read_dict({s: full[s] for s in _READS[command] if full.has_section(s)})
+    path = tmp_path / "design.ini"
+    with path.open("w") as fh:
+        cfg.write(fh)
+    load_config(path, command)
+    if key is None:
+        key = next(iter(full[section]))
+        cfg.read_dict({section: {key: full[section][key]}})
+    else:
+        cfg[section][key] = "1"
+    with path.open("w") as fh:
+        cfg.write(fh)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([command, "--config", str(path), "--out", str(out / "x")]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and f"[{section}] {key}" in err
+    assert f"ringsfwm {command} does not read" in err
+    assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize("command", ["rates", "optimize"])
 def test_each_warning_once_per_command(tmp_path, capsys, command):
     """A marginal bandwidth (B = 7) is reported once per distinct message,
@@ -473,3 +571,19 @@ def test_readme_quick_start_runs():
     quick_start = readme.split("## Quick start (library)", 1)[1]
     code = re.search(r"```python\n(.*?)```", quick_start, re.DOTALL)[1]
     exec(compile(code, "README.md", "exec"), {})
+
+
+def test_readme_config_example_runs(tmp_path, monkeypatch):
+    """Each INI block of the README (its first line names the file) is
+    accepted by every ``ringsfwm <cmd> --config`` line that uses it."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    files = re.findall(r"```ini\n# (\S+)\n(.*?)```", readme, re.DOTALL)
+    commands = re.findall(r"^ringsfwm (\w+ --config .*)$", readme, re.MULTILINE)
+    assert len(files) >= 2 and len(commands) >= 2
+    monkeypatch.chdir(tmp_path)
+    for name, text in files:
+        (tmp_path / name).write_text(text)
+    for line in commands:
+        argv = shlex.split(line, comments=True)
+        assert argv[argv.index("--config") + 1] in dict(files), line
+        assert main(argv) == 0, line
