@@ -6,6 +6,14 @@ point; a grid of K runs through ``sweep``), ``validate``
 (analytic-vs-numeric cross check), and ``figure2``/``figure3`` (canned AlGaAs
 coupling scans for CW and broadband-pulse pumping).
 
+The figure commands compute every panel in the calling process, then render
+and write the panel files concurrently with :func:`ringsfwm.sweep.emit_all`:
+one ``os.fork()`` worker per available CPU, the caller being one of them,
+writing the same bytes as one process would.  Python 3.12 and later warn
+(``DeprecationWarning``) when a multi-threaded process forks; that does not
+apply here, because the child only formats strings, writes its own files and
+calls ``os._exit``.
+
 Exit codes: 0 success, 1 validation error, 2 computation failure,
 3 I/O failure.
 """
@@ -40,6 +48,7 @@ from .sweep import (
     _write_text,
     algaas_example,
     emit,
+    emit_all,
     optima_table,
     report_optima,
     run_sweep,
@@ -232,21 +241,16 @@ def _run_figure(args, pump: PumpSpec, outputs: tuple[str, ...], prefix: str,
         pump = pump_from_config(load_config(args.config, args.command))
     n = 200 if args.grid is None else args.grid
     fmt = args.format or "json"
-    panels = _figure_panels(pump, outputs, n)
     stem = args.out or prefix
-    written = []
-    for label, spec in panels.items():
-        result = run_sweep(spec, refine=args.refine)
-        path = f"{stem}_{label}.{fmt}"
-        emit(result, fmt, path)
-        written.append(path)
+    # Every panel is computed here, so each library warning names this
+    # caller; only the rendering and writing run in parallel.
+    panels = [(run_sweep(spec, refine=args.refine), f"{stem}_{label}.{fmt}")
+              for label, spec in _figure_panels(pump, outputs, n).items()]
     if schmidt_panel:
         spec = _figure_panels(pump, ("K",), min(n, _FIGURE_K_GRID))["c"]
-        result = run_sweep(spec, refine=False)
-        path = f"{stem}_c_schmidt.{fmt}"
-        emit(result, fmt, path)
-        written.append(path)
-    sys.stdout.write("\n".join(written) + "\n")
+        panels.append((run_sweep(spec, refine=False), f"{stem}_c_schmidt.{fmt}"))
+    emit_all(panels, fmt)
+    sys.stdout.write("\n".join(path for _, path in panels) + "\n")
     return 0
 
 

@@ -14,7 +14,6 @@ verbatim from datasheets, e.g.::
     [coupling]
     geometry = all-pass-identical
     gamma_c_over_2pi_mhz = 71.1
-    gamma_a_over_gamma_c = 1.0
 
     [pump]
     mode = cw
@@ -32,8 +31,9 @@ Linewidth keys suffixed ``_over_2pi_<hz|mhz|ghz>`` hold ordinary frequencies
 and are converted to angular frequencies (rad/s) on load.
 
 Each command reads its own sections and keys (``_READS``; the example above
-is a ``sweep`` file), and a pump only those of its ``mode``.  ``load_config``
-rejects the rest of the file, naming each entry and the commands that read it.
+is a ``sweep`` file, which scans the couplings rather than reading them), and
+a pump only those of its ``mode``.  ``load_config`` rejects the rest of the
+file, naming each entry and the commands that read it.
 """
 
 from __future__ import annotations
@@ -288,15 +288,15 @@ def sweep_spec_from_config(cp: configparser.ConfigParser) -> SweepSpec:
     )
 
 
-# Every key a getter above reads, by section.  A coupling key that another
-# geometry reads is accepted; the getters ignore it.
+# The coupling knobs of every geometry.  rates and schmidt accept a knob of
+# another geometry (one design file per geometry); point_config_from_config
+# ignores it.
+_KNOB_KEYS = {key for geometry in Geometry for name in coupling_parameter_names(geometry)
+              for key in _coupling_keys(name, 1.0)}
+# Every key a getter above reads, by section.
 _GETTER_KEYS = {
     "ring": set().union(*_RING_KEYS),
-    "coupling": {
-        "geometry", *_GAMMA_C_KEYS, *_TGAMMA_C_KEYS,
-        *(key for geometry in Geometry for name in coupling_parameter_names(geometry)
-          for key in _coupling_keys(name, 1.0)),
-    },
+    "coupling": {"geometry", *_GAMMA_C_KEYS, *_TGAMMA_C_KEYS, *_KNOB_KEYS},
     "pump": {"mode", "spectrum_file", *_POWER_KEYS, *_ENERGY_KEYS, *_BANDWIDTH_KEYS,
              *_DELTA_OMEGA_KEYS},
     "detector": set(_WINDOW_KEYS),
@@ -312,8 +312,9 @@ _MODE_KEYS = {"cw": {*_POWER_KEYS, *_WINDOW_KEYS},
 _READS = {command: {section: _GETTER_KEYS[section] - set(skip) for section, skip in row.items()}
           for command, row in {
     "rates": {"ring": (), "coupling": (), "pump": (), "detector": ()},
-    "sweep": {"ring": (), "coupling": (), "pump": {"spectrum_file"}, "detector": (), "sweep": ()},
-    "optimize": {"ring": (), "coupling": _TGAMMA_C_KEYS,
+    "sweep": {"ring": (), "coupling": _KNOB_KEYS, "pump": {"spectrum_file"}, "detector": (),
+              "sweep": ()},
+    "optimize": {"ring": (), "coupling": {"geometry", *_TGAMMA_C_KEYS, *_KNOB_KEYS},
                  "pump": {"spectrum_file", *_DELTA_OMEGA_KEYS}},
     "schmidt": {"ring": (), "coupling": (), "pump": {"spectrum_file"}},
     "figure2": {"pump": {"spectrum_file"}},
@@ -322,4 +323,5 @@ _READS = {command: {section: _GETTER_KEYS[section] - set(skip) for section, skip
 _WHY_UNREAD = {"optimize": {
     **dict.fromkeys(_TGAMMA_C_KEYS, "optimize assumes tgamma_c = gamma_c"),
     **dict.fromkeys(_DELTA_OMEGA_KEYS, "the absolute pulsed scale p0 needs bandwidth_factor"),
-}}
+    **dict.fromkeys({"geometry", *_KNOB_KEYS}, "optimize tabulates every geometry"),
+}, "sweep": dict.fromkeys(_KNOB_KEYS, "sweep scans every coupling of the geometry")}

@@ -10,12 +10,16 @@ equal to the library grid path to <= 1e-13 relative.  The sweep machinery
 only maps the grid to coupling rates, keeps each output as one column of
 Python values, and serializes the columns.  CSV and JSON rendering read the
 columns in one format pass; ``SweepResult.rows`` serves library callers.
+:func:`emit_all` writes several results at once, one forked worker per
+available CPU.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
 import sys
 from dataclasses import asdict, dataclass, field
 from itertools import chain
@@ -58,6 +62,7 @@ __all__ = [
     "SweepResult",
     "run_sweep",
     "emit",
+    "emit_all",
     "render",
     "optima_table",
     "report_optima",
@@ -410,6 +415,103 @@ def emit(result: SweepResult, fmt: str, path) -> None:
     """Write a sweep result to ``path``, or to stdout when ``path`` is None;
     I/O failures carry the path context."""
     _write_text(render(result, fmt), path)
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _deal(sizes: list[int], workers: int) -> list[list[int]]:
+    """Indices of ``sizes`` dealt to ``workers`` shares, largest first, each
+    to the share with the least total so far (the first such on a tie), so
+    share 0 holds the largest."""
+    shares, loads = [[] for _ in range(workers)], [0] * workers
+    for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
+        w = loads.index(min(loads))
+        shares[w].append(i)
+        loads[w] += sizes[i]
+    return shares
+
+
+def _emit_share(panels: list, share: list[int], fmt: str):
+    """:func:`emit` each panel of ``share`` in turn; the index and exception
+    of the first that fails, or None."""
+    for i in share:
+        try:
+            emit(panels[i][0], fmt, panels[i][1])
+        except Exception as exc:  # noqa: BLE001 - reported to the caller of emit_all
+            return i, exc
+    return None
+
+
+def emit_all(panels, fmt: str) -> None:
+    """Write each ``(result, path)`` of ``panels`` to its file as :func:`emit`
+    does, rendering the panels concurrently.
+
+    There is one worker per CPU this process may run on (``os.cpu_count()``
+    where CPU affinity is not available), at most one per panel.  The panels
+    are dealt to the workers largest-first by row count, and the caller is
+    the worker that gets the largest.  Each other worker is an ``os.fork()``
+    child: it inherits the results copy-on-write, so nothing is pickled on
+    the way in, emits its panels, sends back through a pipe only the pickled
+    exception of its first failing panel (or nothing), and leaves by
+    ``os._exit``.  Without ``os.fork``, or with one worker, the caller emits
+    every panel and nothing is forked.  The files are the bytes that
+    :func:`emit` writes; every path must name a file.
+
+    Every child is reaped before this returns or raises.  The failure of the
+    first failing panel in ``panels`` order is raised; a child that ends
+    without a report raises ``OSError`` naming the files it owned.
+
+    Python 3.12 and later warn (``DeprecationWarning``) when a process with
+    more than one thread forks, because a lock that another thread held at
+    the fork stays held in the child.  That does not apply here: the child
+    only formats strings from the results it inherited, writes its own
+    files and calls ``os._exit``, so it waits on no lock of another thread
+    and runs none of the parent's exit handlers or stream flushes."""
+    panels = list(panels)
+    if any(path is None for _, path in panels):
+        # a child's stdout buffer is never flushed, and its order would vary
+        raise ValueError("emit_all writes files; emit writes a result to stdout")
+    workers = min(_cpu_count() if hasattr(os, "fork") else 1, len(panels))
+    caller, *others = _deal([len(result.columns["error"]) for result, _ in panels], workers)
+    children = {}  # pid -> (read end of its pipe, its share)
+    failures = []
+    try:
+        for share in others:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    os.close(read_fd)
+                    failure = _emit_share(panels, share, fmt)
+                    with os.fdopen(write_fd, "wb") as fh:
+                        if failure is not None:
+                            fh.write(pickle.dumps(failure))
+                    os._exit(0)
+                finally:  # reached only by an exception that escaped the report
+                    os._exit(1)
+            os.close(write_fd)
+            children[pid] = read_fd, share
+        failures.append(_emit_share(panels, caller, fmt))
+    finally:
+        for pid, (read_fd, share) in children.items():
+            with os.fdopen(read_fd, "rb") as fh:
+                report = fh.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if report:
+                failures.append(pickle.loads(report))
+            elif status != 0:
+                paths = ", ".join(str(panels[i][1]) for i in share)
+                failures.append((min(share), OSError(
+                    f"render worker for {paths} ended without a report (exit status {status})")))
+    failures = [f for f in failures if f is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
 
 
 def _optima(ring, gamma_c, power, energy, bandwidth_factor):

@@ -222,8 +222,7 @@ radius_um = 143
 wavelength_nm = 1550
 
 [coupling]
-geometry = {geometry}
-gamma_c_over_2pi_mhz = 71.1
+{geometry}gamma_c_over_2pi_mhz = 71.1
 {knobs}
 
 [pump]
@@ -242,8 +241,11 @@ coincidence_window_ns = 1
 def write_config(path, geometry="all-pass-identical", knobs="gamma_a_over_gamma_c = 1.0",
                  pump="mode = cw\npower_uw = 10", extra="", window=True):
     """The AlGaAs example design; a CW pump gets a coincidence window unless
-    ``window`` is false (``optimize`` reads none)."""
+    ``window`` is false (``optimize`` reads none).  ``geometry=None`` leaves
+    out the geometry line and ``knobs=""`` the couplings, which ``optimize``
+    (neither) and ``sweep`` (the couplings) do not read."""
     detector = CW_DETECTOR if window and "mode = cw" in pump else ""
+    geometry = "" if geometry is None else f"geometry = {geometry}\n"
     path.write_text(
         ALGAAS_INI.format(geometry=geometry, knobs=knobs, pump=pump, detector=detector,
                           extra=extra)

@@ -6,8 +6,10 @@ import collections
 import configparser
 import dataclasses
 import json
+import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 import warnings
@@ -18,14 +20,18 @@ import pytest
 from ringsfwm import (
     CouplingConfig,
     Objective,
+    PumpSpec,
     TabulatedSpectrum,
     cw_observables,
     optima_table,
     pulsed_single_prob,
     pulsed_single_prob_numeric,
+    run_sweep,
     save_spectrum,
 )
-from ringsfwm.cli import _build_parser, main
+from ringsfwm import sweep as sweep_module
+from ringsfwm.cli import _FIGURE_K_GRID, _build_parser, _figure_panels, main
+from ringsfwm.core import BroadbandAssumptionWarning
 from ringsfwm.config import (
     _READS,
     load_config,
@@ -33,6 +39,7 @@ from ringsfwm.config import (
     pump_from_config,
     ring_from_config,
 )
+from ringsfwm.sweep import _deal, render
 
 from conftest import solve_distinct_pulsed_optimum, write_config
 
@@ -65,12 +72,12 @@ def cw_config(tmp_path):
 
 @pytest.fixture()
 def cw_sweep_config(tmp_path):
-    return write_config(tmp_path / "cw_sweep.ini", extra=CW_SWEEP)
+    return write_config(tmp_path / "cw_sweep.ini", knobs="", extra=CW_SWEEP)
 
 
 @pytest.fixture()
 def cw_optimize_config(tmp_path):
-    return write_config(tmp_path / "cw_optimize.ini", window=False)
+    return write_config(tmp_path / "cw_optimize.ini", geometry=None, knobs="", window=False)
 
 
 @pytest.fixture()
@@ -454,6 +461,125 @@ class TestFigureCommands:
         assert not list(tmp_path.iterdir())
 
 
+# Each figure command's pump and outputs, as the command sets them.
+FIGURE_DRIVES = {
+    "figure2": (PumpSpec.cw(10e-6), ("Rs", "Rsi")),
+    "figure3": (PumpSpec.pulsed(1e-12, bandwidth_factor=10.0), ("ps", "psi")),
+}
+
+
+def _figure_files(command, grid, fmt, refine):
+    """Each file name a figure command writes at stem ``fig``, in its printed
+    order, and the text rendered for it in this process."""
+    pump, outputs = FIGURE_DRIVES[command]
+    files = {f"fig_{label}.{fmt}": render(run_sweep(spec, refine=refine), fmt)
+             for label, spec in _figure_panels(pump, outputs, grid).items()}
+    if command == "figure3":
+        spec = _figure_panels(pump, ("K",), min(grid, _FIGURE_K_GRID))["c"]
+        files[f"fig_c_schmidt.{fmt}"] = render(run_sweep(spec), fmt)
+    return files
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """The number of os.fork calls made while the test runs."""
+    calls = []
+    real_fork = os.fork
+
+    def counting_fork():
+        calls.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return calls
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestFigureFiles:
+    """The figure commands render and write their panels concurrently; the
+    files are those one process writes, and no child outlives the command."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("refine", [False, True], ids=["plain", "refine"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", ["figure2", "figure3"])
+    def test_files_equal_in_process_render(self, command, fmt, refine, workers, tmp_path,
+                                           capsys, monkeypatch, forks):
+        monkeypatch.setattr(sweep_module, "_cpu_count", lambda: workers)
+        argv = [command, "--grid", "6", "--format", fmt, "--out", str(tmp_path / "fig")]
+        assert main(argv + ["--refine"] * refine) == 0
+        printed = capsys.readouterr().out.splitlines()
+        expected = _figure_files(command, 6, fmt, refine)
+        assert printed == [str(tmp_path / name) for name in expected]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(expected)
+        for name, text in expected.items():
+            assert (tmp_path / name).read_bytes() == text.encode("utf-8"), name
+        assert len(forks) == min(workers, len(expected)) - 1
+        _assert_no_child_left()
+
+    def test_child_write_failure_exits_3(self, tmp_path, capsys, monkeypatch, forks):
+        """A panel a child owns cannot be written: exit 3, naming its path."""
+        monkeypatch.setattr(sweep_module, "_cpu_count", lambda: 2)
+        (child_panel,) = _deal([5, 25, 25], 2)[1]  # rows of panels a, b, c at --grid 5
+        blocked = tmp_path / f"fig_{'abc'[child_panel]}.csv"
+        blocked.mkdir()
+        assert main(["figure2", "--grid", "5", "--format", "csv", "--out", str(tmp_path / "fig")]) == 3
+        assert len(forks) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ringsfwm: I/O error:") and str(blocked) in err
+        _assert_no_child_left()
+
+    def test_first_failing_panel_reported(self, tmp_path, capsys, monkeypatch):
+        """The caller's panel b and the child's panel c both fail; the error
+        names b, the earlier of the two in the printed order."""
+        monkeypatch.setattr(sweep_module, "_cpu_count", lambda: 2)
+        for label in "bc":
+            (tmp_path / f"fig_{label}.json").mkdir()
+        assert main(["figure2", "--grid", "5", "--out", str(tmp_path / "fig")]) == 3
+        err = capsys.readouterr().err
+        assert str(tmp_path / "fig_b.json") in err and "fig_c.json" not in err
+        _assert_no_child_left()
+
+    def test_child_killed_without_report(self, tmp_path, capsys, monkeypatch):
+        """A child that dies before it reports fails the command with an I/O
+        error naming the files it owned."""
+        monkeypatch.setattr(sweep_module, "_cpu_count", lambda: 2)
+        parent, real_emit = os.getpid(), sweep_module.emit
+
+        def emit_or_die(result, fmt, path):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            real_emit(result, fmt, path)
+
+        monkeypatch.setattr(sweep_module, "emit", emit_or_die)
+        assert main(["figure2", "--grid", "5", "--out", str(tmp_path / "fig")]) == 3
+        err = capsys.readouterr().err
+        assert str(tmp_path / "fig_c.json") in err and "without a report" in err
+        _assert_no_child_left()
+
+    def test_marginal_bandwidth_warnings_reach_the_caller(self, tmp_path, capsys, monkeypatch):
+        """figure3 at B = 7: both broadband-margin warnings, once per panel,
+        reach the caller's warning filters and name the line that called
+        main, with children forked for the rendering."""
+        monkeypatch.setattr(sweep_module, "_cpu_count", lambda: 2)
+        path = tmp_path / "b7.ini"
+        path.write_text("[pump]\nmode = pulsed\npulse_energy_pj = 1\nbandwidth_factor = 7\n")
+        argv = ["figure3", "--grid", "4", "--config", str(path), "--out", str(tmp_path / "fig")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            line = sys._getframe().f_lineno + 1
+            assert main(argv) == 0
+        counts = collections.Counter(str(w.message) for w in caught)
+        assert len(counts) == 2 and set(counts.values()) == {4}, counts
+        assert any("B = 7 < 10" in message for message in counts)
+        assert {(w.category, w.filename, w.lineno) for w in caught} == {
+            (BroadbandAssumptionWarning, __file__, line)}
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m(self, cw_config, tmp_path):
         out = tmp_path / "out.json"
@@ -488,13 +614,22 @@ PUMP_MODES = {
 }
 
 
+# One key of each kind in [coupling]: the geometry, a coupling knob, the
+# distinct pump loss.
+COUPLING_KEYS = ("geometry", "gamma_a_over_gamma_c", "tgamma_c_over_2pi_mhz")
+
+
 def _unread_entries():
     """(command, pump mode, section, key or None) for each section a command
-    does not read and each other-mode pump key, walked from the table."""
+    does not read, each [coupling] key of COUPLING_KEYS it does not read and
+    each other-mode pump key, walked from the table."""
     sections = set().union(*_READS.values())
     for command, reads in _READS.items():
         for section in sorted(sections - set(reads)):
             yield command, "cw", section, None
+        for key in COUPLING_KEYS:
+            if "coupling" in reads and key not in reads["coupling"]:
+                yield command, "cw", "coupling", key
         if "pump" in reads:
             for mode, (_, _, keys) in PUMP_MODES.items():
                 for key in keys:
@@ -510,7 +645,8 @@ def test_unread_config_entry_rejected(tmp_path, capsys, command, mode, section, 
     full = configparser.ConfigParser(interpolation=None)
     full.read(write_config(tmp_path / "full.ini", pump=pump, extra=sweep))
     cfg = configparser.ConfigParser(interpolation=None)
-    cfg.read_dict({s: full[s] for s in _READS[command] if full.has_section(s)})
+    cfg.read_dict({s: {k: v for k, v in full[s].items() if k in keys}
+                   for s, keys in _READS[command].items() if full.has_section(s)})
     path = tmp_path / "design.ini"
     with path.open("w") as fh:
         cfg.write(fh)
@@ -535,10 +671,11 @@ def test_unread_config_entry_rejected(tmp_path, capsys, command, mode, section, 
 def test_each_warning_once_per_command(tmp_path, capsys, command):
     """A marginal bandwidth (B = 7) is reported once per distinct message,
     even with no de-duplication by the warnings filter."""
+    design = {"geometry": "add-drop-distinct",
+              "knobs": "tgamma_a_over_gamma_c = 1.37\ngamma_b_over_gamma_c = 1.83"}
     cfg = write_config(
         tmp_path / "b7.ini",
-        geometry="add-drop-distinct",
-        knobs="tgamma_a_over_gamma_c = 1.37\ngamma_b_over_gamma_c = 1.83",
+        **(design if command == "rates" else {"geometry": None, "knobs": ""}),
         pump="mode = pulsed\npulse_energy_pj = 0.1\nbandwidth_factor = 7",
     )
     with warnings.catch_warnings(record=True) as caught:

@@ -131,7 +131,7 @@ def test_pulsed_pump_parsing(tmp_path):
 
 
 def test_sweep_section(tmp_path):
-    cfg = write_config(tmp_path / "a.ini", extra="""
+    cfg = write_config(tmp_path / "a.ini", knobs="", extra="""
 [sweep]
 axis1 = gamma_a
 axis1_min = 0.05

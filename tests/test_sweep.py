@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import os
 import warnings
 from dataclasses import replace
 
@@ -39,7 +40,10 @@ from ringsfwm.optimize import (
     analytic_optimum,
     coupling_parameter_names,
 )
-from ringsfwm.sweep import algaas_example, optima_table, render, report_optima
+from ringsfwm import sweep as sweep_module
+from ringsfwm.sweep import (
+    _deal, algaas_example, emit_all, optima_table, render, report_optima,
+)
 
 PUMP_CW = PumpSpec.cw(10e-6)
 
@@ -590,6 +594,52 @@ class TestEmit:
         result = run_sweep(allpass_spec(ring, gc, n=5))
         with pytest.raises(ValueError, match="format"):
             render(result, "xml")
+
+
+class TestEmitAll:
+    """Concurrent emission; the figure commands' files are checked in
+    test_cli.py."""
+
+    @pytest.mark.parametrize("sizes, workers, shares", [
+        ([5, 25, 25], 2, [[1, 0], [2]]),
+        ([200, 40000, 40000, 625], 2, [[1, 3], [2, 0]]),
+        ([200, 40000, 40000, 625], 4, [[1], [2], [3], [0]]),
+        ([3, 1, 2], 1, [[0, 2, 1]]),
+    ])
+    def test_deal_largest_first(self, sizes, workers, shares):
+        """Largest first, each to the least-loaded share; the caller's share
+        0 holds the largest."""
+        assert _deal(sizes, workers) == shares
+
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    def test_files_equal_emit(self, algaas, tmp_path, monkeypatch, workers):
+        ring, gc = algaas
+        monkeypatch.setattr(sweep_module, "_cpu_count", lambda: workers)
+        results = [run_sweep(allpass_spec(ring, gc, n=n)) for n in (4, 9, 6)]
+        panels = [(r, tmp_path / f"p{i}.json") for i, r in enumerate(results)]
+        emit_all(panels, "json")
+        for result, path in panels:
+            assert path.read_text() == render(result, "json")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_stdout_rejected(self, algaas, tmp_path, capsys):
+        ring, gc = algaas
+        result = run_sweep(allpass_spec(ring, gc, n=4))
+        with pytest.raises(ValueError, match="stdout"):
+            emit_all([(result, tmp_path / "p.csv"), (result, None)], "csv")
+        assert not any(tmp_path.iterdir()) and capsys.readouterr().out == ""
+
+    def test_first_failure_in_panel_order_raised(self, algaas, tmp_path, monkeypatch):
+        """Every worker fails on an unknown format; the failure raised is that
+        of the first panel, and no child is left behind."""
+        ring, gc = algaas
+        monkeypatch.setattr(sweep_module, "_cpu_count", lambda: 3)
+        result = run_sweep(allpass_spec(ring, gc, n=4))
+        with pytest.raises(ValueError, match="format"):
+            emit_all([(result, tmp_path / f"p{i}") for i in range(3)], "xml")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def json_oracle(result):
