@@ -55,8 +55,8 @@ from .schmidt import (
     SchmidtResult,
     WavepacketGrid,
     discretize_wavepacket,
-    schmidt_number,
     schmidt_spectrum,
+    schmidt_spectrum_broadband,
 )
 from .optimize import (
     Objective,
@@ -132,7 +132,7 @@ __all__ = [
     "report_optima",
     "run_sweep",
     "save_spectrum",
-    "schmidt_number",
     "schmidt_spectrum",
+    "schmidt_spectrum_broadband",
     "tolerance_band",
 ]

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: ``rates`` (single design point), ``sweep`` (coupling grids),
-``optimize`` (optimum report), ``schmidt`` (Schmidt number at one design
-point; a grid of K runs through ``sweep``), ``validate``
+``optimize`` (optimum report), ``schmidt`` (the exact Schmidt number and
+leading coefficients at one design point; a grid of K runs through
+``sweep``), ``validate``
 (analytic-vs-numeric cross check), and ``figure2``/``figure3`` (canned AlGaAs
 coupling scans for CW and broadband-pulse pumping).
 
@@ -41,7 +42,7 @@ from .core import Geometry, PumpMode, PumpSpec, quality_factors, rate_scale_R0, 
 from .cw import cw_accidentals_and_car, cw_observables
 from .optimize import OptimizationError, coupling_parameter_names, cross_validate_optima
 from .pulsed import QuadratureError, _single_prob_numeric, pulsed_observables
-from .schmidt import DecompositionError, discretize_wavepacket, schmidt_spectrum
+from .schmidt import DecompositionError, schmidt_spectrum_broadband
 from .sweep import (
     SweepAxis,
     SweepSpec,
@@ -200,18 +201,14 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_schmidt(args) -> int:
     cp = load_config(args.config, args.command)
-    ring = ring_from_config(cp)
     cfg = point_config_from_config(cp)
-    pump = pump_from_config(cp)
-    grid = discretize_wavepacket(ring, cfg, pump)
-    res = schmidt_spectrum(grid)
+    res = schmidt_spectrum_broadband(cfg, pump_from_config(cp))
     report = {
         "geometry": cfg.geometry.value,
         "K": res.K,
-        "K_minus_1": res.K - 1.0,
-        "weighted_norm": res.norm,
-        "leading_schmidt_coefficients": [float(v) for v in res.lambdas[:8]],
-        "n_points": grid.n_points,
+        "K_minus_1": res.K_minus_1,
+        "leading_schmidt_coefficients": res.lambdas.tolist(),
+        "tail_mass": res.tail,
     }
     _write_text(json.dumps(report, indent=2), args.out)
     return 0

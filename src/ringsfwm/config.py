@@ -107,13 +107,11 @@ def _why_unread(command: str, mode: str, section: str, key: Optional[str]) -> Op
     return why if note is None else f"{why}; {note}"
 
 
-def _number(cp: configparser.ConfigParser, section: str, key: str, kind=float, fallback=None):
-    """``kind`` (float or int) of ``[section] key``, or ``fallback`` where the
-    key is absent; without a fallback it is required.  Errors name the key."""
+def _number(cp: configparser.ConfigParser, section: str, key: str, kind=float):
+    """``kind`` (float or int) of the required ``[section] key``.  Errors name
+    the key."""
     if not cp.has_option(section, key):
-        if fallback is None:
-            raise ValueError(f"[{section}] {key} is required")
-        return fallback
+        raise ValueError(f"[{section}] {key} is required")
     raw = cp.get(section, key)
     try:
         return kind(raw)
@@ -283,8 +281,6 @@ def sweep_spec_from_config(cp: configparser.ConfigParser) -> SweepSpec:
         gamma_c=gamma_c,
         tgamma_c=tgamma_c,
         coincidence_window=coincidence_window_from_config(cp),
-        schmidt_points=_number(cp, "sweep", "schmidt_points", int, SweepSpec.schmidt_points),
-        t_max_over_gamma=_number(cp, "sweep", "t_max_over_gamma", float, SweepSpec.t_max_over_gamma),
     )
 
 
@@ -300,8 +296,8 @@ _GETTER_KEYS = {
     "pump": {"mode", "spectrum_file", *_POWER_KEYS, *_ENERGY_KEYS, *_BANDWIDTH_KEYS,
              *_DELTA_OMEGA_KEYS},
     "detector": set(_WINDOW_KEYS),
-    "sweep": {"outputs", "schmidt_points", "t_max_over_gamma",
-              *(axis + suffix for axis in ("axis1", "axis2") for suffix in _AXIS_SUFFIXES)},
+    "sweep": {"outputs", *(axis + suffix for axis in ("axis1", "axis2")
+                           for suffix in _AXIS_SUFFIXES)},
 }
 # Each pump mode reads only its own [pump] and [detector] keys.
 _MODE_KEYS = {"cw": {*_POWER_KEYS, *_WINDOW_KEYS},
@@ -309,6 +305,7 @@ _MODE_KEYS = {"cw": {*_POWER_KEYS, *_WINDOW_KEYS},
 
 # The sections each command reads, less the keys of them it leaves out.  Only
 # rates evaluates a tabulated spectrum; the rest use the flattop closed forms.
+# The Schmidt number does not depend on the ring.
 _READS = {command: {section: _GETTER_KEYS[section] - set(skip) for section, skip in row.items()}
           for command, row in {
     "rates": {"ring": (), "coupling": (), "pump": (), "detector": ()},
@@ -316,7 +313,7 @@ _READS = {command: {section: _GETTER_KEYS[section] - set(skip) for section, skip
               "sweep": ()},
     "optimize": {"ring": (), "coupling": {"geometry", *_TGAMMA_C_KEYS, *_KNOB_KEYS},
                  "pump": {"spectrum_file", *_DELTA_OMEGA_KEYS}},
-    "schmidt": {"ring": (), "coupling": (), "pump": {"spectrum_file"}},
+    "schmidt": {"coupling": (), "pump": {"spectrum_file"}},
     "figure2": {"pump": {"spectrum_file"}},
     "figure3": {"pump": {"spectrum_file"}},
 }.items()}

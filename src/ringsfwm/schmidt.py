@@ -1,46 +1,54 @@
 """Schmidt number and Schmidt decomposition of the joint temporal amplitude.
 
-The continuous kernel psi(t_s, t_i) is sampled on a uniform time grid with
-trapezoid quadrature weights and symmetrized as ``M = sqrt(w) psi sqrt(w)``.
-The squared singular values of ``M``, normalized to unit sum, are the Schmidt
-coefficients; their inverse participation ratio
+The Schmidt coefficients ``lambda_n`` of a biphoton sum to 1, and their
+inverse participation ratio
 
     ``K = 1 / sum(lambda_n^2)``
 
 is the Schmidt number.  ``K = 1`` marks a separable (heraldable-pure) biphoton.
 
-``K`` itself needs no decomposition: it is the inverse purity
-``(tr G)^2 / ||G||_F^2`` of the Gram matrix ``G = M^H M``, whose eigenvalues
-are the squared singular values (:func:`schmidt_number`, one matrix product,
-real for the real broadband wavepacket).  The SVD is kept only where the
-coefficients themselves are reported (:func:`schmidt_spectrum`).
-
 The broadband wavepacket depends on the couplings only through its scale and
-``r = tgamma/gamma`` (in units of ``1/gamma``), and K ignores the scale, so
-sweeps evaluate K per distinct ``r`` on one unit design
-(:func:`_schmidt_number_kernel`).  There the wavepacket is a semi-separable
-kernel, ``psi = e^{-(t_s+t_i)/2} phi(min(t_s, t_i))``, so the same
-trapezoid-grid K follows from O(N) recurrences over the time axis, with no
-N x N array, equal to the library grid path to <= 1e-13 relative.
+``r = tgamma/gamma``.  In units of ``1/gamma`` it is the semi-separable kernel
+``psi = e^{-(t_s+t_i)/2} phi(min(t_s, t_i))``, whose eigenproblem reduces to a
+Bessel equation of order ``nu = 1/r - 1``: ``lambda_n = 16 (nu+1)^2 (nu+2) /
+j_{nu,n}^4``, with ``j_{nu,n}`` the n-th zero of ``J_nu``, and
+``K = (2r+1)(3r+1) / (r(6r+5))``.  :func:`schmidt_spectrum_broadband` returns
+that exact spectrum for one design: the zeros come from the symmetric
+tridiagonal eigenproblem of Ikebe (1975), and K and ``K - 1`` from their
+closed forms.
+
+:func:`discretize_wavepacket` and :func:`schmidt_spectrum` keep the grid
+route for any wavepacket grid.  The kernel psi(t_s, t_i) is sampled on a
+uniform time grid with trapezoid quadrature weights and symmetrized as
+``M = sqrt(w) psi sqrt(w)``; the squared singular values of ``M``, normalized
+to unit sum, are the grid's Schmidt coefficients.  Its K needs no
+decomposition: it is the inverse purity ``(tr G)^2 / ||G||_F^2`` of the Gram
+matrix ``G = M^H M``, whose eigenvalues are the squared singular values.
+
+Sweeps evaluate the same trapezoid-grid K per distinct ``r`` on one unit
+design (:func:`_schmidt_number_kernel`) by O(N) recurrences over the time
+axis, with no N x N array, equal to the library grid path to <= 1e-13
+relative.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .core import CouplingConfig, PumpMode, PumpSpec, RingParams, _point_count
-from .pulsed import EPS_DEGENERATE, pulsed_wavepacket
+from .pulsed import EPS_DEGENERATE, _require_broadband, pulsed_wavepacket
 
 __all__ = [
     "DecompositionError",
     "WavepacketGrid",
     "SchmidtResult",
     "discretize_wavepacket",
-    "schmidt_number",
     "schmidt_spectrum",
+    "schmidt_spectrum_broadband",
 ]
 
 
@@ -97,12 +105,14 @@ class WavepacketGrid:
 
 @dataclass(frozen=True, eq=False)
 class SchmidtResult:
-    """Normalized Schmidt coefficients (descending), Schmidt number, and the
-    pre-normalization weighted norm of the grid."""
+    """Leading normalized Schmidt coefficients (descending), the Schmidt
+    number ``K`` and ``K_minus_1 = K - 1``, and ``tail``, the coefficient mass
+    not listed in ``lambdas``: ``sum(lambdas) + tail = 1``."""
 
     lambdas: np.ndarray
     K: float
-    norm: float
+    K_minus_1: float
+    tail: float
 
     def __post_init__(self) -> None:
         lam = np.asarray(self.lambdas, dtype=float)
@@ -110,12 +120,36 @@ class SchmidtResult:
             raise ValueError("SchmidtResult requires a 1-D coefficient vector")
         if np.any(lam < 0.0) or np.any(np.diff(lam) > 0.0):
             raise ValueError("SchmidtResult coefficients must be non-negative and descending")
-        if abs(float(lam.sum()) - 1.0) > 1e-10:
-            raise ValueError(f"SchmidtResult coefficients must sum to 1, got {lam.sum()!r}")
+        if not 0.0 <= self.tail <= 1.0:
+            raise ValueError(f"SchmidtResult tail must lie in [0, 1], got {self.tail!r}")
+        if abs(float(lam.sum()) + self.tail - 1.0) > 1e-10:
+            raise ValueError(
+                f"SchmidtResult coefficients and tail must sum to 1, got "
+                f"{lam.sum()!r} + {self.tail!r}"
+            )
         if self.K < 1.0 - 1e-12:
             raise ValueError(f"SchmidtResult requires K >= 1, got {self.K!r}")
         lam.setflags(write=False)
         object.__setattr__(self, "lambdas", lam)
+
+
+def _flattop_pulse(cfg: CouplingConfig, pump: PumpSpec, caller: str) -> float:
+    """The bandwidth [rad/s] of a pulsed flattop ``pump`` at ``cfg``; rejects
+    a CW pump (the Schmidt number is a per-pulse notion) and a tabulated
+    spectrum (the wavepacket is the broadband flattop closed form).  The
+    caller checks the broadband rule, each once: the grid route through
+    :func:`pulsed_wavepacket`, the exact one through ``_require_broadband``."""
+    if pump.mode is not PumpMode.PULSED:
+        raise ValueError(
+            f"{caller} requires a pulsed pump; the Schmidt decomposition is "
+            "defined per pulse"
+        )
+    if pump.spectrum is not None:
+        raise ValueError(
+            f"{caller} uses the broadband flattop wavepacket; a tabulated pump "
+            "spectrum is not supported"
+        )
+    return pump.delta_omega_for(cfg.tgamma)
 
 
 def discretize_wavepacket(
@@ -123,34 +157,28 @@ def discretize_wavepacket(
     cfg: CouplingConfig,
     pump: PumpSpec,
     n_points: int = 512,
-    t_max_over_gamma: float = 20.0,
+    t_max_over_gamma: Optional[float] = None,
 ) -> WavepacketGrid:
     """Sample the broadband pulsed wavepacket on [0, t_max_over_gamma/gamma].
 
-    Uniform grid with trapezoid weights.  For ``tgamma >= gamma`` the
-    exp(-gamma*(ts+ti)/2) envelope makes the default window lossless to well
-    below 1e-8 of the norm.  For ``tgamma < gamma`` |psi| decays only as
-    exp(-tgamma*max(ts, ti)), so the window cuts off part of the wavepacket:
-    at ``tgamma/gamma = 0.175`` the grid K converges, as ``n_points`` grows, to
-    a value 4.8e-3 (relative) below the true K.  Rejects CW pumps (the Schmidt number is a per-pulse notion) and
-    tabulated spectra (the wavepacket is the broadband flattop closed form).
+    Uniform grid with trapezoid weights.  |psi| decays as
+    exp(-min(gamma, tgamma)*max(ts, ti)), so the default window,
+    ``t_max_over_gamma = 20*max(1, gamma/tgamma)``, spans 20 decay lengths
+    of the slower of the two and loses well below 1e-8 of the norm at any
+    ``tgamma/gamma``.  A fixed ``20/gamma`` window (``t_max_over_gamma =
+    20``) truncates the wavepacket where ``tgamma < gamma``: at
+    ``tgamma/gamma = 0.175`` its grid K converges, as ``n_points`` grows, to
+    a value 4.7e-3 (relative) below the true K.  Rejects CW pumps, tabulated
+    spectra and designs that break the broadband rule.
     """
-    if pump.mode is not PumpMode.PULSED:
-        raise ValueError(
-            "discretize_wavepacket requires a pulsed pump; the Schmidt "
-            "decomposition is defined per pulse"
-        )
-    if pump.spectrum is not None:
-        raise ValueError(
-            "discretize_wavepacket uses the broadband flattop wavepacket; a "
-            "tabulated pump spectrum is not supported"
-        )
+    delta_omega = _flattop_pulse(cfg, pump, "discretize_wavepacket")
     n_points = _point_count("n_points", n_points, 16)
+    if t_max_over_gamma is None:
+        t_max_over_gamma = 20.0 * max(1.0, cfg.gamma / cfg.tgamma)
     if not 0.0 < t_max_over_gamma < math.inf:
         raise ValueError(
             f"t_max_over_gamma must be positive and finite, got {t_max_over_gamma!r}"
         )
-    delta_omega = pump.delta_omega_for(cfg.tgamma)
     t = np.linspace(0.0, t_max_over_gamma / cfg.gamma, n_points)
     step = t[1] - t[0]
     w = np.full(t.shape, step)
@@ -158,6 +186,69 @@ def discretize_wavepacket(
     w[-1] *= 0.5
     psi = pulsed_wavepacket(ring, cfg, pump.energy, delta_omega, t[:, None], t[None, :])
     return WavepacketGrid(t_axis=t, amplitudes=psi, weights=w)
+
+
+# Leading coefficients the exact spectrum lists; the rest is its tail.
+_LISTED_COEFFICIENTS = 8
+# Smallest tgamma/gamma of the exact spectrum (K = 2e5 there): its matrix
+# grows as sqrt(1/r), to 1064 rows here.
+_MIN_RATIO = 1e-6
+
+
+def _k_minus_1(r):
+    """``K(r) - 1 = 1/(r(6r + 5))`` of the broadband wavepacket at
+    ``r = tgamma/gamma``, with no cancellation; on floats or arrays."""
+    return 1.0 / (r * (6.0 * r + 5.0))
+
+
+def _ikebe_matrix(q: float, rows: int) -> np.ndarray:
+    """The leading ``rows`` x ``rows`` block of Ikebe's symmetric tridiagonal
+    matrix for ``J_nu``, ``nu = q - 1``, scaled by ``4q``: its eigenvalues
+    are ``4q/j_{nu,n}^2`` as ``rows`` grows, and its trace tends to 1.  Each
+    ``nu + c`` is formed as ``q + (c - 1)``: through ``nu`` it would lose the
+    digits of a small ``q``."""
+    k = np.arange(1.0, rows + 1.0)
+    # d_k = 1/(2(nu+2k-1)(nu+2k+1)), e_k = 1/(4(nu+2k+1)sqrt((nu+2k)(nu+2k+2)))
+    d = 2.0 * q / ((q + (2.0 * k - 2.0)) * (q + 2.0 * k))
+    k = k[:-1]
+    e = q / ((q + 2.0 * k) * np.sqrt((q + (2.0 * k - 1.0)) * (q + (2.0 * k + 1.0))))
+    m = np.diag(d)
+    i = np.arange(rows - 1)
+    m[i, i + 1] = m[i + 1, i] = e
+    return m
+
+
+def schmidt_spectrum_broadband(cfg: CouplingConfig, pump: PumpSpec) -> SchmidtResult:
+    """Exact Schmidt spectrum of the broadband pulsed wavepacket at ``cfg``.
+
+    With ``r = tgamma/gamma`` and ``nu = 1/r - 1``, the coefficients are
+    ``lambda_n = 16 (nu+1)^2 (nu+2) / j_{nu,n}^4``.  The leading 8 are listed,
+    from ``np.linalg.eigvalsh`` of Ikebe's tridiagonal matrix for the zeros:
+    64 + ceil(sqrt(nu)) rows give them to <= 5e-15 relative against mpmath's
+    zeros for r in [1e-3, 1e3].  ``tail`` is the rest, ``1 - sum(lambdas)``.  ``K`` and
+    ``K_minus_1`` are the closed forms ``1 + K_minus_1`` and
+    ``1/(r(6r+5))``, the latter with no cancellation.  K does not depend on
+    the ring, the pulse energy or the overall scale of the couplings.
+
+    Rejects what :func:`discretize_wavepacket` rejects (a CW pump, a
+    tabulated spectrum, a design that breaks the broadband rule; it warns
+    where the rule is marginal), and ``r`` below 1e-6.
+    """
+    _require_broadband(cfg.tgamma, _flattop_pulse(cfg, pump, "schmidt_spectrum_broadband"))
+    r = cfg.tgamma / cfg.gamma
+    if r < _MIN_RATIO:
+        raise ValueError(
+            f"schmidt_spectrum_broadband requires tgamma/gamma >= {_MIN_RATIO:g}, got {r:.3g}"
+        )
+    q = 1.0 / r  # nu + 1
+    rows = 64 + math.ceil(math.sqrt(max(q - 1.0, 0.0)))
+    s = np.linalg.eigvalsh(_ikebe_matrix(q, rows))[: -_LISTED_COEFFICIENTS - 1 : -1]
+    lam = (q + 1.0) * s * s  # 16 q^2 (q+1) / j^4, with s = 4q/j^2
+    k_minus_1 = _k_minus_1(r)
+    return SchmidtResult(
+        lambdas=lam, K=1.0 + k_minus_1, K_minus_1=k_minus_1,
+        tail=max(1.0 - float(lam.sum()), 0.0),
+    )
 
 
 def _weighted_matrix(grid: WavepacketGrid) -> np.ndarray:
@@ -177,23 +268,15 @@ def _inverse_purity(m: np.ndarray) -> float:
     return 1.0 / float(np.vdot(g, g).real)
 
 
-def schmidt_number(grid: WavepacketGrid) -> float:
-    """Schmidt number ``K = 1 / sum(lambda_n^2)`` of a wavepacket grid.
-
-    The eigenvalues of ``G = M^H M`` are the squared singular values of ``M``,
-    so ``tr G = sum(sigma^2)`` and ``||G||_F^2 = sum(sigma^4)``, and K is the
-    inverse purity ``(tr G)^2 / ||G||_F^2``: one Gram product instead of an
-    SVD.  Raises :class:`DecompositionError` when ``tr G`` is zero or not
-    finite.
-    """
-    return _inverse_purity(_weighted_matrix(grid))
-
-
 def schmidt_spectrum(grid: WavepacketGrid) -> SchmidtResult:
     """Schmidt coefficients and Schmidt number of a wavepacket grid.
 
     The coefficients are ``lambda_n = sigma_n^2 / sum(sigma^2)`` from the SVD
-    of ``M``; ``K`` is evaluated as in :func:`schmidt_number`.
+    of ``M``, all N of them, so ``tail`` is 0.  ``K`` is the inverse purity
+    ``(tr G)^2 / ||G||_F^2`` of ``G = M^H M`` (``tr G = sum(sigma^2)``,
+    ``||G||_F^2 = sum(sigma^4)``), one Gram product, and ``K_minus_1`` is
+    ``K - 1``.  Raises :class:`DecompositionError` when ``tr G`` is zero or
+    not finite, or the SVD fails.
     """
     m = _weighted_matrix(grid)
     k = _inverse_purity(m)  # rejects a zero or non-finite norm
@@ -202,8 +285,7 @@ def schmidt_spectrum(grid: WavepacketGrid) -> SchmidtResult:
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"SVD of the wavepacket grid failed: {exc}") from exc
     lam = sigma * sigma
-    total = float(lam.sum())
-    return SchmidtResult(lambdas=lam / total, K=k, norm=total)
+    return SchmidtResult(lambdas=lam / lam.sum(), K=k, K_minus_1=k - 1.0, tail=0.0)
 
 
 # Ratios per block of the kernel below: bounds its (n_points, block) work arrays.
@@ -263,7 +345,7 @@ def _grid_k(r: np.ndarray, t: np.ndarray) -> np.ndarray:
     if not np.all(peak > 0.0):
         raise ValueError(
             "Schmidt grid underflows: every sample of the wavepacket is 0, so its "
-            "weighted squared norm must be > 0; shorten t_max_over_gamma or add points"
+            "weighted squared norm must be > 0; shorten the window or add points"
         )
     f /= peak
     d = math.exp(-(t[1] - t[0]))
@@ -296,7 +378,7 @@ def _schmidt_number_kernel(
     The broadband wavepacket in units of ``1/gamma`` depends on the couplings
     only through its scale and ``r``, so each distinct ``r`` is evaluated once,
     on the unit design ``gamma = 1``, ``tgamma = r``.  The value is the K of
-    :func:`schmidt_number` on the grid of :func:`discretize_wavepacket` with
+    :func:`schmidt_spectrum` on the grid of :func:`discretize_wavepacket` with
     the same ``n_points`` and ``t_max_over_gamma``, equal to it within 1e-13
     relative, but computed by O(N) recurrences per ratio (:func:`_grid_k`)
     with no N x N array.  Raises ``ValueError`` where every sample of a

@@ -4,9 +4,13 @@ A sweep evaluates requested observables on a 1-D or 2-D grid of coupling
 rates (in units of gamma_c).  Every output is one array-kernel call on the
 whole grid: the closed-form rates and probabilities by the kernels that back
 the scalar library functions, and the Schmidt number ``K`` by a kernel on the
-linewidth ratio ``tgamma/gamma``, which computes the same trapezoid-grid K as
-the library's wavepacket grid by O(N) recurrences, once per distinct ratio,
-equal to the library grid path to <= 1e-13 relative.  The sweep machinery
+linewidth ratio ``tgamma/gamma``, which computes the trapezoid-grid K of the
+library's wavepacket grid at 192 points over ``20/gamma`` by O(N)
+recurrences, once per distinct ratio, equal to the library grid path to
+<= 1e-13 relative.  That window truncates the wavepacket where
+``tgamma < gamma``, so ``meta["K_grid_rel_error"]`` reports how far the ``K``
+and ``K_minus_1`` columns lie from the closed form
+``K = (2r+1)(3r+1)/(r(6r+5))``.  The sweep machinery
 only maps the grid to coupling rates, keeps each output as one column of
 Python values, and serializes the columns.  CSV and JSON rendering read the
 columns in one format pass; ``SweepResult.rows`` serves library callers.
@@ -54,7 +58,7 @@ from .optimize import (
     coupling_parameter_names,
 )
 from .pulsed import _broadband_mask, _drive_pulsed, _pair_prob_kernel, _single_prob_kernel
-from .schmidt import _schmidt_number_kernel
+from .schmidt import _k_minus_1, _schmidt_number_kernel
 
 __all__ = [
     "SweepAxis",
@@ -72,6 +76,9 @@ __all__ = [
 _CW_OUTPUTS = {"Rs", "Rsi", "CAR"}
 _PULSED_OUTPUTS = {"ps", "psi", "K"}
 _ALL_OUTPUTS = _CW_OUTPUTS | _PULSED_OUTPUTS
+# The trapezoid grid of the K column: points, and window in units of 1/gamma.
+_K_GRID_POINTS = 192
+_K_WINDOW_OVER_GAMMA = 20.0
 
 
 @dataclass(frozen=True)
@@ -115,8 +122,6 @@ class SweepSpec:
     gamma_c: float
     tgamma_c: Optional[float] = None
     coincidence_window: Optional[float] = None
-    schmidt_points: int = 192
-    t_max_over_gamma: float = 20.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "outputs", tuple(self.outputs))
@@ -140,13 +145,10 @@ class SweepSpec:
             raise ValueError("CAR output requires a coincidence_window [s]")
         if self.coincidence_window is not None and not cw:
             raise ValueError("coincidence_window applies to a CW pump; a pulsed sweep has no CAR")
-        for name in ("gamma_c", "tgamma_c", "coincidence_window", "t_max_over_gamma"):
+        for name in ("gamma_c", "tgamma_c", "coincidence_window"):
             value = getattr(self, name)
             if value is not None and not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        object.__setattr__(
-            self, "schmidt_points", _point_count("schmidt_points", self.schmidt_points, 16)
-        )
         _check_pump_loss(self.geometry, self.tgamma_c)
 
         names = coupling_parameter_names(self.geometry)
@@ -187,8 +189,6 @@ class SweepSpec:
             },
             "pump": pump,
             "coincidence_window_s": self.coincidence_window,
-            "schmidt_points": self.schmidt_points,
-            "t_max_over_gamma": self.t_max_over_gamma,
         }
 
 
@@ -224,7 +224,7 @@ def _evaluate(spec: SweepSpec, output: str, point) -> tuple[np.ndarray, dict[int
         if output == "K":
             values = np.full(ok.shape, np.nan)
             values[ok] = _schmidt_number_kernel(
-                (tg / g)[ok], spec.schmidt_points, spec.t_max_over_gamma
+                (tg / g)[ok], _K_GRID_POINTS, _K_WINDOW_OVER_GAMMA
             )
         else:
             kernel = _single_prob_kernel if output == "ps" else _pair_prob_kernel
@@ -266,7 +266,7 @@ def run_sweep(spec: SweepSpec, *, refine: bool = False) -> SweepResult:
         # One marginal-bandwidth warning per call, naming the caller.  tgamma
         # grows with every coupling, so the grid corner bounds delta_omega/tgamma
         # over the swept box, and the refining zoom needs no check of its own.
-        tg = _point_rates(spec.geometry, point, spec.gamma_c, spec.tgamma_c)[3]
+        _, _, g, tg = _point_rates(spec.geometry, point, spec.gamma_c, spec.tgamma_c)
         _broadband_mask(tg, spec.pump.delta_omega_for(tg))
     observed = {}
     for output in spec.outputs:
@@ -275,6 +275,7 @@ def run_sweep(spec: SweepSpec, *, refine: bool = False) -> SweepResult:
         if output == "K":
             # companion column for log-scale closeness-to-separable plots
             columns["K_minus_1"] = (values - 1.0).tolist()
+            k_error = _k_grid_error(tg / g, values)
         for i, message in failures.items():
             message = f"{output}: {message}"
             errors[i] = message if errors[i] is None else f"{errors[i]}; {message}"
@@ -300,7 +301,22 @@ def run_sweep(spec: SweepSpec, *, refine: bool = False) -> SweepResult:
         "observed_maxima": observed,
         "optima": _analytic_optima_meta(spec),
     }
+    if "K" in spec.outputs:
+        meta["K_grid_rel_error"] = k_error
     return SweepResult(spec=spec, columns=columns, meta=meta)
+
+
+def _k_grid_error(ratio: np.ndarray, k: np.ndarray) -> Optional[dict]:
+    """Worst relative error of the grid ``K`` and ``K - 1`` against their
+    closed forms, over the distinct ratios ``tgamma/gamma`` of the points
+    where K was evaluated; None where it was evaluated nowhere."""
+    ok = ~np.isnan(k)
+    if not ok.any():
+        return None
+    r, first = np.unique(ratio[ok], return_index=True)
+    exact = _k_minus_1(r)
+    error = np.abs((k[ok][first] - 1.0) - exact)
+    return {"K": float(np.max(error / (1.0 + exact))), "K_minus_1": float(np.max(error / exact))}
 
 
 def _coupling_column(name: str) -> str:

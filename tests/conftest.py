@@ -213,14 +213,16 @@ def ratio_spread_ulps(rate, tgammas, grid):
     return spread / np.finfo(float).eps
 
 
-ALGAAS_INI = """
+ALGAAS_RING = """
 [ring]
 n2_m2_per_w = 2.6e-17
 vg_m_per_s = 8.57e7
 area_um2 = 0.330
 radius_um = 143
 wavelength_nm = 1550
+"""
 
+ALGAAS_INI = """{ring}
 [coupling]
 {geometry}gamma_c_over_2pi_mhz = 71.1
 {knobs}
@@ -239,15 +241,16 @@ coincidence_window_ns = 1
 
 
 def write_config(path, geometry="all-pass-identical", knobs="gamma_a_over_gamma_c = 1.0",
-                 pump="mode = cw\npower_uw = 10", extra="", window=True):
+                 pump="mode = cw\npower_uw = 10", extra="", window=True, ring=True):
     """The AlGaAs example design; a CW pump gets a coincidence window unless
     ``window`` is false (``optimize`` reads none).  ``geometry=None`` leaves
     out the geometry line and ``knobs=""`` the couplings, which ``optimize``
-    (neither) and ``sweep`` (the couplings) do not read."""
+    (neither) and ``sweep`` (the couplings) do not read; ``ring=False``
+    leaves out ``[ring]``, which ``schmidt`` does not read."""
     detector = CW_DETECTOR if window and "mode = cw" in pump else ""
     geometry = "" if geometry is None else f"geometry = {geometry}\n"
     path.write_text(
-        ALGAAS_INI.format(geometry=geometry, knobs=knobs, pump=pump, detector=detector,
-                          extra=extra)
+        ALGAAS_INI.format(ring=ALGAAS_RING if ring else "", geometry=geometry, knobs=knobs,
+                          pump=pump, detector=detector, extra=extra)
     )
     return path

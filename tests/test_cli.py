@@ -80,14 +80,23 @@ def cw_optimize_config(tmp_path):
     return write_config(tmp_path / "cw_optimize.ini", geometry=None, knobs="", window=False)
 
 
+PULSED_DESIGN = {
+    "geometry": "add-drop-distinct",
+    "knobs": "tgamma_a_over_gamma_c = 1.37\ngamma_b_over_gamma_c = 1.83",
+    "pump": "mode = pulsed\npulse_energy_pj = 1\nbandwidth_factor = 10",
+}
+
+
 @pytest.fixture()
 def pulsed_config(tmp_path):
-    return write_config(
-        tmp_path / "pulsed.ini",
-        geometry="add-drop-distinct",
-        knobs="tgamma_a_over_gamma_c = 1.37\ngamma_b_over_gamma_c = 1.83",
-        pump="mode = pulsed\npulse_energy_pj = 1\nbandwidth_factor = 10",
-    )
+    """Pulsed add-drop-distinct design with the ring: what ``rates`` reads."""
+    return write_config(tmp_path / "pulsed.ini", **PULSED_DESIGN)
+
+
+@pytest.fixture()
+def schmidt_config(tmp_path):
+    """The same design without ``[ring]``: what ``schmidt`` reads."""
+    return write_config(tmp_path / "schmidt.ini", ring=False, **PULSED_DESIGN)
 
 
 @pytest.fixture()
@@ -250,15 +259,33 @@ class TestSweepCommand:
 
 
 class TestSchmidtCommand:
-    def test_point_report(self, pulsed_config, capsys):
-        assert main(["schmidt", "--config", str(pulsed_config)]) == 0
+    def test_point_report(self, schmidt_config, capsys):
+        """The exact spectrum: K and K - 1 from their closed forms at
+        r = tgamma/gamma = 2.37/2.83, the leading 8 coefficients and the mass
+        of the rest; no grid size or grid norm."""
+        assert main(["schmidt", "--config", str(schmidt_config)]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["K"] == pytest.approx(1.119, abs=5e-3)
-        assert report["K_minus_1"] == pytest.approx(report["K"] - 1.0)
+        assert set(report) == {
+            "geometry", "K", "K_minus_1", "leading_schmidt_coefficients", "tail_mass"}
+        r = 2.37 / 2.83
+        assert report["K"] == pytest.approx(
+            (2 * r + 1) * (3 * r + 1) / (r * (6 * r + 5)), rel=1e-15, abs=0.0)
+        assert report["K_minus_1"] == pytest.approx(1 / (r * (6 * r + 5)), rel=1e-15, abs=0.0)
+        coefficients = report["leading_schmidt_coefficients"]
+        assert len(coefficients) == 8 and coefficients == sorted(coefficients, reverse=True)
+        assert sum(coefficients) + report["tail_mass"] == pytest.approx(1.0, abs=1e-14)
 
-    def test_sweep_section_points_to_sweep(self, pulsed_config, tmp_path, capsys):
+    def test_ring_section_rejected(self, pulsed_config, tmp_path, capsys):
+        """K does not depend on the ring, so a [ring] section would be ignored."""
+        out = tmp_path / "k.json"
+        assert main(["schmidt", "--config", str(pulsed_config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "ringsfwm schmidt does not read [ring]" in err
+        assert not out.exists()
+
+    def test_sweep_section_points_to_sweep(self, schmidt_config, tmp_path, capsys):
         """schmidt reports one point; a [sweep] grid is the sweep command's."""
-        pulsed_config.write_text(pulsed_config.read_text() + """
+        schmidt_config.write_text(schmidt_config.read_text() + """
 [sweep]
 axis1 = tgamma_a
 axis1_min = 0.5
@@ -271,7 +298,7 @@ axis2_points = 3
 outputs = K
 """)
         out = tmp_path / "k.json"
-        assert main(["schmidt", "--config", str(pulsed_config), "--out", str(out)]) == 1
+        assert main(["schmidt", "--config", str(schmidt_config), "--out", str(out)]) == 1
         assert "ringsfwm sweep" in capsys.readouterr().err
         assert not out.exists()
 
@@ -385,14 +412,15 @@ class TestExitCodes:
         ("axis1_min = 0.05\n", "", "[sweep] axis1_min"),
         ("axis1_max = 5\n", "axis1_max = five\n", "[sweep] axis1_max"),
         ("axis1_points = 40\n", "axis1_points = 4.5\n", "[sweep] axis1_points"),
-        ("outputs = Rs, Rsi\n", "outputs = Rs, Rsi\nschmidt_points = many\n",
-         "[sweep] schmidt_points"),
-        ("outputs = Rs, Rsi\n", "outputs = Rs, Rsi\nschmidt_points = 8\n", "schmidt_points"),
-        ("outputs = Rs, Rsi\n", "outputs = Rs, Rsi\nt_max_over_gamma = inf\n",
-         "t_max_over_gamma"),
+        ("axis1_points = 40\n", "axis1_points = many\n", "[sweep] axis1_points"),
+        ("axis1_points = 40\n", "axis1_points = 1\n", "n_points must be >= 2"),
+        ("outputs = Rs, Rsi\n", "outputs = Rs, Rsi\nschmidt_points = 192\n",
+         "[sweep] schmidt_points (unknown)"),
+        ("outputs = Rs, Rsi\n", "outputs = Rs, Rsi\nt_max_over_gamma = 20\n",
+         "[sweep] t_max_over_gamma (unknown)"),
         ("outputs = Rs, Rsi\n", "outputs = Rs, Rsi\naxis2_min = 0.5\n", "[sweep] axis2_min"),
-    ], ids=["missing", "word", "fraction", "word-with-fallback", "too-few-points",
-            "infinite-window", "axis2-key-without-axis2"])
+    ], ids=["missing", "word", "fraction", "integer-word", "too-few-points",
+            "removed-schmidt-points", "removed-t-max-over-gamma", "axis2-key-without-axis2"])
     def test_bad_sweep_key_is_validation_error(self, cw_sweep_config, capsys, line, replacement,
                                                named):
         cw_sweep_config.write_text(cw_sweep_config.read_text().replace(line, replacement))

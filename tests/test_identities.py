@@ -24,7 +24,7 @@ from ringsfwm import (
     pulsed_pair_prob,
     pulsed_single_prob,
     pulsed_wavepacket,
-    schmidt_number,
+    schmidt_spectrum,
 )
 from ringsfwm.core import _point_rates
 from ringsfwm.cw import _pair_rate_kernel, _single_rate_kernel
@@ -153,7 +153,8 @@ def test_wavepacket_exchange_symmetry(design, times):
 def test_schmidt_number_invariant_under_transposition(design):
     grid = discretize_wavepacket(UNIT_RING, _single_config(design), PULSE, 48)
     transposed = WavepacketGrid(grid.t_axis, grid.amplitudes.T, grid.weights)
-    assert schmidt_number(transposed) == pytest.approx(schmidt_number(grid), rel=1e-12, abs=0.0)
+    assert schmidt_spectrum(transposed).K == pytest.approx(
+        schmidt_spectrum(grid).K, rel=1e-12, abs=0.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -163,6 +164,7 @@ def test_schmidt_number_invariant_under_linewidth_scaling(design, scale):
     the sweeps evaluate K on a unit design with the same ratio."""
     geometry, point, gamma_c, tgamma_c = design
     scaled = (geometry, point, scale * gamma_c, None if tgamma_c is None else scale * tgamma_c)
-    k = schmidt_number(discretize_wavepacket(UNIT_RING, _single_config(design), PULSE, 48))
-    k_scaled = schmidt_number(discretize_wavepacket(UNIT_RING, _single_config(scaled), PULSE, 48))
+    k = schmidt_spectrum(discretize_wavepacket(UNIT_RING, _single_config(design), PULSE, 48)).K
+    k_scaled = schmidt_spectrum(
+        discretize_wavepacket(UNIT_RING, _single_config(scaled), PULSE, 48)).K
     assert k_scaled == pytest.approx(k, rel=1e-12, abs=0.0)

@@ -3,25 +3,29 @@
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringsfwm import (
+    BroadbandAssumptionWarning,
     CouplingConfig,
     DecompositionError,
     PumpSpec,
+    SchmidtResult,
     WavepacketGrid,
     discretize_wavepacket,
     pulsed_pair_prob,
     TabulatedSpectrum,
-    schmidt_number,
     schmidt_spectrum,
+    schmidt_spectrum_broadband,
 )
 
-from ringsfwm.schmidt import _schmidt_number_kernel
+from ringsfwm.schmidt import _ikebe_matrix, _schmidt_number_kernel
 
 from conftest import UNIT_RING, random_coupling
 
@@ -62,8 +66,19 @@ class TestDiscretize:
         ring, gc = algaas
         cfg = CouplingConfig.distinct(1.46 * gc, 3.17 * gc, gc)
         grid = _grid(ring, cfg)
+        w = grid.weights
+        norm = float(w @ (grid.amplitudes * grid.amplitudes) @ w)
         expected = pulsed_pair_prob(ring, cfg, PUMP.energy, PUMP.delta_omega_for(cfg.tgamma))
-        assert schmidt_spectrum(grid).norm == pytest.approx(expected, rel=1.5e-4)
+        assert norm == pytest.approx(expected, rel=1.5e-4)
+
+    def test_default_window_spans_the_slower_decay(self):
+        """The default window is 20/min(gamma, tgamma); an explicit one keeps
+        its meaning in units of 1/gamma."""
+        for r in (0.05, 0.175, 1.0, 5.7):
+            grid = discretize_wavepacket(UNIT_RING, _unit_design(r), PULSE, 16)
+            assert grid.t_axis[-1] == pytest.approx(20.0 * max(1.0, 1.0 / r), rel=1e-15)
+            explicit = discretize_wavepacket(UNIT_RING, _unit_design(r), PULSE, 16, 20.0)
+            assert explicit.t_axis[-1] == 20.0
 
     def test_doubling_points_stabilizes_k(self, algaas):
         ring, gc = algaas
@@ -124,7 +139,7 @@ class TestSchmidtSpectrum:
     def test_benchmarks_at_384_points(self, algaas):
         ring, gc = algaas
         k = [
-            schmidt_number(_grid(ring, CouplingConfig.distinct(tga * gc, gb * gc, gc), n=384))
+            schmidt_spectrum(_grid(ring, CouplingConfig.distinct(tga * gc, gb * gc, gc), n=384)).K
             for tga, gb in ((1.46, 3.17), (1.0, 1.0), (2.0, 2.0), (0.5, 3.0))
         ]
         assert all(v >= 1.0 for v in k)
@@ -211,21 +226,24 @@ class TestSchmidtNumber:
     @settings(max_examples=150, deadline=None)
     @given(random_grids())
     def test_matches_svd(self, grid):
-        assert schmidt_number(grid) == pytest.approx(_svd_schmidt_number(grid), rel=1e-12)
+        assert schmidt_spectrum(grid).K == pytest.approx(_svd_schmidt_number(grid), rel=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(random_grids(), st.sampled_from((1e-6, -3.0, 1e6, 1j, 2.0 - 5.0j)))
     def test_invariant_under_scaling_and_transposition(self, grid, factor):
-        k = schmidt_number(grid)
+        k = schmidt_spectrum(grid).K
         scaled = WavepacketGrid(grid.t_axis, grid.amplitudes * factor, grid.weights)
         transposed = WavepacketGrid(grid.t_axis, grid.amplitudes.T, grid.weights)
-        assert schmidt_number(scaled) == pytest.approx(k, rel=1e-12)
-        assert schmidt_number(transposed) == pytest.approx(k, rel=1e-12)
+        assert schmidt_spectrum(scaled).K == pytest.approx(k, rel=1e-12)
+        assert schmidt_spectrum(transposed).K == pytest.approx(k, rel=1e-12)
 
     @settings(max_examples=20, deadline=None)
     @given(random_grids())
-    def test_spectrum_reports_the_same_k(self, grid):
-        assert schmidt_spectrum(grid).K == schmidt_number(grid)
+    def test_grid_spectrum_lists_every_coefficient(self, grid):
+        """All N coefficients are listed, so nothing is left for the tail."""
+        res = schmidt_spectrum(grid)
+        assert res.lambdas.size == grid.n_points and res.tail == 0.0
+        assert res.K_minus_1 == res.K - 1.0
 
     def test_zero_or_overflowing_grid_raises(self):
         t = np.linspace(0.0, 1.0, 32)
@@ -240,8 +258,6 @@ class TestSchmidtNumber:
             # finite samples whose squared norm overflows
             huge = WavepacketGrid(t, np.full((32, 32), 1e160), w)
             for grid in (zero, tiny, huge):
-                with pytest.raises(DecompositionError, match="zero/non-finite norm"):
-                    schmidt_number(grid)
                 with pytest.raises(DecompositionError, match="zero/non-finite norm"):
                     schmidt_spectrum(grid)
 
@@ -273,11 +289,21 @@ class TestSchmidtNumber:
         assert grid.amplitudes.dtype == np.float64
 
 
+PULSE = PumpSpec.pulsed(1.0, bandwidth_factor=10.0)
+
+
+def _unit_design(r):
+    """The design gamma = 1, tgamma = r."""
+    return CouplingConfig.distinct(0.5 * r, 0.5, 0.5, tgamma_c=0.5 * r)
+
+
+def _k_exact(r):
+    return (2.0 * r + 1.0) * (3.0 * r + 1.0) / (r * (6.0 * r + 5.0))
+
+
 def _library_k(r, n, t_max):
-    """Grid K of the unit design gamma = 1, tgamma = r by the library path."""
-    cfg = CouplingConfig.distinct(0.5 * r, 0.5, 0.5, tgamma_c=0.5 * r)
-    pump = PumpSpec.pulsed(1.0, bandwidth_factor=10.0)
-    return schmidt_number(discretize_wavepacket(UNIT_RING, cfg, pump, n, t_max))
+    """Grid K of the unit design by the library path."""
+    return schmidt_spectrum(discretize_wavepacket(UNIT_RING, _unit_design(r), PULSE, n, t_max)).K
 
 
 class TestGridKernel:
@@ -324,3 +350,146 @@ class TestGridKernel:
         finally:
             tracemalloc.stop()
         assert peak < n * n  # an eighth of one N x N float64 array
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.floats(0.175, 5.7))
+def test_richardson_grid_k_on_default_window_meets_closed_form(r):
+    """On the default window, 20*max(1, 1/r) in units of 1/gamma, two
+    Richardson steps (h^2, then h^4) over N = 257/513/1025/2049 bring the
+    grid K to the closed form; the fixed 20/gamma window stays ~4.7e-3 low
+    at r = 0.175."""
+    t_max = 20.0 * max(1.0, 1.0 / r)
+    k = np.array([_schmidt_number_kernel(np.array([r]), n, t_max)[0]
+                  for n in (257, 513, 1025, 2049)])
+    k = (4.0 * k[1:] - k[:-1]) / 3.0
+    k = (16.0 * k[1:] - k[:-1]) / 15.0
+    assert k[-1] == pytest.approx(_k_exact(r), rel=1e-8, abs=0.0)
+
+
+def _bessel_zeros(nu, count):
+    """The first ``count`` positive zeros of J_nu, nu > -1, by a sign scan in
+    steps of 1.5 (below the ~3.1 spacing of the zeros of any such order)
+    from max(nu, 0), below which J_nu has no zero, then a bracketed root."""
+    f = lambda x: mpmath.besselj(nu, x)  # noqa: E731
+    a = max(nu, 0) + mpmath.mpf("1e-20")
+    fa, zeros = f(a), []
+    while len(zeros) < count:
+        b = a + 1.5
+        fb = f(b)
+        if (fa > 0) != (fb > 0):
+            zeros.append(mpmath.findroot(f, (a, b), solver="anderson"))
+        a, fa = b, fb
+    return zeros
+
+
+class TestExactSpectrum:
+    """The Bessel-zero Schmidt spectrum of the broadband wavepacket."""
+
+    @pytest.mark.parametrize("r", [1e-3, 4e-3, 0.016, 0.063, 0.175, 0.25, 1.0, 4.0, 16.0, 250.0, 1e3])
+    def test_coefficients_match_mpmath_bessel_zeros(self, r):
+        """``besseljzero`` rejects negative orders, so the zeros come from a
+        sign scan of ``besselj`` for every order alike."""
+        with mpmath.workdps(30):
+            q = 1 / mpmath.mpf(r)  # nu + 1
+            expected = [float(16 * q**2 * (q + 1) / j**4) for j in _bessel_zeros(q - 1, 8)]
+        res = schmidt_spectrum_broadband(_unit_design(r), PULSE)
+        np.testing.assert_allclose(res.lambdas, expected, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("r", [1e-6, 1e-3, 0.175, 1.0, 5.7, 1e6])
+    def test_trace_is_rayleighs_sum(self, r):
+        """The matrix's eigenvalues tend to 1/j^2 (unscaled), whose sum is
+        1/(4(nu+1)); its ``n``-row trace telescopes to that less
+        1/(4(nu+1+2n))."""
+        q = 1.0 / r
+        for rows in (8, 64, 1000):
+            trace = np.trace(_ikebe_matrix(q, rows)) / (4.0 * q)
+            assert trace + 1.0 / (4.0 * (q + 2.0 * rows)) == pytest.approx(
+                1.0 / (4.0 * q), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("r", [1e-6, 1e-3, 0.05, 0.175, 1.0, 5.7, 1e3, 1e6])
+    def test_listed_coefficients_and_tail_sum_to_one(self, r):
+        res = schmidt_spectrum_broadband(_unit_design(r), PULSE)
+        assert res.lambdas.size == 8 and res.tail >= 0.0
+        assert res.lambdas.sum() + res.tail == pytest.approx(1.0, rel=0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("r", [0.175, 0.667, 2.0, 5.7])
+    def test_closed_form_k_is_the_inverse_purity_of_the_spectrum(self, r):
+        """Rayleigh's sums of 1/j^4 and 1/j^8: 1/sum(lambda^2) over the whole
+        spectrum of a 400-row matrix is the closed-form K."""
+        q = 1.0 / r
+        s = np.linalg.eigvalsh(_ikebe_matrix(q, 400))
+        lam = (q + 1.0) * s * s
+        res = schmidt_spectrum_broadband(_unit_design(r), PULSE)
+        assert 1.0 / np.sum(lam * lam) == pytest.approx(res.K, rel=1e-13, abs=0.0)
+        assert res.K == pytest.approx(_k_exact(r), rel=1e-15, abs=0.0)
+        assert res.K_minus_1 == pytest.approx(1.0 / (r * (6.0 * r + 5.0)), rel=1e-15, abs=0.0)
+
+    def test_k_minus_1_has_no_cancellation(self):
+        """At r = 1e6, K - 1 = 1.7e-13 to full precision, where K - 1.0
+        keeps three digits."""
+        res = schmidt_spectrum_broadband(_unit_design(1e6), PULSE)
+        exact = Fraction(1) / (Fraction(10**6) * (6 * Fraction(10**6) + 5))
+        assert res.K_minus_1 == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+        assert res.K == 1.0 + res.K_minus_1
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(0.02, 50.0), st.floats(0.1, 10.0), st.floats(-8.0, 8.0))
+    def test_invariant_under_common_scale(self, tga, gb, log_scale):
+        """(tgamma, gamma) -> (s*tgamma, s*gamma) leaves the spectrum alone."""
+        base = schmidt_spectrum_broadband(CouplingConfig.distinct(tga, gb, 1.0), PULSE)
+        s = 10.0 ** log_scale
+        scaled = schmidt_spectrum_broadband(CouplingConfig.distinct(s * tga, s * gb, s), PULSE)
+        assert scaled.K == pytest.approx(base.K, rel=1e-14, abs=0.0)
+        np.testing.assert_allclose(scaled.lambdas, base.lambdas, rtol=1e-12, atol=0.0)
+
+    def test_criterion_4_designs(self, algaas):
+        """The three benchmark designs of acceptance criterion 4, exactly:
+        K = 12/11 = 1.0909..., 1.1191... and 1.1985..."""
+        ring, gc = algaas
+        pump = PumpSpec.pulsed(1e-12, bandwidth_factor=10.0)
+        for cfg, r, rounded in (
+            (CouplingConfig.all_pass(gc, gc), Fraction(1), 1.0909),
+            (CouplingConfig.distinct(1.37 * gc, 1.83 * gc, gc), Fraction(237, 283), 1.1191),
+            (CouplingConfig.distinct(1.46 * gc, 3.17 * gc, gc), Fraction(246, 417), 1.1985),
+        ):
+            exact = (2 * r + 1) * (3 * r + 1) / (r * (6 * r + 5))
+            k = schmidt_spectrum_broadband(cfg, pump).K
+            assert k == pytest.approx(float(exact), rel=1e-14, abs=0.0)
+            assert k == pytest.approx(rounded, abs=5e-5)
+
+    def test_rejects_what_the_grid_rejects(self, algaas):
+        ring, gc = algaas
+        cfg = CouplingConfig.all_pass(gc, gc)
+        with pytest.raises(ValueError, match="requires a pulsed pump"):
+            schmidt_spectrum_broadband(cfg, PumpSpec.cw(1e-5))
+        spectrum = TabulatedSpectrum.flattop(10.0 * cfg.tgamma, n_samples=11)
+        with pytest.raises(ValueError, match="tabulated pump spectrum"):
+            schmidt_spectrum_broadband(cfg, PumpSpec.pulsed(1e-12, spectrum=spectrum))
+        with pytest.raises(ValueError, match="broadband forms require"):
+            schmidt_spectrum_broadband(cfg, PumpSpec.pulsed(1e-12, bandwidth_factor=4.0))
+        with pytest.raises(ValueError, match="broadband forms require"):
+            discretize_wavepacket(ring, cfg, PumpSpec.pulsed(1e-12, bandwidth_factor=4.0), 16)
+        with pytest.warns(BroadbandAssumptionWarning, match="marginal") as caught:
+            schmidt_spectrum_broadband(cfg, PumpSpec.pulsed(1e-12, bandwidth_factor=7.0))
+        assert len(caught) == 1 and caught[0].filename == __file__
+        with pytest.raises(ValueError, match="tgamma/gamma >= 1e-06"):
+            schmidt_spectrum_broadband(_unit_design(5e-7), PULSE)
+
+    def test_builds_no_wavepacket_grid(self):
+        """Only the 64-row Ikebe matrix is allocated, an eighth of a
+        512-point float64 grid's 2 MB at most."""
+        schmidt_spectrum_broadband(_unit_design(0.7), PULSE)  # warm up
+        tracemalloc.start()
+        try:
+            schmidt_spectrum_broadband(_unit_design(0.7), PULSE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 512  # bytes
+
+    def test_result_rejects_mass_that_does_not_sum_to_one(self):
+        with pytest.raises(ValueError, match="sum to 1"):
+            SchmidtResult(lambdas=[0.5, 0.3], K=2.0, K_minus_1=1.0, tail=0.1)
+        with pytest.raises(ValueError, match="tail"):
+            SchmidtResult(lambdas=[1.0], K=1.0, K_minus_1=0.0, tail=-0.1)

@@ -30,7 +30,7 @@ from ringsfwm import (
     pulsed_single_prob,
     rate_scale_R0,
     run_sweep,
-    schmidt_number,
+    schmidt_spectrum,
 )
 from ringsfwm.core import BroadbandAssumptionWarning
 from ringsfwm.optimize import (
@@ -377,7 +377,6 @@ class TestRunSweep:
             ring=ring,
             pump=PumpSpec.pulsed(1e-12, bandwidth_factor=10.0),
             gamma_c=gc,
-            schmidt_points=32,
         )
         assert all(r["error"] is None and r["K"] >= 1.0 for r in run_sweep(spec).rows)
 
@@ -399,7 +398,6 @@ class TestRunSweep:
             ring=ring,
             pump=PumpSpec.pulsed(1e-12, delta_omega=20.0 * gc),
             gamma_c=gc,
-            schmidt_points=32,
         )
         with pytest.warns(BroadbandAssumptionWarning, match="marginal"):
             rows = run_sweep(spec).rows
@@ -426,31 +424,49 @@ class TestRunSweep:
         axis1, axis2 = AXES[Geometry.ADD_DROP_IDENTICAL]
         rows = run_sweep(SweepSpec(
             Geometry.ADD_DROP_IDENTICAL, axis1, axis2, ("K",), ring,
-            PumpSpec.pulsed(1e-12, bandwidth_factor=10.0), gc, schmidt_points=32,
+            PumpSpec.pulsed(1e-12, bandwidth_factor=10.0), gc,
         )).rows
         assert evaluated == [[1.0]]
         assert len({r["K"] for r in rows}) == 1 and rows[0]["K"] > 1.0
 
-    @pytest.mark.parametrize("knob, value", [
-        ("schmidt_points", 15), ("schmidt_points", 0), ("schmidt_points", 40.9),
-        ("schmidt_points", 32.0), ("schmidt_points", True), ("t_max_over_gamma", 0.0),
-        ("t_max_over_gamma", -1.0), ("t_max_over_gamma", math.inf),
-        ("t_max_over_gamma", math.nan),
-    ])
-    def test_schmidt_grid_knobs_validated(self, algaas, knob, value):
+    def test_meta_reports_k_grid_error(self, algaas):
+        """The worst relative error of the K and K_minus_1 columns against the
+        closed form, over the points that did not fail; None where all did."""
         ring, gc = algaas
-        with pytest.raises(ValueError, match=knob):
-            SweepSpec(
-                Geometry.ALL_PASS_IDENTICAL, SweepAxis("gamma_a", 0.5, 2.0, 3), None, ("K",),
-                ring, PumpSpec.pulsed(1e-12, bandwidth_factor=10.0), gc, **{knob: value},
-            )
+        spec = SweepSpec(
+            Geometry.ADD_DROP_DISTINCT, SweepAxis("tgamma_a", 0.05, 5.0, 4),
+            SweepAxis("gamma_b", 0.05, 5.0, 3), ("ps", "K"), ring,
+            PumpSpec.pulsed(1e-12, bandwidth_factor=10.0), gc,
+        )
+        result = run_sweep(spec)
+        r = np.array([(x + 1.0) / (y + 1.0) for x, y in zip(
+            result.columns["tgamma_a_over_gamma_c"], result.columns["gamma_b_over_gamma_c"])])
+        exact = 1.0 / (r * (6.0 * r + 5.0))
+        error = np.abs(np.array(result.columns["K_minus_1"]) - exact)
+        reported = result.meta["K_grid_rel_error"]
+        assert reported["K"] == pytest.approx(np.max(error / (1.0 + exact)), rel=1e-9)
+        assert reported["K_minus_1"] == pytest.approx(np.max(error / exact), rel=1e-9)
+        # the 20/gamma window truncates the wavepacket at r = 1.05/6 = 0.175
+        assert 4e-3 < reported["K"] < 5e-3
+        assert "K_grid_rel_error" not in run_sweep(replace(spec, outputs=("ps",))).meta
+        failing = replace(spec, pump=PumpSpec.pulsed(1e-12, delta_omega=0.1 * gc))
+        assert run_sweep(failing).meta["K_grid_rel_error"] is None
+
+    def test_schmidt_grid_knobs_are_gone(self, algaas):
+        """The K column's grid is fixed; SweepSpec takes no knob for it."""
+        ring, gc = algaas
+        for knob in ("schmidt_points", "t_max_over_gamma"):
+            with pytest.raises(TypeError, match=knob):
+                SweepSpec(
+                    Geometry.ALL_PASS_IDENTICAL, SweepAxis("gamma_a", 0.5, 2.0, 3), None, ("K",),
+                    ring, PumpSpec.pulsed(1e-12, bandwidth_factor=10.0), gc, **{knob: 32},
+                )
 
 
 @st.composite
 def k_sweeps(draw):
-    """A small K sweep of any geometry: axes within 1e-1.5..1e1 gamma_c, a
-    split pump loss for half of the distinct-coupler draws, and a random
-    Schmidt grid."""
+    """A small K sweep of any geometry: axes within 1e-1.5..1e1 gamma_c and a
+    split pump loss for half of the distinct-coupler draws."""
     geometry = draw(st.sampled_from(list(Geometry)))
     axes = []
     for name in coupling_parameter_names(geometry):
@@ -460,25 +476,26 @@ def k_sweeps(draw):
     tgamma_c = None
     if geometry is Geometry.ADD_DROP_DISTINCT and draw(st.booleans()):
         tgamma_c = 10.0 ** draw(st.floats(-1.0, 1.0))
-    return geometry, axes, tgamma_c, draw(st.integers(16, 48)), draw(st.floats(5.0, 40.0))
+    return geometry, axes, tgamma_c
 
 
 @settings(max_examples=25, deadline=None)
 @given(k_sweeps())
 def test_sweep_k_matches_direct_grid(algaas, sweep):
-    """The r = tgamma/gamma kernel reproduces the grid K of the physical design."""
+    """The r = tgamma/gamma kernel reproduces the grid K of the physical
+    design on the sweep's grid: 192 points over 20/gamma."""
     ring, gc = algaas
-    geometry, axes, tgamma_c, n, t_max = sweep
+    geometry, axes, tgamma_c = sweep
     tgc = None if tgamma_c is None else tgamma_c * gc
     pump = PumpSpec.pulsed(1e-12, bandwidth_factor=10.0)
     spec = SweepSpec(
         geometry, axes[0], axes[1] if len(axes) > 1 else None, ("K",), ring, pump, gc,
-        tgamma_c=tgc, schmidt_points=n, t_max_over_gamma=t_max,
+        tgamma_c=tgc,
     )
     for row in run_sweep(spec).rows:
-        grid = discretize_wavepacket(ring, direct_config(geometry, row, gc, tgc), pump, n, t_max)
+        grid = discretize_wavepacket(ring, direct_config(geometry, row, gc, tgc), pump, 192, 20.0)
         assert row["error"] is None
-        assert row["K"] == pytest.approx(schmidt_number(grid), rel=1e-13, abs=0.0)
+        assert row["K"] == pytest.approx(schmidt_spectrum(grid).K, rel=1e-13, abs=0.0)
 
 
 class TestColumns:
@@ -487,9 +504,8 @@ class TestColumns:
         axis1, axis2 = AXES[Geometry.ADD_DROP_DISTINCT]
         spec = SweepSpec(
             Geometry.ADD_DROP_DISTINCT, axis1, axis2, ("K", "ps"), ring,
-            PumpSpec.pulsed(1e-12, bandwidth_factor=10.0), gc, schmidt_points=np.int64(32),
+            PumpSpec.pulsed(1e-12, bandwidth_factor=10.0), gc,
         )
-        assert spec.schmidt_points == 32 and type(spec.schmidt_points) is int
         assert run_sweep(spec) == run_sweep(spec)
 
     def test_rows_are_the_columns_zipped(self, algaas):
@@ -524,7 +540,7 @@ def _failing_pulsed_sweep(ring, gc):
     quotable error text."""
     spec = SweepSpec(
         Geometry.ALL_PASS_IDENTICAL, SweepAxis("gamma_a", 0.05, 5.0, 6), None, ("ps", "K"),
-        ring, PumpSpec.pulsed(1e-12, delta_omega=20.0 * gc), gc, schmidt_points=32,
+        ring, PumpSpec.pulsed(1e-12, delta_omega=20.0 * gc), gc,
     )
     with pytest.warns(BroadbandAssumptionWarning, match="marginal"):
         return run_sweep(spec)
@@ -746,7 +762,7 @@ def sweep_results(draw):
         pump, outputs, window = PumpSpec.pulsed(1e-12, delta_omega=delta_omega), ("ps", "psi", "K"), None
     spec = SweepSpec(
         geometry, axes[0], axes[1] if len(axes) > 1 else None, outputs, ring, pump, gc,
-        coincidence_window=window, schmidt_points=16,
+        coincidence_window=window,
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BroadbandAssumptionWarning)
