@@ -41,7 +41,12 @@ from .config import (
 from .core import Geometry, PumpMode, PumpSpec, quality_factors, rate_scale_R0, prob_scale_p0
 from .cw import cw_accidentals_and_car, cw_observables
 from .optimize import OptimizationError, coupling_parameter_names, cross_validate_optima
-from .pulsed import QuadratureError, _single_prob_numeric, pulsed_observables
+from .pulsed import (
+    QuadratureError,
+    _perturbative_observables,
+    _single_prob_numeric,
+    pulsed_observables,
+)
 from .schmidt import DecompositionError, schmidt_spectrum_broadband
 from .sweep import (
     SweepAxis,
@@ -145,14 +150,15 @@ def _cmd_rates(args) -> int:
             report["cw"]["CAR"] = car
     elif pump.spectrum is not None:
         ps, rel_err = _single_prob_numeric(ring, cfg, pump.energy, pump.spectrum)
+        # the Lorentzian pair factor is shared, so psi = eta*ps for any spectrum
+        obs = _perturbative_observables(ps, cfg.heralding_efficiency * ps)
         report["pulsed"] = {
             "pulse_energy_j": pump.energy,
             "method": "numeric-quadrature",
-            "ps_per_pulse": ps,
-            "pi_per_pulse": ps,
-            # the Lorentzian pair factor is shared, so this holds for any spectrum
-            "psi_per_pulse": cfg.heralding_efficiency * ps,
-            "p_acc_per_pulse": ps * ps,
+            "ps_per_pulse": obs.ps,
+            "pi_per_pulse": obs.pi,
+            "psi_per_pulse": obs.psi_pair,
+            "p_acc_per_pulse": obs.ps * obs.pi,
             "quad_rel_err": rel_err,
         }
     else:

@@ -379,9 +379,19 @@ class PumpSpec:
         )
 
     def delta_omega_for(self, tgamma: float) -> float:
-        """Absolute pump bandwidth [rad/s] for a given pump linewidth."""
-        if self.mode is not PumpMode.PULSED or self.spectrum is not None:
-            raise ValueError("delta_omega_for() is only defined for a pulsed flattop pump")
+        """Absolute pump bandwidth [rad/s] for a given pump linewidth; rejects
+        a CW pump and a tabulated spectrum."""
+        if self.mode is not PumpMode.PULSED:
+            raise ValueError(
+                "delta_omega_for() requires a pulsed pump; a CW pump has no pulse "
+                "bandwidth, and the Schmidt decomposition is defined per pulse"
+            )
+        if self.spectrum is not None:
+            raise ValueError(
+                "delta_omega_for() requires a flattop pump; a tabulated pump "
+                "spectrum carries its own bandwidth, which the broadband "
+                "flattop forms do not support"
+            )
         if self.delta_omega is not None:
             return self.delta_omega
         return self.bandwidth_factor * tgamma
@@ -400,6 +410,12 @@ def _drive_cw(ring: RingParams, power: float) -> float:
         ring.n2 * ring.vg**2 * ring.omega0 * power
         / (C_VACUUM * ring.area * ring.circumference)
     )
+
+
+def _drive_pulsed(ring: RingParams, energy: float, delta_omega: float) -> float:
+    """Pulse strength 2*pi*n2*vg^2*omega0*E/(c*S*L*delta_omega) [1/s]: the
+    pump strength of :func:`_drive_cw` at energy E, times 2*pi/delta_omega."""
+    return TWO_PI * _drive_cw(ring, energy) / delta_omega
 
 
 def rate_scale_R0(ring: RingParams, power: float, gamma_c: float) -> float:
@@ -432,10 +448,10 @@ def prob_scale_p0(
     """Coupling-independent per-pulse probability scale (dimensionless).
 
     ``p0 = (2*pi*n2*vg^2*omega0*E / (c*S*L*B*gamma_c))^2`` for a broadband
-    flattop pulse whose bandwidth is ``B`` pump linewidths, on the pump
-    strength of :func:`_drive_cw`.  Where :func:`_broadband_rule` fails or is
-    marginal at ``B`` (``B < 10``) it warns with
-    :class:`BroadbandAssumptionWarning`; it never raises on ``B``.
+    flattop pulse whose bandwidth is ``B`` pump linewidths: the square of
+    :func:`_drive_pulsed` at ``delta_omega = B*gamma_c``.  Where
+    :func:`_broadband_rule` fails or is marginal at ``B`` (``B < 10``) it
+    warns with :class:`BroadbandAssumptionWarning`; it never raises on ``B``.
     """
     energy = _positive_finite("prob_scale_p0", "energy", energy)
     bandwidth_factor = _positive_finite("prob_scale_p0", "bandwidth_factor", bandwidth_factor)
@@ -447,6 +463,6 @@ def prob_scale_p0(
             "pump assumption (bandwidth >> pump linewidth) is weak",
             BroadbandAssumptionWarning,
         )
-    amp = TWO_PI * _drive_cw(ring, energy) / (bandwidth_factor * gamma_c)
+    amp = _drive_pulsed(ring, energy, bandwidth_factor * gamma_c)
     return amp * amp
 

@@ -210,22 +210,8 @@ def analytic_optimum(geometry: Geometry, target: OptimizationTarget) -> OptimumR
     )
 
 
+# The search box of numeric_optimum on each coupling axis, in units of gamma_c.
 _DEFAULT_BOUND = (0.05, 10.0)
-
-
-def _validate_bounds(bounds, ndim: int) -> tuple[tuple[float, float], ...]:
-    if bounds is None:
-        return (_DEFAULT_BOUND,) * ndim
-    bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
-    if len(bounds) != ndim:
-        raise ValueError(f"expected {ndim} bound pairs, got {len(bounds)}")
-    for lo, hi in bounds:
-        if not 0.0 < lo <= _DEFAULT_BOUND[0] or hi < _DEFAULT_BOUND[1]:
-            raise ValueError(
-                f"bounds must be positive and contain at least "
-                f"[{_DEFAULT_BOUND[0]}, {_DEFAULT_BOUND[1]}] per axis, got ({lo}, {hi})"
-            )
-    return bounds
 
 
 def _log_grid(lo: float, hi: float, n: int) -> np.ndarray:
@@ -323,14 +309,13 @@ def _maximize(objective, point, value, ratios, bounds) -> tuple[tuple[float, ...
 def numeric_optimum(
     geometry: Geometry,
     target: OptimizationTarget,
-    bounds: Optional[Sequence[tuple[float, float]]] = None,
     objective: Optional[Callable[[tuple], object]] = None,
 ) -> OptimumRecord:
     """Derivative-free maximization of the rate/probability objective.
 
-    Scans a log grid over ``bounds`` (193 points in 1-D, 61x61 in 2-D) in one
-    objective call and sharpens its best point by log-grid zoom and a
-    parabolic vertex step.  ``objective`` defaults to
+    Scans a log grid over ``[0.05, 10]*gamma_c`` per coupling (193 points in
+    1-D, 61x61 in 2-D) in one objective call and sharpens its best point by
+    log-grid zoom and a parabolic vertex step.  ``objective`` defaults to
     :func:`normalized_objective`; a custom one takes a tuple of equal-shape
     coupling arrays (units of gamma_c, one per coupling parameter) and
     returns an array of values of that shape.  Works entirely in
@@ -339,7 +324,7 @@ def numeric_optimum(
     non-finite value or finds no positive one.
     """
     ndim = len(coupling_parameter_names(geometry))
-    bounds = _validate_bounds(bounds, ndim)
+    bounds = (_DEFAULT_BOUND,) * ndim
     if objective is None:
         objective = normalized_objective(geometry, target)
 

@@ -60,6 +60,7 @@ from .core import (
     _NOT_BROADBAND,
     _broadband_rule,
     _drive_cw,
+    _drive_pulsed,
     _positive_finite,
     _warn,
 )
@@ -404,11 +405,18 @@ def flattop_lineshape_broadband(
     return (TWO_PI / delta_omega) / (tgamma - 1j * np.asarray(omega_sum))
 
 
-def _drive_pulsed(ring: RingParams, energy: float, delta_omega: float) -> float:
-    """Pulse strength 2*pi*n2*vg^2*omega0*E/(c*S*L*delta_omega) [1/s]: the
-    pump strength of :func:`ringsfwm.core._drive_cw` at energy E, times
-    2*pi/delta_omega."""
-    return TWO_PI * _drive_cw(ring, energy) / delta_omega
+def _jta_bracket(log_env, u, split):
+    """``e^{log_env}*(1 - e^{-u})/split`` on floats or broadcastable arrays:
+    the envelope times the bracket of the broadband wavepacket, with
+    ``u = split*min(ts, ti)``.  Takes the expm1 form where ``|u| <= 1``,
+    where ``1 - e^{-u}`` would cancel, and ``e^{log_env} - e^{log_env - u}``
+    elsewhere; for ``log_env <= 0`` and ``log_env - u <= 0`` no exponent is
+    positive, so neither can overflow.  ``split`` must be nonzero."""
+    env = np.exp(log_env)
+    protected = np.abs(u) <= 1.0
+    near = env * (-np.expm1(-np.where(protected, u, 0.0)))
+    far = env - np.exp(log_env - np.where(protected, 0.0, u))
+    return np.where(protected, near, far) / split
 
 
 def pulsed_wavepacket(
@@ -435,20 +443,13 @@ def pulsed_wavepacket(
     # points cannot overflow; they are zeroed below anyway.
     m = np.maximum(np.minimum(ts, ti), 0.0)
     log_env = -gamma * np.clip(ts + ti, 0.0, None) / 2.0
-    env = np.exp(log_env)
     split = tgamma - gamma
     if abs(split) < EPS_DEGENERATE * gamma:
-        core = env * m
+        core = np.exp(log_env) * m
     else:
-        # envelope*(1 - exp(-split*m))/split, assembled so that neither
-        # exponent can overflow: log_env <= 0, and log_env - split*m <= 0 too
-        # (for split < 0, |split| = gamma - tgamma < gamma while
-        # m <= (ts + ti)/2; for split > 0 the term only gets more negative).
-        u = split * m
-        protected = np.abs(u) <= 1.0  # expm1 path where cancellation matters
-        core_near = env * (-np.expm1(-np.where(protected, u, 0.0)))
-        core_far = env - np.exp(log_env - np.where(protected, 0.0, u))
-        core = np.where(protected, core_near, core_far) / split
+        # log_env <= 0, and log_env - split*m <= 0 too: for split < 0,
+        # |split| = gamma - tgamma < gamma while m <= (ts + ti)/2.
+        core = _jta_bracket(log_env, split * m, split)
     out = cfg.tgamma_a * cfg.gamma_mu * y * core
     out = np.where(causal, out, 0.0)
     if np.ndim(out) == 0:
@@ -485,6 +486,19 @@ def pulsed_pair_prob(
     return _pair_prob_kernel(*cfg.kernel_rates, y)
 
 
+def _perturbative_observables(ps: float, psi_pair: float) -> PulsedObservables:
+    """``PulsedObservables(ps, ps, psi_pair)``, for any pump spectrum: warns
+    when ``ps > 0.1`` strains the single-pair (perturbative) assumption, and
+    the bundle rejects ``ps > 1``."""
+    if ps > 0.1:
+        _warn(
+            f"per-pulse probability ps = {ps:.3g} > 0.1: the "
+            "single-pair (perturbative) assumption is strained",
+            UserWarning,
+        )
+    return PulsedObservables(ps=ps, pi=ps, psi_pair=psi_pair)
+
+
 def pulsed_observables(
     ring: RingParams, cfg: CouplingConfig, energy: float, delta_omega: float
 ) -> PulsedObservables:
@@ -492,17 +506,8 @@ def pulsed_observables(
     ``ps > 0.1`` strains the single-pair (perturbative) assumption."""
     _require_broadband(cfg.tgamma, delta_omega)
     y = _drive_pulsed(ring, energy, delta_omega)
-    ps = _single_prob_kernel(*cfg.kernel_rates, y)
-    if ps > 0.1:
-        _warn(
-            f"per-pulse probability ps = {ps:.3g} > 0.1: the "
-            "single-pair (perturbative) assumption is strained",
-            UserWarning,
-        )
-    return PulsedObservables(
-        ps=ps,
-        pi=ps,
-        psi_pair=_pair_prob_kernel(*cfg.kernel_rates, y),
+    return _perturbative_observables(
+        _single_prob_kernel(*cfg.kernel_rates, y), _pair_prob_kernel(*cfg.kernel_rates, y)
     )
 
 

@@ -111,6 +111,46 @@ def spectrum_config(tmp_path, algaas):
     )
 
 
+class TestRatesPerturbativeLimit:
+    """The broadband and the tabulated branch of ``rates`` share one
+    perturbative-limit rule: all-pass at gamma_a = 1.5 gamma_c, a flattop
+    pump of 10 pump linewidths, closed form or 401 samples."""
+
+    @pytest.fixture(params=["broadband", "tabulated"])
+    def bandwidth(self, request, tmp_path, algaas):
+        if request.param == "broadband":
+            return "bandwidth_factor = 10"
+        _, gc = algaas
+        path = tmp_path / "flattop.txt"
+        save_spectrum(TabulatedSpectrum.flattop(10.0 * 2.5 * gc, n_samples=401), path)
+        return f"spectrum_file = {path}"
+
+    def _rates(self, tmp_path, bandwidth, energy_pj):
+        path = write_config(
+            tmp_path / "limit.ini", knobs="gamma_a_over_gamma_c = 1.5",
+            pump=f"mode = pulsed\npulse_energy_pj = {energy_pj}\n{bandwidth}",
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["rates", "--config", str(path)])
+        return code, [w for w in caught if w.category is UserWarning]
+
+    def test_strained_point_warns_once(self, tmp_path, bandwidth, capsys):
+        code, caught = self._rates(tmp_path, bandwidth, 1)  # ps ~ 0.2
+        assert code == 0
+        assert len(caught) == 1 and "single-pair" in str(caught[0].message)
+        assert 0.1 < json.loads(capsys.readouterr().out)["pulsed"]["ps_per_pulse"] < 1.0
+
+    def test_probability_above_one_is_refused(self, tmp_path, bandwidth, capsys):
+        code, caught = self._rates(tmp_path, bandwidth, 10)  # ps ~ 20
+        assert code == 1 and len(caught) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(
+            r"ringsfwm: validation error: PulsedObservables requires "
+            r"0 <= psi_pair <= ps <= 1, got psi_pair=\S+, ps=\S+\n", err)
+
+
 class TestRates:
     def test_matches_library(self, cw_config, capsys, algaas):
         ring, gc = algaas

@@ -147,6 +147,13 @@ class TestPumpSpec:
         with pytest.raises(ValueError, match="not meaningful"):
             PumpSpec(PumpMode.CW, power=1e-6, energy=1e-12)
 
+    def test_delta_omega_for_names_the_pump_it_rejects(self):
+        with pytest.raises(ValueError, match=r"requires a pulsed pump; a CW pump has no"):
+            PumpSpec.cw(1e-3).delta_omega_for(2.0e9)
+        pump = PumpSpec.pulsed(1e-12, spectrum=TabulatedSpectrum.flattop(2.0e10, n_samples=11))
+        with pytest.raises(ValueError, match=r"requires a flattop pump; a tabulated pump spectrum"):
+            pump.delta_omega_for(2.0e9)
+
     def test_delta_omega_for(self):
         pump = PumpSpec.pulsed(1e-12, bandwidth_factor=12.0)
         assert pump.delta_omega_for(2.0e9) == 24.0e9

@@ -143,18 +143,6 @@ class TestNumericOptimum:
             argmaxes.append(rec.couplings[0])
         assert max(argmaxes) - min(argmaxes) < 1e-9
 
-    def test_bounds_validation(self):
-        with pytest.raises(ValueError, match="contain"):
-            numeric_optimum(
-                Geometry.ALL_PASS_IDENTICAL, OptimizationTarget(ONE, CW),
-                bounds=((0.5, 10.0),),
-            )
-        with pytest.raises(ValueError, match="contain"):
-            numeric_optimum(
-                Geometry.ALL_PASS_IDENTICAL, OptimizationTarget(ONE, CW),
-                bounds=((0.05, 5.0),),
-            )
-
     def test_nonfinite_objective_raises(self):
         from ringsfwm import OptimizationError
 

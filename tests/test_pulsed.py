@@ -35,6 +35,7 @@ from ringsfwm.pulsed import (
     QuadratureError,
     _adaptive_gauss_kronrod,
     _drive_pulsed,
+    _jta_bracket,
     _single_prob_numeric,
 )
 
@@ -495,6 +496,32 @@ class TestPulsedWavepacket:
             want = cfg.tgamma_a * cfg.gamma_mu * y * core
             want = np.where((ts >= 0.0) & (ti >= 0.0), want, 0.0)
             assert np.array_equal(pulsed_wavepacket(ring, cfg, ENERGY, dw, ts, ti), want)
+
+    def test_bracket_matches_mpmath(self):
+        """The bracket ``e^L (1 - e^{-u})/split`` shared with the Schmidt
+        kernel, against mpmath at 40 digits on the same float inputs: |u|
+        from 1e-12 to 700 of either sign, both sides of the |u| = 1 switch,
+        under its precondition ``L <= min(0, u)``, with ``L`` at most 600 below
+        that so the value stays a normal float.  The rounding of ``L - u``
+        sets the error scale."""
+        rng = np.random.default_rng(19)
+        n = 4000
+        sign = rng.choice((-1.0, 1.0), n)
+        u = sign * 10.0 ** rng.uniform(-12.0, math.log10(700.0), n)
+        below, above = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
+        u = np.concatenate((u, [below, 1.0, above, -below, -1.0, -above]))
+        top = np.minimum(u, 0.0)
+        log_env = top - rng.uniform(0.0, 600.0, u.size)
+        split = np.copysign(10.0 ** rng.uniform(-3.0, 3.0, u.size), u)
+        got = _jta_bracket(log_env, u, split)
+        with mp.workdps(40):
+            want = np.array([
+                float(mp.exp(mp.mpf(el)) * -mp.expm1(-mp.mpf(uu)) / mp.mpf(s))
+                for el, uu, s in zip(log_env.tolist(), u.tolist(), split.tolist())
+            ])
+        scale = 4.0 * np.finfo(float).eps * (1.0 + np.abs(log_env) + np.abs(u))
+        assert np.all(np.abs(got - want) <= scale * np.abs(want))
+        assert _jta_bracket(log_env[0], u[0], split[0]) == got[0]
 
     def test_finite_at_extreme_times_with_narrow_pump(self, algaas):
         """With tgamma < gamma the quotient involves a growing exponential;

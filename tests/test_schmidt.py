@@ -221,7 +221,18 @@ def _svd_schmidt_number(grid):
 
 
 class TestSchmidtNumber:
-    """The inverse-purity Schmidt number against the SVD definition."""
+    """The grid Schmidt number, ``1/sum(lambda^2)`` of the SVD spectrum."""
+
+    @pytest.mark.parametrize("r, n", [(0.175, 192), (1.0, 256), (5.7, 512)])
+    def test_is_the_inverse_purity_of_the_gram_matrix(self, r, n):
+        """``(tr G)^2 / ||G||_F^2`` of ``G = M^T M``, whose eigenvalues are
+        the squared singular values of ``M``, is the same K."""
+        grid = discretize_wavepacket(UNIT_RING, _unit_design(r), PULSE, n, 20.0)
+        sw = np.sqrt(grid.weights)
+        m = sw[:, None] * grid.amplitudes * sw[None, :]
+        g = m.T @ m
+        oracle = np.trace(g) ** 2 / np.sum(g * g)
+        assert schmidt_spectrum(grid).K == pytest.approx(oracle, rel=1e-14, abs=0.0)
 
     @settings(max_examples=150, deadline=None)
     @given(random_grids())
