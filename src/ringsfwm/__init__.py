@@ -35,7 +35,6 @@ from .cw import (
     tolerance_band,
 )
 from .pulsed import (
-    EPS_DEGENERATE,
     PulsedObservables,
     QuadratureError,
     TabulatedSpectrum,
@@ -86,7 +85,6 @@ __all__ = [
     "CouplingConfig",
     "CwObservables",
     "DecompositionError",
-    "EPS_DEGENERATE",
     "Geometry",
     "Objective",
     "OptimizationError",

@@ -403,9 +403,11 @@ def quality_factors(ring: RingParams, cfg: CouplingConfig) -> tuple[float, float
     return (ring.omega0 / cfg.gamma_c, ring.omega0 / cfg.gamma)
 
 
-def _drive_cw(ring: RingParams, power: float) -> float:
+def _drive_cw(ring: RingParams, power: float, name: str = "power") -> float:
     """Pump strength n2*vg^2*omega0*P/(c*S*L) entering every CW rate [1/s^2];
-    with a pulse energy E for P, the strength [1/s] every pulsed one uses."""
+    with a pulse energy E for P (``name="energy"``), the strength [1/s] every
+    pulsed one uses.  Rejects a P that is not strictly positive and finite."""
+    power = _positive_finite("pump", name, power)
     return (
         ring.n2 * ring.vg**2 * ring.omega0 * power
         / (C_VACUUM * ring.area * ring.circumference)
@@ -414,17 +416,17 @@ def _drive_cw(ring: RingParams, power: float) -> float:
 
 def _drive_pulsed(ring: RingParams, energy: float, delta_omega: float) -> float:
     """Pulse strength 2*pi*n2*vg^2*omega0*E/(c*S*L*delta_omega) [1/s]: the
-    pump strength of :func:`_drive_cw` at energy E, times 2*pi/delta_omega."""
-    return TWO_PI * _drive_cw(ring, energy) / delta_omega
+    pump strength of :func:`_drive_cw` at energy E (which it checks), times
+    2*pi/delta_omega (which it does not: a float or an array)."""
+    return TWO_PI * _drive_cw(ring, energy, "energy") / delta_omega
 
 
 def rate_scale_R0(ring: RingParams, power: float, gamma_c: float) -> float:
     """Coupling-independent CW rate scale [1/s].
 
     ``R0 = (1/gamma_c^3) * (n2*vg^2*omega0*P / (c*S*L))^2``.  All CW optima
-    are simple rational multiples of this number.
-    """
-    power = _positive_finite("rate_scale_R0", "power", power)
+    are simple rational multiples of this number.  Rejects a power or
+    ``gamma_c`` that is not strictly positive and finite."""
     gamma_c = _positive_finite("rate_scale_R0", "gamma_c", gamma_c)
     drive = _drive_cw(ring, power)
     return drive * drive / gamma_c**3
@@ -449,13 +451,14 @@ def prob_scale_p0(
 
     ``p0 = (2*pi*n2*vg^2*omega0*E / (c*S*L*B*gamma_c))^2`` for a broadband
     flattop pulse whose bandwidth is ``B`` pump linewidths: the square of
-    :func:`_drive_pulsed` at ``delta_omega = B*gamma_c``.  Where
-    :func:`_broadband_rule` fails or is marginal at ``B`` (``B < 10``) it
-    warns with :class:`BroadbandAssumptionWarning`; it never raises on ``B``.
+    :func:`_drive_pulsed` at ``delta_omega = B*gamma_c``.  Rejects an
+    energy, ``B`` or ``gamma_c`` that is not strictly positive and finite.
+    Where :func:`_broadband_rule` fails or is marginal at ``B`` (``B < 10``)
+    it warns with :class:`BroadbandAssumptionWarning` and does not raise.
     """
-    energy = _positive_finite("prob_scale_p0", "energy", energy)
     bandwidth_factor = _positive_finite("prob_scale_p0", "bandwidth_factor", bandwidth_factor)
     gamma_c = _positive_finite("prob_scale_p0", "gamma_c", gamma_c)
+    amp = _drive_pulsed(ring, energy, bandwidth_factor * gamma_c)
     holds, marginal = _broadband_rule(1.0, bandwidth_factor)
     if marginal or not holds:
         _warn(
@@ -463,6 +466,5 @@ def prob_scale_p0(
             "pump assumption (bandwidth >> pump linewidth) is weak",
             BroadbandAssumptionWarning,
         )
-    amp = _drive_pulsed(ring, energy, bandwidth_factor * gamma_c)
     return amp * amp
 

@@ -115,8 +115,11 @@ def cw_pump_buildup(cfg: CouplingConfig, detuning: float = 0.0) -> float:
     ``gamma_c`` so the on-resonance critically coupled single-bus ring
     (``tgamma_a = gamma_c``, ``tgamma_b = 0``) gives exactly 1.  At fixed
     detuning the buildup peaks at
-    ``tgamma_a = sqrt((tgamma_b + tgamma_c)^2 + 4*detuning^2)``.
+    ``tgamma_a = sqrt((tgamma_b + tgamma_c)^2 + 4*detuning^2)``.  Rejects a
+    NaN or infinite detuning; either sign is valid.
     """
+    if not np.all(np.isfinite(detuning)):
+        raise ValueError(f"cw_pump_buildup.detuning must be finite, got {detuning!r}")
     return 4.0 * cfg.tgamma_a * cfg.gamma_c / (cfg.tgamma**2 + 4.0 * detuning**2)
 
 

@@ -24,8 +24,8 @@ and the per-pulse singles probability is
     ``p_s = p_i = tgamma_a^2*gamma_mu / (tgamma*gamma*(tgamma+gamma)) * Y^2``,
 
 again with ``p_si = (gamma_mu/gamma) * p_s`` exactly.  When the pump and
-biphoton linewidths coincide the quotient degenerates to
-``min(ts, ti)`` (handled automatically below).
+biphoton linewidths coincide the quotient takes its exact limit at
+``tgamma = gamma``, ``min(ts, ti)``.
 
 Arbitrary spectra
 -----------------
@@ -61,12 +61,12 @@ from .core import (
     _broadband_rule,
     _drive_cw,
     _drive_pulsed,
+    _point_count,
     _positive_finite,
     _warn,
 )
 
 __all__ = [
-    "EPS_DEGENERATE",
     "PulsedObservables",
     "QuadratureError",
     "TabulatedSpectrum",
@@ -81,10 +81,6 @@ __all__ = [
     "pulsed_accidental_prob",
     "pulsed_single_prob_numeric",
 ]
-
-# Relative pump/biphoton linewidth split below which the degenerate-limit
-# wavepacket (bracket -> min(ts, ti)) replaces the generic quotient.
-EPS_DEGENERATE = 1e-6
 
 # Panel budget of the adaptive Gauss-Kronrod rule over the frequency sum:
 # the rule bisects until the summed error estimate meets epsrel, and fails
@@ -209,9 +205,11 @@ class TabulatedSpectrum:
 
     @classmethod
     def flattop(cls, delta_omega: float, n_samples: int = 2001) -> "TabulatedSpectrum":
-        """Constant amplitude 1/sqrt(delta_omega) on [-delta_omega/2, +delta_omega/2]."""
+        """Constant amplitude 1/sqrt(delta_omega) on [-delta_omega/2, +delta_omega/2],
+        sampled at ``n_samples >= 2`` equally spaced frequencies (an integer)."""
         delta_omega = _positive_finite("TabulatedSpectrum", "delta_omega", delta_omega)
-        grid = np.linspace(-delta_omega / 2.0, delta_omega / 2.0, int(n_samples))
+        n_samples = _point_count("n_samples", n_samples, 2)
+        grid = np.linspace(-delta_omega / 2.0, delta_omega / 2.0, n_samples)
         amp = np.full(grid.shape, 1.0 / math.sqrt(delta_omega), dtype=complex)
         return cls(grid, amp)
 
@@ -386,7 +384,9 @@ def _broadband_mask(tgamma, delta_omega):
 
 
 def _require_broadband(tgamma: float, delta_omega: float) -> None:
-    """Raise where :func:`_broadband_mask` is False."""
+    """Raise where :func:`_broadband_mask` is False, or ``delta_omega`` is
+    not strictly positive and finite."""
+    delta_omega = _positive_finite("pump", "delta_omega", delta_omega)
     if not _broadband_mask(tgamma, delta_omega):
         raise ValueError(_NOT_BROADBAND.format(delta_omega / tgamma))
 
@@ -397,26 +397,32 @@ def flattop_lineshape_broadband(
     """Broadband-limit lineshape ``(2*pi/delta_omega) / (tgamma - i*omega_sum)``.
 
     Valid for a flattop pump much broader than the pump resonance; rejects
-    ``delta_omega < 5*tgamma`` and warns below ``10*tgamma``.
+    ``delta_omega < 5*tgamma`` and warns below ``10*tgamma``.  Rejects a
+    NaN or infinite ``omega_sum``, where the quotient would be NaN.
     """
     tgamma = _positive_finite("flattop_lineshape_broadband", "tgamma", tgamma)
-    delta_omega = _positive_finite("flattop_lineshape_broadband", "delta_omega", delta_omega)
     _require_broadband(tgamma, delta_omega)
-    return (TWO_PI / delta_omega) / (tgamma - 1j * np.asarray(omega_sum))
+    if not np.isfinite(omega_sum).all():
+        raise ValueError("flattop_lineshape_broadband.omega_sum must be finite")
+    return (TWO_PI / float(delta_omega)) / (tgamma - 1j * np.asarray(omega_sum))
 
 
-def _jta_bracket(log_env, u, split):
-    """``e^{log_env}*(1 - e^{-u})/split`` on floats or broadcastable arrays:
-    the envelope times the bracket of the broadband wavepacket, with
-    ``u = split*min(ts, ti)``.  Takes the expm1 form where ``|u| <= 1``,
-    where ``1 - e^{-u}`` would cancel, and ``e^{log_env} - e^{log_env - u}``
-    elsewhere; for ``log_env <= 0`` and ``log_env - u <= 0`` no exponent is
-    positive, so neither can overflow.  ``split`` must be nonzero."""
+def _jta_bracket(log_env, m, split):
+    """``e^{log_env}*(1 - e^{-u})/split`` with ``u = split*m``, on floats or
+    broadcastable arrays: the envelope times the bracket of the broadband
+    wavepacket, with ``m = min(ts, ti)`` and ``split = tgamma - gamma``.
+    Where ``split == 0`` it is the exact limit ``e^{log_env}*m``.  Elsewhere
+    it takes the expm1 form where ``|u| <= 1``, where ``1 - e^{-u}`` would
+    cancel, and ``e^{log_env} - e^{log_env - u}`` beyond; for
+    ``log_env <= 0`` and ``log_env - u <= 0`` no exponent is positive, so
+    neither can overflow."""
+    u = split * m
     env = np.exp(log_env)
     protected = np.abs(u) <= 1.0
     near = env * (-np.expm1(-np.where(protected, u, 0.0)))
     far = env - np.exp(log_env - np.where(protected, 0.0, u))
-    return np.where(protected, near, far) / split
+    limit = split == 0.0
+    return np.where(limit, env * m, np.where(protected, near, far) / np.where(limit, 1.0, split))
 
 
 def pulsed_wavepacket(
@@ -431,7 +437,8 @@ def pulsed_wavepacket(
 
     Vanishes for negative times (the broadband pump acts like a delta kick at
     t = 0), is symmetric under exchange of the two times, and is returned real
-    and non-negative.  Scalar or broadcastable array times are accepted.
+    and non-negative.  Scalar or broadcastable array times are accepted; at
+    ``tgamma = gamma`` the bracket is its exact limit ``min(ts, ti)``.
     """
     _require_broadband(cfg.tgamma, delta_omega)
     y = _drive_pulsed(ring, energy, delta_omega)
@@ -443,13 +450,9 @@ def pulsed_wavepacket(
     # points cannot overflow; they are zeroed below anyway.
     m = np.maximum(np.minimum(ts, ti), 0.0)
     log_env = -gamma * np.clip(ts + ti, 0.0, None) / 2.0
-    split = tgamma - gamma
-    if abs(split) < EPS_DEGENERATE * gamma:
-        core = np.exp(log_env) * m
-    else:
-        # log_env <= 0, and log_env - split*m <= 0 too: for split < 0,
-        # |split| = gamma - tgamma < gamma while m <= (ts + ti)/2.
-        core = _jta_bracket(log_env, split * m, split)
+    # log_env <= 0, and log_env - split*m <= 0 too: for split < 0,
+    # |split| = gamma - tgamma < gamma while m <= (ts + ti)/2.
+    core = _jta_bracket(log_env, m, tgamma - gamma)
     out = cfg.tgamma_a * cfg.gamma_mu * y * core
     out = np.where(causal, out, 0.0)
     if np.ndim(out) == 0:
@@ -631,6 +634,6 @@ def _single_prob_numeric(
     pts = sorted(p for p in [0.0, *ladder, *(-q for q in ladder)] if w_lo < p < w_hi)
     kernel, abserr = _adaptive_gauss_kronrod(outer_integrand, [w_lo, *pts, w_hi], epsrel)
 
-    drive = _drive_cw(ring, energy)
+    drive = _drive_cw(ring, energy, "energy")
     prefactor = cfg.tgamma_a**2 * cfg.gamma_mu * gamma / (4.0 * math.pi**2) * drive * drive
     return prefactor * kernel, abserr / kernel

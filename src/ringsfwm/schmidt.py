@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .core import CouplingConfig, PumpSpec, RingParams, _point_count
-from .pulsed import EPS_DEGENERATE, _jta_bracket, _require_broadband, pulsed_wavepacket
+from .pulsed import _jta_bracket, _require_broadband, pulsed_wavepacket
 
 __all__ = [
     "DecompositionError",
@@ -269,22 +269,6 @@ def schmidt_spectrum(grid: WavepacketGrid) -> SchmidtResult:
 _RATIO_BLOCK = 1024
 
 
-def _unit_generator(r: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """``f(t) = e^{-t}*phi(t) = (e^{-t} - e^{-r t})/(r - 1)`` on the unit design
-    ``gamma = 1``, ``tgamma = r``: the diagonal of :func:`pulsed_wavepacket`
-    (one column per ratio, up to its constant factor), by the same
-    :func:`ringsfwm.pulsed._jta_bracket`.  It is the degenerate ``t*e^{-t}``
-    where ``|r - 1| < EPS_DEGENERATE``."""
-    split = r[None, :] - 1.0
-    t = t[:, None]
-    # for r > 1 both exponentials are exactly 0 beyond t = 746, so capping t
-    # there keeps split*t finite at any window
-    u = split * np.where(split > 0.0, np.minimum(t, 746.0), t)
-    degenerate = np.abs(split) < EPS_DEGENERATE
-    bracket = _jta_bracket(-t, u, np.where(degenerate, 1.0, split))
-    return np.where(degenerate, np.exp(-t) * t, bracket)
-
-
 def _discounted_sums(x: np.ndarray, d: float) -> np.ndarray:
     """``y_i = sum_{j <= i} x_j d^(i-j)`` along axis 0 by the recurrence
     ``y_i = d*y_{i-1} + x_i``: every term stays bounded, where a cumulative sum
@@ -301,7 +285,10 @@ def _grid_k(r: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Trapezoid-grid K at distinct ratios ``r`` on the uniform time axis ``t``
     by O(N) recurrences.
 
-    On the grid ``psi_ij = f_min(i,j) d^(|i-j|/2)`` (``d = e^{-h}``), so the
+    ``f(t) = (e^{-t} - e^{-r t})/(r - 1)``, exactly ``t*e^{-t}`` at ``r = 1``,
+    is the diagonal of :func:`pulsed_wavepacket` on the unit design
+    ``gamma = 1``, ``tgamma = r`` (up to its scale; one column per ratio).  On
+    the grid ``psi_ij = f_min(i,j) d^(|i-j|/2)`` (``d = e^{-h}``), so the
     Gram matrix ``G = sqrt(W) psi W psi sqrt(W)`` has
     ``G_ii = w_i (A_i + f_i^2 C_i)`` and, for ``i < j``,
     ``G_ij = sqrt(w_i w_j) d^((j-i)/2) (A_i + f_i v_ij)``, with
@@ -313,7 +300,7 @@ def _grid_k(r: np.ndarray, t: np.ndarray) -> np.ndarray:
     units of its peak: K ignores both scales, and these keep every sum within
     a polynomial in N of 1, so nothing underflows or overflows.
     """
-    f = _unit_generator(r, t)
+    f = _jta_bracket(-t[:, None], t[:, None], r[None, :] - 1.0)
     peak = f.max(axis=0)
     if not np.all(peak > 0.0):
         raise ValueError(

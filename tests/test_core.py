@@ -20,11 +20,23 @@ from ringsfwm import (
     PumpSpec,
     RingParams,
     TabulatedSpectrum,
+    cw_accidentals_and_car,
+    cw_observables,
+    cw_pair_rate,
+    cw_single_rate,
+    cw_wavepacket,
     prob_scale_p0,
+    pulsed_accidental_prob,
+    pulsed_observables,
+    pulsed_pair_prob,
+    pulsed_single_prob,
+    pulsed_wavepacket,
     quality_factors,
     rate_scale_R0,
 )
 from ringsfwm.core import C_VACUUM, TWO_PI, coupling_parameter_names
+
+from conftest import UNIT_RING
 
 
 @pytest.mark.parametrize(
@@ -240,3 +252,56 @@ class TestProbScale:
         got = prob_scale_p0(ring, 1e-12, 10.0, gc)
         assert got == pytest.approx(float(expected), rel=1e-12)
         assert got == pytest.approx(13.482406934442903, rel=1e-12)
+
+
+# Every public scalar function of a raw pump power, or of a pulse energy and a
+# flattop bandwidth, on one design (tgamma = 2) and a valid remainder.
+_DESIGN = CouplingConfig.all_pass(1.0, 1.0)
+_BY_POWER = {
+    "cw_single_rate": lambda p: cw_single_rate(UNIT_RING, _DESIGN, p),
+    "cw_pair_rate": lambda p: cw_pair_rate(UNIT_RING, _DESIGN, p),
+    "cw_wavepacket": lambda p: cw_wavepacket(UNIT_RING, _DESIGN, p, 0.5),
+    "cw_observables": lambda p: cw_observables(UNIT_RING, _DESIGN, p),
+    "cw_accidentals_and_car": lambda p: cw_accidentals_and_car(UNIT_RING, _DESIGN, p, 1e-9),
+    "rate_scale_R0": lambda p: rate_scale_R0(UNIT_RING, p, 1.0),
+}
+_BY_PULSE = {
+    "pulsed_wavepacket": lambda e, dw=40.0: pulsed_wavepacket(UNIT_RING, _DESIGN, e, dw, 0.5, 1.0),
+    "pulsed_single_prob": lambda e, dw=40.0: pulsed_single_prob(UNIT_RING, _DESIGN, e, dw),
+    "pulsed_pair_prob": lambda e, dw=40.0: pulsed_pair_prob(UNIT_RING, _DESIGN, e, dw),
+    "pulsed_observables": lambda e, dw=40.0: pulsed_observables(UNIT_RING, _DESIGN, e, dw),
+    "pulsed_accidental_prob": lambda e, dw=40.0: pulsed_accidental_prob(UNIT_RING, _DESIGN, e, dw),
+}
+_BY_ENERGY = {**_BY_PULSE, "prob_scale_p0": lambda e: prob_scale_p0(UNIT_RING, e, 20.0, 1.0)}
+_UNHONOURABLE = [0.0, -1e-5, float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("bad", _UNHONOURABLE)
+@pytest.mark.parametrize("name", sorted(_BY_POWER))
+def test_rejects_a_power_it_cannot_honour(name, bad):
+    """A pump power that is not strictly positive and finite is rejected,
+    never turned into a rate or an amplitude."""
+    call = _BY_POWER[name]
+    call(1e-5)
+    with pytest.raises(ValueError, match=r"pump\.power must be strictly positive and finite"):
+        call(bad)
+
+
+@pytest.mark.parametrize("bad", _UNHONOURABLE)
+@pytest.mark.parametrize("name", sorted(_BY_ENERGY))
+def test_rejects_an_energy_it_cannot_honour(name, bad):
+    """A pulse energy that is not strictly positive and finite is rejected,
+    never turned into a probability or an amplitude."""
+    call = _BY_ENERGY[name]
+    call(1e-6)
+    with pytest.raises(ValueError, match=r"pump\.energy must be strictly positive and finite"):
+        call(bad)
+
+
+@pytest.mark.parametrize("bad", _UNHONOURABLE)
+@pytest.mark.parametrize("name", sorted(_BY_PULSE))
+def test_rejects_a_bandwidth_it_cannot_honour(name, bad):
+    """An infinite flattop bandwidth is rejected, not read as a zero pulse
+    strength; so are a NaN, zero or negative one."""
+    with pytest.raises(ValueError, match=r"pump\.delta_omega must be strictly positive and finite"):
+        _BY_PULSE[name](1e-6, bad)

@@ -126,6 +126,15 @@ class TestPumpBuildup:
             expected = np.sqrt(1.0 + 4.0 * detuning**2)
             assert res.x == pytest.approx(expected, rel=1e-6)
 
+    @pytest.mark.parametrize("detuning", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_a_detuning_it_cannot_honour(self, detuning):
+        """A NaN or infinite detuning is rejected, not returned as NaN or 0;
+        either finite sign is valid and gives the same buildup."""
+        cfg = CouplingConfig.all_pass(1.0, 1.0)
+        with pytest.raises(ValueError, match="cw_pump_buildup.detuning must be finite"):
+            cw_pump_buildup(cfg, detuning)
+        assert cw_pump_buildup(cfg, -0.7) == cw_pump_buildup(cfg, 0.7) < 1.0
+
     def test_vanishes_when_overcoupled(self):
         values = [
             cw_pump_buildup(CouplingConfig.all_pass(ga, 1.0), 0.0)

@@ -31,7 +31,6 @@ from ringsfwm import (
     save_spectrum,
 )
 from ringsfwm.pulsed import (
-    EPS_DEGENERATE,
     QuadratureError,
     _adaptive_gauss_kronrod,
     _drive_pulsed,
@@ -152,6 +151,14 @@ class TestTabulatedSpectrum:
         np.testing.assert_array_equal(spec(omega), full)
         np.testing.assert_array_equal(spec(spec.omega), spec.amplitude)
 
+    @pytest.mark.parametrize("n_samples", [2.9, "3", 1, True])
+    def test_flattop_rejects_a_sample_count_it_cannot_honour(self, n_samples):
+        """A fractional, string, boolean or single sample count is rejected,
+        not truncated to a coarser grid."""
+        with pytest.raises(ValueError, match="n_samples must be"):
+            TabulatedSpectrum.flattop(1e9, n_samples)
+        assert TabulatedSpectrum.flattop(1e9, np.int64(3)).omega.size == 3
+
     def test_interpolation_compact_support(self):
         spec = TabulatedSpectrum.flattop(2.0)
         assert spec(5.0) == 0.0
@@ -187,6 +194,13 @@ class TestBroadbandLineshape:
             flattop_lineshape_broadband(1.0e9, 4.9e9, 0.0)
         with pytest.warns(BroadbandAssumptionWarning):
             flattop_lineshape_broadband(1.0e9, 7.0e9, 0.0)
+
+    @pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf, np.array([0.0, np.nan])])
+    def test_non_finite_sum_rejected(self, w):
+        """A NaN or infinite frequency sum is rejected, as
+        :func:`effective_pump_lineshape` rejects a NaN, not returned as NaN."""
+        with pytest.raises(ValueError, match="flattop_lineshape_broadband.omega_sum must be finite"):
+            flattop_lineshape_broadband(1.0e9, 20.0e9, w)
 
 
 def _outcome(call, *args):
@@ -437,7 +451,7 @@ class TestPulsedWavepacket:
     def test_degenerate_branch_matches_series_oracle(self, algaas):
         """Pump linewidth one part in 1e9 above the biphoton linewidth:
         compare against an arbitrary-precision evaluation of the generic
-        quotient."""
+        quotient, to roundoff."""
         ring, gc = algaas
         # distinct geometry with tgamma_a == gamma_b, so tgamma - gamma is set
         # purely by the loss split
@@ -466,7 +480,32 @@ class TestPulsedWavepacket:
                 mp.mpf(cfg_split.tgamma_a) * mp.mpf(cfg_split.gamma_mu)
                 * drive * envelope * bracket
             )
-            assert got == pytest.approx(oracle, rel=1e-6)
+            assert got == pytest.approx(oracle, rel=1e-12)
+
+    @pytest.mark.parametrize("offset", [1e-9, 5e-7, 9e-7, -1e-9, -5e-7, -9e-7])
+    def test_near_degenerate_matches_mpmath(self, algaas, offset):
+        """``tgamma/gamma - 1`` a few parts in 1e7 or 1e9 from the exact limit,
+        over times up to 20/gamma: the wavepacket against mpmath at 50 digits
+        on the same float design, to 1e-13 relative."""
+        ring, gc = algaas
+        cfg = CouplingConfig.distinct(
+            1.1 * gc, 1.1 * gc, gc, tgamma_c=gc + offset * (1.1 * gc + gc)
+        )
+        dw = self._dw(cfg)
+        t = np.array([0.01, 0.3, 1.0, 4.0, 20.0]) / cfg.gamma
+        got = pulsed_wavepacket(ring, cfg, ENERGY, dw, t[:, None], t[None, :])
+        y = _drive_pulsed(ring, ENERGY, dw)
+        with mp.workdps(50):
+            x = mp.mpf(cfg.tgamma) - mp.mpf(cfg.gamma)
+            want = np.array([[
+                float(
+                    mp.mpf(cfg.tgamma_a) * mp.mpf(cfg.gamma_mu) * mp.mpf(y)
+                    * mp.exp(-mp.mpf(cfg.gamma) * (mp.mpf(ts) + mp.mpf(ti)) / 2)
+                    * -mp.expm1(-x * mp.mpf(min(ts, ti))) / x
+                )
+                for ti in t.tolist()] for ts in t.tolist()
+            ])
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
 
     def test_matches_per_branch_envelope_formula_bitwise(self, algaas):
         """Sharing one envelope exponential between the two branches leaves
@@ -483,7 +522,7 @@ class TestPulsedWavepacket:
             m = np.maximum(np.minimum(ts, ti), 0.0)
             log_env = -cfg.gamma * np.clip(ts + ti, 0.0, None) / 2.0
             split = cfg.tgamma - cfg.gamma
-            if abs(split) < EPS_DEGENERATE * cfg.gamma:
+            if split == 0.0:
                 core = np.exp(log_env) * m
             else:
                 u = split * m
@@ -498,30 +537,43 @@ class TestPulsedWavepacket:
             assert np.array_equal(pulsed_wavepacket(ring, cfg, ENERGY, dw, ts, ti), want)
 
     def test_bracket_matches_mpmath(self):
-        """The bracket ``e^L (1 - e^{-u})/split`` shared with the Schmidt
-        kernel, against mpmath at 40 digits on the same float inputs: |u|
-        from 1e-12 to 700 of either sign, both sides of the |u| = 1 switch,
-        under its precondition ``L <= min(0, u)``, with ``L`` at most 600 below
-        that so the value stays a normal float.  The rounding of ``L - u``
-        sets the error scale."""
+        """The bracket ``e^L (1 - e^{-u})/split`` with ``u = split*m``, shared
+        with the Schmidt kernel, against mpmath at 40 digits on the same float
+        inputs: |u| from 1e-12 to 700 of either sign, both sides of the
+        |u| = 1 switch, splits of either sign below 1e-6, and split = 0 (the
+        limit ``e^L m``), under the precondition ``L <= min(0, u)``, with
+        ``L`` at most 600 below that so the value stays a normal float.  The
+        rounding of ``u`` and ``L - u`` sets the error scale."""
         rng = np.random.default_rng(19)
         n = 4000
         sign = rng.choice((-1.0, 1.0), n)
         u = sign * 10.0 ** rng.uniform(-12.0, math.log10(700.0), n)
+        split = np.copysign(10.0 ** rng.uniform(-3.0, 3.0, n), u)
         below, above = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
-        u = np.concatenate((u, [below, 1.0, above, -below, -1.0, -above]))
-        top = np.minimum(u, 0.0)
-        log_env = top - rng.uniform(0.0, 600.0, u.size)
-        split = np.copysign(10.0 ** rng.uniform(-3.0, 3.0, u.size), u)
-        got = _jta_bracket(log_env, u, split)
+        edges = np.array([below, 1.0, above])
+        tiny = rng.choice((-1.0, 1.0), 200) * 10.0 ** rng.uniform(-15.0, -6.0, 200)
+        # the switch edges with split = +-1, so that split*m is exactly |u| = edge
+        split = np.concatenate((split, [1.0] * 3, [-1.0] * 3, tiny, np.zeros(50)))
+        m = np.concatenate((u / split[:n], edges, edges, 10.0 ** rng.uniform(-3.0, 3.0, 250)))
+        u = split * m
+        assert np.ptp(np.log10(np.abs(u[:n]))) > 14.0 and np.all(m >= 0.0)
+        switch_edges = (split[n:n + 6] * m[n:n + 6]).tolist()
+        assert switch_edges == [below, 1.0, above, -below, -1.0, -above]
+        log_env = np.minimum(u, 0.0) - rng.uniform(0.0, 600.0, u.size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _jta_bracket(log_env, m, split)
         with mp.workdps(40):
             want = np.array([
-                float(mp.exp(mp.mpf(el)) * -mp.expm1(-mp.mpf(uu)) / mp.mpf(s))
-                for el, uu, s in zip(log_env.tolist(), u.tolist(), split.tolist())
+                float(mp.exp(el) * (mm if s == 0 else -mp.expm1(-s * mm) / s))
+                for el, mm, s in (
+                    map(mp.mpf, row) for row in zip(log_env.tolist(), m.tolist(), split.tolist())
+                )
             ])
         scale = 4.0 * np.finfo(float).eps * (1.0 + np.abs(log_env) + np.abs(u))
         assert np.all(np.abs(got - want) <= scale * np.abs(want))
-        assert _jta_bracket(log_env[0], u[0], split[0]) == got[0]
+        assert _jta_bracket(log_env[0], m[0], split[0]) == got[0]
+        assert _jta_bracket(-1.0, 2.5, 0.0) == math.exp(-1.0) * 2.5
 
     def test_finite_at_extreme_times_with_narrow_pump(self, algaas):
         """With tgamma < gamma the quotient involves a growing exponential;
@@ -541,24 +593,52 @@ class TestPulsedWavepacket:
         assert np.all(np.isfinite(grid))
 
     def test_continuous_across_degenerate_switch(self, algaas):
-        """Values just outside the two sides of the degenerate-limit switch
-        agree; probed at early times where the genuine linewidth dependence
-        is below the switch tolerance."""
+        """Across ``tgamma = gamma`` the wavepacket moves by its first-order
+        term only, ``split*min(ts, ti)/2`` relative, from the exact limit down
+        to splits of 1e-15, on either side."""
         ring, gc = algaas
         t = (0.3, 0.45)
-        dw = 20.0 * 2.0 * gc  # same absolute bandwidth on both sides
-        values = []
-        for sign in (-1.0, 1.0):
-            # tgamma = gamma * (1 +- 2*EPS_DEGENERATE)
-            cfg = CouplingConfig.distinct(
-                1.0 * gc, 1.0 * gc, gc,
-                tgamma_c=gc + sign * 2.0 * EPS_DEGENERATE * 2.0 * gc,
-            )
-            values.append(
-                pulsed_wavepacket(ring, cfg, ENERGY, dw, t[0] / cfg.gamma, t[1] / cfg.gamma)
-            )
-        assert values[0] == pytest.approx(values[1], rel=1e-6)
+        dw = 20.0 * 2.0 * gc  # same absolute bandwidth on every side
+        limit = CouplingConfig.distinct(gc, gc, gc)
+        assert limit.tgamma == limit.gamma
+        v0 = pulsed_wavepacket(ring, limit, ENERGY, dw, t[0] / limit.gamma, t[1] / limit.gamma)
+        for offset in (1e-15, 1e-12, 1e-9, 1e-6, 2e-6):
+            for sign in (-1.0, 1.0):
+                cfg = CouplingConfig.distinct(gc, gc, gc, tgamma_c=gc + sign * offset * 2.0 * gc)
+                split = (cfg.tgamma - cfg.gamma) / cfg.gamma
+                assert split != 0.0
+                got = pulsed_wavepacket(ring, cfg, ENERGY, dw, t[0] / cfg.gamma, t[1] / cfg.gamma)
+                # gamma is the same on every side, so only the bracket moves
+                assert cfg.gamma == limit.gamma
+                want = v0 * (1.0 - split * t[0] / 2.0)
+                assert got == pytest.approx(want, rel=split * split + 4e-16, abs=0.0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rates=st.tuples(st.floats(0.0, 50.0), st.floats(0.0, 50.0), st.floats(0.01, 50.0)),
+        offset=st.one_of(
+            st.none(),
+            st.tuples(st.floats(1e-15, 1e-5), st.sampled_from((-1.0, 1.0))).map(
+                lambda pair: pair[0] * pair[1]
+            ),
+        ),
+        times=st.tuples(st.floats(-2.0, 2000.0), st.floats(-2.0, 2000.0)),
+    )
+    @example(rates=(1.0, 1.0, 1.0), offset=0.0, times=(0.5, 3.0))
+    def test_finite_and_non_negative(self, rates, offset, times):
+        """Over random designs (``tgamma/gamma`` free, or within
+        ``+-[1e-15, 1e-5]`` of 1, or exactly 1) and times in units of
+        ``1/gamma``: finite and non-negative, as its docstring promises."""
+        ta, gb, gc = rates
+        if offset is None:
+            cfg = CouplingConfig.distinct(ta, gb, gc)
+        else:
+            cfg = CouplingConfig.distinct(gb, gb, gc, tgamma_c=gc + offset * (gb + gc))
+        ts, ti = (x / cfg.gamma for x in times)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = pulsed_wavepacket(UNIT_RING, cfg, 1e-3, 20.0 * cfg.tgamma, ts, ti)
+        assert math.isfinite(value) and value >= 0.0
 
 class TestClosedFormProbabilities:
     def test_allpass_pair_optimum(self, algaas):

@@ -335,7 +335,7 @@ class TestGridKernel:
         r = np.array([1.0 - 1e-13, 1.0, 1.0 + 1e-13, 1.0 - 2e-6, 1.0 + 2e-6])
         k = _schmidt_number_kernel(r, 192, 20.0)
         assert k[[0, 2]] == pytest.approx([k[1]] * 2, rel=1e-12, abs=0.0)
-        # the expm1 form just outside the degenerate band moves K by O(r - 1) only
+        # the exact bracket moves K by O(r - 1) only on either side of r = 1
         assert k[[3, 4]] == pytest.approx([k[1]] * 2, rel=1e-5, abs=0.0)
 
     def test_repeated_ratios_share_one_value(self):
