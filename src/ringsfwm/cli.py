@@ -7,13 +7,11 @@ leading coefficients at one design point; a grid of K runs through
 (analytic-vs-numeric cross check), and ``figure2``/``figure3`` (canned AlGaAs
 coupling scans for CW and broadband-pulse pumping).
 
-The figure commands compute every panel in the calling process, then render
-and write the panel files concurrently with :func:`ringsfwm.sweep.emit_all`:
-one ``os.fork()`` worker per available CPU, the caller being one of them,
-writing the same bytes as one process would.  Python 3.12 and later warn
-(``DeprecationWarning``) when a multi-threaded process forks; that does not
-apply here, because the child only formats strings, writes its own files and
-calls ``os._exit``.
+The figure commands compute every panel in the calling process, then write
+the panel files with :func:`ringsfwm.sweep.emit_all` in two processes: with
+two or more CPUs, a forked child writes the second-largest panel while the
+caller writes the rest, the same bytes as one process would.  ``--refine``
+changes only ``meta``, which CSV lacks, so it rejects ``--format csv``.
 
 Exit codes: 0 success, 1 validation error, 2 computation failure,
 3 I/O failure.
@@ -181,14 +179,23 @@ def _cmd_rates(args) -> int:
     return 0
 
 
+def _grid_format(args) -> str:
+    """``--format``, ``json`` by default, rejected as CSV with ``--refine``."""
+    if args.refine and args.format == "csv":
+        raise ValueError("--refine sharpens only meta.observed_maxima, and CSV carries "
+                         "no meta: use --format json or drop --refine")
+    return args.format or "json"
+
+
 def _cmd_sweep(args) -> int:
     """Run the ``[sweep]`` grid at ``--grid`` points per axis and write it in
     ``--format``."""
+    fmt = _grid_format(args)
     spec = sweep_spec_from_config(load_config(args.config, args.command))
     if args.grid is not None:
         axis2 = None if spec.axis2 is None else replace(spec.axis2, n_points=args.grid)
         spec = replace(spec, axis1=replace(spec.axis1, n_points=args.grid), axis2=axis2)
-    emit(run_sweep(spec, refine=args.refine), args.format or "json", args.out)
+    emit(run_sweep(spec, refine=args.refine), fmt, args.out)
     return 0
 
 
@@ -240,10 +247,10 @@ def _figure_panels(pump: PumpSpec, outputs: tuple[str, ...], n: int) -> dict[str
 
 def _run_figure(args, pump: PumpSpec, outputs: tuple[str, ...], prefix: str,
                 schmidt_panel: bool) -> int:
+    fmt = _grid_format(args)
     if args.config is not None:
         pump = pump_from_config(load_config(args.config, args.command))
     n = 200 if args.grid is None else args.grid
-    fmt = args.format or "json"
     stem = args.out or prefix
     # Every panel is computed here, so each library warning names this
     # caller; only the rendering and writing run in parallel.

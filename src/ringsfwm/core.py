@@ -55,10 +55,12 @@ class BroadbandAssumptionWarning(UserWarning):
 def _warn(message: str, category: type[Warning]) -> None:
     """``warnings.warn`` naming the line that called into ``ringsfwm``: the
     first frame up from the caller whose module is outside the package, or
-    the outermost frame."""
+    the outermost frame.  A module is in the package by its ``__name__`` or,
+    for ``python -m ringsfwm`` (run as ``__main__``), its ``__spec__.name``."""
     frame, level = sys._getframe(1), 2  # level 1 is the warn call below
-    while frame.f_back is not None and (
-        frame.f_globals.get("__name__", "").partition(".")[0] == __package__
+    while frame.f_back is not None and __package__ in (
+        frame.f_globals.get("__name__", "").partition(".")[0],
+        getattr(frame.f_globals.get("__spec__"), "name", "").partition(".")[0],
     ):
         frame, level = frame.f_back, level + 1
     warnings.warn(message, category, stacklevel=level)

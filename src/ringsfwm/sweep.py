@@ -14,8 +14,8 @@ and ``K_minus_1`` columns lie from the closed form
 only maps the grid to coupling rates, keeps each output as one column of
 Python values, and serializes the columns.  CSV and JSON rendering read the
 columns in one format pass; ``SweepResult.rows`` serves library callers.
-:func:`emit_all` writes several results at once, one forked worker per
-available CPU.
+:func:`emit_all` writes several results at once in two processes: a forked
+child renders the second-largest panel while the caller renders the rest.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import math
 import os
 import pickle
 import sys
+import warnings
 from dataclasses import asdict, dataclass, field
 from itertools import chain
 from typing import Optional
@@ -441,19 +442,14 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _deal(sizes: list[int], workers: int) -> list[list[int]]:
-    """Indices of ``sizes`` dealt to ``workers`` shares, largest first, each
-    to the share with the least total so far (the first such on a tie), so
-    share 0 holds the largest."""
-    shares, loads = [[] for _ in range(workers)], [0] * workers
-    for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
-        w = loads.index(min(loads))
-        shares[w].append(i)
-        loads[w] += sizes[i]
-    return shares
+def _split(sizes: list[int]) -> tuple[list[int], int]:
+    """Indices of two or more ``sizes``: the caller's, largest first, and the
+    child's one, the second largest (equal sizes kept in order)."""
+    order = sorted(range(len(sizes)), key=lambda i: -sizes[i])
+    return order[:1] + order[2:], order[1]
 
 
-def _emit_share(panels: list, share: list[int], fmt: str):
+def _emit_share(panels: list, share, fmt: str):
     """:func:`emit` each panel of ``share`` in turn; the index and exception
     of the first that fails, or None."""
     for i in share:
@@ -466,65 +462,57 @@ def _emit_share(panels: list, share: list[int], fmt: str):
 
 def emit_all(panels, fmt: str) -> None:
     """Write each ``(result, path)`` of ``panels`` to its file as :func:`emit`
-    does, rendering the panels concurrently.
+    does, in two processes: the figures have two panels far larger than the
+    rest.
 
-    There is one worker per CPU this process may run on (``os.cpu_count()``
-    where CPU affinity is not available), at most one per panel.  The panels
-    are dealt to the workers largest-first by row count, and the caller is
-    the worker that gets the largest.  Each other worker is an ``os.fork()``
-    child: it inherits the results copy-on-write, so nothing is pickled on
-    the way in, emits its panels, sends back through a pipe only the pickled
-    exception of its first failing panel (or nothing), and leaves by
-    ``os._exit``.  Without ``os.fork``, or with one worker, the caller emits
-    every panel and nothing is forked.  The files are the bytes that
-    :func:`emit` writes; every path must name a file.
+    With ``os.fork``, two or more panels and two or more CPUs this process
+    may run on, one ``os.fork()`` child renders the second-largest panel by
+    row count (equal sizes kept in ``panels`` order) and the caller the rest,
+    largest first; otherwise the caller renders every panel.  The child
+    inherits the results copy-on-write, sends back through a pipe the pickled
+    failure of its panel (or None), and leaves by ``os._exit``.  The files
+    are the bytes :func:`emit` writes; every path must name a file.  The
+    child is reaped before this returns or raises.  The failure of the first
+    failing panel in ``panels`` order is raised; a child that ends without a
+    report raises ``OSError`` naming its file.
 
-    Every child is reaped before this returns or raises.  The failure of the
-    first failing panel in ``panels`` order is raised; a child that ends
-    without a report raises ``OSError`` naming the files it owned.
-
-    Python 3.12 and later warn (``DeprecationWarning``) when a process with
-    more than one thread forks, because a lock that another thread held at
-    the fork stays held in the child.  That does not apply here: the child
-    only formats strings from the results it inherited, writes its own
-    files and calls ``os._exit``, so it waits on no lock of another thread
-    and runs none of the parent's exit handlers or stream flushes."""
+    Python 3.12 and later warn (``DeprecationWarning``) when a multi-threaded
+    process forks, because a lock another thread held stays held in the
+    child.  That warning is ignored around the fork: the child only formats
+    strings, writes its own file and calls ``os._exit``, so it waits on no
+    lock of another thread and runs no exit handler or stream flush."""
     panels = list(panels)
     if any(path is None for _, path in panels):
         # a child's stdout buffer is never flushed, and its order would vary
         raise ValueError("emit_all writes files; emit writes a result to stdout")
-    workers = min(_cpu_count() if hasattr(os, "fork") else 1, len(panels))
-    caller, *others = _deal([len(result.columns["error"]) for result, _ in panels], workers)
-    children = {}  # pid -> (read end of its pipe, its share)
+    caller, child = range(len(panels)), None
+    if hasattr(os, "fork") and len(panels) >= 2 and _cpu_count() >= 2:
+        caller, child = _split([len(result.columns["error"]) for result, _ in panels])
+        read_fd, write_fd = os.pipe()
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded, "
+                                    r"use of fork\(\) may lead to deadlocks", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            try:
+                os.close(read_fd)
+                with os.fdopen(write_fd, "wb") as fh:
+                    fh.write(pickle.dumps(_emit_share(panels, [child], fmt)))
+                os._exit(0)
+            finally:  # reached only by an exception that escaped the report
+                os._exit(1)
+        os.close(write_fd)
     failures = []
     try:
-        for share in others:
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                try:
-                    os.close(read_fd)
-                    failure = _emit_share(panels, share, fmt)
-                    with os.fdopen(write_fd, "wb") as fh:
-                        if failure is not None:
-                            fh.write(pickle.dumps(failure))
-                    os._exit(0)
-                finally:  # reached only by an exception that escaped the report
-                    os._exit(1)
-            os.close(write_fd)
-            children[pid] = read_fd, share
         failures.append(_emit_share(panels, caller, fmt))
     finally:
-        for pid, (read_fd, share) in children.items():
+        if child is not None:
             with os.fdopen(read_fd, "rb") as fh:
                 report = fh.read()
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if report:
-                failures.append(pickle.loads(report))
-            elif status != 0:
-                paths = ", ".join(str(panels[i][1]) for i in share)
-                failures.append((min(share), OSError(
-                    f"render worker for {paths} ended without a report (exit status {status})")))
+            failures.append(pickle.loads(report) if report else (child, OSError(
+                f"render worker for {panels[child][1]!s} ended without a report "
+                f"(exit status {status})")))
     failures = [f for f in failures if f is not None]
     if failures:
         raise min(failures, key=lambda f: f[0])[1]

@@ -5,6 +5,7 @@ check: pair rates/probabilities are recovered by quadrature of the wavepacket,
 and spectral integrals are done with their own mapped adaptive rules.
 """
 
+import os
 import warnings
 
 import mpmath as mp
@@ -38,6 +39,20 @@ def algaas():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240917)
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """The os.fork calls made while the test runs."""
+    calls = []
+    real_fork = os.fork
+
+    def counting_fork():
+        calls.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return calls
 
 
 def random_coupling(rng, gamma_c=1.0, lo=0.3, hi=4.0):

@@ -39,7 +39,7 @@ from ringsfwm.config import (
     pump_from_config,
     ring_from_config,
 )
-from ringsfwm.sweep import _deal, render
+from ringsfwm.sweep import _split, render
 
 from conftest import solve_distinct_pulsed_optimum, write_config
 
@@ -548,32 +548,19 @@ def _figure_files(command, grid, fmt, refine):
     return files
 
 
-@pytest.fixture()
-def forks(monkeypatch):
-    """The number of os.fork calls made while the test runs."""
-    calls = []
-    real_fork = os.fork
-
-    def counting_fork():
-        calls.append(None)
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return calls
-
-
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 class TestFigureFiles:
-    """The figure commands render and write their panels concurrently; the
-    files are those one process writes, and no child outlives the command."""
+    """The figure commands render and write their panels in two processes;
+    the files are those one process writes, and no child outlives the
+    command."""
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    @pytest.mark.parametrize("refine", [False, True], ids=["plain", "refine"])
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("fmt, refine", [("csv", False), ("json", False), ("json", True)],
+                             ids=["csv-plain", "json-plain", "json-refine"])
     @pytest.mark.parametrize("command", ["figure2", "figure3"])
     def test_files_equal_in_process_render(self, command, fmt, refine, workers, tmp_path,
                                            capsys, monkeypatch, forks):
@@ -586,13 +573,13 @@ class TestFigureFiles:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(expected)
         for name, text in expected.items():
             assert (tmp_path / name).read_bytes() == text.encode("utf-8"), name
-        assert len(forks) == min(workers, len(expected)) - 1
+        assert len(forks) == (workers > 1)
         _assert_no_child_left()
 
     def test_child_write_failure_exits_3(self, tmp_path, capsys, monkeypatch, forks):
         """A panel a child owns cannot be written: exit 3, naming its path."""
         monkeypatch.setattr(sweep_module, "_cpu_count", lambda: 2)
-        (child_panel,) = _deal([5, 25, 25], 2)[1]  # rows of panels a, b, c at --grid 5
+        _, child_panel = _split([5, 25, 25])  # rows of panels a, b, c at --grid 5
         blocked = tmp_path / f"fig_{'abc'[child_panel]}.csv"
         blocked.mkdir()
         assert main(["figure2", "--grid", "5", "--format", "csv", "--out", str(tmp_path / "fig")]) == 3
@@ -647,6 +634,42 @@ class TestFigureFiles:
         assert {(w.category, w.filename, w.lineno) for w in caught} == {
             (BroadbandAssumptionWarning, __file__, line)}
 
+    def test_fork_warning_not_passed_on(self, tmp_path, capsys, monkeypatch):
+        """Python 3.12+ warn when a multi-threaded process forks; emit_all
+        ignores exactly that warning around its own fork, so figure3's caller
+        sees no DeprecationWarning."""
+        monkeypatch.setattr(sweep_module, "_cpu_count", lambda: 2)
+        real_fork, calls = os.fork, []
+
+        def warning_fork():
+            pid = real_fork()
+            if pid != 0:  # the parent warns, as CPython 3.12 does
+                calls.append(pid)
+                warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of "
+                              "fork() may lead to deadlocks in the child.",
+                              DeprecationWarning, stacklevel=2)
+            return pid
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["figure3", "--grid", "4", "--out", str(tmp_path / "fig")]) == 0
+        assert len(calls) == 1
+        assert not [w for w in caught if issubclass(w.category, DeprecationWarning)], caught
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("command", ["sweep", "figure2", "figure3"])
+    def test_refine_with_csv_rejected(self, command, cw_sweep_config, tmp_path, capsys, forks):
+        """--refine changes only meta, which CSV does not write: exit 1 and
+        no file."""
+        config = ["--config", str(cw_sweep_config)] if command == "sweep" else []
+        argv = [command, *config, "--grid", "4", "--refine", "--format", "csv",
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "CSV carries no meta" in err and err.startswith("ringsfwm: validation")
+        assert not [p for p in tmp_path.iterdir() if p.name.startswith("out")] and not forks
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self, cw_config, tmp_path):
@@ -659,6 +682,18 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(out.read_text())["geometry"] == "all-pass-identical"
+
+    def test_python_dash_m_warning_names_no_package_line(self, tmp_path):
+        """Under -m the entry module runs as __main__; a library warning is
+        still printed once and names no file inside the package."""
+        config = write_config(tmp_path / "limit.ini", knobs="gamma_a_over_gamma_c = 1.5",
+                              pump="mode = pulsed\npulse_energy_pj = 1\nbandwidth_factor = 10")
+        proc = subprocess.run([sys.executable, "-m", "ringsfwm", "rates", "--config", str(config)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        warned = [line for line in proc.stderr.splitlines() if "Warning: " in line]
+        assert len(warned) == 1 and "single-pair" in warned[0], proc.stderr
+        assert str(Path(sweep_module.__file__).parent) not in proc.stderr, proc.stderr
 
     def test_import_loads_no_scipy(self):
         """scipy is a test-only oracle: importing the package and its CLI

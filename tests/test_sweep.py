@@ -42,7 +42,7 @@ from ringsfwm.optimize import (
 )
 from ringsfwm import sweep as sweep_module
 from ringsfwm.sweep import (
-    _deal, algaas_example, emit_all, optima_table, render, report_optima,
+    _split, algaas_example, emit_all, optima_table, render, report_optima,
 )
 
 PUMP_CW = PumpSpec.cw(10e-6)
@@ -613,22 +613,50 @@ class TestEmit:
 
 
 class TestEmitAll:
-    """Concurrent emission; the figure commands' files are checked in
+    """Two-process emission; the figure commands' files are checked in
     test_cli.py."""
 
-    @pytest.mark.parametrize("sizes, workers, shares", [
-        ([5, 25, 25], 2, [[1, 0], [2]]),
-        ([200, 40000, 40000, 625], 2, [[1, 3], [2, 0]]),
-        ([200, 40000, 40000, 625], 4, [[1], [2], [3], [0]]),
-        ([3, 1, 2], 1, [[0, 2, 1]]),
+    @pytest.mark.parametrize("sizes, caller, child", [
+        ([5, 25, 25], [1, 0], 2),
+        ([200, 40000, 40000, 625], [1, 3, 0], 2),
+        ([3, 1, 2], [0, 1], 2),
+        ([4, 4, 4], [0, 2], 1),
+        ([1, 9], [1], 0),
     ])
-    def test_deal_largest_first(self, sizes, workers, shares):
-        """Largest first, each to the least-loaded share; the caller's share
-        0 holds the largest."""
-        assert _deal(sizes, workers) == shares
+    def test_split_child_takes_second_largest(self, sizes, caller, child):
+        """The child gets the second largest, equal sizes kept in order; the
+        caller gets the rest, largest first."""
+        assert _split(sizes) == (caller, child)
+
+    @pytest.mark.parametrize("workers, sizes, caller, child", [
+        (2, (4, 9, 6), ["p1", "p0"], ["p2"]),
+        (5, (4, 9, 6), ["p1", "p0"], ["p2"]),
+        (1, (4, 9, 6), ["p0", "p1", "p2"], []),
+        (2, (9,), ["p0"], []),
+    ])
+    def test_partition(self, algaas, tmp_path, monkeypatch, forks, workers, sizes, caller,
+                       child):
+        """A child renders only the second-largest panel, and only with two
+        or more CPUs and panels; otherwise nothing is forked."""
+        ring, gc = algaas
+        monkeypatch.setattr(sweep_module, "_cpu_count", lambda: workers)
+        log, real_emit = tmp_path / "log", sweep_module.emit
+
+        def logged_emit(result, fmt, path):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {path.stem}\n")
+            real_emit(result, fmt, path)
+
+        monkeypatch.setattr(sweep_module, "emit", logged_emit)
+        results = [run_sweep(allpass_spec(ring, gc, n=n)) for n in sizes]
+        emit_all([(r, tmp_path / f"p{i}.json") for i, r in enumerate(results)], "json")
+        written = [line.split() for line in log.read_text().splitlines()]
+        assert [stem for pid, stem in written if pid == str(os.getpid())] == caller
+        assert [stem for pid, stem in written if pid != str(os.getpid())] == child
+        assert len(forks) == len(child)
 
     @pytest.mark.parametrize("workers", [1, 2, 5])
-    def test_files_equal_emit(self, algaas, tmp_path, monkeypatch, workers):
+    def test_files_equal_emit(self, algaas, tmp_path, monkeypatch, forks, workers):
         ring, gc = algaas
         monkeypatch.setattr(sweep_module, "_cpu_count", lambda: workers)
         results = [run_sweep(allpass_spec(ring, gc, n=n)) for n in (4, 9, 6)]
@@ -636,6 +664,7 @@ class TestEmitAll:
         emit_all(panels, "json")
         for result, path in panels:
             assert path.read_text() == render(result, "json")
+        assert len(forks) == (workers > 1)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -654,6 +683,21 @@ class TestEmitAll:
         result = run_sweep(allpass_spec(ring, gc, n=4))
         with pytest.raises(ValueError, match="format"):
             emit_all([(result, tmp_path / f"p{i}") for i in range(3)], "xml")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_child_failure_sent_back(self, algaas, tmp_path, monkeypatch):
+        """The child's panel 0 and the caller's panel 2 cannot be written; the
+        failure raised is panel 0's, sent back from the child."""
+        ring, gc = algaas
+        monkeypatch.setattr(sweep_module, "_cpu_count", lambda: 2)
+        results = [run_sweep(allpass_spec(ring, gc, n=n)) for n in (6, 9, 4)]
+        panels = [(r, tmp_path / f"p{i}.json") for i, r in enumerate(results)]
+        for i in (0, 2):
+            panels[i][1].mkdir()
+        with pytest.raises(OSError, match="p0.json"):
+            emit_all(panels, "json")
+        assert panels[1][1].read_text() == render(results[1], "json")
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
