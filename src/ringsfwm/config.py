@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import configparser
 import itertools
+import os
 from typing import Optional
 
 from .core import (
@@ -67,7 +68,9 @@ def load_config(path, command: str) -> configparser.ConfigParser:
     """Parse an INI file, rejecting any section or key that ``command``
     does not read (``_READS``): a typo, or input meant for another command
     or pump mode, would otherwise be ignored.  No key belongs in every
-    section, so ``[DEFAULT]`` keys are rejected too."""
+    section, so ``[DEFAULT]`` keys are rejected too.  A relative
+    ``[pump] spectrum_file`` is resolved against the directory of ``path``,
+    not the working directory."""
     # no interpolation: a "%" in a value is an ordinary character
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -88,6 +91,10 @@ def load_config(path, command: str) -> configparser.ConfigParser:
             f"config file {path!s}: ringsfwm {command} does not read "
             + "; ".join(f"{', '.join(name for name, _ in group)} ({why})"
                         for why, group in itertools.groupby(unread, key=lambda e: e[1])))
+    spectrum_file = parser.get("pump", "spectrum_file", fallback="")
+    if spectrum_file:
+        parser.set("pump", "spectrum_file",
+                   os.path.join(os.path.dirname(os.fspath(path)), spectrum_file))
     return parser
 
 

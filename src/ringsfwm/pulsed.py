@@ -39,8 +39,9 @@ only the knots inside its overlap of the two pump supports.  The per-pulse
 singles probability (:func:`pulsed_single_prob_numeric`) integrates the
 Lorentzian pair exactly and leaves one adaptive quadrature over the
 frequency sum: QUADPACK's 21-point Gauss-Kronrod rule (Piessens et al.,
-*QUADPACK*, 1983), bisecting the panel with the largest error estimate and
-evaluating the lineshape once per panel, on the array of its 21 nodes.
+*QUADPACK*, 1983), bisecting the panel with the largest error estimate.
+The lineshape is evaluated once per round, on the array of all its nodes:
+once for the initial panels, then once for both halves of each bisection.
 """
 
 from __future__ import annotations
@@ -524,35 +525,40 @@ def pulsed_accidental_prob(
     return ps * ps
 
 
-def _gauss_kronrod_21(f, a: float, b: float) -> tuple[float, float, float]:
-    """QUADPACK's qk21 on ``[a, b]``, calling ``f`` once on the array of the
-    21 nodes: the K21 integral of ``f``, its error estimate
-    ``resasc*min(1, (200*|K21 - G10|/resasc)^1.5)`` (``resasc`` is the
-    integral of ``|f - mean(f)|``), and that estimate's roundoff floor, 50
-    ulp of the integral of ``|f|``, which the estimate never falls below."""
+def _gauss_kronrod_21(f, a, b):
+    """QUADPACK's qk21 on the panels ``[a[k], b[k]]`` (1-D arrays), calling
+    ``f`` once on the ``(n_panels, 21)`` array of all their nodes.  Returns
+    three arrays over the panels: the K21 integral of ``f``, its error
+    estimate ``resasc*min(1, (200*|K21 - G10|/resasc)^1.5)`` (``resasc`` is
+    the integral of ``|f - mean(f)|``), and that estimate's roundoff floor,
+    50 ulp of the integral of ``|f|``, which the estimate never falls
+    below."""
     center, half = 0.5 * (a + b), 0.5 * (b - a)
-    fx = f(center + half * _GK_NODES)
-    resk = _K21_WEIGHTS @ fx
-    diff = abs((resk - _G10_WEIGHTS @ fx) * half)
-    resasc = abs(half) * (_K21_WEIGHTS @ np.abs(fx - 0.5 * resk))
-    err = resasc * min(1.0, (200.0 * diff / resasc) ** 1.5) if resasc and diff else diff
-    floor = 50.0 * _EPS * abs(half) * (_K21_WEIGHTS @ np.abs(fx))
-    return float(resk * half), float(max(err, floor)), float(floor)
+    fx = f(center[:, None] + half[:, None] * _GK_NODES)
+    resk = fx @ _K21_WEIGHTS
+    diff = np.abs((resk - fx @ _G10_WEIGHTS) * half)
+    resasc = np.abs(half) * (np.abs(fx - 0.5 * resk[:, None]) @ _K21_WEIGHTS)
+    scaled = (resasc != 0.0) & (diff != 0.0)
+    ratio = np.divide(200.0 * diff, resasc, out=np.ones_like(diff), where=scaled)
+    err = np.where(scaled, resasc * np.minimum(1.0, ratio**1.5), diff)
+    floor = 50.0 * _EPS * np.abs(half) * (np.abs(fx) @ _K21_WEIGHTS)
+    return resk * half, np.maximum(err, floor), floor
 
 
 def _adaptive_gauss_kronrod(f, edges, epsrel: float) -> tuple[float, float]:
     """Integral of ``f`` over ``[edges[0], edges[-1]]`` and its absolute
     error estimate.  Starts with one :func:`_gauss_kronrod_21` panel per
-    interval of ``edges`` and bisects the panel with the largest error
-    estimate until the summed estimate is at most ``epsrel`` times the
-    integral.  Raises :class:`QuadratureError` when that would take more
-    than ``_SUBDIV_LIMIT`` panels, or when the target lies below the summed
+    interval of ``edges``, all in one call, and bisects the panel with the
+    largest error estimate, both halves in one call, until the summed
+    estimate is at most ``epsrel`` times the integral.  Raises
+    :class:`QuadratureError` when that would take more than
+    ``_SUBDIV_LIMIT`` panels, or when the target lies below the summed
     roundoff floor of the estimate.
     """
-    panels = []
-    for a, b in zip(edges, edges[1:]):
-        result, err, floor = _gauss_kronrod_21(f, a, b)
-        panels.append((-err, a, b, result, floor))
+    edges = np.asarray(edges, dtype=float)
+    lo, hi = edges[:-1], edges[1:]
+    result, err, floor = _gauss_kronrod_21(f, lo, hi)
+    panels = list(zip((-err).tolist(), lo.tolist(), hi.tolist(), result.tolist(), floor.tolist()))
     heapq.heapify(panels)
     total = sum(p[3] for p in panels)
     abserr = -sum(p[0] for p in panels)
@@ -569,8 +575,9 @@ def _adaptive_gauss_kronrod(f, edges, epsrel: float) -> tuple[float, float]:
             )
         neg_err, a, b, result, floor = heapq.heappop(panels)
         mid = 0.5 * (a + b)
-        r1, e1, f1 = _gauss_kronrod_21(f, a, mid)
-        r2, e2, f2 = _gauss_kronrod_21(f, mid, b)
+        (r1, r2), (e1, e2), (f1, f2) = (
+            v.tolist() for v in _gauss_kronrod_21(f, np.array([a, mid]), np.array([mid, b]))
+        )
         heapq.heappush(panels, (-e1, a, mid, r1, f1))
         heapq.heappush(panels, (-e2, mid, b, r2, f2))
         total += r1 + r2 - result
@@ -597,10 +604,11 @@ def pulsed_single_prob_numeric(
 
     and :func:`effective_pump_lineshape` is exact, so one integral over
     ``w`` remains.  An adaptive 21-point Gauss-Kronrod rule (QUADPACK's
-    qk21 panels, bisecting the panel with the largest error estimate, each
-    panel's lineshape in one call on its 21 nodes) evaluates it to relative
-    accuracy ``epsrel``, starting from panels split
-    at ``0, +-1, +-3, +-10, +-30, +-100 * tgamma``.  Raises
+    qk21 panels, bisecting the panel with the largest error estimate)
+    evaluates it to relative accuracy ``epsrel``, starting from panels
+    split at ``0, +-1, +-3, +-10, +-30, +-100 * tgamma``.  The lineshape is
+    called once on the ``(n_panels, 21)`` nodes of the initial panels, then
+    once on the ``(2, 21)`` nodes of each bisection.  Raises
     :class:`QuadratureError` when the rule cannot meet ``epsrel``.
     """
     return _single_prob_numeric(ring, cfg, energy, spectrum, epsrel)[0]

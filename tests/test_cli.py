@@ -211,6 +211,23 @@ class TestRates:
         assert pulsed["ps_per_pulse"] == pytest.approx(0.001832397591177774, rel=1e-12, abs=0.0)
         assert pulsed["quad_rel_err"] == pytest.approx(7.237249867786356e-07, rel=1e-9)
 
+    def test_relative_spectrum_file_is_next_to_the_config(self, spectrum_config, tmp_path,
+                                                          monkeypatch, capsys):
+        """A relative ``spectrum_file`` names a file in the config file's
+        directory, whatever the working directory; an absolute one is kept."""
+        assert main(["rates", "--config", str(spectrum_config)]) == 0  # absolute path
+        expected = json.loads(capsys.readouterr().out)
+        text = spectrum_config.read_text().replace(str(tmp_path / "pump.txt"), "pump.txt")
+        (tmp_path / "cfg").mkdir()
+        (tmp_path / "pump.txt").rename(tmp_path / "cfg" / "pump.txt")
+        (tmp_path / "cfg" / "r.ini").write_text(text)
+        (tmp_path / "elsewhere").mkdir()
+        for cwd, config in ((tmp_path, "cfg/r.ini"), (tmp_path / "cfg", "r.ini"),
+                            (tmp_path / "elsewhere", str(tmp_path / "cfg" / "r.ini"))):
+            monkeypatch.chdir(cwd)
+            assert main(["rates", "--config", config]) == 0, (cwd, config)
+            assert json.loads(capsys.readouterr().out) == expected
+
     def test_spectrum_file_with_bandwidth_rejected(self, spectrum_config, capsys):
         """A flattop bandwidth next to a spectrum would be ignored."""
         text = spectrum_config.read_text()

@@ -1,5 +1,6 @@
 """Pulsed-pump lineshapes, wavepacket, and per-pulse probabilities."""
 
+import heapq
 import math
 import warnings
 
@@ -779,6 +780,70 @@ class TestNumericSinglesProbability:
             assert abs(val / exact - 1) < 1e-20
 
 
+def _qk21_scalar(f, a, b):
+    """The scalar qk21 the batched rule replaced, kept as its oracle: one
+    panel ``[a, b]``, ``f`` called on the 21 nodes."""
+    center, half = 0.5 * (a + b), 0.5 * (b - a)
+    fx = f(center + half * pulsed._GK_NODES)
+    resk = pulsed._K21_WEIGHTS @ fx
+    diff = abs((resk - pulsed._G10_WEIGHTS @ fx) * half)
+    resasc = abs(half) * (pulsed._K21_WEIGHTS @ np.abs(fx - 0.5 * resk))
+    err = resasc * min(1.0, (200.0 * diff / resasc) ** 1.5) if resasc and diff else diff
+    floor = 50.0 * pulsed._EPS * abs(half) * (pulsed._K21_WEIGHTS @ np.abs(fx))
+    return float(resk * half), float(max(err, floor)), float(floor)
+
+
+def _adaptive_scalar(f, edges, epsrel):
+    """The panel-at-a-time adaptive rule the batched one replaced, kept as
+    its oracle without the checks that raise: integral, error estimate and
+    the number of integrand values."""
+    panels = []
+    for a, b in zip(edges, edges[1:]):
+        result, err, _ = _qk21_scalar(f, a, b)
+        panels.append((-err, a, b, result))
+    heapq.heapify(panels)
+    total = sum(p[3] for p in panels)
+    abserr = -sum(p[0] for p in panels)
+    neval = 21 * len(panels)
+    while abserr > epsrel * abs(total):
+        neg_err, a, b, result = heapq.heappop(panels)
+        mid = 0.5 * (a + b)
+        r1, e1, _ = _qk21_scalar(f, a, mid)
+        r2, e2, _ = _qk21_scalar(f, mid, b)
+        heapq.heappush(panels, (-e1, a, mid, r1))
+        heapq.heappush(panels, (-e2, mid, b, r2))
+        total += r1 + r2 - result
+        abserr += e1 + e2 + neg_err
+        neval += 42
+    return total, abserr, neval
+
+
+def _assert_matches_scalar_rule(a, b, fx, batched):
+    """Each panel ``k`` of one batched :func:`pulsed._gauss_kronrod_21`
+    round (ends ``a``, ``b``, integrand values ``fx``, result triple
+    ``batched``) against :func:`_qk21_scalar` on the same nodes and values.
+
+    The two add the 21 weighted values in different orders (a matrix-vector
+    product against a dot product).  Each sum rounds to within
+    ``10.5*eps*scale`` of the exact one, where ``scale = floor/(50*eps)`` is
+    the integral of ``|f|``, so the value agrees to ``22*eps*scale`` and
+    the floor to ``22*eps`` relative.  The error estimate takes the difference
+    K21 - G10, which cancels, and raises it to the power 1.5: it moves by at
+    most ``300*(21 + 2*10)*eps*scale`` (the G10 weights are at most twice
+    the K21 ones at the same node), about 250 roundoff floors."""
+    eps = pulsed._EPS
+    for k in range(len(a)):
+        def values(w, k=k):
+            assert np.array_equal(w, 0.5 * (a[k] + b[k]) + 0.5 * (b[k] - a[k]) * pulsed._GK_NODES)
+            return fx[k]
+
+        result, err, floor = _qk21_scalar(values, a[k], b[k])
+        scale = floor / (50.0 * eps)
+        assert abs(batched[0][k] - result) <= 22.0 * eps * scale
+        assert abs(batched[2][k] - floor) <= 22.0 * eps * floor
+        assert abs(batched[1][k] - err) <= 4.0 * eps * err + 300.0 * 41.0 * eps * scale
+
+
 class TestGaussKronrodRule:
     """The adaptive rule behind :func:`pulsed_single_prob_numeric`."""
 
@@ -799,30 +864,32 @@ class TestGaussKronrodRule:
     def test_matches_quadpack_panels(self, algaas, bw):
         """On the flattop designs the rule bisects the same panels as
         QUADPACK's qagp: same evaluation count, value and error estimate.
-        The integrand takes arrays (the rule's panels) and scalars (qagp's
-        points) alike."""
+        The integrand takes arrays (the rule's rounds of panels) and scalars
+        (qagp's points) alike."""
         ring, gc = algaas
         cfg = CouplingConfig.all_pass(gc, gc)
         spec = TabulatedSpectrum.flattop(bw * cfg.tgamma)
         tg, g = cfg.tgamma, cfg.gamma
-        nodes = []
+        shapes = []
 
         def f(w):
-            nodes.append(np.size(w))
+            shapes.append(np.shape(w))
             fp = effective_pump_lineshape(spec, tg, w)
             return abs(fp) ** 2 / (g * g + w * w)
 
         ladder = sorted(k * tg for k in (0, 1, 3, 10, 30, -1, -3, -10, -30) if abs(k) < bw)
         edges = [-bw * tg, *ladder, bw * tg]  # w spans twice the +-bw*tg/2 support
         got, err = _adaptive_gauss_kronrod(f, edges, 1e-6)
-        panel_nodes = list(nodes)
-        nodes.clear()
+        rounds = list(shapes)
+        shapes.clear()
         want, want_err, info = quad(
             f, edges[0], edges[-1], points=edges[1:-1], limit=10_000,
             epsabs=0.0, epsrel=1e-6, full_output=1,
         )
-        assert set(panel_nodes) == {21}
-        assert sum(panel_nodes) == info["neval"]
+        # One call for the initial panels, then one per bisection.
+        assert rounds[0] == (len(edges) - 1, 21)
+        assert rounds[1:] == [(2, 21)] * (len(rounds) - 1) and len(rounds) > 1
+        assert 21 * sum(n for n, _ in rounds) == info["neval"]
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
         assert err == pytest.approx(want_err, rel=1e-6)
 
@@ -830,24 +897,27 @@ class TestGaussKronrodRule:
         """``integral_0^3 exp(-x)*cos(7x) dx``; the integral of ``|f|`` is
         ~25 times larger, which puts the roundoff floor of the error
         estimate at ~3e-13 relative: 1e-12 is met, 1e-13 is refused."""
-        nodes = []
+        shapes = []
 
         def f(x):
-            nodes.append(np.size(x))
+            shapes.append(np.shape(x))
             return np.exp(-x) * np.cos(7.0 * x)
 
         exact = (1.0 - math.exp(-3.0) * (math.cos(21.0) - 7.0 * math.sin(21.0))) / 50.0
         got, err = _adaptive_gauss_kronrod(f, [0.0, 0.5, 3.0], 1e-12)
         assert got == pytest.approx(exact, rel=1e-13, abs=0.0)
         assert 0.0 < err <= 1e-12 * abs(got)
-        assert set(nodes) == {21} and len(nodes) > 2  # one call per panel, bisected
+        # Both initial panels in one call, then both halves of each bisection.
+        assert shapes == [(2, 21)] * len(shapes) and len(shapes) > 1
         with pytest.raises(QuadratureError, match="roundoff"):
             _adaptive_gauss_kronrod(f, [0.0, 0.5, 3.0], 1e-13)
 
-    def test_one_lineshape_call_per_panel(self, algaas, monkeypatch):
-        """The singles probability evaluates the lineshape once per panel,
-        on its 21 nodes: 10 + 16 panels on the identical-coupler flattop
-        designs at B = 10 and 30."""
+    def test_one_lineshape_call_per_round(self, algaas, monkeypatch):
+        """The singles probability evaluates the lineshape once per round of
+        the rule: once on the nodes of all initial panels, then once on both
+        halves of each bisection.  On the identical-coupler flattop designs
+        at B = 10 and 30 that is 6 panels and 2 bisections, then 8 panels
+        and 4 bisections: 8 calls."""
         ring, gc = algaas
         cfg = CouplingConfig.all_pass(gc, gc)
         lineshape, sizes = pulsed.effective_pump_lineshape, []
@@ -859,4 +929,63 @@ class TestGaussKronrodRule:
         monkeypatch.setattr(pulsed, "effective_pump_lineshape", counted)
         for bw in (10.0, 30.0):
             pulsed_single_prob_numeric(ring, cfg, ENERGY, TabulatedSpectrum.flattop(bw * cfg.tgamma))
-        assert sizes == [(21,)] * 26
+        assert sizes == [(6, 21), (2, 21), (2, 21), (8, 21), *[(2, 21)] * 4]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        geometry=st.sampled_from(["all-pass", "add-drop", "distinct"]),
+        couplings=st.tuples(st.floats(0.2, 5.0), st.floats(0.2, 5.0)),
+        bw=st.floats(5.0, 300.0),
+    )
+    @example(geometry="all-pass", couplings=(1.0, 1.0), bw=10.0)
+    @example(geometry="distinct", couplings=(4.0, 0.25), bw=199.0)
+    def test_random_flattop_designs(self, algaas, geometry, couplings, bw):
+        """Over random flattop designs (couplings in units of ``gamma_c``,
+        ``B = delta_omega/tgamma``), on the singles probability's own
+        integrand and breakpoints:
+
+        - the rule bisects the same panels as the scalar rule it replaced
+          (:func:`_adaptive_scalar`): the same evaluation count, the value
+          to 1e-13 and the error estimate to 1e-6;
+        - each batched panel matches the scalar qk21 on the same integrand
+          values (:func:`_assert_matches_scalar_rule`);
+        - QUADPACK's qagp agrees within the two error estimates.  qagp
+          also extrapolates (Wynn's epsilon algorithm), which this rule
+          does not, so on some distinct-coupler designs at large B it
+          evaluates more panels: 420 against 336 at the second example.
+        """
+        ring, gc = algaas
+        x, y = (c * gc for c in couplings)
+        cfg = {
+            "all-pass": lambda: CouplingConfig.all_pass(x, gc),
+            "add-drop": lambda: CouplingConfig.add_drop(x, y, gc),
+            "distinct": lambda: CouplingConfig.distinct(x, y, gc),
+        }[geometry]()
+        adaptive, rule = pulsed._adaptive_gauss_kronrod, pulsed._gauss_kronrod_21
+        runs, rounds = [], []
+
+        def recorded_adaptive(f, edges, epsrel):
+            runs.append((f, edges, epsrel, adaptive(f, edges, epsrel)))
+            return runs[-1][-1]
+
+        def recorded_rule(f, a, b):
+            values = []
+            out = rule(lambda w: values.append(f(w)) or values[-1], a, b)
+            rounds.append((a, b, values[0], out))
+            return out
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pulsed, "_adaptive_gauss_kronrod", recorded_adaptive)
+            patch.setattr(pulsed, "_gauss_kronrod_21", recorded_rule)
+            pulsed_single_prob_numeric(ring, cfg, ENERGY, TabulatedSpectrum.flattop(bw * cfg.tgamma))
+        [(f, edges, epsrel, (got, err))] = runs
+        want, want_err, neval = _adaptive_scalar(f, edges, epsrel)
+        assert sum(fx.size for _, _, fx, _ in rounds) == neval
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert err == pytest.approx(want_err, rel=1e-6)
+        for a, b, fx, out in rounds:
+            _assert_matches_scalar_rule(a, b, fx, out)
+        qagp, qagp_err = quad(
+            f, edges[0], edges[-1], points=edges[1:-1], limit=10_000, epsabs=0.0, epsrel=epsrel,
+        )
+        assert abs(got - qagp) <= err + qagp_err
