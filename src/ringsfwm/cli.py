@@ -7,10 +7,11 @@ leading coefficients at one design point; a grid of K runs through
 (analytic-vs-numeric cross check), and ``figure2``/``figure3`` (canned AlGaAs
 coupling scans for CW and broadband-pulse pumping).
 
-The figure commands compute every panel in the calling process, then write
-the panel files with :func:`ringsfwm.sweep.emit_all` in two processes: with
-two or more CPUs, a forked child writes the second-largest panel while the
-caller writes the rest, the same bytes as one process would.  ``--refine``
+The figure commands hand their panel specs to
+:func:`ringsfwm.sweep.emit_all`, which computes and writes them in two
+processes: with two or more CPUs, a child forked before any panel is
+computed does the second-largest panel while the caller does the rest, the
+same bytes and the same warnings as one process would.  ``--refine``
 changes only ``meta``, which CSV lacks, so it rejects ``--format csv``.
 
 Exit codes: 0 success, 1 validation error, 2 computation failure,
@@ -252,15 +253,13 @@ def _run_figure(args, pump: PumpSpec, outputs: tuple[str, ...], prefix: str,
         pump = pump_from_config(load_config(args.config, args.command))
     n = 200 if args.grid is None else args.grid
     stem = args.out or prefix
-    # Every panel is computed here, so each library warning names this
-    # caller; only the rendering and writing run in parallel.
-    panels = [(run_sweep(spec, refine=args.refine), f"{stem}_{label}.{fmt}")
+    panels = [(spec, args.refine, f"{stem}_{label}.{fmt}")
               for label, spec in _figure_panels(pump, outputs, n).items()]
     if schmidt_panel:
         spec = _figure_panels(pump, ("K",), min(n, _FIGURE_K_GRID))["c"]
-        panels.append((run_sweep(spec, refine=False), f"{stem}_c_schmidt.{fmt}"))
+        panels.append((spec, False, f"{stem}_c_schmidt.{fmt}"))
     emit_all(panels, fmt)
-    sys.stdout.write("\n".join(path for _, path in panels) + "\n")
+    sys.stdout.write("\n".join(path for *_, path in panels) + "\n")
     return 0
 
 

@@ -52,18 +52,25 @@ class BroadbandAssumptionWarning(UserWarning):
     broadband closed forms are used outside their comfort zone."""
 
 
-def _warn(message: str, category: type[Warning]) -> None:
-    """``warnings.warn`` naming the line that called into ``ringsfwm``: the
-    first frame up from the caller whose module is outside the package, or
-    the outermost frame.  A module is in the package by its ``__name__`` or,
-    for ``python -m ringsfwm`` (run as ``__main__``), its ``__spec__.name``."""
-    frame, level = sys._getframe(1), 2  # level 1 is the warn call below
+def _calling_frame(frame):
+    """``(frame, depth)``: the first frame from ``frame`` up whose module is
+    outside the package, or the outermost frame, and how many frames above
+    ``frame`` it is.  A module is in the package by its ``__name__`` or, for
+    ``python -m ringsfwm`` (run as ``__main__``), its ``__spec__.name``."""
+    depth = 0
     while frame.f_back is not None and __package__ in (
         frame.f_globals.get("__name__", "").partition(".")[0],
         getattr(frame.f_globals.get("__spec__"), "name", "").partition(".")[0],
     ):
-        frame, level = frame.f_back, level + 1
-    warnings.warn(message, category, stacklevel=level)
+        frame, depth = frame.f_back, depth + 1
+    return frame, depth
+
+
+def _warn(message: str, category: type[Warning]) -> None:
+    """``warnings.warn`` naming the line that called into ``ringsfwm``: the
+    frame :func:`_calling_frame` finds from the caller."""
+    # stacklevel 1 is the warn call below, 2 the caller
+    warnings.warn(message, category, stacklevel=_calling_frame(sys._getframe(1))[1] + 2)
 
 
 class Geometry(enum.Enum):

@@ -14,8 +14,9 @@ and ``K_minus_1`` columns lie from the closed form
 only maps the grid to coupling rates, keeps each output as one column of
 Python values, and serializes the columns.  CSV and JSON rendering read the
 columns in one format pass; ``SweepResult.rows`` serves library callers.
-:func:`emit_all` writes several results at once in two processes: a forked
-child renders the second-largest panel while the caller renders the rest.
+:func:`emit_all` computes and writes several panels in two processes: a
+child forked before any panel is computed does the second-largest panel
+while the caller does the rest, each dropping a result once it is written.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .core import (
     RingParams,
     _NOT_BROADBAND,
     _broadband_rule,
+    _calling_frame,
     _check_pump_loss,
     _drive_cw,
     _point_count,
@@ -336,21 +338,17 @@ def _cell_ratio(axis: SweepAxis, p: float) -> float:
 
 def _analytic_optima_meta(spec: SweepSpec) -> dict:
     """Analytic optimum locations/values for the swept geometry and regime:
-    the :func:`optima_table` rows of that geometry and regime."""
-    pump = spec.pump
-    rows, r0, p0 = _optima(
-        spec.ring, spec.gamma_c, pump.power, pump.energy, pump.bandwidth_factor
-    )
-    cw = spec.pump_regime is PumpRegime.CW
+    the two :func:`optima_table` rows of that geometry and regime."""
+    pump, cw = spec.pump, spec.pump_regime is PumpRegime.CW
+    r0, p0 = _scales(spec.ring, spec.gamma_c, pump.power, pump.energy, pump.bandwidth_factor)
     scale = r0 if cw else p0  # None for an absolute-bandwidth pump: p0 is not defined
     optima = {"scale_name": "R0_per_s" if cw else "p0", "scale_value": scale,
               "plot_normalization": None if scale is None else 0.5 * scale}
-    outputs = dict(zip((o.value for o in Objective), ("Rs", "Rsi") if cw else ("ps", "psi")))
-    for row in rows:
-        if (row["regime"], row["geometry"]) == (spec.pump_regime.value, spec.geometry.value):
-            optima[outputs[row["objective"]]] = {
-                key: row[key] for key in ("couplings_over_gamma_c", "peak_normalized", "peak_absolute")
-            }
+    for objective, output in zip(Objective, ("Rs", "Rsi") if cw else ("ps", "psi")):
+        row = _optimum_row(spec.pump_regime, spec.geometry, objective, scale)
+        optima[output] = {
+            key: row[key] for key in ("couplings_over_gamma_c", "peak_normalized", "peak_absolute")
+        }
     return optima
 
 
@@ -450,44 +448,74 @@ def _split(sizes: list[int]) -> tuple[list[int], int]:
 
 
 def _emit_share(panels: list, share, fmt: str):
-    """:func:`emit` each panel of ``share`` in turn; the index and exception
-    of the first that fails, or None."""
+    """Compute and :func:`emit` each panel of ``share`` in turn, holding no
+    result past its write; the index and exception of the first that fails,
+    or None."""
     for i in share:
+        spec, refine, path = panels[i]
         try:
-            emit(panels[i][0], fmt, panels[i][1])
+            emit(run_sweep(spec, refine=refine), fmt, path)
         except Exception as exc:  # noqa: BLE001 - reported to the caller of emit_all
             return i, exc
     return None
 
 
+def _reissue(caught) -> None:
+    """Issue each ``(message, filename, lineno)`` of ``caught`` as
+    ``warnings.warn`` does from the frame that :func:`ringsfwm.core._warn`
+    names from the caller: under that frame's module name and warning
+    registry."""
+    module_globals = _calling_frame(sys._getframe(1))[0].f_globals
+    for message, filename, lineno in caught:
+        warnings.warn_explicit(
+            message, type(message), filename, lineno, module_globals.get("__name__", "<string>"),
+            module_globals.setdefault("__warningregistry__", {}), module_globals,
+        )
+
+
 def emit_all(panels, fmt: str) -> None:
-    """Write each ``(result, path)`` of ``panels`` to its file as :func:`emit`
-    does, in two processes: the figures have two panels far larger than the
-    rest.
+    """Compute each ``(spec, refine, path)`` of ``panels`` with
+    :func:`run_sweep` and write it to its file as :func:`emit` does, in two
+    processes: the figures have two panels far larger than the rest.
 
     With ``os.fork``, two or more panels and two or more CPUs this process
-    may run on, one ``os.fork()`` child renders the second-largest panel by
-    row count (equal sizes kept in ``panels`` order) and the caller the rest,
-    largest first; otherwise the caller renders every panel.  The child
-    inherits the results copy-on-write, sends back through a pipe the pickled
-    failure of its panel (or None), and leaves by ``os._exit``.  The files
-    are the bytes :func:`emit` writes; every path must name a file.  The
+    may run on, one ``os.fork()`` child, forked before any panel is
+    computed, computes and writes the second-largest panel by row count
+    (equal sizes kept in ``panels`` order) and the caller the rest, largest
+    first; otherwise the caller does every panel in ``panels`` order.  Each
+    process drops a result once its file is written.  The files are the
+    bytes :func:`emit` writes; every path must name a file.
+
+    The child records the warnings that pass the filters it inherits, sends
+    them back through a pipe with the pickled failure of its panel (or
+    None), and leaves by ``os._exit``.  After its own panels the caller
+    re-issues them, with their category, message, file and line, from the
+    frame that :func:`ringsfwm.core._warn` names, so its filters, warning
+    registries and ``catch_warnings`` see them as warnings raised here.  The
     child is reaped before this returns or raises.  The failure of the first
     failing panel in ``panels`` order is raised; a child that ends without a
     report raises ``OSError`` naming its file.
 
     Python 3.12 and later warn (``DeprecationWarning``) when a multi-threaded
     process forks, because a lock another thread held stays held in the
-    child.  That warning is ignored around the fork: the child only formats
-    strings, writes its own file and calls ``os._exit``, so it waits on no
-    lock of another thread and runs no exit handler or stream flush."""
+    child.  That warning is ignored around the fork.  The program starts no
+    thread, and the child's one thread runs only the sweep path: numpy
+    ufuncs, reductions, sorts and array builds, the warnings machinery with
+    a list of its own as the sink, string formatting, and the write of its
+    own file.  That path makes no BLAS or LAPACK call, so it never waits on a
+    BLAS thread pool, and imports no module for the first time, so it never
+    takes the import lock.  ``os._exit`` runs no exit handler or stream
+    flush."""
     panels = list(panels)
-    if any(path is None for _, path in panels):
+    if any(path is None for *_, path in panels):
         # a child's stdout buffer is never flushed, and its order would vary
         raise ValueError("emit_all writes files; emit writes a result to stdout")
-    caller, child = range(len(panels)), None
+    caller, child, caught = range(len(panels)), None, ()
     if hasattr(os, "fork") and len(panels) >= 2 and _cpu_count() >= 2:
-        caller, child = _split([len(result.columns["error"]) for result, _ in panels])
+        caller, child = _split([
+            math.prod(ax.n_points for ax in (spec.axis1, spec.axis2) if ax is not None)
+            for spec, *_ in panels
+        ])
         read_fd, write_fd = os.pipe()
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded, "
@@ -496,8 +524,11 @@ def emit_all(panels, fmt: str) -> None:
         if pid == 0:
             try:
                 os.close(read_fd)
+                with warnings.catch_warnings(record=True) as log:
+                    failure = _emit_share(panels, [child], fmt)
+                report = failure, [(w.message, w.filename, w.lineno) for w in log]
                 with os.fdopen(write_fd, "wb") as fh:
-                    fh.write(pickle.dumps(_emit_share(panels, [child], fmt)))
+                    fh.write(pickle.dumps(report))
                 os._exit(0)
             finally:  # reached only by an exception that escaped the report
                 os._exit(1)
@@ -510,42 +541,51 @@ def emit_all(panels, fmt: str) -> None:
             with os.fdopen(read_fd, "rb") as fh:
                 report = fh.read()
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            failures.append(pickle.loads(report) if report else (child, OSError(
-                f"render worker for {panels[child][1]!s} ended without a report "
-                f"(exit status {status})")))
+            failure, caught = pickle.loads(report) if report else ((child, OSError(
+                f"panel worker for {panels[child][-1]!s} ended without a report "
+                f"(exit status {status})")), ())
+            failures.append(failure)
+    _reissue(caught)
     failures = [f for f in failures if f is not None]
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
 
 
-def _optima(ring, gamma_c, power, energy, bandwidth_factor):
-    """The 12 optimum rows of :func:`optima_table` and the scales ``R0`` and
-    ``p0`` they use, each None where its drive is not given."""
+def _scales(ring, gamma_c, power, energy, bandwidth_factor):
+    """The scales ``R0`` and ``p0`` of the optimum rows, each None where its
+    drive is not given."""
     r0 = rate_scale_R0(ring, power, gamma_c) if power is not None else None
     p0 = (
         prob_scale_p0(ring, energy, bandwidth_factor, gamma_c)
         if (energy is not None and bandwidth_factor is not None)
         else None
     )
-    rows = []
-    for regime in PumpRegime:
-        scale = r0 if regime is PumpRegime.CW else p0
-        for geometry in Geometry:
-            for objective in Objective:
-                rec = analytic_optimum(geometry, OptimizationTarget(objective, regime))
-                rows.append(
-                    {
-                        "regime": regime.value,
-                        "geometry": geometry.value,
-                        "objective": objective.value,
-                        "coupling_names": list(coupling_parameter_names(geometry)),
-                        "couplings_over_gamma_c": list(rec.couplings),
-                        "peak_normalized": rec.peak_value,
-                        "scale_unit": "R0" if regime is PumpRegime.CW else "p0",
-                        "peak_absolute": None if scale is None else rec.peak_value * scale,
-                        "absolute_unit": "1/s" if regime is PumpRegime.CW else "per pulse",
-                    }
-                )
+    return r0, p0
+
+
+def _optimum_row(regime: PumpRegime, geometry: Geometry, objective: Objective, scale) -> dict:
+    """One :func:`optima_table` row; ``scale`` is the regime's ``R0`` or ``p0``,
+    or None."""
+    rec = analytic_optimum(geometry, OptimizationTarget(objective, regime))
+    return {
+        "regime": regime.value,
+        "geometry": geometry.value,
+        "objective": objective.value,
+        "coupling_names": list(coupling_parameter_names(geometry)),
+        "couplings_over_gamma_c": list(rec.couplings),
+        "peak_normalized": rec.peak_value,
+        "scale_unit": "R0" if regime is PumpRegime.CW else "p0",
+        "peak_absolute": None if scale is None else rec.peak_value * scale,
+        "absolute_unit": "1/s" if regime is PumpRegime.CW else "per pulse",
+    }
+
+
+def _optima(ring, gamma_c, power, energy, bandwidth_factor):
+    """The 12 optimum rows of :func:`optima_table` and the scales ``R0`` and
+    ``p0`` they use, each None where its drive is not given."""
+    r0, p0 = _scales(ring, gamma_c, power, energy, bandwidth_factor)
+    rows = [_optimum_row(regime, geometry, objective, r0 if regime is PumpRegime.CW else p0)
+            for regime in PumpRegime for geometry in Geometry for objective in Objective]
     return rows, r0, p0
 
 

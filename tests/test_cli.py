@@ -19,6 +19,7 @@ import pytest
 
 from ringsfwm import (
     CouplingConfig,
+    Geometry,
     Objective,
     PumpSpec,
     TabulatedSpectrum,
@@ -571,9 +572,9 @@ def _assert_no_child_left():
 
 
 class TestFigureFiles:
-    """The figure commands render and write their panels in two processes;
-    the files are those one process writes, and no child outlives the
-    command."""
+    """The figure commands compute and write their panels in two processes;
+    the files and warnings are those of one process, and no child outlives
+    the command."""
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("fmt, refine", [("csv", False), ("json", False), ("json", True)],
@@ -650,6 +651,66 @@ class TestFigureFiles:
         assert any("B = 7 < 10" in message for message in counts)
         assert {(w.category, w.filename, w.lineno) for w in caught} == {
             (BroadbandAssumptionWarning, __file__, line)}
+
+    @staticmethod
+    def _b7_argv(tmp_path):
+        """figure3 at B = 7, where every panel warns."""
+        path = tmp_path / "b7.ini"
+        path.write_text("[pump]\nmode = pulsed\npulse_energy_pj = 1\nbandwidth_factor = 7\n")
+        return ["figure3", "--grid", "4", "--config", str(path), "--out", str(tmp_path / "fig")]
+
+    def test_default_filter_shows_the_same_warnings_on_one_and_two_cpus(
+            self, tmp_path, capsys, monkeypatch, forks):
+        """Under the default filter figure3 at B = 7 shows each warning once,
+        naming the line that called main, whether the child computes panel c
+        or the caller computes every panel."""
+        shown = []
+        for workers in (1, 2):
+            monkeypatch.setattr(sweep_module, "_cpu_count", lambda: workers)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("default")
+                line = sys._getframe().f_lineno + 1
+                assert main(self._b7_argv(tmp_path)) == 0
+            shown.append(collections.Counter(
+                (str(w.message), w.category, w.filename, w.lineno) for w in caught))
+        assert len(forks) == 1
+        assert shown[0] == shown[1]
+        assert len(shown[0]) == 2 and set(shown[0].values()) == {1}, shown[0]
+        assert {key[1:] for key in shown[0]} == {(BroadbandAssumptionWarning, __file__, line)}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_warning_as_error_ends_main_alike(self, workers, tmp_path, capsys, monkeypatch,
+                                              forks):
+        """With BroadbandAssumptionWarning an error, main raises it, the
+        first panel's marginal warning, and leaves no child."""
+        monkeypatch.setattr(sweep_module, "_cpu_count", lambda: workers)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", BroadbandAssumptionWarning)
+            with pytest.raises(BroadbandAssumptionWarning, match=r"delta_omega = 7\*tgamma"):
+                main(self._b7_argv(tmp_path))
+        assert len(forks) == (workers > 1)
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_computation_failure_in_panel_c_exits_2(self, workers, tmp_path, capsys,
+                                                    monkeypatch):
+        """A computation error in panel c's run_sweep, in the child when
+        there are two CPUs, ends main as it does in one process."""
+        monkeypatch.setattr(sweep_module, "_cpu_count", lambda: workers)
+        pids, real_evaluate = tmp_path / "pids", sweep_module._evaluate
+
+        def failing_evaluate(spec, output, point):
+            if spec.geometry is Geometry.ADD_DROP_DISTINCT and output == "ps":
+                with open(pids, "a") as fh:
+                    fh.write(f"{os.getpid()}\n")
+                raise FloatingPointError("overflow in panel c")
+            return real_evaluate(spec, output, point)
+
+        monkeypatch.setattr(sweep_module, "_evaluate", failing_evaluate)
+        assert main(["figure3", "--grid", "4", "--out", str(tmp_path / "fig")]) == 2
+        assert capsys.readouterr().err == "ringsfwm: computation failed: overflow in panel c\n"
+        assert (pids.read_text().split() == [str(os.getpid())]) == (workers == 1)
+        _assert_no_child_left()
 
     def test_fork_warning_not_passed_on(self, tmp_path, capsys, monkeypatch):
         """Python 3.12+ warn when a multi-threaded process forks; emit_all

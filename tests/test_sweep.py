@@ -6,6 +6,7 @@ import json
 import math
 import os
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +27,7 @@ from ringsfwm import (
     cw_single_rate,
     discretize_wavepacket,
     emit,
+    prob_scale_p0,
     pulsed_pair_prob,
     pulsed_single_prob,
     rate_scale_R0,
@@ -287,6 +289,31 @@ class TestRunSweep:
         r0 = rate_scale_R0(ring, PUMP_CW.power, gc)
         assert optima["scale_value"] == pytest.approx(r0)
         assert optima["plot_normalization"] == pytest.approx(r0 / 2.0)
+
+    @pytest.mark.parametrize("pump", [
+        PUMP_CW, PumpSpec.pulsed(1e-12, bandwidth_factor=20.0),
+        PumpSpec.pulsed(1e-12, delta_omega=2e11),
+    ], ids=["cw", "pulsed-B", "pulsed-delta-omega"])
+    @pytest.mark.parametrize("geometry", list(Geometry))
+    def test_meta_optima_are_the_table_rows_of_the_panel(self, algaas, geometry, pump):
+        """meta.optima holds the optima_table rows of the swept geometry and
+        regime, with the table's scale, and nothing else."""
+        ring, gc = algaas
+        cw = pump.power is not None
+        spec = SweepSpec(geometry, *AXES[geometry], ("Rs",) if cw else ("ps",), ring, pump, gc)
+        rows = optima_table(ring, gc, pump.power, pump.energy, pump.bandwidth_factor)
+        scale = (rate_scale_R0(ring, pump.power, gc) if cw else
+                 None if pump.bandwidth_factor is None else
+                 prob_scale_p0(ring, pump.energy, pump.bandwidth_factor, gc))
+        expected = {"scale_name": "R0_per_s" if cw else "p0", "scale_value": scale,
+                    "plot_normalization": None if scale is None else 0.5 * scale}
+        regime = "cw" if cw else "broadband-pulse"
+        for row in rows:
+            if (row["regime"], row["geometry"]) == (regime, geometry.value):
+                name = {"one-photon": "Rs" if cw else "ps", "two-photon": "Rsi" if cw else "psi"}
+                expected[name[row["objective"]]] = {key: row[key] for key in (
+                    "couplings_over_gamma_c", "peak_normalized", "peak_absolute")}
+        assert json.dumps(run_sweep(spec).meta["optima"]) == json.dumps(expected)
 
     def test_per_point_failure_flagged(self, algaas):
         """An absolute pump bandwidth of 20*gamma_c breaks the broadband check
@@ -636,43 +663,73 @@ class TestEmitAll:
     ])
     def test_partition(self, algaas, tmp_path, monkeypatch, forks, workers, sizes, caller,
                        child):
-        """A child renders only the second-largest panel, and only with two
-        or more CPUs and panels; otherwise nothing is forked."""
+        """A child computes and writes only the second-largest panel, and
+        only with two or more CPUs and panels; otherwise nothing is forked.
+        Each panel is computed in the process that writes it."""
         ring, gc = algaas
         monkeypatch.setattr(sweep_module, "_cpu_count", lambda: workers)
-        log, real_emit = tmp_path / "log", sweep_module.emit
+        log, real_run, real_emit = tmp_path / "log", sweep_module.run_sweep, sweep_module.emit
+
+        def logged_run(spec, *, refine=False):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} run {spec.axis1.n_points}\n")
+            return real_run(spec, refine=refine)
 
         def logged_emit(result, fmt, path):
             with open(log, "a") as fh:
-                fh.write(f"{os.getpid()} {path.stem}\n")
+                fh.write(f"{os.getpid()} emit {len(result.columns['error'])} {path.stem}\n")
             real_emit(result, fmt, path)
 
+        monkeypatch.setattr(sweep_module, "run_sweep", logged_run)
         monkeypatch.setattr(sweep_module, "emit", logged_emit)
-        results = [run_sweep(allpass_spec(ring, gc, n=n)) for n in sizes]
-        emit_all([(r, tmp_path / f"p{i}.json") for i, r in enumerate(results)], "json")
+        emit_all([(allpass_spec(ring, gc, n=n), False, tmp_path / f"p{i}.json")
+                  for i, n in enumerate(sizes)], "json")
         written = [line.split() for line in log.read_text().splitlines()]
-        assert [stem for pid, stem in written if pid == str(os.getpid())] == caller
-        assert [stem for pid, stem in written if pid != str(os.getpid())] == child
+        stems = {f"p{i}": str(n) for i, n in enumerate(sizes)}
+        for share, here in ((caller, True), (child, False)):
+            lines = [rest for pid, *rest in written if (pid == str(os.getpid())) == here]
+            assert lines == [x for stem in share
+                             for x in (["run", stems[stem]], ["emit", stems[stem], stem])]
         assert len(forks) == len(child)
 
     @pytest.mark.parametrize("workers", [1, 2, 5])
     def test_files_equal_emit(self, algaas, tmp_path, monkeypatch, forks, workers):
         ring, gc = algaas
         monkeypatch.setattr(sweep_module, "_cpu_count", lambda: workers)
-        results = [run_sweep(allpass_spec(ring, gc, n=n)) for n in (4, 9, 6)]
-        panels = [(r, tmp_path / f"p{i}.json") for i, r in enumerate(results)]
+        specs = [allpass_spec(ring, gc, n=n) for n in (4, 9, 6)]
+        panels = [(spec, refine, tmp_path / f"p{i}.json")
+                  for i, (spec, refine) in enumerate(zip(specs, (False, False, True)))]
         emit_all(panels, "json")
-        for result, path in panels:
-            assert path.read_text() == render(result, "json")
+        for spec, refine, path in panels:
+            assert path.read_text() == render(run_sweep(spec, refine=refine), "json")
         assert len(forks) == (workers > 1)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_each_result_dropped_once_written(self, algaas, tmp_path, monkeypatch):
+        """In one process no result outlives the write of its file: each is
+        gone before the next panel is computed, and all are gone after."""
+        ring, gc = algaas
+        monkeypatch.setattr(sweep_module, "_cpu_count", lambda: 1)
+        refs, alive, real_run = [], [], sweep_module.run_sweep
+
+        def tracked_run(spec, *, refine=False):
+            alive.append([ref() is not None for ref in refs])
+            result = real_run(spec, refine=refine)
+            refs.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(sweep_module, "run_sweep", tracked_run)
+        emit_all([(allpass_spec(ring, gc, n=n), False, tmp_path / f"p{i}.csv")
+                  for i, n in enumerate((4, 9, 6))], "csv")
+        assert alive == [[], [False], [False, False]]
+        assert len(refs) == 3 and all(ref() is None for ref in refs)
+
     def test_stdout_rejected(self, algaas, tmp_path, capsys):
         ring, gc = algaas
-        result = run_sweep(allpass_spec(ring, gc, n=4))
+        spec = allpass_spec(ring, gc, n=4)
         with pytest.raises(ValueError, match="stdout"):
-            emit_all([(result, tmp_path / "p.csv"), (result, None)], "csv")
+            emit_all([(spec, False, tmp_path / "p.csv"), (spec, False, None)], "csv")
         assert not any(tmp_path.iterdir()) and capsys.readouterr().out == ""
 
     def test_first_failure_in_panel_order_raised(self, algaas, tmp_path, monkeypatch):
@@ -680,9 +737,9 @@ class TestEmitAll:
         of the first panel, and no child is left behind."""
         ring, gc = algaas
         monkeypatch.setattr(sweep_module, "_cpu_count", lambda: 3)
-        result = run_sweep(allpass_spec(ring, gc, n=4))
+        spec = allpass_spec(ring, gc, n=4)
         with pytest.raises(ValueError, match="format"):
-            emit_all([(result, tmp_path / f"p{i}") for i in range(3)], "xml")
+            emit_all([(spec, False, tmp_path / f"p{i}") for i in range(3)], "xml")
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -691,13 +748,13 @@ class TestEmitAll:
         failure raised is panel 0's, sent back from the child."""
         ring, gc = algaas
         monkeypatch.setattr(sweep_module, "_cpu_count", lambda: 2)
-        results = [run_sweep(allpass_spec(ring, gc, n=n)) for n in (6, 9, 4)]
-        panels = [(r, tmp_path / f"p{i}.json") for i, r in enumerate(results)]
+        specs = [allpass_spec(ring, gc, n=n) for n in (6, 9, 4)]
+        panels = [(spec, False, tmp_path / f"p{i}.json") for i, spec in enumerate(specs)]
         for i in (0, 2):
-            panels[i][1].mkdir()
+            panels[i][2].mkdir()
         with pytest.raises(OSError, match="p0.json"):
             emit_all(panels, "json")
-        assert panels[1][1].read_text() == render(results[1], "json")
+        assert panels[1][2].read_text() == render(run_sweep(specs[1]), "json")
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
