@@ -12,8 +12,10 @@ recurrences, once per distinct ratio, equal to the library grid path to
 and ``K_minus_1`` columns lie from the closed form
 ``K = (2r+1)(3r+1)/(r(6r+5))``.  The sweep machinery
 only maps the grid to coupling rates, keeps each output as one column of
-Python values, and serializes the columns.  CSV and JSON rendering read the
-columns in one format pass; ``SweepResult.rows`` serves library callers.
+Python values, and serializes the columns.  CSV and JSON serialization read
+the columns one block of rows at a time, one format pass per block, and
+:func:`emit` writes each block as it is formatted, so a panel's whole text is
+never held; ``SweepResult.rows`` serves library callers.
 :func:`emit_all` computes and writes several panels in two processes: a
 child forked before any panel is computed does the second-largest panel
 while the caller does the rest, each dropping a result once it is written.
@@ -28,7 +30,7 @@ import pickle
 import sys
 import warnings
 from dataclasses import asdict, dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from typing import Optional
 
 import numpy as np
@@ -82,6 +84,9 @@ _ALL_OUTPUTS = _CW_OUTPUTS | _PULSED_OUTPUTS
 # The trapezoid grid of the K column: points, and window in units of 1/gamma.
 _K_GRID_POINTS = 192
 _K_WINDOW_OVER_GAMMA = 20.0
+# Rows per ``%`` pass and per write when a result is serialized: enough to
+# amortise the pass, few enough that no panel's whole text is ever held.
+_BLOCK_ROWS = 1000
 
 
 @dataclass(frozen=True)
@@ -371,15 +376,16 @@ def _json_number(value: float) -> str:
     return _JSON_NONFINITE.get(text, text)
 
 
-def render(result: SweepResult, fmt: str) -> str:
-    """Serialize a sweep result: 'csv' (rows only) or 'json' (meta + rows).
+def _pieces(result: SweepResult, fmt: str):
+    """The text of :func:`render` as an iterator of pieces: the head, the rows
+    in blocks of ``_BLOCK_ROWS``, and the tail.  The format is checked, and
+    the row template built, before this returns; each block is formatted
+    when it is asked for.
 
-    Both formats read the columns, never ``rows``: one row template,
-    repeated once per grid point, is filled by a single ``%``.  A coupling
+    The columns are read, never ``rows``: one row template, repeated once
+    per row of a block, is filled by a single ``%`` per block.  A coupling
     column repeats one axis's values, so each distinct value is formatted
-    once.  CSV numbers are written with 17 significant digits, so they read
-    back bit-exact, and the ``error`` column is text.  The JSON text is that
-    of ``json.dumps({"meta": meta, "rows": rows})``."""
+    once."""
     if fmt == "csv":
         number, text, inline = "%.17g".__mod__, _csv_text, "%.17g"
     elif fmt == "json":
@@ -408,28 +414,57 @@ def render(result: SweepResult, fmt: str) -> str:
             json.dumps(c).replace("%", "%%") + ": " + s for c, s in zip(columns, specs)
         ) + "}"
         sep, tail = ", ", "]}\n"
-    template = head.replace("%", "%%") + sep.join([row] * len(columns["error"])) + tail
-    return template % tuple(chain.from_iterable(zip(*cells)))
+    return _blocks(head, row, sep, tail, len(columns["error"]),
+                   chain.from_iterable(zip(*cells)), len(columns))
 
 
-def _write_text(text: str, out) -> None:
-    """The one output writer: ``text`` with a final newline, to stdout when
+def _blocks(head: str, row: str, sep: str, tail: str, n_rows: int, cells, width: int):
+    """``head``, then ``n_rows`` copies of the template ``row`` joined by
+    ``sep`` and filled from ``cells`` (``width`` per row) one block of rows at
+    a time, then ``tail``."""
+    yield head
+    for start in range(0, n_rows, _BLOCK_ROWS):
+        size = min(_BLOCK_ROWS, n_rows - start)
+        template = (sep if start else "") + sep.join([row] * size)
+        yield template % tuple(islice(cells, size * width))
+    yield tail
+
+
+def render(result: SweepResult, fmt: str) -> str:
+    """Serialize a sweep result: 'csv' (rows only) or 'json' (meta + rows).
+
+    CSV numbers are written with 17 significant digits, so they read back
+    bit-exact, and the ``error`` column is text.  The JSON text is that of
+    ``json.dumps({"meta": meta, "rows": rows})``.  The string is the blocks
+    that :func:`emit` writes, joined."""
+    return "".join(_pieces(result, fmt))
+
+
+def _write(pieces, out) -> None:
+    """The one output writer: each text of ``pieces`` in turn, to stdout when
     ``out`` is None, else to the file ``out``; I/O failures carry the path."""
-    text = text if text.endswith("\n") else text + "\n"
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except OSError as exc:
         raise OSError(f"failed to write output to {out!s}: {exc}") from exc
 
 
+def _write_text(text: str, out) -> None:
+    """``text`` with a final newline, written as :func:`_write` does."""
+    _write([text if text.endswith("\n") else text + "\n"], out)
+
+
 def emit(result: SweepResult, fmt: str, path) -> None:
-    """Write a sweep result to ``path``, or to stdout when ``path`` is None;
-    I/O failures carry the path context."""
-    _write_text(render(result, fmt), path)
+    """Write a sweep result to ``path``, or to stdout when ``path`` is None,
+    one block of ``_BLOCK_ROWS`` rows at a time as it is formatted, so no
+    more than a block's text is held; the bytes are those of :func:`render`.
+    An unknown format is rejected before the file is opened; I/O failures
+    carry the path context."""
+    _write(_pieces(result, fmt), path)
 
 
 def _cpu_count() -> int:

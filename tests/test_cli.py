@@ -315,6 +315,17 @@ class TestSweepCommand:
         ]) == 0
         assert len(json.loads(out.read_text())["rows"]) == 11
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_equals_file(self, cw_sweep_config, tmp_path, capsys, fmt):
+        """Without ``--out`` the result goes to stdout in the same bytes, on a
+        grid of more than one block of rows."""
+        out = tmp_path / f"sweep.{fmt}"
+        grid = ["--grid", str(2 * sweep_module._BLOCK_ROWS + 1), "--format", fmt]
+        assert main(["sweep", "--config", str(cw_sweep_config), *grid, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["sweep", "--config", str(cw_sweep_config), *grid]) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+
 
 class TestSchmidtCommand:
     def test_point_report(self, schmidt_config, capsys):

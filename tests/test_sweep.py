@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
@@ -632,11 +633,36 @@ class TestEmit:
         with pytest.raises(OSError, match="x.csv"):
             emit(result, "csv", missing)
 
-    def test_unknown_format_rejected(self, algaas):
+    def test_unknown_format_rejected(self, algaas, tmp_path):
+        """An unknown format is rejected before the file is opened."""
         ring, gc = algaas
         result = run_sweep(allpass_spec(ring, gc, n=5))
         with pytest.raises(ValueError, match="format"):
             render(result, "xml")
+        path = tmp_path / "sweep.xml"
+        with pytest.raises(ValueError, match="format"):
+            emit(result, "xml", path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_memory_stays_below_the_file(self, algaas, tmp_path, fmt):
+        """Writing a 200x200 panel holds a block of rows, never the whole
+        text: the peak traced allocation stays below a quarter of the file."""
+        ring, gc = algaas
+        result = run_sweep(replace(
+            adddrop_spec(ring, gc), axis1=SweepAxis("gamma_a", 0.1, 10.0, 200),
+            axis2=SweepAxis("gamma_b", 0.1, 10.0, 200),
+        ))
+        path = tmp_path / f"panel.{fmt}"
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            emit(result, fmt, path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 4
 
 
 class TestEmitAll:
@@ -837,6 +863,28 @@ class TestRenderMatchesRowEncoders:
         self.check(replace(result, meta=meta))
         columns = {("Rs %s %%" if c == "Rs" else c): v for c, v in result.columns.items()}
         self.check(replace(result, columns=columns))
+
+
+BLOCK = sweep_module._BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 37])
+def test_blocks_join_at_their_edges(algaas, tmp_path, n):
+    """A result of one block less a row up to two blocks and a part: the
+    file ``emit`` streams, the string ``render`` joins and the row-wise
+    encoders agree, with NaN, +-inf and error text holding ``%``, a quote,
+    a comma and a line break in the rows on both sides of each block edge."""
+    result = run_sweep(allpass_spec(*algaas, n=n))
+    rs, rsi, errors = (list(result.columns[c]) for c in ("Rs", "Rsi", "error"))
+    edges = sorted({i for e in range(0, n + 1, BLOCK) for i in (e - 1, e) if 0 <= i < n})
+    for k, i in enumerate(edges):
+        rs[i], rsi[i] = (math.nan, math.inf, -math.inf)[k % 3], (math.inf, -math.inf)[k % 2]
+        errors[i] = f'Rs: row {i}, 100% "odd" %s %(x)s\r\nnext line'
+    result = with_columns(result, Rs=rs, Rsi=rsi, error=errors)
+    for fmt, oracle in (("csv", csv_oracle), ("json", json_oracle)):
+        path = tmp_path / f"sweep.{fmt}"
+        emit(result, fmt, path)
+        assert path.read_bytes() == render(result, fmt).encode() == oracle(result).encode()
 
 
 def _nan_equal(a, b):
