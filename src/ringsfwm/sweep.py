@@ -12,10 +12,13 @@ recurrences, once per distinct ratio, equal to the library grid path to
 and ``K_minus_1`` columns lie from the closed form
 ``K = (2r+1)(3r+1)/(r(6r+5))``.  The sweep machinery
 only maps the grid to coupling rates, keeps each output as one column of
-Python values, and serializes the columns.  CSV and JSON serialization read
-the columns one block of rows at a time, one format pass per block, and
-:func:`emit` writes each block as it is formatted, so a panel's whole text is
-never held; ``SweepResult.rows`` serves library callers.
+Python values, and serializes the columns.  CSV and JSON serialization fill
+one block of rows at a time, column by column, with one format pass per
+block, and :func:`emit` writes each block as it is formatted, so a panel's
+whole text is never held.  The coupling texts are formatted once per axis
+value and laid out by grid position, and an ``error`` column holding one
+value on every row is part of the row template; ``SweepResult.rows`` serves
+library callers.
 :func:`emit_all` computes and writes several panels in two processes: a
 child forked before any panel is computed does the second-largest panel
 while the caller does the rest, each dropping a result once it is written.
@@ -30,7 +33,7 @@ import pickle
 import sys
 import warnings
 from dataclasses import asdict, dataclass, field
-from itertools import chain, islice
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -208,7 +211,10 @@ class SweepResult:
     grid point, axis2-major: the couplings in gamma_c units, then the
     outputs, then ``error`` (None, or the failure text).  ``rows`` derives
     the same table as one dict per grid point, for library callers;
-    :func:`render` reads the columns."""
+    :func:`render` reads the columns, and requires each to hold the
+    ``n1*n2`` values of the spec's grid, axis2-major: it rejects a column of
+    another length, or a coupling column that is not its axis on that
+    grid."""
 
     spec: SweepSpec
     columns: dict[str, list]
@@ -378,34 +384,54 @@ def _json_number(value: float) -> str:
 
 def _pieces(result: SweepResult, fmt: str):
     """The text of :func:`render` as an iterator of pieces: the head, the rows
-    in blocks of ``_BLOCK_ROWS``, and the tail.  The format is checked, and
-    the row template built, before this returns; each block is formatted
-    when it is asked for.
+    in blocks of ``_BLOCK_ROWS``, and the tail.  The format and the column
+    lengths are checked, and the row template built, before this returns;
+    each block is formatted when it is asked for.
 
     The columns are read, never ``rows``: one row template, repeated once
-    per row of a block, is filled by a single ``%`` per block.  A coupling
-    column repeats one axis's values, so each distinct value is formatted
-    once."""
+    per row of a block, is filled by a single ``%`` per block, each column's
+    cells of the block put in by one strided slice assignment.  In a 2-D
+    sweep each axis's values are formatted once, read from its coupling
+    column (axis2-major: ``[:n1]`` and ``[::n1]``), and the texts laid out
+    by grid position.  An ``error`` column that holds one value on every
+    row (None where no point fails) is written into the template."""
     if fmt == "csv":
         number, text, inline = "%.17g".__mod__, _csv_text, "%.17g"
     elif fmt == "json":
         number, text, inline = _json_number, json.dumps, "%r"
     else:
         raise ValueError(f"unknown emit format {fmt!r}; expected 'csv' or 'json'")
-    columns = result.columns
-    couplings = {_coupling_column(n) for n in coupling_parameter_names(result.spec.geometry)}
-    specs, cells = [], []
+    columns, grid = result.columns, result.spec
+    n1, n2 = grid.axis1.n_points, 1 if grid.axis2 is None else grid.axis2.n_points
+    n_rows = n1 * n2
     for name, values in columns.items():
-        if name == "error" or name in couplings:
-            # few distinct values; couplings are positive, so equal keys have equal texts
-            memo = {v: (text if name == "error" else number)(v) for v in dict.fromkeys(values)}
-            spec, values = "%s", map(memo.__getitem__, values)
+        if len(values) != n_rows:
+            raise ValueError(f"sweep column {name!r} holds {len(values)} values; its "
+                             f"{n1}x{n2} grid has {n_rows}")
+    # a 1-D coupling column repeats nothing: it is written as an output is
+    axis1, axis2 = (map(_coupling_column, coupling_parameter_names(grid.geometry))
+                    if n2 > 1 else (None, None))
+    specs, fills = [], []
+    for name, values in columns.items():
+        if name == "error" and values.count(values[0]) == n_rows:  # one text on every row
+            specs.append(text(values[0]).replace("%", "%%"))
+            continue
+        spec = "%s"
+        if name == axis1:
+            axis = _axis(name, (values[k : k + n1] for k in range(0, n_rows, n1)))
+            fill = partial(_cycled, [number(v) for v in axis])
+        elif name == axis2:
+            axis = _axis(name, (values[j::n1] for j in range(n1)))
+            fill = partial(_stretched, [number(v) for v in axis], n1)
+        elif name == "error":
+            memo = {v: text(v) for v in dict.fromkeys(values)}
+            fill = partial(_cells, values, memo.__getitem__)
         elif fmt == "json" and not math.isfinite(sum(values)):
-            spec, values = "%s", map(_json_number, values)
+            fill = partial(_cells, values, _json_number)
         else:
-            spec = inline  # every value finite: the % pass formats them itself
+            spec, fill = inline, partial(_cells, values, None)  # the % pass formats them
         specs.append(spec)
-        cells.append(values)
+        fills.append(fill)
     if fmt == "csv":
         head, row, sep, tail = ",".join(columns) + "\n", ",".join(specs) + "\n", "", ""
     else:
@@ -414,19 +440,55 @@ def _pieces(result: SweepResult, fmt: str):
             json.dumps(c).replace("%", "%%") + ": " + s for c, s in zip(columns, specs)
         ) + "}"
         sep, tail = ", ", "]}\n"
-    return _blocks(head, row, sep, tail, len(columns["error"]),
-                   chain.from_iterable(zip(*cells)), len(columns))
+    return _blocks(head, row, sep, tail, n_rows, fills)
 
 
-def _blocks(head: str, row: str, sep: str, tail: str, n_rows: int, cells, width: int):
+def _axis(name: str, runs) -> list:
+    """The axis values that coupling column ``name`` repeats: the first of
+    ``runs``, its slices that each hold the axis where the column holds the
+    grid axis2-major.  A run that differs raises ``ValueError``."""
+    first = next(runs)
+    if any(run != first for run in runs):
+        raise ValueError(f"sweep column {name!r} does not hold its grid axis axis2-major")
+    return first
+
+
+def _cells(values: list, convert, start: int, stop: int) -> list:
+    """The cells of rows ``start..stop``: the values, or ``convert`` of each."""
+    cells = values[start:stop]
+    return cells if convert is None else list(map(convert, cells))
+
+
+def _cycled(texts: list, start: int, stop: int) -> list:
+    """Rows ``start..stop`` of axis 1's column: row ``i`` holds
+    ``texts[i % len(texts)]``."""
+    first = start % len(texts)
+    return (texts * ((first + stop - start - 1) // len(texts) + 1))[first : first + stop - start]
+
+
+def _stretched(texts: list, n1: int, start: int, stop: int) -> list:
+    """Rows ``start..stop`` of axis 2's column: row ``i`` holds
+    ``texts[i // n1]``."""
+    cells = []
+    for k in range(start // n1, (stop - 1) // n1 + 1):
+        cells += [texts[k]] * (min(stop, (k + 1) * n1) - max(start, k * n1))
+    return cells
+
+
+def _blocks(head: str, row: str, sep: str, tail: str, n_rows: int, fills: list):
     """``head``, then ``n_rows`` copies of the template ``row`` joined by
-    ``sep`` and filled from ``cells`` (``width`` per row) one block of rows at
-    a time, then ``tail``."""
+    ``sep`` one block of rows at a time, then ``tail``.  Each of ``fills``
+    gives one column's cells of rows ``start..stop``; a block's cells go
+    into one list, column by column, and fill the block's template."""
     yield head
+    width = len(fills)
     for start in range(0, n_rows, _BLOCK_ROWS):
-        size = min(_BLOCK_ROWS, n_rows - start)
-        template = (sep if start else "") + sep.join([row] * size)
-        yield template % tuple(islice(cells, size * width))
+        stop = min(start + _BLOCK_ROWS, n_rows)
+        cells = [None] * ((stop - start) * width)
+        for j, fill in enumerate(fills):
+            cells[j::width] = fill(start, stop)
+        template = (sep if start else "") + sep.join([row] * (stop - start))
+        yield template % tuple(cells)
     yield tail
 
 
@@ -462,8 +524,9 @@ def emit(result: SweepResult, fmt: str, path) -> None:
     """Write a sweep result to ``path``, or to stdout when ``path`` is None,
     one block of ``_BLOCK_ROWS`` rows at a time as it is formatted, so no
     more than a block's text is held; the bytes are those of :func:`render`.
-    An unknown format is rejected before the file is opened; I/O failures
-    carry the path context."""
+    An unknown format, and columns that do not hold the spec's grid, are
+    rejected before the file is opened; I/O failures carry the path
+    context."""
     _write(_pieces(result, fmt), path)
 
 

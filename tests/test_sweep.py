@@ -645,6 +645,44 @@ class TestEmit:
         assert not path.exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("column", ["gamma_b_over_gamma_c", "Rsi", "error"])
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_ragged_result_rejected_before_writing(self, algaas, tmp_path, fmt, column, change):
+        """A column a row short or a row long of the grid's n1*n2 is named in a
+        ``ValueError`` before the file is opened."""
+        ring, gc = algaas
+        result = run_sweep(adddrop_spec(ring, gc, n=7))
+        values = result.columns[column]
+        values = values[:-1] if change < 0 else values + values[:1]
+        ragged = with_columns(result, **{column: values})
+        path = tmp_path / f"sweep.{fmt}"
+        match = f"'{column}' holds {49 + change} values; its 7x7 grid has 49"
+        with pytest.raises(ValueError, match=match):
+            render(ragged, fmt)
+        with pytest.raises(ValueError, match=match):
+            emit(ragged, fmt, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("column, i", [
+        ("gamma_a_over_gamma_c", 7 * 5 + 2), ("gamma_b_over_gamma_c", 7 * 5 + 2),
+        ("gamma_a_over_gamma_c", 0), ("gamma_b_over_gamma_c", 0),
+    ])
+    def test_coupling_column_off_the_grid_rejected(self, algaas, tmp_path, fmt, column, i):
+        """Coupling texts are laid out by grid position, so a coupling column
+        that does not hold its axis axis2-major is rejected before the file is
+        opened, not written as the grid."""
+        ring, gc = algaas
+        result = run_sweep(adddrop_spec(ring, gc, n=7))
+        values = list(result.columns[column])
+        values[i] *= 1.5
+        moved = with_columns(result, **{column: values})
+        path = tmp_path / f"sweep.{fmt}"
+        with pytest.raises(ValueError, match=f"'{column}' does not hold its grid axis"):
+            emit(moved, fmt, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_memory_stays_below_the_file(self, algaas, tmp_path, fmt):
         """Writing a 200x200 panel holds a block of rows, never the whole
         text: the peak traced allocation stays below a quarter of the file."""
@@ -864,17 +902,47 @@ class TestRenderMatchesRowEncoders:
         columns = {("Rs %s %%" if c == "Rs" else c): v for c, v in result.columns.items()}
         self.check(replace(result, columns=columns))
 
+    @pytest.mark.parametrize("errors", [
+        lambda n, odd: [None] * n,
+        lambda n, odd: [odd] * n,
+        lambda n, odd: [odd] * (n - 1) + [None],
+        lambda n, odd: [None] * (BLOCK + 3) + [odd] + [None] * (n - BLOCK - 4),
+    ], ids=["all-none", "all-one-text", "last-row-differs", "one-row-differs"])
+    def test_error_column_one_value_or_many(self, algaas, errors):
+        """An ``error`` column with one value on every row is written into
+        the row template, ``%`` and all; where one row differs, each row
+        gets its own text."""
+        ring, gc = algaas
+        result = run_sweep(replace(
+            adddrop_spec(ring, gc), axis1=SweepAxis("gamma_a", 0.1, 3.0, 37),
+            axis2=SweepAxis("gamma_b", 0.1, 3.0, 30),
+        ))
+        odd = 'Rs: 100% "odd", %s %(x)s\r\nnext line'
+        self.check(with_columns(result, error=errors(len(result.columns["error"]), odd)))
+
 
 BLOCK = sweep_module._BLOCK_ROWS
 
 
-@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 37])
-def test_blocks_join_at_their_edges(algaas, tmp_path, n):
-    """A result of one block less a row up to two blocks and a part: the
-    file ``emit`` streams, the string ``render`` joins and the row-wise
-    encoders agree, with NaN, +-inf and error text holding ``%``, a quote,
-    a comma and a line break in the rows on both sides of each block edge."""
-    result = run_sweep(allpass_spec(*algaas, n=n))
+@pytest.mark.parametrize("grid", [
+    BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 37, pytest.param((37, 60), id="37x60"),
+])
+def test_blocks_join_at_their_edges(algaas, tmp_path, grid):
+    """A 1-D result of one block less a row up to two blocks and a part, and
+    a 37 (log) x 60 (linear) grid, whose block edges fall inside a run of
+    axis 2 and part way through axis 1: the file ``emit`` streams, the
+    string ``render`` joins and the row-wise encoders agree, with NaN, +-inf
+    and error text holding ``%``, a quote, a comma and a line break in the
+    rows on both sides of each block edge."""
+    ring, gc = algaas
+    if isinstance(grid, int):
+        result = run_sweep(allpass_spec(ring, gc, n=grid))
+    else:
+        result = run_sweep(replace(
+            adddrop_spec(ring, gc), axis1=SweepAxis("gamma_a", 0.1, 3.0, grid[0]),
+            axis2=SweepAxis("gamma_b", 0.1, 3.0, grid[1], "linear"),
+        ))
+    n = len(result.columns["error"])
     rs, rsi, errors = (list(result.columns[c]) for c in ("Rs", "Rsi", "error"))
     edges = sorted({i for e in range(0, n + 1, BLOCK) for i in (e - 1, e) if 0 <= i < n})
     for k, i in enumerate(edges):
