@@ -92,12 +92,14 @@ _FLAG_DEPARTURES = {
 _GRID_FLAGS = ("--config", "--out", "--format", "--grid", "--refine")
 
 
-def _build_parser() -> _Parser:
+def _build_parser(command: str | None = None) -> _Parser:
+    """The ``ringsfwm`` parser with the subparser of ``command`` alone, or with
+    all seven when ``command`` names none (``-h``, ``--version``, a typo)."""
     parser = _Parser(prog="ringsfwm", description=__doc__)
     parser.add_argument("--version", action="version", version=f"ringsfwm {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for name, handler, flags, help_text in (
+    commands = (
         ("rates", _cmd_rates, ("--config", "--out"),
          "rates/probabilities at a single design point"),
         ("sweep", _cmd_sweep, _GRID_FLAGS, "evaluate outputs on a coupling grid"),
@@ -108,7 +110,8 @@ def _build_parser() -> _Parser:
         ("validate", _cmd_validate, ("--out",), "cross-validate analytic vs numeric optima"),
         ("figure2", _cmd_figure2, _GRID_FLAGS, "canned CW coupling scans (AlGaAs example)"),
         ("figure3", _cmd_figure3, _GRID_FLAGS, "canned pulsed coupling scans (AlGaAs example)"),
-    ):
+    )
+    for name, handler, flags, help_text in [c for c in commands if c[0] == command] or commands:
         sub = subs.add_parser(name, help=help_text)
         for flag in flags:
             sub.add_argument(flag, **{**_FLAGS[flag], **_FLAG_DEPARTURES.get((name, flag), {})})
@@ -282,7 +285,8 @@ _COMPUTE_ERRORS = (
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except _CliValidationError as exc:

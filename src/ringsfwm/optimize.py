@@ -215,16 +215,23 @@ _DEFAULT_BOUND = (0.05, 10.0)
 
 
 def _log_grid(lo: float, hi: float, n: int) -> np.ndarray:
-    """``np.geomspace(lo, hi, n)`` for ``0 < lo``, bit for bit, without its
-    sign and dtype handling (a third of the cost per call)."""
-    grid = np.power(10.0, np.linspace(np.log10(lo), np.log10(hi), n))
+    """``n`` log-spaced points from ``lo`` to ``hi`` (``0 < lo``, ``n >= 2``):
+    ``10**(k*step + log10(lo))`` with ``np.linspace``'s step
+    ``(log10(hi) - log10(lo))/(n - 1)`` and the endpoints pinned, which is
+    ``np.geomspace(lo, hi, n)`` bit for bit."""
+    a = np.log10(lo)
+    grid = 10.0 ** (np.arange(n, dtype=float) * ((np.log10(hi) - a) / (n - 1)) + a)
     grid[0], grid[-1] = lo, hi
     return grid
 
 
 def _mesh(values: list[np.ndarray]) -> tuple[np.ndarray, ...]:
-    """Flattened grid over the axis values, axis2-major: axis2 varies slowest."""
-    return tuple(a.ravel() for a in np.meshgrid(*values))
+    """New flat arrays over one or two axes of values, axis2-major (axis2
+    varies slowest): ``np.meshgrid(*values)`` raveled, bit for bit."""
+    if len(values) == 1:
+        return (values[0].copy(),)
+    x, y = values
+    return np.tile(x, y.size), np.repeat(y, x.size)
 
 
 # Each zoom pass re-grids +-1 cell at 17 points per axis, so the cell shrinks
@@ -257,7 +264,7 @@ def _maximize(objective, point, value, ratios, bounds) -> tuple[tuple[float, ...
             for p, r, (lo, hi) in zip(point, ratios, bounds)
         ])
         values = objective(candidates)
-        k = int(np.argmax(np.where(np.isnan(values), -np.inf, values)))
+        k = int(np.where(np.isnan(values), -np.inf, values).argmax())
         if values[k] > value:
             value = float(values[k])
             point = tuple(float(c[k]) for c in candidates)
@@ -288,21 +295,22 @@ def _maximize(objective, point, value, ratios, bounds) -> tuple[tuple[float, ...
     # Newton step -H^-1 grad where H is negative definite.  There are one or
     # two couplings, so the adjugate inverts H (numpy.linalg would page in
     # LAPACK, +1 MB RSS per process).
-    shift = np.zeros(n)
+    # Python floats on these one or two elements round as numpy's would.
+    shift = [0.0] * n
     if all(map(math.isfinite, f.values())):
         a = hess[0][0]
         if n == 1 and a < 0.0:
-            shift = np.array([-grad[0] / a])
+            shift = [-grad[0] / a]
         elif n == 2:
             b, d = hess[0][1], hess[1][1]
             det = a * d - b * b
             if a < 0.0 and det > 0.0:
-                shift = np.array([b * grad[1] - d * grad[0], b * grad[0] - a * grad[1]]) / det
-    shift = np.clip(shift, -h, h)
-    vertex = np.clip(np.asarray(point) * np.exp(shift), *np.asarray(bounds, dtype=float).T)
-    vertex_value = float(objective(tuple(vertex[:, None]))[0])
+                shift = [(b * grad[1] - d * grad[0]) / det, (b * grad[0] - a * grad[1]) / det]
+    moved = np.asarray(point) * np.exp([min(max(s, -h), h) for s in shift])
+    vertex = tuple(float(min(max(c, lo), hi)) for c, (lo, hi) in zip(moved.tolist(), bounds))
+    vertex_value = float(objective(tuple(np.array([c]) for c in vertex))[0])
     if math.isfinite(vertex_value):
-        return tuple(float(c) for c in vertex), vertex_value
+        return vertex, vertex_value
     return point, value
 
 

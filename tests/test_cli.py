@@ -30,6 +30,7 @@ from ringsfwm import (
     run_sweep,
     save_spectrum,
 )
+from ringsfwm import __version__
 from ringsfwm import sweep as sweep_module
 from ringsfwm.cli import _FIGURE_K_GRID, _build_parser, _figure_panels, main
 from ringsfwm.core import BroadbandAssumptionWarning
@@ -407,6 +408,52 @@ class TestValidateCommand:
         monkeypatch.setattr(cli_mod, "cross_validate_optima", broken)
         with pytest.raises(NotImplementedError, match="bug"):
             main(["validate"])
+
+
+COMMANDS = ("rates", "sweep", "optimize", "schmidt", "validate", "figure2", "figure3")
+
+
+def _subcommands(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestParser:
+    def test_builds_the_named_subcommand_only(self):
+        for command in COMMANDS:
+            assert list(_subcommands(_build_parser(command))) == [command]
+        for first in (None, "-h", "--version", "valdiate"):
+            assert list(_subcommands(_build_parser(first))) == list(COMMANDS)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_subcommand_help_as_in_the_full_parser(self, command, capsys):
+        with pytest.raises(SystemExit) as full:
+            _build_parser().parse_args([command, "-h"])
+        want = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-h"])
+        assert exc.value.code == full.value.code == 0
+        assert want.startswith(f"usage: ringsfwm {command} ")
+        assert capsys.readouterr().out == want
+
+    def test_top_level_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        assert "{" + ",".join(COMMANDS) + "}" in capsys.readouterr().out
+
+    def test_unknown_subcommand_lists_every_choice(self, capsys):
+        assert main(["valdiate"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ringsfwm: error: argument command: invalid choice: 'valdiate'")
+        assert re.search(r"\(choose from '?" + r"'?, '?".join(COMMANDS) + r"'?\)", err)
+        assert main([]) == 1
+        assert "required: command" in capsys.readouterr().err
+
+    def test_version(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"ringsfwm {__version__}\n"
 
 
 class TestExitCodes:

@@ -14,11 +14,23 @@ from ringsfwm import (
     Objective,
     OptimizationTarget,
     PumpRegime,
+    PumpSpec,
+    SweepAxis,
+    SweepSpec,
     analytic_optimum,
     cross_validate_optima,
     numeric_optimum,
+    run_sweep,
 )
-from ringsfwm.optimize import _log_grid, all_targets, config_from_point, normalized_objective
+from ringsfwm import optimize as optimize_module
+from ringsfwm import sweep as sweep_module
+from ringsfwm.optimize import (
+    _log_grid,
+    _mesh,
+    all_targets,
+    config_from_point,
+    normalized_objective,
+)
 
 from conftest import solve_distinct_pulsed_optimum
 
@@ -224,3 +236,57 @@ def test_log_grid_is_geomspace(lo_exp, span_exp, n):
     lo = 10.0**lo_exp
     hi = lo * 10.0**span_exp
     np.testing.assert_array_equal(_log_grid(lo, hi, n), np.geomspace(lo, hi, n))
+
+
+def _raveled_meshgrid(values):
+    return tuple(a.ravel() for a in np.meshgrid(*values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n1=st.integers(1, 60),
+    extra=st.integers(1, 40),
+    scales=st.tuples(st.sampled_from(["log", "linear"]), st.sampled_from(["log", "linear"])),
+    ndim=st.sampled_from([1, 2]),
+)
+def test_mesh_is_raveled_meshgrid(n1, extra, scales, ndim):
+    """The flat grid equals np.meshgrid raveled bit for bit, in 1-D and in 2-D
+    with n1 != n2, and is new writable memory."""
+    values = [
+        SweepAxis("x", 0.05, 5.0, n, scale).values() if n > 1 else np.array([0.7])
+        for n, scale in zip((n1, n1 + extra), scales)
+    ][:ndim]
+    mesh = _mesh(values)
+    oracle = _raveled_meshgrid(values)
+    assert len(mesh) == ndim
+    for got, want in zip(mesh, oracle):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.writeable
+        assert not any(np.shares_memory(got, v) for v in values)
+
+
+def test_grid_builders_move_no_digit(monkeypatch, algaas):
+    """With numpy's np.geomspace and np.meshgrid in place of the maximizer's
+    grid builders, every numeric optimum and the refined maxima of a 2-D and
+    a 1-D sweep are the same bit for bit."""
+    ring, gamma_c = algaas
+    panels = [
+        SweepSpec(Geometry.ADD_DROP_DISTINCT, SweepAxis("tgamma_a", 0.05, 5.0, 41),
+                  SweepAxis("gamma_b", 0.05, 5.0, 37), ("ps", "psi"), ring,
+                  PumpSpec.pulsed(1e-12, bandwidth_factor=10.0), gamma_c),
+        SweepSpec(Geometry.ALL_PASS_IDENTICAL, SweepAxis("gamma_a", 0.05, 5.0, 50, "linear"),
+                  None, ("Rs", "Rsi"), ring, PumpSpec.cw(10e-6), gamma_c),
+    ]
+
+    def results():
+        return repr((
+            [numeric_optimum(geometry, target) for geometry, target in all_targets()],
+            [run_sweep(spec, refine=True).meta["observed_maxima"] for spec in panels],
+        ))
+
+    fast = results()
+    monkeypatch.setattr(optimize_module, "_log_grid", np.geomspace)
+    monkeypatch.setattr(optimize_module, "_mesh", _raveled_meshgrid)
+    monkeypatch.setattr(sweep_module, "_mesh", _raveled_meshgrid)
+    assert results() == fast
