@@ -34,12 +34,12 @@ form, exactly for the linearly interpolated spectrum
 (:func:`effective_pump_lineshape`), for a scalar frequency sum or an array
 of them at once.  It runs on the spectrum's compacted knots: samples inside
 a run of equal amplitudes (plateaus, zero padding) are dropped once, which
-leaves the interpolant unchanged bit for bit; each frequency sum then takes
-only the knots inside its overlap of the two pump supports.  The per-pulse
-singles probability (:func:`pulsed_single_prob_numeric`) integrates the
-Lorentzian pair exactly and leaves one adaptive quadrature over the
-frequency sum: QUADPACK's 21-point Gauss-Kronrod rule (Piessens et al.,
-*QUADPACK*, 1983), bisecting the panel with the largest error estimate.
+leaves the interpolant unchanged bit for bit; each frequency sum then clips
+every knot and its mirror image into its overlap of the two pump supports.
+The per-pulse singles probability (:func:`pulsed_single_prob_numeric`)
+integrates the Lorentzian pair exactly and leaves one adaptive quadrature
+over the frequency sum: QUADPACK's 21-point Gauss-Kronrod rule (Piessens
+et al., *QUADPACK*, 1983), bisecting the panel with the largest error estimate.
 The lineshape is evaluated once per round, on the array of all its nodes:
 once for the initial panels, then once for both halves of each bisection.
 """
@@ -271,8 +271,10 @@ def _pole_series(q):
 
 def _lineshape_rows(grid, amp, half_t, w):
     """:func:`effective_pump_lineshape` on a 1-D array ``w`` of finite
-    frequency sums.  Each ``w`` brings only the knots inside its overlap
-    ``[a, b]`` and their mirror images ``w - knot``.
+    frequency sums.  Each ``w`` has a row of ``2*knots`` breakpoints: all
+    knots and their images ``w - knot``, clipped into its overlap ``[a, b]``
+    and sorted.  An interval between coincident ones has ``q = 0`` and adds
+    exactly 0.
 
     On an interval of half-width ``h`` about ``c``, with
     ``z = half_t - i*c`` and ``q = i*h/z``, the moments
@@ -286,50 +288,27 @@ def _lineshape_rows(grid, amp, half_t, w):
     a = np.maximum(grid[0], w - grid[-1])
     b = np.minimum(grid[-1], w - grid[0])
     live = np.flatnonzero(b > a)
-    if live.size == 0:
-        return out
     w, a, b = w[live, None], a[live, None], b[live, None]
-    # Knots inside (a, b), and knots whose images lie inside, by bisection.
-    # Row r of x holds a, both sets and b, padded with b, sorted.
-    last = grid.size - 1
-    i0 = np.searchsorted(grid, a, "right")
-    n_inner = np.searchsorted(grid, b, "left") - i0
-    col = np.arange(n_inner.max())
-    inner = np.where(col < n_inner, grid[np.minimum(i0 + col, last)], b)
-    j0 = np.searchsorted(grid, w - b, "right")
-    n_mirror = np.searchsorted(grid, w - a, "left") - j0
-    col = np.arange(n_mirror.max(initial=0))
-    images = np.where(col < n_mirror, w - grid[np.minimum(j0 + col, last)], b)
-    # Images are clipped into [a, b] against the roundoff of w - knot.
-    x = np.concatenate((a, inner, np.minimum(np.maximum(images, a), b), b), axis=1)
+    # a and b are each a knot or an image, so every row runs from a to b.
+    knots = np.broadcast_to(grid, (live.size, grid.size))
+    x = np.minimum(np.maximum(np.concatenate((knots, w - grid), axis=1), a), b)
     x.sort(axis=1)
-    # Keep each distinct breakpoint once, so no interval has zero width (the
-    # padding, or an image on a knot or an overlap end, would), and run the
-    # rows together.  The pair spanning two rows is zeroed below.
-    distinct = np.ones(x.shape, bool)
-    np.greater(x[:, 1:], x[:, :-1], out=distinct[:, 1:])
-    counts = distinct.sum(axis=1)
-    x = x[distinct]
     # Every breakpoint lies in the support in exact arithmetic; np.interp's
     # edge clamping absorbs the roundoff of w - x at the ends.
     fa = np.interp(x, grid, amp)
-    fb = np.interp(np.repeat(w[:, 0], counts) - x, grid, amp)
-    q = 0.5 * (x[1:] - x[:-1]) / (-0.5 * (x[1:] + x[:-1]) - 1j * half_t)
+    fb = np.interp(w - x, grid, amp)
+    q = 0.5 * (x[:, 1:] - x[:, :-1]) / (-0.5 * (x[:, 1:] + x[:, :-1]) - 1j * half_t)
     s, r = _pole_series(q)
-    sum_a, diff_a = fa[1:] + fa[:-1], fa[1:] - fa[:-1]
-    sum_b, diff_b = fb[1:] + fb[:-1], fb[1:] - fb[:-1]
+    sum_a, diff_a = fa[:, 1:] + fa[:, :-1], fa[:, 1:] - fa[:, :-1]
+    sum_b, diff_b = fb[:, 1:] + fb[:, :-1], fb[:, 1:] - fb[:, :-1]
     terms = q * (s * sum_a * sum_b + r * (q * (sum_a * diff_b + diff_a * sum_b) + diff_a * diff_b))
-    starts = np.cumsum(counts) - counts
-    terms[starts[1:] - 1] = 0.0
-    # Each row has a < b, so an interval of positive width.
-    out[live] = -0.5j * np.add.reduceat(terms, starts) / (half_t - 0.5j * w[:, 0])
+    out[live] = -0.5j * terms.sum(axis=1) / (half_t - 0.5j * w[:, 0])
     return out
 
 
-# Breakpoints per batch of _lineshape_rows, counted at their most, 2*(knots + 1)
-# per frequency sum.  Batches this small keep the work arrays in cache: on a
-# 2001-knot spectrum, 16 times larger ones made the quadrature 2x slower
-# (2-vCPU Xeon, numpy 2.4).
+# Breakpoints per batch of _lineshape_rows, 2*knots per frequency sum.
+# Batches this small keep the work arrays in cache: on a 2001-knot spectrum,
+# 16 times larger ones made the quadrature 2x slower (2-vCPU Xeon, numpy 2.4).
 _LINESHAPE_BATCH = 4096
 
 
@@ -355,8 +334,8 @@ def effective_pump_lineshape(spectrum: TabulatedSpectrum, tgamma: float, omega_s
 
     ``omega_sum`` may be a scalar, which gives a ``complex``, or an array,
     which gives a complex array of its shape.  An array is evaluated in
-    vectorized batches, each value on the breakpoints inside its own
-    overlap.  ``+-inf`` gives 0; NaN is rejected.
+    vectorized batches of rows of breakpoints, one row per value, each
+    clipped into that value's overlap.  ``+-inf`` gives 0; NaN is rejected.
     """
     tgamma = _positive_finite("effective_pump_lineshape", "tgamma", tgamma)
     w = np.asarray(omega_sum, dtype=float)
@@ -365,7 +344,7 @@ def effective_pump_lineshape(spectrum: TabulatedSpectrum, tgamma: float, omega_s
     grid, amp = spectrum.knots
     flat = w.ravel()
     out = np.empty(flat.shape, complex)
-    batch = max(1, _LINESHAPE_BATCH // (2 * grid.size + 2))
+    batch = max(1, _LINESHAPE_BATCH // (2 * grid.size))
     for i in range(0, flat.size, batch):
         out[i:i + batch] = _lineshape_rows(grid, amp, 0.5 * tgamma, flat[i:i + batch])
     if np.ndim(omega_sum) == 0 and not isinstance(omega_sum, np.ndarray):

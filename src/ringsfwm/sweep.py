@@ -60,6 +60,7 @@ from .optimize import (
     Objective,
     OptimizationTarget,
     PumpRegime,
+    _log_grid,
     _maximize,
     _mesh,
     analytic_optimum,
@@ -116,7 +117,7 @@ class SweepAxis:
 
     def values(self) -> np.ndarray:
         if self.scale == "log":
-            return np.geomspace(self.start, self.stop, self.n_points)
+            return _log_grid(self.start, self.stop, self.n_points)
         return np.linspace(self.start, self.stop, self.n_points)
 
 
@@ -347,9 +348,13 @@ def _cell_ratio(axis: SweepAxis, p: float) -> float:
     return 1.0 + h / max(p - h, axis.start)  # the axis start bounds the first cell
 
 
-def _analytic_optima_meta(spec: SweepSpec) -> dict:
+def _analytic_optima_meta(spec: SweepSpec) -> Optional[dict]:
     """Analytic optimum locations/values for the swept geometry and regime:
-    the two :func:`optima_table` rows of that geometry and regime."""
+    the two :func:`optima_table` rows of that geometry and regime.  None
+    where the pump loss ``tgamma_c`` differs from ``gamma_c``, which the
+    table assumes."""
+    if spec.tgamma_c not in (None, spec.gamma_c):
+        return None
     pump, cw = spec.pump, spec.pump_regime is PumpRegime.CW
     r0, p0 = _scales(spec.ring, spec.gamma_c, pump.power, pump.energy, pump.bandwidth_factor)
     scale = r0 if cw else p0  # None for an absolute-bandwidth pump: p0 is not defined

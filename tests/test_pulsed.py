@@ -359,12 +359,21 @@ class TestEffectivePumpLineshape:
 
     @pytest.mark.parametrize("name", ["coarse-7", "skewed-14", "plateau-padded-49"])
     def test_exact_for_interpolated_spectrum(self, name):
+        """Also where breakpoints coincide: at sums of two knots a mirror
+        image lands on a knot, and one knot spacing inside either edge of
+        [2*lo, 2*hi] every knot and image is clipped onto the overlap ends."""
         tg = 2.0e9
         spec = _shaped_spectra(tg)[name]
         lo, hi = spec.support
-        for w in np.linspace(2.0 * lo, 2.0 * hi, 6)[1:-1]:
+        knots = spec.knots[0]
+        sums = [knots[i] + knots[j] for i, j in ((0, 2), (1, -2), (2, 3), (-3, -1))]
+        edges = [2.0 * lo + (knots[1] - knots[0]), 2.0 * hi - (knots[-1] - knots[-2])]
+        for w in [*np.linspace(2.0 * lo, 2.0 * hi, 6)[1:-1], *sums, *edges]:
             want = _mp_lineshape(spec, tg, w)
-            assert effective_pump_lineshape(spec, tg, w) == pytest.approx(want, rel=1e-13, abs=0.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = effective_pump_lineshape(spec, tg, w)
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_finely_sampled_gaussian_at_zero(self):
         """301 samples put a kink every 0.16*tgamma; adaptive quadrature

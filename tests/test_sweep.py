@@ -316,6 +316,24 @@ class TestRunSweep:
                     "couplings_over_gamma_c", "peak_normalized", "peak_absolute")}
         assert json.dumps(run_sweep(spec).meta["optima"]) == json.dumps(expected)
 
+    @pytest.mark.parametrize("pump", [PUMP_CW, PumpSpec.pulsed(1e-12, bandwidth_factor=20.0)],
+                             ids=["cw", "pulsed"])
+    def test_meta_optima_null_when_pump_loss_differs(self, algaas, pump):
+        """The optima table assumes tgamma_c = gamma_c.  A distinct sweep with
+        another pump loss writes optima null; with tgamma_c = gamma_c it
+        writes what the sweep with tgamma_c unset writes."""
+        ring, gc = algaas
+        outputs = ("Rs",) if pump.power is not None else ("ps",)
+        spec = SweepSpec(Geometry.ADD_DROP_DISTINCT, *AXES[Geometry.ADD_DROP_DISTINCT],
+                         outputs, ring, pump, gc)
+        unset = run_sweep(spec).meta["optima"]
+        assert unset is not None
+        assert run_sweep(replace(spec, tgamma_c=gc)).meta["optima"] == unset
+        for tgc in (0.5 * gc, 2.0 * gc):
+            result = run_sweep(replace(spec, tgamma_c=tgc))
+            assert result.meta["optima"] is None
+            assert json.loads(render(result, "json"))["meta"]["optima"] is None
+
     def test_per_point_failure_flagged(self, algaas):
         """An absolute pump bandwidth of 20*gamma_c breaks the broadband check
         (delta_omega >= 5*tgamma, tgamma = (1 + x)*gamma_c) for x > 3 only."""
