@@ -87,10 +87,13 @@ def cw_wavepacket(ring: RingParams, cfg: CouplingConfig, power: float, tau):
     """Biphoton wavepacket amplitude psi(tau) [1/s] at delay tau = t_s - t_i.
 
     Real and non-negative (global phase dropped); accepts scalar or array tau.
+    ``+-inf`` gives 0; NaN is rejected.
     """
     d = _drive_cw(ring, power)
     peak = 4.0 * cfg.tgamma_a * cfg.gamma_mu / (cfg.tgamma**2 * cfg.gamma) * d
     tau_arr = np.asarray(tau, dtype=float)
+    if np.isnan(tau_arr).any():
+        raise ValueError("cw_wavepacket.tau must not be NaN")
     out = peak * np.exp(-cfg.gamma * np.abs(tau_arr) / 2.0)
     if np.isscalar(tau) or tau_arr.ndim == 0:
         return float(out)

@@ -8,6 +8,13 @@ maximizer scans a log grid in one call of an array objective, zooms in on the
 best cell with finer log grids and ends with a parabolic vertex step; the same
 zoom sharpens the observed maxima of coupling sweeps.
 
+Input checks sit at the public edge.  The objectives that
+:func:`normalized_objective` hands out reject a wrong number of couplings and
+negative or non-finite ones.  :func:`numeric_optimum`'s default objective
+skips that check and calls the rate kernels directly: every point it
+evaluates is one the maximizer generated itself, inside its
+``[0.05, 10]*gamma_c`` box, so none can fail it.
+
 Everything is optimized in normalized units: couplings in multiples of the
 intrinsic loss ``gamma_c`` and objectives in units of the scale factors R0
 (CW rates) or p0 (per-pulse probabilities), so results are independent of any
@@ -17,6 +24,7 @@ particular ring.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -29,7 +37,7 @@ from .core import (
     CouplingConfig,
     Geometry,
     _check_couplings,
-    _point_rates,
+    _kernel_rates,
     coupling_parameter_names,
 )
 from .cw import _pair_rate_kernel, _single_rate_kernel
@@ -119,9 +127,11 @@ def config_from_point(
 
 def _normalized_value(geometry: Geometry, target: OptimizationTarget, point):
     """The rate kernel of ``target`` at free couplings ``point`` in gamma_c
-    units: floats, equal-shape arrays or ``Fraction``s (then exact)."""
+    units: floats, equal-shape arrays or ``Fraction``s (then exact).  At
+    gamma_c = 1 the couplings are the rates themselves, so they enter the
+    ladder as they are.  ``point`` is not checked."""
     one = target.objective is Objective.ONE_PHOTON
-    ta, gmu, g, tg = _point_rates(geometry, point, 1)
+    ta, gmu, g, tg = _kernel_rates(geometry, point, 1)
     if target.pump_regime is PumpRegime.CW:
         # R/R0 = kernel(..., d)/d^2 = kernel(..., 1) at gamma_c = 1
         return (_single_rate_kernel if one else _pair_rate_kernel)(ta, gmu, g, tg, 1)
@@ -130,7 +140,7 @@ def _normalized_value(geometry: Geometry, target: OptimizationTarget, point):
 
 
 def normalized_objective(
-    geometry: Geometry, target: OptimizationTarget
+    geometry: Geometry, target: OptimizationTarget, *, _checked: bool = True
 ) -> Callable[[Sequence], object]:
     """Objective in gamma_c-normalized units, built on the rate kernels.
 
@@ -141,7 +151,15 @@ def normalized_objective(
     units of p0 (fixed pulse energy, bandwidth scaled with the pump
     linewidth).  Each value equals the library function's on the matching
     :class:`CouplingConfig`.
+
+    The objective checks its input: a wrong number of couplings, or a
+    negative or non-finite one, raises ``ValueError`` naming it.  The private
+    ``_checked=False`` drops the check and evaluates the rate kernels
+    directly; :func:`numeric_optimum` uses it for its default objective,
+    whose points it generates inside its search box.
     """
+    if not _checked:
+        return functools.partial(_normalized_value, geometry, target)
 
     def objective(point):
         _check_couplings(geometry, point)
@@ -231,7 +249,7 @@ def _mesh(values: list[np.ndarray]) -> tuple[np.ndarray, ...]:
     if len(values) == 1:
         return (values[0].copy(),)
     x, y = values
-    return np.tile(x, y.size), np.repeat(y, x.size)
+    return np.repeat(x[None, :], y.size, axis=0).ravel(), np.repeat(y, x.size)
 
 
 # Each zoom pass re-grids +-1 cell at 17 points per axis, so the cell shrinks
@@ -264,7 +282,7 @@ def _maximize(objective, point, value, ratios, bounds) -> tuple[tuple[float, ...
             for p, r, (lo, hi) in zip(point, ratios, bounds)
         ])
         values = objective(candidates)
-        k = int(np.where(np.isnan(values), -np.inf, values).argmax())
+        k = int(np.fmax(values, -np.inf).argmax())
         if values[k] > value:
             value = float(values[k])
             point = tuple(float(c[k]) for c in candidates)
@@ -324,17 +342,20 @@ def numeric_optimum(
     Scans a log grid over ``[0.05, 10]*gamma_c`` per coupling (193 points in
     1-D, 61x61 in 2-D) in one objective call and sharpens its best point by
     log-grid zoom and a parabolic vertex step.  ``objective`` defaults to
-    :func:`normalized_objective`; a custom one takes a tuple of equal-shape
-    coupling arrays (units of gamma_c, one per coupling parameter) and
-    returns an array of values of that shape.  Works entirely in
-    gamma_c-normalized units, so the argmax is independent of the physical
-    loss rate.  Raises :class:`OptimizationError` when the scan meets a
-    non-finite value or finds no positive one.
+    the rate kernels of :func:`normalized_objective`, called without its
+    input check: every point the maximizer evaluates is one it generated
+    inside the box, positive and finite.  A custom one takes a tuple of
+    equal-shape coupling arrays (units of gamma_c, one per coupling
+    parameter) and returns an array of values of that shape; it is called
+    as given.  Works entirely in gamma_c-normalized units, so the argmax is
+    independent of the physical loss rate.  Raises
+    :class:`OptimizationError` when the scan meets a non-finite value or
+    finds no positive one.
     """
     ndim = len(coupling_parameter_names(geometry))
     bounds = (_DEFAULT_BOUND,) * ndim
     if objective is None:
-        objective = normalized_objective(geometry, target)
+        objective = normalized_objective(geometry, target, _checked=False)
 
     n_scan = 193 if ndim == 1 else 61
     grid = _mesh([_log_grid(lo, hi, n_scan) for lo, hi in bounds])
@@ -370,6 +391,10 @@ def numeric_optimum(
 
 @dataclass(frozen=True)
 class CrossValidationEntry:
+    """One optimum on both routes: the analytic and numeric records, the
+    largest coupling difference (units of gamma_c) and the peak's relative
+    difference, their tolerances, and whether both are within them."""
+
     geometry: Geometry
     target: OptimizationTarget
     analytic: OptimumRecord
@@ -393,6 +418,10 @@ class CrossValidationEntry:
 
 @dataclass(frozen=True)
 class CrossValidationReport:
+    """The entries of :func:`cross_validate_optima`, one per (geometry,
+    target) in :func:`all_targets` order; ``str`` gives one line per entry
+    and a final count."""
+
     entries: tuple[CrossValidationEntry, ...]
 
     @property

@@ -419,15 +419,21 @@ def pulsed_wavepacket(
     t = 0), is symmetric under exchange of the two times, and is returned real
     and non-negative.  Scalar or broadcastable array times are accepted; at
     ``tgamma = gamma`` the bracket is its exact limit ``min(ts, ti)``.
+    ``+-inf`` gives 0; NaN is rejected.
     """
     _require_broadband(cfg.tgamma, delta_omega)
     y = _drive_pulsed(ring, energy, delta_omega)
     gamma, tgamma = cfg.gamma, cfg.tgamma
     ts = np.asarray(t_signal, dtype=float)
     ti = np.asarray(t_idler, dtype=float)
-    causal = (ts >= 0.0) & (ti >= 0.0)
-    # Clip to the causal quadrant before exponentiating so that out-of-domain
-    # points cannot overflow; they are zeroed below anyway.
+    for name, t in (("t_signal", ts), ("t_idler", ti)):
+        if np.isnan(t).any():
+            raise ValueError(f"pulsed_wavepacket.{name} must not be NaN")
+    causal = (ts >= 0.0) & (ts < np.inf) & (ti >= 0.0) & (ti < np.inf)
+    # Move points off the finite causal quadrant to t = 0 before
+    # exponentiating, so that none can overflow or meet inf - inf; they are
+    # zeroed below anyway.
+    ts, ti = np.where(causal, ts, 0.0), np.where(causal, ti, 0.0)
     m = np.maximum(np.minimum(ts, ti), 0.0)
     log_env = -gamma * np.clip(ts + ti, 0.0, None) / 2.0
     # log_env <= 0, and log_env - split*m <= 0 too: for split < 0,

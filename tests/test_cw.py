@@ -100,6 +100,21 @@ class TestWavepacket:
             cw_wavepacket(ring, cfg, POWER, tau), cw_wavepacket(ring, cfg, POWER, -tau)
         )
 
+    def test_infinite_delay_gives_zero(self, algaas):
+        ring, gc = algaas
+        cfg = CouplingConfig.all_pass(0.7 * gc, gc)
+        assert cw_wavepacket(ring, cfg, POWER, np.inf) == 0.0
+        assert cw_wavepacket(ring, cfg, POWER, -np.inf) == 0.0
+        got = cw_wavepacket(ring, cfg, POWER, np.array([-np.inf, 0.0, np.inf]))
+        assert got[0] == got[2] == 0.0 and got[1] > 0.0
+
+    @pytest.mark.parametrize("tau", [np.nan, np.array([0.0, np.nan]), np.array([[np.nan]])])
+    def test_nan_delay_is_rejected(self, algaas, tau):
+        ring, gc = algaas
+        cfg = CouplingConfig.all_pass(0.7 * gc, gc)
+        with pytest.raises(ValueError, match=r"^cw_wavepacket\.tau must not be NaN"):
+            cw_wavepacket(ring, cfg, POWER, tau)
+
     def test_quadrature_recovers_pair_rate(self, algaas, rng):
         ring, gc = algaas
         for _ in range(100):

@@ -26,6 +26,7 @@ from ringsfwm import optimize as optimize_module
 from ringsfwm import sweep as sweep_module
 from ringsfwm.optimize import (
     _log_grid,
+    _maximize,
     _mesh,
     all_targets,
     config_from_point,
@@ -189,6 +190,64 @@ class TestNumericOptimum:
         ).x
         assert joint.couplings[0] == pytest.approx(axis1, abs=1e-5)
         assert joint.couplings[1] == pytest.approx(axis2, abs=1e-5)
+
+
+@pytest.mark.parametrize(
+    "geometry,target", all_targets(),
+    ids=lambda v: getattr(v, "value", None) or f"{v.objective.value}-{v.pump_regime.value}",
+)
+def test_default_objective_is_the_public_one(geometry, target):
+    """The default objective skips the public objective's input check and
+    nothing else: the records are the same to the last digit."""
+    checked = normalized_objective(geometry, target)
+    assert repr(numeric_optimum(geometry, target)) == repr(
+        numeric_optimum(geometry, target, objective=checked)
+    )
+
+
+def test_default_objective_checks_no_point(monkeypatch):
+    """The maximizer's own points are generated inside its box, so
+    cross-validating all 12 optima checks none of them; the public objective
+    still checks every call."""
+    calls = []
+    check = optimize_module._check_couplings
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(optimize_module, "_check_couplings", counted)
+    assert cross_validate_optima().passed
+    assert calls == []
+    normalized_objective(Geometry.ALL_PASS_IDENTICAL, OptimizationTarget(ONE, CW))((1.0,))
+    assert len(calls) == 1
+
+
+def test_zoom_treats_nan_as_losing():
+    """A zoom window that holds NaN candidates picks the same points as one
+    that holds -inf there: NaN never wins, and it stops no move either.  The
+    peak sits on the edge of the NaN region, so every window holds some."""
+    nan_counts = []
+
+    def objective(fill):
+        def f(point):
+            x, y = point
+            values = np.where(x > 1.01, fill, -np.log(x / 1.01) ** 2 - np.log(y / 0.7) ** 2)
+            nan_counts.append(int(np.isnan(values).sum()))
+            return values
+        return f
+
+    bounds = ((0.05, 10.0),) * 2
+    grid = _mesh([_log_grid(0.05, 10.0, 61)] * 2)
+    values = objective(np.nan)(grid)
+    k = int(np.nanargmax(values))
+    start = tuple(float(a[k]) for a in grid), float(values[k])
+    ratios = [(10.0 / 0.05) ** (1.0 / 60)] * 2
+    nan_counts.clear()
+    got = _maximize(objective(np.nan), *start, ratios, bounds)
+    assert all(n > 0 for n in nan_counts[:-1])  # every zoom pass and the stencil
+    assert repr(got) == repr(_maximize(objective(-np.inf), *start, ratios, bounds))
+    assert 0.0 < 1.01 - got[0][0] < 1e-6 and abs(got[0][1] - 0.7) < 1e-6
 
 
 class TestCrossValidation:

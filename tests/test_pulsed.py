@@ -446,6 +446,37 @@ class TestPulsedWavepacket:
         assert pulsed_wavepacket(ring, cfg, ENERGY, dw, -t, -t) == 0.0
         assert pulsed_wavepacket(ring, cfg, ENERGY, dw, t, t) > 0.0
 
+    @pytest.mark.parametrize("scale", [0.3, 1.0, 3.0], ids=["narrow", "degenerate", "broad"])
+    def test_infinite_times_give_zero(self, algaas, scale):
+        """+-inf in either time lies outside the finite causal quadrant: the
+        amplitude there is 0, not NaN, on either side of tgamma = gamma."""
+        ring, gc = algaas
+        cfg = CouplingConfig.distinct(scale * gc, gc, gc)
+        dw = self._dw(cfg)
+        t = 1.0 / cfg.gamma
+        inf = math.inf
+        for ts, ti in ((inf, inf), (inf, t), (t, inf), (inf, -inf), (-inf, -inf)):
+            assert pulsed_wavepacket(ring, cfg, ENERGY, dw, ts, ti) == 0.0
+        ts = np.array([inf, inf, t, -inf, t])
+        ti = np.array([inf, -inf, inf, t, t])
+        got = pulsed_wavepacket(ring, cfg, ENERGY, dw, ts, ti)
+        assert np.array_equal(got[:4], np.zeros(4)) and got[4] > 0.0
+        assert got[4] == pulsed_wavepacket(ring, cfg, ENERGY, dw, t, t)
+
+    @pytest.mark.parametrize("name,ts,ti", [
+        ("t_signal", math.nan, 0.0),
+        ("t_idler", 0.0, math.nan),
+        ("t_signal", np.array([1e-9, math.nan]), 1e-9),
+        ("t_idler", np.array([1e-9, 2e-9])[:, None], np.array([0.0, math.nan])[None, :]),
+    ])
+    def test_nan_time_is_rejected(self, algaas, name, ts, ti):
+        """A NaN time is no amplitude the program can give, not "outside the
+        causal quadrant": it raises, naming the function and the argument."""
+        ring, gc = algaas
+        cfg = CouplingConfig.all_pass(gc, gc)
+        with pytest.raises(ValueError, match=rf"^pulsed_wavepacket\.{name} must not be NaN"):
+            pulsed_wavepacket(ring, cfg, ENERGY, self._dw(cfg), ts, ti)
+
     def test_exchange_symmetry(self, algaas, rng):
         ring, gc = algaas
         for _ in range(5):
