@@ -10,10 +10,9 @@ zoom sharpens the observed maxima of coupling sweeps.
 
 Input checks sit at the public edge.  The objectives that
 :func:`normalized_objective` hands out reject a wrong number of couplings and
-negative or non-finite ones.  :func:`numeric_optimum`'s default objective
-skips that check and calls the rate kernels directly: every point it
-evaluates is one the maximizer generated itself, inside its
-``[0.05, 10]*gamma_c`` box, so none can fail it.
+negative or non-finite ones, on every call, :func:`numeric_optimum`'s default
+objective included.  A custom objective given to :func:`numeric_optimum` is
+called unchecked: its points are the maximizer's own, positive and finite.
 
 Everything is optimized in normalized units: couplings in multiples of the
 intrinsic loss ``gamma_c`` and objectives in units of the scale factors R0
@@ -24,7 +23,6 @@ particular ring.
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -129,7 +127,8 @@ def _normalized_value(geometry: Geometry, target: OptimizationTarget, point):
     """The rate kernel of ``target`` at free couplings ``point`` in gamma_c
     units: floats, equal-shape arrays or ``Fraction``s (then exact).  At
     gamma_c = 1 the couplings are the rates themselves, so they enter the
-    ladder as they are.  ``point`` is not checked."""
+    ladder as they are.  ``point`` is not checked here; the objectives of
+    :func:`normalized_objective` check it."""
     one = target.objective is Objective.ONE_PHOTON
     ta, gmu, g, tg = _kernel_rates(geometry, point, 1)
     if target.pump_regime is PumpRegime.CW:
@@ -140,7 +139,7 @@ def _normalized_value(geometry: Geometry, target: OptimizationTarget, point):
 
 
 def normalized_objective(
-    geometry: Geometry, target: OptimizationTarget, *, _checked: bool = True
+    geometry: Geometry, target: OptimizationTarget
 ) -> Callable[[Sequence], object]:
     """Objective in gamma_c-normalized units, built on the rate kernels.
 
@@ -152,14 +151,10 @@ def normalized_objective(
     linewidth).  Each value equals the library function's on the matching
     :class:`CouplingConfig`.
 
-    The objective checks its input: a wrong number of couplings, or a
-    negative or non-finite one, raises ``ValueError`` naming it.  The private
-    ``_checked=False`` drops the check and evaluates the rate kernels
-    directly; :func:`numeric_optimum` uses it for its default objective,
-    whose points it generates inside its search box.
+    The objective checks its input on every call: a wrong number of
+    couplings, or a negative or non-finite one, raises ``ValueError`` naming
+    it.
     """
-    if not _checked:
-        return functools.partial(_normalized_value, geometry, target)
 
     def objective(point):
         _check_couplings(geometry, point)
@@ -249,7 +244,7 @@ def _mesh(values: list[np.ndarray]) -> tuple[np.ndarray, ...]:
     if len(values) == 1:
         return (values[0].copy(),)
     x, y = values
-    return np.repeat(x[None, :], y.size, axis=0).ravel(), np.repeat(y, x.size)
+    return np.tile(x, y.size), np.repeat(y, x.size)
 
 
 # Each zoom pass re-grids +-1 cell at 17 points per axis, so the cell shrinks
@@ -282,7 +277,7 @@ def _maximize(objective, point, value, ratios, bounds) -> tuple[tuple[float, ...
             for p, r, (lo, hi) in zip(point, ratios, bounds)
         ])
         values = objective(candidates)
-        k = int(np.fmax(values, -np.inf).argmax())
+        k = int(np.where(np.isnan(values), -np.inf, values).argmax())
         if values[k] > value:
             value = float(values[k])
             point = tuple(float(c[k]) for c in candidates)
@@ -342,20 +337,20 @@ def numeric_optimum(
     Scans a log grid over ``[0.05, 10]*gamma_c`` per coupling (193 points in
     1-D, 61x61 in 2-D) in one objective call and sharpens its best point by
     log-grid zoom and a parabolic vertex step.  ``objective`` defaults to
-    the rate kernels of :func:`normalized_objective`, called without its
-    input check: every point the maximizer evaluates is one it generated
-    inside the box, positive and finite.  A custom one takes a tuple of
-    equal-shape coupling arrays (units of gamma_c, one per coupling
-    parameter) and returns an array of values of that shape; it is called
-    as given.  Works entirely in gamma_c-normalized units, so the argmax is
-    independent of the physical loss rate.  Raises
-    :class:`OptimizationError` when the scan meets a non-finite value or
-    finds no positive one.
+    :func:`normalized_objective`, which checks every point it is given.  A
+    custom one takes a tuple of equal-shape coupling arrays (units of
+    gamma_c, one per coupling parameter) and returns an array of values of
+    that shape; it is called as given, unchecked.  Every point is positive
+    and finite: the scan and zoom points lie inside the box, and the vertex
+    stencil steps at most a factor ``exp(1e-5)`` beyond it.  Works entirely
+    in gamma_c-normalized units, so the argmax is independent of the
+    physical loss rate.  Raises :class:`OptimizationError` when the scan
+    meets a non-finite value or finds no positive one.
     """
     ndim = len(coupling_parameter_names(geometry))
     bounds = (_DEFAULT_BOUND,) * ndim
     if objective is None:
-        objective = normalized_objective(geometry, target, _checked=False)
+        objective = normalized_objective(geometry, target)
 
     n_scan = 193 if ndim == 1 else 61
     grid = _mesh([_log_grid(lo, hi, n_scan) for lo, hi in bounds])

@@ -192,37 +192,6 @@ class TestNumericOptimum:
         assert joint.couplings[1] == pytest.approx(axis2, abs=1e-5)
 
 
-@pytest.mark.parametrize(
-    "geometry,target", all_targets(),
-    ids=lambda v: getattr(v, "value", None) or f"{v.objective.value}-{v.pump_regime.value}",
-)
-def test_default_objective_is_the_public_one(geometry, target):
-    """The default objective skips the public objective's input check and
-    nothing else: the records are the same to the last digit."""
-    checked = normalized_objective(geometry, target)
-    assert repr(numeric_optimum(geometry, target)) == repr(
-        numeric_optimum(geometry, target, objective=checked)
-    )
-
-
-def test_default_objective_checks_no_point(monkeypatch):
-    """The maximizer's own points are generated inside its box, so
-    cross-validating all 12 optima checks none of them; the public objective
-    still checks every call."""
-    calls = []
-    check = optimize_module._check_couplings
-
-    def counted(*args):
-        calls.append(args)
-        return check(*args)
-
-    monkeypatch.setattr(optimize_module, "_check_couplings", counted)
-    assert cross_validate_optima().passed
-    assert calls == []
-    normalized_objective(Geometry.ALL_PASS_IDENTICAL, OptimizationTarget(ONE, CW))((1.0,))
-    assert len(calls) == 1
-
-
 def test_zoom_treats_nan_as_losing():
     """A zoom window that holds NaN candidates picks the same points as one
     that holds -inf there: NaN never wins, and it stops no move either.  The
