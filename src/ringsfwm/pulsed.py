@@ -475,16 +475,20 @@ def pulsed_pair_prob(
     return _pair_prob_kernel(*cfg.kernel_rates, y)
 
 
-def _perturbative_observables(ps: float, psi_pair: float) -> PulsedObservables:
-    """``PulsedObservables(ps, ps, psi_pair)``, for any pump spectrum: warns
-    when ``ps > 0.1`` strains the single-pair (perturbative) assumption, and
-    the bundle rejects ``ps > 1``."""
+def _warn_if_strained(ps: float) -> None:
+    """Warn when ``ps > 0.1`` strains the single-pair (perturbative) assumption."""
     if ps > 0.1:
         _warn(
             f"per-pulse probability ps = {ps:.3g} > 0.1: the "
             "single-pair (perturbative) assumption is strained",
             UserWarning,
         )
+
+
+def _perturbative_observables(ps: float, psi_pair: float) -> PulsedObservables:
+    """``PulsedObservables(ps, ps, psi_pair)``, for any pump spectrum: warns
+    as :func:`_warn_if_strained` does, and the bundle rejects ``ps > 1``."""
+    _warn_if_strained(ps)
     return PulsedObservables(ps=ps, pi=ps, psi_pair=psi_pair)
 
 

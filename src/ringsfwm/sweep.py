@@ -12,13 +12,14 @@ recurrences, once per distinct ratio, equal to the library grid path to
 and ``K_minus_1`` columns lie from the closed form
 ``K = (2r+1)(3r+1)/(r(6r+5))``.  The sweep machinery
 only maps the grid to coupling rates, keeps each output as one column of
-Python values, and serializes the columns.  CSV and JSON serialization fill
-one block of rows at a time, column by column, with one format pass per
-block, and :func:`emit` writes each block as it is formatted, so a panel's
-whole text is never held.  The coupling texts are formatted once per axis
-value and laid out by grid position, and an ``error`` column holding one
-value on every row is part of the row template; ``SweepResult.rows`` serves
-library callers.
+Python values, and serializes the columns.  CSV and JSON serialization read
+each column as one iterator over its cells in row order, take one block of
+rows at a time from every iterator, and fill the block with one format pass;
+:func:`emit` writes each block as it is formatted, so a panel's whole text
+is never held.  The coupling texts are formatted once per axis value and
+laid out by grid position, and an ``error`` column holding one value on
+every row is part of the row template; ``SweepResult.rows`` serves library
+callers.
 :func:`emit_all` computes and writes several panels in two processes: a
 child forked before any panel is computed does the second-largest panel
 while the caller does the rest, each dropping a result once it is written.
@@ -33,7 +34,7 @@ import pickle
 import sys
 import warnings
 from dataclasses import asdict, dataclass, field
-from functools import partial
+from itertools import chain, cycle, islice, repeat
 from typing import Optional
 
 import numpy as np
@@ -66,7 +67,13 @@ from .optimize import (
     analytic_optimum,
     coupling_parameter_names,
 )
-from .pulsed import _broadband_mask, _drive_pulsed, _pair_prob_kernel, _single_prob_kernel
+from .pulsed import (
+    _broadband_mask,
+    _drive_pulsed,
+    _pair_prob_kernel,
+    _single_prob_kernel,
+    _warn_if_strained,
+)
 from .schmidt import _k_minus_1, _schmidt_number_kernel
 
 __all__ = [
@@ -265,7 +272,8 @@ def run_sweep(spec: SweepSpec, *, refine: bool = False) -> SweepResult:
     Each output is one array-kernel call over the whole grid.  Each column
     lists the grid points axis2-major.  A point that fails gets NaN for that
     output and a message in the ``error`` column without affecting the rest
-    of the grid.
+    of the grid.  A ``ps`` above 0.1 fails no point; a pulsed sweep with a
+    ``ps`` or ``psi`` column warns once, for the largest.
     With ``refine=True`` the observed maxima reported in the metadata are
     sharpened by the maximizer of :func:`ringsfwm.optimize.numeric_optimum`:
     log-grid zoom from the best cell down to a log cell of 1e-7 within the
@@ -283,9 +291,9 @@ def run_sweep(spec: SweepSpec, *, refine: bool = False) -> SweepResult:
         # over the swept box, and the refining zoom needs no check of its own.
         _, _, g, tg = _point_rates(spec.geometry, point, spec.gamma_c, spec.tgamma_c)
         _broadband_mask(tg, spec.pump.delta_omega_for(tg))
-    observed = {}
+    observed, evaluated = {}, {}
     for output in spec.outputs:
-        values, failures = _evaluate(spec, output, point)
+        values, failures = evaluated[output] = _evaluate(spec, output, point)
         columns[output] = values.tolist()
         if output == "K":
             # companion column for log-scale closeness-to-separable plots
@@ -307,6 +315,11 @@ def run_sweep(spec: SweepSpec, *, refine: bool = False) -> SweepResult:
             )
         observed[output] = {"point_over_gamma_c": list(best[0]), "value": best[1]}
     columns["error"] = errors
+    if not {"ps", "psi"}.isdisjoint(spec.outputs):
+        # the largest ps over the points where the broadband forms hold:
+        # fmax passes over the NaN of the points where they fail
+        ps = (evaluated["ps"] if "ps" in evaluated else _evaluate(spec, "ps", point))[0]
+        _warn_if_strained(np.fmax.reduce(ps, initial=0.0))
 
     meta = {
         "version": _pkg_version,
@@ -394,12 +407,16 @@ def _pieces(result: SweepResult, fmt: str):
     each block is formatted when it is asked for.
 
     The columns are read, never ``rows``: one row template, repeated once
-    per row of a block, is filled by a single ``%`` per block, each column's
-    cells of the block put in by one strided slice assignment.  In a 2-D
-    sweep each axis's values are formatted once, read from its coupling
-    column (axis2-major: ``[:n1]`` and ``[::n1]``), and the texts laid out
-    by grid position.  An ``error`` column that holds one value on every
-    row (None where no point fails) is written into the template."""
+    per row of a block, is filled by a single ``%`` per block from one
+    iterator per column over its ``n_rows`` cells in row order.  Each
+    coupling axis's values are formatted once, read from its column
+    (axis2-major: ``[::n1]`` and ``[:n1]``): each text of the last axis (a
+    1-D sweep's only one) is repeated over its run of rows as it is
+    reached, and a 2-D sweep's axis 1 texts are cycled.  A varying
+    ``error`` column, and a JSON column holding a non-finite value, are
+    mapped through their converter; other columns are left for the ``%``
+    pass.  An ``error`` column that holds one value on every row (None
+    where no point fails) is written into the template."""
     if fmt == "csv":
         number, text, inline = "%.17g".__mod__, _csv_text, "%.17g"
     elif fmt == "json":
@@ -413,30 +430,28 @@ def _pieces(result: SweepResult, fmt: str):
         if len(values) != n_rows:
             raise ValueError(f"sweep column {name!r} holds {len(values)} values; its "
                              f"{n1}x{n2} grid has {n_rows}")
-    # a 1-D coupling column repeats nothing: it is written as an output is
-    axis1, axis2 = (map(_coupling_column, coupling_parameter_names(grid.geometry))
-                    if n2 > 1 else (None, None))
-    specs, fills = [], []
+    names = [_coupling_column(n) for n in coupling_parameter_names(grid.geometry)]
+    run = n_rows // (grid.axis2 or grid.axis1).n_points  # rows per value of the last axis
+    specs, iters = [], []
     for name, values in columns.items():
         if name == "error" and values.count(values[0]) == n_rows:  # one text on every row
             specs.append(text(values[0]).replace("%", "%%"))
             continue
         spec = "%s"
-        if name == axis1:
+        if name == names[-1]:  # in a 1-D sweep, the one coupling column: runs of 1 row
+            axis = _axis(name, (values[j::run] for j in range(run)))
+            column = chain.from_iterable(repeat(number(v), run) for v in axis)
+        elif name == names[0]:
             axis = _axis(name, (values[k : k + n1] for k in range(0, n_rows, n1)))
-            fill = partial(_cycled, [number(v) for v in axis])
-        elif name == axis2:
-            axis = _axis(name, (values[j::n1] for j in range(n1)))
-            fill = partial(_stretched, [number(v) for v in axis], n1)
+            column = cycle([number(v) for v in axis])
         elif name == "error":
-            memo = {v: text(v) for v in dict.fromkeys(values)}
-            fill = partial(_cells, values, memo.__getitem__)
+            column = map({v: text(v) for v in dict.fromkeys(values)}.__getitem__, values)
         elif fmt == "json" and not math.isfinite(sum(values)):
-            fill = partial(_cells, values, _json_number)
+            column = map(_json_number, values)
         else:
-            spec, fill = inline, partial(_cells, values, None)  # the % pass formats them
+            spec, column = inline, iter(values)  # the % pass formats them
         specs.append(spec)
-        fills.append(fill)
+        iters.append(column)
     if fmt == "csv":
         head, row, sep, tail = ",".join(columns) + "\n", ",".join(specs) + "\n", "", ""
     else:
@@ -445,7 +460,7 @@ def _pieces(result: SweepResult, fmt: str):
             json.dumps(c).replace("%", "%%") + ": " + s for c, s in zip(columns, specs)
         ) + "}"
         sep, tail = ", ", "]}\n"
-    return _blocks(head, row, sep, tail, n_rows, fills)
+    return _blocks(head, row, sep, tail, n_rows, iters)
 
 
 def _axis(name: str, runs) -> list:
@@ -458,40 +473,18 @@ def _axis(name: str, runs) -> list:
     return first
 
 
-def _cells(values: list, convert, start: int, stop: int) -> list:
-    """The cells of rows ``start..stop``: the values, or ``convert`` of each."""
-    cells = values[start:stop]
-    return cells if convert is None else list(map(convert, cells))
-
-
-def _cycled(texts: list, start: int, stop: int) -> list:
-    """Rows ``start..stop`` of axis 1's column: row ``i`` holds
-    ``texts[i % len(texts)]``."""
-    first = start % len(texts)
-    return (texts * ((first + stop - start - 1) // len(texts) + 1))[first : first + stop - start]
-
-
-def _stretched(texts: list, n1: int, start: int, stop: int) -> list:
-    """Rows ``start..stop`` of axis 2's column: row ``i`` holds
-    ``texts[i // n1]``."""
-    cells = []
-    for k in range(start // n1, (stop - 1) // n1 + 1):
-        cells += [texts[k]] * (min(stop, (k + 1) * n1) - max(start, k * n1))
-    return cells
-
-
-def _blocks(head: str, row: str, sep: str, tail: str, n_rows: int, fills: list):
+def _blocks(head: str, row: str, sep: str, tail: str, n_rows: int, columns: list):
     """``head``, then ``n_rows`` copies of the template ``row`` joined by
-    ``sep`` one block of rows at a time, then ``tail``.  Each of ``fills``
-    gives one column's cells of rows ``start..stop``; a block's cells go
-    into one list, column by column, and fill the block's template."""
+    ``sep`` one block of rows at a time, then ``tail``.  Each of ``columns``
+    iterates over one column's cells in row order; a block's cells are
+    taken from each into one list, column by column, and fill its template."""
     yield head
-    width = len(fills)
+    width = len(columns)
     for start in range(0, n_rows, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n_rows)
         cells = [None] * ((stop - start) * width)
-        for j, fill in enumerate(fills):
-            cells[j::width] = fill(start, stop)
+        for j, column in enumerate(columns):
+            cells[j::width] = islice(column, stop - start)
         template = (sep if start else "") + sep.join([row] * (stop - start))
         yield template % tuple(cells)
     yield tail

@@ -629,6 +629,17 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _strained(ps: str) -> str:
+    """The perturbative-limit warning for a largest ``ps`` printed as ``ps``."""
+    return (f"per-pulse probability ps = {ps} > 0.1: the single-pair (perturbative) "
+            "assumption is strained")
+
+
+# figure3's perturbative-limit message at B = 7 and 1 pJ: the largest ps of
+# panels a and c at --grid 4
+STRAINED_B7 = _strained("0.445")
+
+
 class TestFigureFiles:
     """The figure commands compute and write their panels in two processes;
     the files and warnings are those of one process, and no child outlives
@@ -694,8 +705,9 @@ class TestFigureFiles:
 
     def test_marginal_bandwidth_warnings_reach_the_caller(self, tmp_path, capsys, monkeypatch):
         """figure3 at B = 7: both broadband-margin warnings, once per panel,
-        reach the caller's warning filters and name the line that called
-        main, with children forked for the rendering."""
+        and the perturbative-limit warning of panels a and c (panel b peaks
+        below ps = 0.1) reach the caller's warning filters and name the line
+        that called main, with children forked for the rendering."""
         monkeypatch.setattr(sweep_module, "_cpu_count", lambda: 2)
         path = tmp_path / "b7.ini"
         path.write_text("[pump]\nmode = pulsed\npulse_energy_pj = 1\nbandwidth_factor = 7\n")
@@ -705,10 +717,11 @@ class TestFigureFiles:
             line = sys._getframe().f_lineno + 1
             assert main(argv) == 0
         counts = collections.Counter(str(w.message) for w in caught)
+        assert counts.pop(STRAINED_B7) == 2, counts
         assert len(counts) == 2 and set(counts.values()) == {4}, counts
         assert any("B = 7 < 10" in message for message in counts)
         assert {(w.category, w.filename, w.lineno) for w in caught} == {
-            (BroadbandAssumptionWarning, __file__, line)}
+            (BroadbandAssumptionWarning, __file__, line), (UserWarning, __file__, line)}
 
     @staticmethod
     def _b7_argv(tmp_path):
@@ -733,8 +746,30 @@ class TestFigureFiles:
                 (str(w.message), w.category, w.filename, w.lineno) for w in caught))
         assert len(forks) == 1
         assert shown[0] == shown[1]
-        assert len(shown[0]) == 2 and set(shown[0].values()) == {1}, shown[0]
-        assert {key[1:] for key in shown[0]} == {(BroadbandAssumptionWarning, __file__, line)}
+        assert len(shown[0]) == 3 and set(shown[0].values()) == {1}, shown[0]
+        assert {key[1:] for key in shown[0]} == {
+            (BroadbandAssumptionWarning, __file__, line), (UserWarning, __file__, line)}
+        assert (STRAINED_B7, UserWarning, __file__, line) in shown[0]
+
+    def test_perturbative_warnings_equal_on_one_and_two_cpus(
+            self, tmp_path, capsys, monkeypatch, forks):
+        """The default figure3 pump peaks at ps = 0.218 on panels a and c at
+        --grid 4: each of those panels warns once, naming the line that
+        called main, whether the child computes panel c or the caller
+        computes every panel."""
+        shown = []
+        for workers in (1, 2):
+            monkeypatch.setattr(sweep_module, "_cpu_count", lambda: workers)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                line = sys._getframe().f_lineno + 1
+                assert main(["figure3", "--grid", "4", "--out", str(tmp_path / "fig")]) == 0
+            shown.append(collections.Counter(
+                (str(w.message), w.filename, w.lineno) for w in caught
+                if w.category is UserWarning))
+        assert len(forks) == 1
+        assert shown[0] == shown[1]
+        assert shown[0] == {(_strained("0.218"), __file__, line): 2}
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_warning_as_error_ends_main_alike(self, workers, tmp_path, capsys, monkeypatch,

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import sys
 import tracemalloc
 import warnings
 import weakref
@@ -368,7 +369,8 @@ class TestRunSweep:
     @pytest.mark.parametrize("refine", [False, True])
     def test_marginal_warning_once_per_sweep(self, algaas, refine):
         """A marginal bandwidth (B = 7) gives each distinct message once per
-        call, however many outputs and zoom passes evaluate the grid; each
+        call, however many outputs and zoom passes evaluate the grid, and
+        the pump's peak ps > 0.1 one perturbative-limit message; each
         warning names the caller."""
         ring, gc = algaas
         spec = SweepSpec(
@@ -384,9 +386,11 @@ class TestRunSweep:
             warnings.simplefilter("always")
             run_sweep(spec, refine=refine)
         messages = [str(w.message) for w in caught]
-        assert all(w.category is BroadbandAssumptionWarning for w in caught)
-        assert len(messages) == len(set(messages)) == 2
-        assert [w.filename for w in caught] == [__file__] * 2
+        assert sorted(w.category.__name__ for w in caught) == [
+            "BroadbandAssumptionWarning", "BroadbandAssumptionWarning", "UserWarning"]
+        assert len(messages) == len(set(messages)) == 3
+        assert sum("(perturbative) assumption is strained" in m for m in messages) == 1
+        assert [w.filename for w in caught] == [__file__] * 3
 
     def test_car_undefined_where_singles_vanish(self, algaas):
         ring, gc = algaas
@@ -507,6 +511,53 @@ class TestRunSweep:
                     Geometry.ALL_PASS_IDENTICAL, SweepAxis("gamma_a", 0.5, 2.0, 3), None, ("K",),
                     ring, PumpSpec.pulsed(1e-12, bandwidth_factor=10.0), gc, **{knob: 32},
                 )
+
+
+class TestPerturbativeLimitWarning:
+    """A pulsed sweep with a ``ps`` or ``psi`` column warns once per call,
+    as ``rates`` does, where its largest ``ps`` over the points the
+    broadband forms hold at exceeds 0.1; it fails no point for it.  All-pass
+    at ``delta_omega = 20 gamma_c``: the points above ``gamma_a = 3 gamma_c``
+    fail the broadband rule."""
+
+    @staticmethod
+    def strained(outputs, energy, refine=False):
+        """The perturbative-limit messages of one ``run_sweep`` call, each with
+        its file and line, and the result."""
+        ring, gc = algaas_example()
+        spec = SweepSpec(
+            Geometry.ALL_PASS_IDENTICAL, SweepAxis("gamma_a", 0.05, 5.0, 30), None, outputs,
+            ring, PumpSpec.pulsed(energy, delta_omega=20.0 * gc), gc,
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            line = sys._getframe().f_lineno + 1
+            result = run_sweep(spec, refine=refine)
+        return [(str(w.message), w.filename, w.lineno - line) for w in caught
+                if w.category is UserWarning], result
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_once_per_call_for_the_largest_broadband_ps(self, refine):
+        caught, result = self.strained(("ps", "psi"), 3e-12, refine)
+        ps = result.columns["ps"]
+        peak = max(v for v, e in zip(ps, result.columns["error"]) if e is None)
+        assert peak > 1.0 and any(math.isnan(v) for v in ps)
+        assert caught == [(f"per-pulse probability ps = {peak:.3g} > 0.1: the single-pair "
+                           "(perturbative) assumption is strained", __file__, 0)]
+        assert all(e is None for v, e in zip(ps, result.columns["error"]) if v > 0.1)
+
+    @pytest.mark.parametrize("outputs", [("ps",), ("psi",), ("psi", "K")])
+    def test_ps_or_psi_alone(self, outputs):
+        assert self.strained(outputs, 3e-12)[0] == self.strained(("ps", "psi"), 3e-12)[0]
+
+    @pytest.mark.parametrize("outputs, energy", [
+        (("ps", "psi"), 1e-13), (("K",), 3e-12),
+    ], ids=["weak-pump", "K-only"])
+    def test_silent(self, outputs, energy):
+        caught, result = self.strained(outputs, energy)
+        assert caught == []
+        if "ps" in outputs:
+            assert 0.0 < np.nanmax(result.columns["ps"]) < 0.1
 
 
 @st.composite
@@ -979,8 +1030,9 @@ def _nan_equal(a, b):
 
 @st.composite
 def sweep_results(draw):
-    """A random sweep: geometry, axis sizes (2-40) and scales, coupling
-    ranges, and a CW or pulsed pump whose bandwidth may fail some points."""
+    """A random sweep: geometry, axis sizes (2-40, so up to 1600 rows, past
+    a block edge) and scales, coupling ranges, and a CW or pulsed pump whose
+    bandwidth may fail some points."""
     geometry = draw(st.sampled_from(list(Geometry)))
     axes = []
     for name in coupling_parameter_names(geometry):
@@ -1001,14 +1053,16 @@ def sweep_results(draw):
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BroadbandAssumptionWarning)
+        warnings.filterwarnings("ignore", "per-pulse probability", UserWarning)
         return run_sweep(spec)
 
 
 @settings(max_examples=30, deadline=None)
 @given(sweep_results())
 def test_render_round_trip(result):
-    """JSON rows read back equal to ``rows`` (NaN-aware); CSV cells read back
-    bit-exact."""
+    """``render`` writes the bytes of the row-wise encoders; JSON rows read
+    back equal to ``rows`` (NaN-aware); CSV cells read back bit-exact."""
+    TestRenderMatchesRowEncoders.check(result)
     rows = result.rows
     loaded = json.loads(render(result, "json"))["rows"]
     assert len(loaded) == len(rows)
