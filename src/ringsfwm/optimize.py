@@ -5,8 +5,8 @@ cubics) and their peaks are the closed-form rate/probability kernels there; a
 derivative-free numeric maximizer re-derives each optimum from the same
 kernels, and :func:`cross_validate_optima` diffs the two routes.  The
 maximizer scans a log grid in one call of an array objective, zooms in on the
-best cell with finer log grids and ends with a parabolic vertex step; the same
-zoom sharpens the observed maxima of coupling sweeps.
+best cell with finer log grids and ends with a Newton step on a 3-point or 3x3
+log stencil; the same zoom sharpens the observed maxima of coupling sweeps.
 
 Input checks sit at the public edge.  The objectives that
 :func:`normalized_objective` hands out reject a wrong number of couplings and
@@ -23,7 +23,6 @@ particular ring.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -264,10 +263,10 @@ def _maximize(objective, point, value, ratios, bounds) -> tuple[tuple[float, ...
     ``(lo, hi)`` box.  Each zoom pass re-grids a +-1-cell log window around
     the best point in one call and moves to the first candidate (axis2-major)
     that beats the best value; NaN never wins.  The pass count follows from
-    the start cell.  Last, the vertex of the quadratic through a 3x3 (or
-    3-point) stencil (log step 1e-5, cross term included, step clipped to
-    the stencil and then to the box) replaces the point whenever its value
-    is finite.  One or two couplings.  Returns ``(point, value)``.
+    the start cell.  Last, the vertex of the quadratic through a 3-point (one
+    coupling) or 3x3 (two, cross term included) log stencil of step 1e-5,
+    if concave, clipped to the stencil and then to the box, replaces the
+    point whenever its value is finite.  Returns ``(point, value)``.
     """
     shrink = (_ZOOM_POINTS - 1) / 2
     cell = max(math.log(r) for r in ratios)
@@ -288,37 +287,28 @@ def _maximize(objective, point, value, ratios, bounds) -> tuple[tuple[float, ...
     # the joint vertex, cross term included, does not follow it.
     h = _VERTEX_STEP
     n = len(point)
-    offsets = [tuple(o) for o in itertools.product((-1, 0, 1), repeat=n)]
-    scaled = np.asarray(point) * np.exp(h * np.array(offsets, dtype=float))
-    f = dict(zip(offsets, np.asarray(objective(tuple(scaled.T)), dtype=float).tolist()))
-
-    def at(*steps):
-        """Value at the sum of signed unit steps ``(axis, sign)``."""
-        index = [0] * n
-        for axis, sign in steps:
-            index[axis] += sign
-        return f[tuple(index)]
-
-    grad = [(at((i, 1)) - at((i, -1))) / (2.0 * h) for i in range(n)]
-    hess = [[
-        (at((i, 1)) - 2.0 * at() + at((i, -1))) / (h * h) if i == j else
-        (at((i, 1), (j, 1)) - at((i, 1), (j, -1)) - at((i, -1), (j, 1))
-         + at((i, -1), (j, -1))) / (4.0 * h * h)
-        for j in range(n)] for i in range(n)]
-    # Newton step -H^-1 grad where H is negative definite.  There are one or
-    # two couplings, so the adjugate inverts H (numpy.linalg would page in
-    # LAPACK, +1 MB RSS per process).
-    # Python floats on these one or two elements round as numpy's would.
+    stencil = _mesh([x * np.exp(h * np.array([-1.0, 0.0, 1.0])) for x in point])
+    # indexed [axis1 step][axis2 step]: _mesh's axis2-major order, transposed
+    f = np.asarray(objective(stencil), dtype=float).reshape((3,) * n).T
+    # Newton step -H^-1 grad where H is negative definite; the adjugate
+    # inverts a 2x2 H (numpy.linalg would page in LAPACK, +1 MB RSS per
+    # process).  Python floats on these few elements round as numpy's would.
     shift = [0.0] * n
-    if all(map(math.isfinite, f.values())):
-        a = hess[0][0]
-        if n == 1 and a < 0.0:
-            shift = [-grad[0] / a]
-        elif n == 2:
-            b, d = hess[0][1], hess[1][1]
+    if np.isfinite(f).all():
+        if n == 1:
+            m, c, p = f.tolist()
+            a = (p - 2.0 * c + m) / (h * h)
+            if a < 0.0:
+                shift = [-((p - m) / (2.0 * h)) / a]
+        else:
+            (mm, mc, mp), (cm, c, cp), (pm, pc, pp) = f.tolist()
+            gx, gy = (pc - mc) / (2.0 * h), (cp - cm) / (2.0 * h)
+            a = (pc - 2.0 * c + mc) / (h * h)
+            b = (pp - pm - mp + mm) / (4.0 * h * h)
+            d = (cp - 2.0 * c + cm) / (h * h)
             det = a * d - b * b
             if a < 0.0 and det > 0.0:
-                shift = [(b * grad[1] - d * grad[0]) / det, (b * grad[0] - a * grad[1]) / det]
+                shift = [(b * gy - d * gx) / det, (b * gx - a * gy) / det]
     moved = np.asarray(point) * np.exp([min(max(s, -h), h) for s in shift])
     vertex = tuple(float(min(max(c, lo), hi)) for c, (lo, hi) in zip(moved.tolist(), bounds))
     vertex_value = float(objective(tuple(np.array([c]) for c in vertex))[0])
@@ -375,7 +365,8 @@ def numeric_optimum(
         objective, tuple(float(a[k]) for a in grid), float(values[k]), ratios, bounds
     )
     if not math.isfinite(peak) or peak <= 0.0:
-        raise OptimizationError(f"objective is non-finite at the reported optimum {couplings!r}")
+        found = "not positive" if math.isfinite(peak) else "not finite"
+        raise OptimizationError(f"objective value {peak!r} at the optimum {couplings!r} is {found}")
     return OptimumRecord(
         geometry=geometry,
         target=target,
@@ -386,19 +377,29 @@ def numeric_optimum(
 
 @dataclass(frozen=True)
 class CrossValidationEntry:
-    """One optimum on both routes: the analytic and numeric records, the
-    largest coupling difference (units of gamma_c) and the peak's relative
-    difference, their tolerances, and whether both are within them."""
+    """One optimum on both routes: the analytic and numeric records.  The
+    largest coupling difference (units of gamma_c), the peak's relative
+    difference and whether both are within the class tolerances follow."""
+
+    coupling_tol = 1e-3
+    value_rtol = 1e-6
 
     geometry: Geometry
     target: OptimizationTarget
     analytic: OptimumRecord
     numeric: OptimumRecord
-    coupling_tol: float
-    value_rtol: float
-    coupling_err: float
-    value_relerr: float
-    passed: bool
+
+    @property
+    def coupling_err(self) -> float:
+        return max(abs(a - n) for a, n in zip(self.analytic.couplings, self.numeric.couplings))
+
+    @property
+    def value_relerr(self) -> float:
+        return abs(self.numeric.peak_value - self.analytic.peak_value) / self.analytic.peak_value
+
+    @property
+    def passed(self) -> bool:
+        return self.coupling_err <= self.coupling_tol and self.value_relerr <= self.value_rtol
 
     def describe(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -437,27 +438,9 @@ class CrossValidationReport:
 
 def cross_validate_optima() -> CrossValidationReport:
     """Re-derive all 12 optima numerically and diff against the analytic table:
-    couplings to 1e-3*gamma_c, peak values to 1e-6 relative."""
-    ctol, vtol = 1e-3, 1e-6
-    entries = []
-    for geometry, target in all_targets():
-        analytic = analytic_optimum(geometry, target)
-        numeric = numeric_optimum(geometry, target)
-        cerr = max(
-            abs(a - n) for a, n in zip(analytic.couplings, numeric.couplings)
-        )
-        verr = abs(numeric.peak_value - analytic.peak_value) / analytic.peak_value
-        entries.append(
-            CrossValidationEntry(
-                geometry=geometry,
-                target=target,
-                analytic=analytic,
-                numeric=numeric,
-                coupling_tol=ctol,
-                value_rtol=vtol,
-                coupling_err=cerr,
-                value_relerr=verr,
-                passed=(cerr <= ctol and verr <= vtol),
-            )
-        )
-    return CrossValidationReport(entries=tuple(entries))
+    couplings to 1e-3*gamma_c, peak values to 1e-6 relative
+    (:class:`CrossValidationEntry`'s tolerances)."""
+    return CrossValidationReport(entries=tuple(
+        CrossValidationEntry(g, t, analytic_optimum(g, t), numeric_optimum(g, t))
+        for g, t in all_targets()
+    ))

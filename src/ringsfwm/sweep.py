@@ -587,7 +587,11 @@ def emit_all(panels, fmt: str) -> None:
     None), and leaves by ``os._exit``.  After its own panels the caller
     re-issues them, with their category, message, file and line, from the
     frame that :func:`ringsfwm.core._warn` names, so its filters, warning
-    registries and ``catch_warnings`` see them as warnings raised here.  The
+    registries and ``catch_warnings`` see them as warnings raised here.  But
+    the ``catch_warnings()`` around the fork (below) changes the filters,
+    which clears every warning registry: a repeated call in one process
+    shows again the warnings that a ``default`` or ``module`` filter
+    suppresses as repeats when nothing is forked.  The
     child is reaped before this returns or raises.  The failure of the first
     failing panel in ``panels`` order is raised; a child that ends without a
     report raises ``OSError`` naming its file.

@@ -25,6 +25,7 @@ from ringsfwm import (
 from ringsfwm import optimize as optimize_module
 from ringsfwm import sweep as sweep_module
 from ringsfwm.optimize import (
+    CrossValidationEntry,
     _log_grid,
     _maximize,
     _mesh,
@@ -165,6 +166,38 @@ class TestNumericOptimum:
                 objective=lambda point: np.full(point[0].shape, np.nan),
             )
 
+    def test_no_positive_grid_value_raises(self):
+        from ringsfwm import OptimizationError
+
+        with pytest.raises(OptimizationError, match="grid scan found no positive objective value"):
+            numeric_optimum(
+                Geometry.ADD_DROP_DISTINCT, OptimizationTarget(ONE, CW),
+                objective=lambda point: -np.ones(point[0].shape),
+            )
+
+    @pytest.mark.parametrize("at_vertex,found", [(-1.0, "not positive"), (np.inf, "not finite")])
+    def test_bad_peak_is_named_with_its_value(self, at_vertex, found):
+        """A custom objective that is fine on the scan grid and bad where the
+        vertex is evaluated (one point, so a length-1 array).  The +inf case
+        also returns +inf on the zoom grids, where it wins, so that is the
+        reported peak."""
+        from ringsfwm import OptimizationError
+
+        def objective(point):
+            (x,) = point
+            values = 1.0 - np.log(x) ** 2
+            if x.size == 1 or np.isinf(at_vertex) and x.size == optimize_module._ZOOM_POINTS:
+                values = np.full(x.shape, at_vertex)
+            return values
+
+        with pytest.raises(OptimizationError) as caught:
+            numeric_optimum(
+                Geometry.ALL_PASS_IDENTICAL, OptimizationTarget(ONE, CW), objective=objective
+            )
+        message = str(caught.value)
+        assert f"objective value {at_vertex!r} at the optimum (" in message
+        assert message.endswith(f" is {found}")
+
     def test_objective_must_return_one_value_per_point(self):
         with pytest.raises(ValueError, match="one value per grid point"):
             numeric_optimum(
@@ -219,6 +252,45 @@ def test_zoom_treats_nan_as_losing():
     assert 0.0 < 1.01 - got[0][0] < 1e-6 and abs(got[0][1] - 0.7) < 1e-6
 
 
+class TestVertexStep:
+    """The Newton step of :func:`_maximize` on concave quadratics in log
+    couplings, whose central differences are exact: from a start inside the
+    +-1e-5 clip it lands on the vertex.  The start cell is below
+    ``_ZOOM_CELL``, so no zoom pass runs."""
+
+    ratios = [np.exp(0.5 * optimize_module._ZOOM_CELL)] * 2
+    bounds = ((0.05, 10.0),) * 2
+
+    def test_one_coupling(self):
+        u0 = np.log(1.3)
+
+        def objective(point):
+            return -2.5 * (np.log(point[0]) - u0) ** 2
+
+        start = (float(np.exp(u0 + 6e-6)),)
+        (x,), value = _maximize(objective, start, objective(start), self.ratios[:1],
+                                self.bounds[:1])
+        assert x == pytest.approx(1.3, rel=1e-12, abs=0.0)
+        assert value == pytest.approx(0.0, abs=1e-20)
+
+    @pytest.mark.parametrize("cross", [1.2, -1.2])
+    def test_two_couplings_with_cross_term(self, cross):
+        """Unequal curvatures and a cross term of either sign: a step with the
+        axes swapped or the cross term's sign flipped misses by ~1e-6."""
+        u0, v0 = np.log(1.3), np.log(0.6)
+
+        def objective(point):
+            du, dv = np.log(point[0]) - u0, np.log(point[1]) - v0
+            return -(3.0 * du * du + 2.0 * cross * du * dv + 0.8 * dv * dv)
+
+        start = (float(np.exp(u0 + 7e-6)), float(np.exp(v0 - 4e-6)))
+        (x, y), value = _maximize(objective, start, float(objective(start)), self.ratios,
+                                  self.bounds)
+        assert x == pytest.approx(1.3, rel=1e-12, abs=0.0)
+        assert y == pytest.approx(0.6, rel=1e-12, abs=0.0)
+        assert value == pytest.approx(0.0, abs=1e-20)
+
+
 class TestCrossValidation:
     def test_all_entries_pass(self):
         report = cross_validate_optima()
@@ -232,6 +304,20 @@ class TestCrossValidation:
         for entry in report.entries:
             overshoot = (entry.numeric.peak_value - entry.analytic.peak_value)
             assert overshoot <= entry.value_rtol * entry.analytic.peak_value
+
+    def test_verdict_follows_the_records(self):
+        """Errors and verdict are derived from the two records, so an entry
+        given another numeric record is judged on it."""
+        geometry, target = Geometry.ADD_DROP_DISTINCT, OptimizationTarget(TWO, PULSE)
+        analytic = analytic_optimum(geometry, target)
+        entry = CrossValidationEntry(geometry, target, analytic, numeric_optimum(geometry, target))
+        assert entry.passed and entry.value_relerr < 1e-12
+        off = dataclasses.replace(entry.numeric, peak_value=analytic.peak_value * (1.0 + 2e-6))
+        moved = dataclasses.replace(entry, numeric=off)
+        assert moved.value_relerr == pytest.approx(2e-6, rel=1e-6)
+        assert moved.coupling_err == entry.coupling_err
+        assert not moved.passed
+        assert moved.describe().startswith("[FAIL]")
 
     def test_fault_injection_fails_exactly_one(self, monkeypatch):
         import ringsfwm.optimize as optimize_mod
