@@ -41,7 +41,11 @@ integrates the Lorentzian pair exactly and leaves one adaptive quadrature
 over the frequency sum: QUADPACK's 21-point Gauss-Kronrod rule (Piessens
 et al., *QUADPACK*, 1983), bisecting the panel with the largest error estimate.
 The lineshape is evaluated once per round, on the array of all its nodes:
-once for the initial panels, then once for both halves of each bisection.
+once for the initial panels, then once for the halves of every panel a round
+takes.  A round takes the worst panels whose error estimates cover the
+excess over the target and replays their bisections in QUADPACK's order,
+one panel at a time, so the panels, the value and the error estimate are
+those of the one-at-a-time rule.
 """
 
 from __future__ import annotations
@@ -538,11 +542,22 @@ def _adaptive_gauss_kronrod(f, edges, epsrel: float) -> tuple[float, float]:
     """Integral of ``f`` over ``[edges[0], edges[-1]]`` and its absolute
     error estimate.  Starts with one :func:`_gauss_kronrod_21` panel per
     interval of ``edges``, all in one call, and bisects the panel with the
-    largest error estimate, both halves in one call, until the summed
-    estimate is at most ``epsrel`` times the integral.  Raises
-    :class:`QuadratureError` when that would take more than
-    ``_SUBDIV_LIMIT`` panels, or when the target lies below the summed
-    roundoff floor of the estimate.
+    largest error estimate until the summed estimate is at most ``epsrel``
+    times the integral.  Raises :class:`QuadratureError` when that would
+    take more than ``_SUBDIV_LIMIT`` panels, or when the target lies below
+    the summed roundoff floor of the estimate.
+
+    The bisections are QUADPACK's, one panel at a time, but they are
+    evaluated in rounds.  A round takes the worst panels whose estimates
+    cover the excess of the summed estimate over the target: a bisection
+    lowers the sum by at most the panel's own estimate, so while the
+    integral holds still the target is not met before that much has been
+    bisected.  All their halves are evaluated in one call.  The bisections
+    are then replayed in order, each after the checks that raise, on the
+    panel count the one-at-a-time rule would hold.  The round ends, and its
+    remaining panels go back to the heap unbisected (their halves were
+    evaluated for nothing), once the target is met or a half from this
+    round's bisections comes first.
     """
     edges = np.asarray(edges, dtype=float)
     lo, hi = edges[:-1], edges[1:]
@@ -553,25 +568,42 @@ def _adaptive_gauss_kronrod(f, edges, epsrel: float) -> tuple[float, float]:
     abserr = -sum(p[0] for p in panels)
     roundoff = sum(p[4] for p in panels)
     while abserr > epsrel * abs(total):
-        if len(panels) >= _SUBDIV_LIMIT or epsrel * abs(total) < roundoff:
-            why = (
-                f"{_SUBDIV_LIMIT} panels do not suffice" if len(panels) >= _SUBDIV_LIMIT
-                else f"the target is below the roundoff floor {roundoff:.3g}"
-            )
-            raise QuadratureError(
-                f"singles-probability quadrature did not converge: {why}; error "
-                f"estimate {abserr:.3g} > {epsrel:g} * |{total:.6g}|"
-            )
-        neg_err, a, b, result, floor = heapq.heappop(panels)
-        mid = 0.5 * (a + b)
-        (r1, r2), (e1, e2), (f1, f2) = (
-            v.tolist() for v in _gauss_kronrod_21(f, np.array([a, mid]), np.array([mid, b]))
-        )
-        heapq.heappush(panels, (-e1, a, mid, r1, f1))
-        heapq.heappush(panels, (-e2, mid, b, r2, f2))
-        total += r1 + r2 - result
-        abserr += e1 + e2 + neg_err
-        roundoff += f1 + f2 - floor
+        batch, covered = [], 0.0
+        excess = abserr - epsrel * abs(total)
+        while panels and covered < excess:
+            batch.append(heapq.heappop(panels))
+            covered -= batch[-1][0]
+        starts, ends = [], []
+        for _, a, b, _, _ in batch:
+            mid = 0.5 * (a + b)
+            starts += (a, mid)
+            ends += (mid, b)
+        halves = _gauss_kronrod_21(f, np.array(starts), np.array(ends))
+        results, errs, floors = (v.reshape(-1, 2).tolist() for v in halves)
+        for k, panel in enumerate(batch):
+            # Whole heap tuples compare, so ties break as heappop's would.
+            if abserr <= epsrel * abs(total) or (panels and panels[0] < panel):
+                for rest in batch[k:]:
+                    heapq.heappush(panels, rest)
+                break
+            count = len(panels) + len(batch) - k
+            if count >= _SUBDIV_LIMIT or epsrel * abs(total) < roundoff:
+                why = (
+                    f"{_SUBDIV_LIMIT} panels do not suffice" if count >= _SUBDIV_LIMIT
+                    else f"the target is below the roundoff floor {roundoff:.3g}"
+                )
+                raise QuadratureError(
+                    f"singles-probability quadrature did not converge: {why}; error "
+                    f"estimate {abserr:.3g} > {epsrel:g} * |{total:.6g}|"
+                )
+            neg_err, a, b, result, floor = panel
+            mid = 0.5 * (a + b)
+            (r1, r2), (e1, e2), (f1, f2) = results[k], errs[k], floors[k]
+            heapq.heappush(panels, (-e1, a, mid, r1, f1))
+            heapq.heappush(panels, (-e2, mid, b, r2, f2))
+            total += r1 + r2 - result
+            abserr += e1 + e2 + neg_err
+            roundoff += f1 + f2 - floor
     return total, abserr
 
 
@@ -597,8 +629,11 @@ def pulsed_single_prob_numeric(
     evaluates it to relative accuracy ``epsrel``, starting from panels
     split at ``0, +-1, +-3, +-10, +-30, +-100 * tgamma``.  The lineshape is
     called once on the ``(n_panels, 21)`` nodes of the initial panels, then
-    once on the ``(2, 21)`` nodes of each bisection.  Raises
-    :class:`QuadratureError` when the rule cannot meet ``epsrel``.
+    once per round on the ``(2*n, 21)`` nodes of the halves of the ``n``
+    panels the round takes.  The panels bisected, the value and the error
+    estimate are those of QUADPACK's one-panel-at-a-time order (see
+    :func:`_adaptive_gauss_kronrod`).  Raises :class:`QuadratureError` when
+    the rule cannot meet ``epsrel``.
     """
     return _single_prob_numeric(ring, cfg, energy, spectrum, epsrel)[0]
 

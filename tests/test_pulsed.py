@@ -835,27 +835,41 @@ def _qk21_scalar(f, a, b):
 
 def _adaptive_scalar(f, edges, epsrel):
     """The panel-at-a-time adaptive rule the batched one replaced, kept as
-    its oracle without the checks that raise: integral, error estimate and
-    the number of integrand values."""
+    its oracle: integral, error estimate, the number of integrand values
+    and the panels it bisected, in order.  It raises where that rule
+    raised, on ``pulsed._SUBDIV_LIMIT`` and on the roundoff floor, with the
+    same message."""
     panels = []
     for a, b in zip(edges, edges[1:]):
-        result, err, _ = _qk21_scalar(f, a, b)
-        panels.append((-err, a, b, result))
+        result, err, floor = _qk21_scalar(f, a, b)
+        panels.append((-err, a, b, result, floor))
     heapq.heapify(panels)
     total = sum(p[3] for p in panels)
     abserr = -sum(p[0] for p in panels)
-    neval = 21 * len(panels)
+    roundoff = sum(p[4] for p in panels)
+    bisected = []
     while abserr > epsrel * abs(total):
-        neg_err, a, b, result = heapq.heappop(panels)
+        limit = pulsed._SUBDIV_LIMIT
+        if len(panels) >= limit or epsrel * abs(total) < roundoff:
+            why = (
+                f"{limit} panels do not suffice" if len(panels) >= limit
+                else f"the target is below the roundoff floor {roundoff:.3g}"
+            )
+            raise QuadratureError(
+                f"singles-probability quadrature did not converge: {why}; error "
+                f"estimate {abserr:.3g} > {epsrel:g} * |{total:.6g}|"
+            )
+        neg_err, a, b, result, floor = heapq.heappop(panels)
         mid = 0.5 * (a + b)
-        r1, e1, _ = _qk21_scalar(f, a, mid)
-        r2, e2, _ = _qk21_scalar(f, mid, b)
-        heapq.heappush(panels, (-e1, a, mid, r1))
-        heapq.heappush(panels, (-e2, mid, b, r2))
+        r1, e1, f1 = _qk21_scalar(f, a, mid)
+        r2, e2, f2 = _qk21_scalar(f, mid, b)
+        heapq.heappush(panels, (-e1, a, mid, r1, f1))
+        heapq.heappush(panels, (-e2, mid, b, r2, f2))
         total += r1 + r2 - result
         abserr += e1 + e2 + neg_err
-        neval += 42
-    return total, abserr, neval
+        roundoff += f1 + f2 - floor
+        bisected.append((a, b))
+    return total, abserr, 21 * (len(edges) - 1 + 2 * len(bisected)), bisected
 
 
 def _assert_matches_scalar_rule(a, b, fx, batched):
@@ -884,6 +898,87 @@ def _assert_matches_scalar_rule(a, b, fx, batched):
         assert abs(batched[1][k] - err) <= 4.0 * eps * err + 300.0 * 41.0 * eps * scale
 
 
+class _RecordedRule:
+    """Records one run of the batched rule through ``patch``: each call of
+    :func:`pulsed._gauss_kronrod_21` as its panel ends, integrand values
+    and result triple, in ``rounds``, and each panel the rule takes off or
+    puts on its heap."""
+
+    heapify = staticmethod(heapq.heapify)
+
+    def __init__(self, patch):
+        self.rounds, self.popped, self.halves, self.returned = [], [], [], []
+        rule = pulsed._gauss_kronrod_21
+
+        def recorded_rule(f, a, b):
+            values = []
+            out = rule(lambda w: values.append(f(w)) or values[-1], a, b)
+            self.rounds.append((a, b, values[0], out))
+            return out
+
+        patch.setattr(pulsed, "_gauss_kronrod_21", recorded_rule)
+        patch.setattr(pulsed, "heapq", self)
+
+    def heappop(self, heap):
+        self.popped.append(heapq.heappop(heap))
+        return self.popped[-1]
+
+    def heappush(self, heap, panel):
+        """A panel taken off before goes back unbisected; any other is a
+        half of a bisection, pushed right after its sibling."""
+        taken = any(panel is p for p in self.popped)
+        (self.returned if taken else self.halves).append(panel)
+        heapq.heappush(heap, panel)
+
+    @property
+    def bisected(self):
+        """The panels bisected, in order."""
+        return [(lo[1], hi[2]) for lo, hi in zip(self.halves[0::2], self.halves[1::2])]
+
+
+def _singles_quadrature(ring, cfg, spectrum):
+    """The integrand, edges and ``epsrel`` of the quadrature that
+    :func:`pulsed_single_prob_numeric` runs, its value and error estimate,
+    and its :class:`_RecordedRule`."""
+    adaptive, runs = pulsed._adaptive_gauss_kronrod, []
+
+    def recorded_adaptive(f, edges, epsrel):
+        runs.append((f, edges, epsrel, adaptive(f, edges, epsrel)))
+        return runs[-1][-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pulsed, "_adaptive_gauss_kronrod", recorded_adaptive)
+        record = _RecordedRule(patch)
+        pulsed_single_prob_numeric(ring, cfg, ENERGY, spectrum)
+    [(f, edges, epsrel, (got, err))] = runs
+    return f, edges, epsrel, got, err, record
+
+
+def _assert_matches_scalar_oracle(f, edges, epsrel, got, err, record):
+    """The batched rule's value ``got``, error estimate ``err`` and
+    :class:`_RecordedRule` against :func:`_adaptive_scalar`: the value to
+    1e-13, the estimate to 1e-6, each panel against the scalar qk21
+    (:func:`_assert_matches_scalar_rule`), and the integrand values
+    exactly the scalar rule's plus the two halves of each dropped
+    bisection, 42 values each.  Returns the scalar rule's bisected
+    panels."""
+    want, want_err, neval, bisected = _adaptive_scalar(f, edges, epsrel)
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert err == pytest.approx(want_err, rel=1e-6)
+    # Every panel taken off the heap goes back as two halves or, its
+    # speculated bisection dropped, as itself.
+    dropped = len(record.returned)
+    assert len(record.popped) == len(record.bisected) + dropped
+    assert sum(fx.size for _, _, fx, _ in record.rounds) == neval + 42 * dropped
+    for a, b, fx, out in record.rounds:
+        _assert_matches_scalar_rule(a, b, fx, out)
+    return bisected
+
+
+def _two_kinks(x):
+    return np.abs(x - 0.3) + 5.0 * np.abs(x - 0.7)
+
+
 class TestGaussKronrodRule:
     """The adaptive rule behind :func:`pulsed_single_prob_numeric`."""
 
@@ -900,11 +995,12 @@ class TestGaussKronrodRule:
                 else:
                     assert abs(got / exact - 1.0) > 1e-11, (degree, k)
 
-    @pytest.mark.parametrize("bw", [10.0, 30.0])
-    def test_matches_quadpack_panels(self, algaas, bw):
+    @pytest.mark.parametrize("bw, bisections", [(10.0, [2]), (30.0, [2, 2])], ids=["10.0", "30.0"])
+    def test_matches_quadpack_panels(self, algaas, bw, bisections):
         """On the flattop designs the rule bisects the same panels as
         QUADPACK's qagp: same evaluation count, value and error estimate.
-        The integrand takes arrays (the rule's rounds of panels) and scalars
+        It does so in rounds of ``bisections`` panels, one call each.  The
+        integrand takes arrays (the rule's rounds of panels) and scalars
         (qagp's points) alike."""
         ring, gc = algaas
         cfg = CouplingConfig.all_pass(gc, gc)
@@ -926,9 +1022,8 @@ class TestGaussKronrodRule:
             f, edges[0], edges[-1], points=edges[1:-1], limit=10_000,
             epsabs=0.0, epsrel=1e-6, full_output=1,
         )
-        # One call for the initial panels, then one per bisection.
-        assert rounds[0] == (len(edges) - 1, 21)
-        assert rounds[1:] == [(2, 21)] * (len(rounds) - 1) and len(rounds) > 1
+        # One call for the initial panels, then one per round of bisections.
+        assert rounds == [(len(edges) - 1, 21), *((2 * n, 21) for n in bisections)]
         assert 21 * sum(n for n, _ in rounds) == info["neval"]
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
         assert err == pytest.approx(want_err, rel=1e-6)
@@ -947,17 +1042,22 @@ class TestGaussKronrodRule:
         got, err = _adaptive_gauss_kronrod(f, [0.0, 0.5, 3.0], 1e-12)
         assert got == pytest.approx(exact, rel=1e-13, abs=0.0)
         assert 0.0 < err <= 1e-12 * abs(got)
-        # Both initial panels in one call, then both halves of each bisection.
+        # Both initial panels in one call, then one panel's halves per round:
+        # the worst panel alone covers the excess each time.
         assert shapes == [(2, 21)] * len(shapes) and len(shapes) > 1
-        with pytest.raises(QuadratureError, match="roundoff"):
+        with pytest.raises(QuadratureError, match="roundoff") as got:
             _adaptive_gauss_kronrod(f, [0.0, 0.5, 3.0], 1e-13)
+        with pytest.raises(QuadratureError) as want:
+            _adaptive_scalar(f, [0.0, 0.5, 3.0], 1e-13)
+        assert str(got.value) == str(want.value)
 
     def test_one_lineshape_call_per_round(self, algaas, monkeypatch):
         """The singles probability evaluates the lineshape once per round of
-        the rule: once on the nodes of all initial panels, then once on both
-        halves of each bisection.  On the identical-coupler flattop designs
-        at B = 10 and 30 that is 6 panels and 2 bisections, then 8 panels
-        and 4 bisections: 8 calls."""
+        the rule: once on the nodes of all initial panels, then once on the
+        halves of every panel a round takes.  On the identical-coupler
+        flattop designs at B = 10 and 30 that is 6 panels and one round of 2
+        bisections, then 8 panels and two rounds of 2: 5 calls, where one
+        bisection per round took 8."""
         ring, gc = algaas
         cfg = CouplingConfig.all_pass(gc, gc)
         lineshape, sizes = pulsed.effective_pump_lineshape, []
@@ -969,26 +1069,30 @@ class TestGaussKronrodRule:
         monkeypatch.setattr(pulsed, "effective_pump_lineshape", counted)
         for bw in (10.0, 30.0):
             pulsed_single_prob_numeric(ring, cfg, ENERGY, TabulatedSpectrum.flattop(bw * cfg.tgamma))
-        assert sizes == [(6, 21), (2, 21), (2, 21), (8, 21), *[(2, 21)] * 4]
+        assert sizes == [(6, 21), (4, 21), (8, 21), (4, 21), (4, 21)]
 
     @settings(max_examples=40, deadline=None)
     @given(
         geometry=st.sampled_from(["all-pass", "add-drop", "distinct"]),
         couplings=st.tuples(st.floats(0.2, 5.0), st.floats(0.2, 5.0)),
         bw=st.floats(5.0, 300.0),
+        spectrum=st.sampled_from(["flattop", *_shaped_spectra(1.0)]),
     )
-    @example(geometry="all-pass", couplings=(1.0, 1.0), bw=10.0)
-    @example(geometry="distinct", couplings=(4.0, 0.25), bw=199.0)
-    def test_random_flattop_designs(self, algaas, geometry, couplings, bw):
-        """Over random flattop designs (couplings in units of ``gamma_c``,
-        ``B = delta_omega/tgamma``), on the singles probability's own
-        integrand and breakpoints:
+    @example(geometry="all-pass", couplings=(1.0, 1.0), bw=10.0, spectrum="flattop")
+    @example(geometry="distinct", couplings=(4.0, 0.25), bw=199.0, spectrum="flattop")
+    @example(geometry="distinct", couplings=(4.0, 0.25), bw=10.0, spectrum="plateau-padded-49")
+    def test_random_flattop_designs(self, algaas, geometry, couplings, bw, spectrum):
+        """Over random designs (couplings in units of ``gamma_c``), on the
+        singles probability's own integrand and breakpoints, for a flattop
+        spectrum (``B = delta_omega/tgamma``) or one of the shaped spectra,
+        which take more rounds and reach the replay's stop rule:
 
-        - the rule bisects the same panels as the scalar rule it replaced
-          (:func:`_adaptive_scalar`): the same evaluation count, the value
-          to 1e-13 and the error estimate to 1e-6;
-        - each batched panel matches the scalar qk21 on the same integrand
-          values (:func:`_assert_matches_scalar_rule`);
+        - the rule makes as many bisections as the scalar rule it
+          replaced, with the same value and error estimate, and evaluates
+          exactly their halves and those of the speculated bisections it
+          dropped (:func:`_assert_matches_scalar_oracle`).  Which panels
+          it bisects is not compared here: two mirror-image panels can
+          tie to roundoff, and the two rules may break the tie apart;
         - QUADPACK's qagp agrees within the two error estimates.  qagp
           also extrapolates (Wynn's epsilon algorithm), which this rule
           does not, so on some distinct-coupler designs at large B it
@@ -1001,31 +1105,85 @@ class TestGaussKronrodRule:
             "add-drop": lambda: CouplingConfig.add_drop(x, y, gc),
             "distinct": lambda: CouplingConfig.distinct(x, y, gc),
         }[geometry]()
-        adaptive, rule = pulsed._adaptive_gauss_kronrod, pulsed._gauss_kronrod_21
-        runs, rounds = [], []
-
-        def recorded_adaptive(f, edges, epsrel):
-            runs.append((f, edges, epsrel, adaptive(f, edges, epsrel)))
-            return runs[-1][-1]
-
-        def recorded_rule(f, a, b):
-            values = []
-            out = rule(lambda w: values.append(f(w)) or values[-1], a, b)
-            rounds.append((a, b, values[0], out))
-            return out
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(pulsed, "_adaptive_gauss_kronrod", recorded_adaptive)
-            patch.setattr(pulsed, "_gauss_kronrod_21", recorded_rule)
-            pulsed_single_prob_numeric(ring, cfg, ENERGY, TabulatedSpectrum.flattop(bw * cfg.tgamma))
-        [(f, edges, epsrel, (got, err))] = runs
-        want, want_err, neval = _adaptive_scalar(f, edges, epsrel)
-        assert sum(fx.size for _, _, fx, _ in rounds) == neval
-        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
-        assert err == pytest.approx(want_err, rel=1e-6)
-        for a, b, fx, out in rounds:
-            _assert_matches_scalar_rule(a, b, fx, out)
+        if spectrum == "flattop":
+            spec = TabulatedSpectrum.flattop(bw * cfg.tgamma)
+        else:
+            spec = _shaped_spectra(cfg.tgamma)[spectrum]
+        f, edges, epsrel, got, err, record = _singles_quadrature(ring, cfg, spec)
+        _assert_matches_scalar_oracle(f, edges, epsrel, got, err, record)
         qagp, qagp_err = quad(
             f, edges[0], edges[-1], points=edges[1:-1], limit=10_000, epsabs=0.0, epsrel=epsrel,
         )
         assert abs(got - qagp) <= err + qagp_err
+
+    def test_dropped_bisections_are_counted_exactly(self, monkeypatch):
+        """Two kinks, one five times steeper: bisecting its panel leaves a
+        half still worse than the other kink's panel, so the replay drops
+        that panel's speculated bisection.  The panels bisected, in order,
+        the value and the error estimate are the scalar rule's, and each
+        dropped bisection costs exactly 42 values."""
+        edges = [0.0, 0.5, 1.0]
+        record = _RecordedRule(monkeypatch)
+        got, err = _adaptive_gauss_kronrod(_two_kinks, edges, 1e-9)
+        assert _assert_matches_scalar_oracle(_two_kinks, edges, 1e-9, got, err, record) == record.bisected
+        assert record.returned
+        assert got == pytest.approx(0.3**2 / 2 + 0.7**2 / 2 + 5.0 * (0.7**2 / 2 + 0.3**2 / 2), rel=1e-9)
+
+    def test_target_met_inside_a_round(self, monkeypatch):
+        """A round can meet the target before its last bisection, when the
+        integral grows.  One panel resolves the spike on [0, 1] poorly and
+        its halves well, raising the integral by ``grown``.  The spike on
+        [1, 2] is scaled so that its error estimate lies above the target
+        of the initial panels, by half the slack ``grown`` opens.  The round
+        speculates on both panels and, as the one-at-a-time rule does,
+        stops after the first."""
+        def spike(x, center, width):
+            return np.exp(-(((x - center) / width) ** 2))
+
+        epsrel = 0.5
+        left, right = (lambda x: spike(x, 0.607, 0.0556)), (lambda x: spike(x, 1.637, 0.0254))
+        left_value, left_err, _ = _qk21_scalar(left, 0.0, 1.0)
+        halves = [_qk21_scalar(left, a, a + 0.5) for a in (0.0, 0.5)]
+        grown = halves[0][0] + halves[1][0] - left_value
+        slack = epsrel * grown - halves[0][1] - halves[1][1]
+        right_value, right_err, _ = _qk21_scalar(right, 1.0, 2.0)
+        scale = (epsrel * left_value + 0.5 * slack) / (right_err - epsrel * right_value)
+        assert slack > 0.0 and 0.0 < scale * right_err < left_err
+
+        def f(x):
+            return np.where(x < 1.0, left(x), scale * right(x))
+
+        record = _RecordedRule(monkeypatch)
+        got, err = _adaptive_gauss_kronrod(f, [0.0, 1.0, 2.0], epsrel)
+        assert [a.size for a, _, _, _ in record.rounds] == [2, 4]
+        assert _assert_matches_scalar_oracle(f, [0.0, 1.0, 2.0], epsrel, got, err, record) == [(0.0, 1.0)]
+        assert record.bisected == [(0.0, 1.0)] and len(record.returned) == 1
+
+    @pytest.mark.parametrize("case", ["flattop-30", "kinked"])
+    def test_panel_budget_boundary(self, algaas, monkeypatch, case):
+        """With ``_SUBDIV_LIMIT`` one below the panel count the
+        one-at-a-time rule ends with, both rules raise with the same
+        message; at that count both converge to the same value.  On the
+        flattop design the last round bisects two panels and the limit
+        bites on the second, so the count must hold the round's panels not
+        yet bisected; the kinked integrand drops bisections."""
+        if case == "kinked":
+            f, edges, epsrel = _two_kinks, [0.0, 0.5, 1.0], 1e-9
+        else:
+            ring, gc = algaas
+            cfg = CouplingConfig.all_pass(gc, gc)
+            f, edges, epsrel, _, _, record = _singles_quadrature(
+                ring, cfg, TabulatedSpectrum.flattop(30.0 * cfg.tgamma)
+            )
+            assert record.rounds[-1][0].size == 4
+        final = len(edges) - 1 + len(_adaptive_scalar(f, edges, epsrel)[3])
+        monkeypatch.setattr(pulsed, "_SUBDIV_LIMIT", final - 1)
+        with pytest.raises(QuadratureError) as want:
+            _adaptive_scalar(f, edges, epsrel)
+        with pytest.raises(QuadratureError, match=f"{final - 1} panels do not suffice") as got:
+            _adaptive_gauss_kronrod(f, edges, epsrel)
+        assert str(got.value) == str(want.value)
+        monkeypatch.setattr(pulsed, "_SUBDIV_LIMIT", final)
+        assert _adaptive_gauss_kronrod(f, edges, epsrel)[0] == pytest.approx(
+            _adaptive_scalar(f, edges, epsrel)[0], rel=1e-13, abs=0.0
+        )
