@@ -39,13 +39,12 @@ every knot and its mirror image into its overlap of the two pump supports.
 The per-pulse singles probability (:func:`pulsed_single_prob_numeric`)
 integrates the Lorentzian pair exactly and leaves one adaptive quadrature
 over the frequency sum: QUADPACK's 21-point Gauss-Kronrod rule (Piessens
-et al., *QUADPACK*, 1983), bisecting the panel with the largest error estimate.
-The lineshape is evaluated once per round, on the array of all its nodes:
-once for the initial panels, then once for the halves of every panel a round
-takes.  A round takes the worst panels whose error estimates cover the
-excess over the target and replays their bisections in QUADPACK's order,
-one panel at a time, so the panels, the value and the error estimate are
-those of the one-at-a-time rule.
+et al., *QUADPACK*, 1983), bisecting the panels with the largest error
+estimates in rounds.  A round bisects the fewest worst panels whose error
+estimates cover the excess over the target and keeps every half it
+evaluates.  The lineshape is evaluated once per round, on the array of all
+its nodes: once for the initial panels, then once for the halves of every
+panel a round bisects.
 """
 
 from __future__ import annotations
@@ -541,23 +540,16 @@ def _gauss_kronrod_21(f, a, b):
 def _adaptive_gauss_kronrod(f, edges, epsrel: float) -> tuple[float, float]:
     """Integral of ``f`` over ``[edges[0], edges[-1]]`` and its absolute
     error estimate.  Starts with one :func:`_gauss_kronrod_21` panel per
-    interval of ``edges``, all in one call, and bisects the panel with the
-    largest error estimate until the summed estimate is at most ``epsrel``
-    times the integral.  Raises :class:`QuadratureError` when that would
-    take more than ``_SUBDIV_LIMIT`` panels, or when the target lies below
-    the summed roundoff floor of the estimate.
-
-    The bisections are QUADPACK's, one panel at a time, but they are
-    evaluated in rounds.  A round takes the worst panels whose estimates
-    cover the excess of the summed estimate over the target: a bisection
-    lowers the sum by at most the panel's own estimate, so while the
-    integral holds still the target is not met before that much has been
-    bisected.  All their halves are evaluated in one call.  The bisections
-    are then replayed in order, each after the checks that raise, on the
-    panel count the one-at-a-time rule would hold.  The round ends, and its
-    remaining panels go back to the heap unbisected (their halves were
-    evaluated for nothing), once the target is met or a half from this
-    round's bisections comes first.
+    interval of ``edges``, all in one call, and bisects panels in rounds
+    until the summed estimate is at most ``epsrel`` times the integral.  A
+    round bisects the fewest worst panels whose estimates cover the excess
+    of the summed estimate over the target: a bisection lowers the sum by at
+    most the panel's own estimate, so while the integral holds still the
+    target is not met before that much has been bisected.  All their halves
+    are evaluated in one call, and every half becomes a panel.  Before each
+    round, raises :class:`QuadratureError` when the round would leave more
+    than ``_SUBDIV_LIMIT`` panels, or when the target lies below the summed
+    roundoff floor of the estimate.
     """
     edges = np.asarray(edges, dtype=float)
     lo, hi = edges[:-1], edges[1:]
@@ -573,6 +565,16 @@ def _adaptive_gauss_kronrod(f, edges, epsrel: float) -> tuple[float, float]:
         while panels and covered < excess:
             batch.append(heapq.heappop(panels))
             covered -= batch[-1][0]
+        count = len(panels) + 2 * len(batch)
+        if count > _SUBDIV_LIMIT or epsrel * abs(total) < roundoff:
+            why = (
+                f"{_SUBDIV_LIMIT} panels do not suffice" if count > _SUBDIV_LIMIT
+                else f"the target is below the roundoff floor {roundoff:.3g}"
+            )
+            raise QuadratureError(
+                f"singles-probability quadrature did not converge: {why}; error "
+                f"estimate {abserr:.3g} > {epsrel:g} * |{total:.6g}|"
+            )
         starts, ends = [], []
         for _, a, b, _, _ in batch:
             mid = 0.5 * (a + b)
@@ -580,25 +582,10 @@ def _adaptive_gauss_kronrod(f, edges, epsrel: float) -> tuple[float, float]:
             ends += (mid, b)
         halves = _gauss_kronrod_21(f, np.array(starts), np.array(ends))
         results, errs, floors = (v.reshape(-1, 2).tolist() for v in halves)
-        for k, panel in enumerate(batch):
-            # Whole heap tuples compare, so ties break as heappop's would.
-            if abserr <= epsrel * abs(total) or (panels and panels[0] < panel):
-                for rest in batch[k:]:
-                    heapq.heappush(panels, rest)
-                break
-            count = len(panels) + len(batch) - k
-            if count >= _SUBDIV_LIMIT or epsrel * abs(total) < roundoff:
-                why = (
-                    f"{_SUBDIV_LIMIT} panels do not suffice" if count >= _SUBDIV_LIMIT
-                    else f"the target is below the roundoff floor {roundoff:.3g}"
-                )
-                raise QuadratureError(
-                    f"singles-probability quadrature did not converge: {why}; error "
-                    f"estimate {abserr:.3g} > {epsrel:g} * |{total:.6g}|"
-                )
-            neg_err, a, b, result, floor = panel
+        for (neg_err, a, b, result, floor), (r1, r2), (e1, e2), (f1, f2) in zip(
+            batch, results, errs, floors
+        ):
             mid = 0.5 * (a + b)
-            (r1, r2), (e1, e2), (f1, f2) = results[k], errs[k], floors[k]
             heapq.heappush(panels, (-e1, a, mid, r1, f1))
             heapq.heappush(panels, (-e2, mid, b, r2, f2))
             total += r1 + r2 - result
@@ -625,14 +612,14 @@ def pulsed_single_prob_numeric(
 
     and :func:`effective_pump_lineshape` is exact, so one integral over
     ``w`` remains.  An adaptive 21-point Gauss-Kronrod rule (QUADPACK's
-    qk21 panels, bisecting the panel with the largest error estimate)
+    qk21 panels, bisecting those with the largest error estimates)
     evaluates it to relative accuracy ``epsrel``, starting from panels
     split at ``0, +-1, +-3, +-10, +-30, +-100 * tgamma``.  The lineshape is
     called once on the ``(n_panels, 21)`` nodes of the initial panels, then
     once per round on the ``(2*n, 21)`` nodes of the halves of the ``n``
-    panels the round takes.  The panels bisected, the value and the error
-    estimate are those of QUADPACK's one-panel-at-a-time order (see
-    :func:`_adaptive_gauss_kronrod`).  Raises :class:`QuadratureError` when
+    panels the round bisects (see :func:`_adaptive_gauss_kronrod`).  On
+    identical-coupler flattop designs at ``B = 10`` and 30 the panels are
+    those QUADPACK's qagp bisects.  Raises :class:`QuadratureError` when
     the rule cannot meet ``epsrel``.
     """
     return _single_prob_numeric(ring, cfg, energy, spectrum, epsrel)[0]

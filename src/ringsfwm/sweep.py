@@ -16,10 +16,10 @@ Python values, and serializes the columns.  CSV and JSON serialization read
 each column as one iterator over its cells in row order, take one block of
 rows at a time from every iterator, and fill the block with one format pass;
 :func:`emit` writes each block as it is formatted, so a panel's whole text
-is never held.  The coupling texts are formatted once per axis value and
-laid out by grid position, and an ``error`` column holding one value on
-every row is part of the row template; ``SweepResult.rows`` serves library
-callers.
+is never held.  A 2-D sweep's coupling texts are formatted once per axis
+value and laid out by grid position, and an ``error`` column holding one
+value on every row is part of the row template; ``SweepResult.rows`` serves
+library callers.
 :func:`emit_all` computes and writes several panels in two processes: a
 child forked before any panel is computed does the second-largest panel
 while the caller does the rest, each dropping a result once it is written.
@@ -48,11 +48,11 @@ from .core import (
     RingParams,
     _NOT_BROADBAND,
     _broadband_rule,
-    _calling_frame,
     _check_pump_loss,
     _drive_cw,
     _point_count,
     _point_rates,
+    _warn,
     prob_scale_p0,
     rate_scale_R0,
 )
@@ -408,13 +408,13 @@ def _pieces(result: SweepResult, fmt: str):
 
     The columns are read, never ``rows``: one row template, repeated once
     per row of a block, is filled by a single ``%`` per block from one
-    iterator per column over its ``n_rows`` cells in row order.  Each
-    coupling axis's values are formatted once, read from its column
-    (axis2-major: ``[::n1]`` and ``[:n1]``): each text of the last axis (a
-    1-D sweep's only one) is repeated over its run of rows as it is
-    reached, and a 2-D sweep's axis 1 texts are cycled.  A varying
-    ``error`` column, and a JSON column holding a non-finite value, are
-    mapped through their converter; other columns are left for the ``%``
+    iterator per column over its ``n_rows`` cells in row order.  A 2-D
+    sweep's axis values are formatted once each, read from their columns
+    (axis2-major: ``[::n1]`` and ``[:n1]``): each axis 2 text is repeated
+    over its run of ``n1`` rows as it is reached, and the axis 1 texts are
+    cycled.  A varying ``error`` column, and a JSON column holding a
+    non-finite value, are mapped through their converter; other columns,
+    a 1-D sweep's coupling column among them, are left for the ``%``
     pass.  An ``error`` column that holds one value on every row (None
     where no point fails) is written into the template."""
     if fmt == "csv":
@@ -430,18 +430,21 @@ def _pieces(result: SweepResult, fmt: str):
         if len(values) != n_rows:
             raise ValueError(f"sweep column {name!r} holds {len(values)} values; its "
                              f"{n1}x{n2} grid has {n_rows}")
-    names = [_coupling_column(n) for n in coupling_parameter_names(grid.geometry)]
-    run = n_rows // (grid.axis2 or grid.axis1).n_points  # rows per value of the last axis
+    # a 1-D sweep's coupling column is left to the % pass, as an output column
+    axis1, axis2 = (
+        map(_coupling_column, coupling_parameter_names(grid.geometry))
+        if grid.axis2 is not None else (None, None)
+    )
     specs, iters = [], []
     for name, values in columns.items():
         if name == "error" and values.count(values[0]) == n_rows:  # one text on every row
             specs.append(text(values[0]).replace("%", "%%"))
             continue
         spec = "%s"
-        if name == names[-1]:  # in a 1-D sweep, the one coupling column: runs of 1 row
-            axis = _axis(name, (values[j::run] for j in range(run)))
-            column = chain.from_iterable(repeat(number(v), run) for v in axis)
-        elif name == names[0]:
+        if name == axis2:  # each text over its run of n1 rows
+            axis = _axis(name, (values[j::n1] for j in range(n1)))
+            column = chain.from_iterable(repeat(number(v), n1) for v in axis)
+        elif name == axis1:
             axis = _axis(name, (values[k : k + n1] for k in range(0, n_rows, n1)))
             column = cycle([number(v) for v in axis])
         elif name == "error":
@@ -528,6 +531,11 @@ def emit(result: SweepResult, fmt: str, path) -> None:
     _write(_pieces(result, fmt), path)
 
 
+# Python 3.12 and later warn (DeprecationWarning) when a multi-threaded
+# process calls os.fork().
+_FORK_WARNS = sys.version_info >= (3, 12)
+
+
 def _cpu_count() -> int:
     """The CPUs this process may run on."""
     try:
@@ -556,19 +564,6 @@ def _emit_share(panels: list, share, fmt: str):
     return None
 
 
-def _reissue(caught) -> None:
-    """Issue each ``(message, filename, lineno)`` of ``caught`` as
-    ``warnings.warn`` does from the frame that :func:`ringsfwm.core._warn`
-    names from the caller: under that frame's module name and warning
-    registry."""
-    module_globals = _calling_frame(sys._getframe(1))[0].f_globals
-    for message, filename, lineno in caught:
-        warnings.warn_explicit(
-            message, type(message), filename, lineno, module_globals.get("__name__", "<string>"),
-            module_globals.setdefault("__warningregistry__", {}), module_globals,
-        )
-
-
 def emit_all(panels, fmt: str) -> None:
     """Compute each ``(spec, refine, path)`` of ``panels`` with
     :func:`run_sweep` and write it to its file as :func:`emit` does, in two
@@ -583,29 +578,29 @@ def emit_all(panels, fmt: str) -> None:
     bytes :func:`emit` writes; every path must name a file.
 
     The child records the warnings that pass the filters it inherits, sends
-    them back through a pipe with the pickled failure of its panel (or
-    None), and leaves by ``os._exit``.  After its own panels the caller
-    re-issues them, with their category, message, file and line, from the
-    frame that :func:`ringsfwm.core._warn` names, so its filters, warning
-    registries and ``catch_warnings`` see them as warnings raised here.  But
-    the ``catch_warnings()`` around the fork (below) changes the filters,
-    which clears every warning registry: a repeated call in one process
-    shows again the warnings that a ``default`` or ``module`` filter
-    suppresses as repeats when nothing is forked.  The
-    child is reaped before this returns or raises.  The failure of the first
-    failing panel in ``panels`` order is raised; a child that ends without a
-    report raises ``OSError`` naming its file.
+    each back as its message text and category through a pipe with the
+    pickled failure of its panel (or None), and leaves by ``os._exit``.
+    After its own panels the caller issues them again through
+    :func:`ringsfwm.core._warn`, which issued them in the child: the child
+    is a fork of this call, so it names the same caller line.  The caller's
+    filters, warning registries and ``catch_warnings`` see them as warnings
+    raised here.  The child is reaped before this returns or raises.  The
+    failure of the first failing panel in ``panels`` order is raised; a
+    child that ends without a report raises ``OSError`` naming its file.
 
     Python 3.12 and later warn (``DeprecationWarning``) when a multi-threaded
     process forks, because a lock another thread held stays held in the
-    child.  That warning is ignored around the fork.  The program starts no
-    thread, and the child's one thread runs only the sweep path: numpy
-    ufuncs, reductions, sorts and array builds, the warnings machinery with
-    a list of its own as the sink, string formatting, and the write of its
-    own file.  That path makes no BLAS or LAPACK call, so it never waits on a
-    BLAS thread pool, and imports no module for the first time, so it never
-    takes the import lock.  ``os._exit`` runs no exit handler or stream
-    flush."""
+    child.  There that warning is ignored in a ``catch_warnings()`` around
+    the fork, which changes the filters and so clears every warning
+    registry: a repeated call in one process shows again the warnings that
+    a ``default`` or ``module`` filter suppresses as repeats when nothing is
+    forked.  The program starts no thread, and the child's one thread runs
+    only the sweep path: numpy ufuncs, reductions, sorts and array builds,
+    the warnings machinery with a list of its own as the sink, string
+    formatting, and the write of its own file.  That path makes no BLAS or
+    LAPACK call, so it never waits on a BLAS thread pool, and imports no
+    module for the first time, so it never takes the import lock.
+    ``os._exit`` runs no exit handler or stream flush."""
     panels = list(panels)
     if any(path is None for *_, path in panels):
         # a child's stdout buffer is never flushed, and its order would vary
@@ -617,16 +612,19 @@ def emit_all(panels, fmt: str) -> None:
             for spec, *_ in panels
         ])
         read_fd, write_fd = os.pipe()
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded, "
-                                    r"use of fork\(\) may lead to deadlocks", DeprecationWarning)
+        if _FORK_WARNS:  # catch_warnings() clears every warning registry
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded, "
+                                        r"use of fork\(\) may lead to deadlocks", DeprecationWarning)
+                pid = os.fork()
+        else:
             pid = os.fork()
         if pid == 0:
             try:
                 os.close(read_fd)
                 with warnings.catch_warnings(record=True) as log:
                     failure = _emit_share(panels, [child], fmt)
-                report = failure, [(w.message, w.filename, w.lineno) for w in log]
+                report = failure, [(str(w.message), w.category) for w in log]
                 with os.fdopen(write_fd, "wb") as fh:
                     fh.write(pickle.dumps(report))
                 os._exit(0)
@@ -645,7 +643,8 @@ def emit_all(panels, fmt: str) -> None:
                 f"panel worker for {panels[child][-1]!s} ended without a report "
                 f"(exit status {status})")), ())
             failures.append(failure)
-    _reissue(caught)
+    for message, category in caught:
+        _warn(message, category)
     failures = [f for f in failures if f is not None]
     if failures:
         raise min(failures, key=lambda f: f[0])[1]

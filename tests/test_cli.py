@@ -751,12 +751,32 @@ class TestFigureFiles:
             (BroadbandAssumptionWarning, __file__, line), (UserWarning, __file__, line)}
         assert (STRAINED_B7, UserWarning, __file__, line) in shown[0]
 
+    @pytest.mark.skipif(sys.version_info >= (3, 12), reason="os.fork() warns from Python 3.12 "
+                        "on, and the catch_warnings() around it clears the warning registries")
+    def test_repeated_call_shows_no_warning_again(self, tmp_path, capsys, monkeypatch, forks):
+        """Under the default filter a second figure3 call at B = 7 in the
+        same process shows none of the warnings the first showed, on two
+        CPUs as on one: nothing around the fork clears the registries."""
+        argv = self._b7_argv(tmp_path)
+        argv[argv.index("--grid") + 1] = "9"
+        for workers in (1, 2):
+            monkeypatch.setattr(sweep_module, "_cpu_count", lambda: workers)
+            shown = []
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("default")
+                for _ in range(2):
+                    assert main(argv) == 0
+                    shown.append(len(caught) - sum(shown))
+            assert shown == [3, 0], (workers, shown)
+        assert len(forks) == 2
+
     def test_perturbative_warnings_equal_on_one_and_two_cpus(
             self, tmp_path, capsys, monkeypatch, forks):
         """The default figure3 pump peaks at ps = 0.218 on panels a and c at
-        --grid 4: each of those panels warns once, naming the line that
-        called main, whether the child computes panel c or the caller
-        computes every panel."""
+        --grid 4: each of those panels warns once, and no other warning is
+        issued.  Each warning has the category, file and line it has in a
+        one-process run (the line that called main), whether the child
+        computes panel c or the caller computes every panel."""
         shown = []
         for workers in (1, 2):
             monkeypatch.setattr(sweep_module, "_cpu_count", lambda: workers)
@@ -765,11 +785,10 @@ class TestFigureFiles:
                 line = sys._getframe().f_lineno + 1
                 assert main(["figure3", "--grid", "4", "--out", str(tmp_path / "fig")]) == 0
             shown.append(collections.Counter(
-                (str(w.message), w.filename, w.lineno) for w in caught
-                if w.category is UserWarning))
+                (str(w.message), w.category, w.filename, w.lineno) for w in caught))
         assert len(forks) == 1
         assert shown[0] == shown[1]
-        assert shown[0] == {(_strained("0.218"), __file__, line): 2}
+        assert shown[0] == {(_strained("0.218"), UserWarning, __file__, line): 2}
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_warning_as_error_ends_main_alike(self, workers, tmp_path, capsys, monkeypatch,
@@ -806,10 +825,12 @@ class TestFigureFiles:
         _assert_no_child_left()
 
     def test_fork_warning_not_passed_on(self, tmp_path, capsys, monkeypatch):
-        """Python 3.12+ warn when a multi-threaded process forks; emit_all
-        ignores exactly that warning around its own fork, so figure3's caller
-        sees no DeprecationWarning."""
+        """Python 3.12+ warn when a multi-threaded process forks; there
+        emit_all ignores exactly that warning around its own fork, so
+        figure3's caller sees no DeprecationWarning.  The fork is made to
+        warn, and emit_all to expect it, on any Python."""
         monkeypatch.setattr(sweep_module, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(sweep_module, "_FORK_WARNS", True)
         real_fork, calls = os.fork, []
 
         def warning_fork():

@@ -901,13 +901,10 @@ def _assert_matches_scalar_rule(a, b, fx, batched):
 class _RecordedRule:
     """Records one run of the batched rule through ``patch``: each call of
     :func:`pulsed._gauss_kronrod_21` as its panel ends, integrand values
-    and result triple, in ``rounds``, and each panel the rule takes off or
-    puts on its heap."""
-
-    heapify = staticmethod(heapq.heapify)
+    and result triple, in ``rounds``."""
 
     def __init__(self, patch):
-        self.rounds, self.popped, self.halves, self.returned = [], [], [], []
+        self.rounds = []
         rule = pulsed._gauss_kronrod_21
 
         def recorded_rule(f, a, b):
@@ -917,23 +914,11 @@ class _RecordedRule:
             return out
 
         patch.setattr(pulsed, "_gauss_kronrod_21", recorded_rule)
-        patch.setattr(pulsed, "heapq", self)
-
-    def heappop(self, heap):
-        self.popped.append(heapq.heappop(heap))
-        return self.popped[-1]
-
-    def heappush(self, heap, panel):
-        """A panel taken off before goes back unbisected; any other is a
-        half of a bisection, pushed right after its sibling."""
-        taken = any(panel is p for p in self.popped)
-        (self.returned if taken else self.halves).append(panel)
-        heapq.heappush(heap, panel)
 
     @property
-    def bisected(self):
-        """The panels bisected, in order."""
-        return [(lo[1], hi[2]) for lo, hi in zip(self.halves[0::2], self.halves[1::2])]
+    def neval(self):
+        """The integrand values the rule evaluated."""
+        return sum(fx.size for _, _, fx, _ in self.rounds)
 
 
 def _singles_quadrature(ring, cfg, spectrum):
@@ -958,21 +943,14 @@ def _assert_matches_scalar_oracle(f, edges, epsrel, got, err, record):
     """The batched rule's value ``got``, error estimate ``err`` and
     :class:`_RecordedRule` against :func:`_adaptive_scalar`: the value to
     1e-13, the estimate to 1e-6, each panel against the scalar qk21
-    (:func:`_assert_matches_scalar_rule`), and the integrand values
-    exactly the scalar rule's plus the two halves of each dropped
-    bisection, 42 values each.  Returns the scalar rule's bisected
-    panels."""
-    want, want_err, neval, bisected = _adaptive_scalar(f, edges, epsrel)
+    (:func:`_assert_matches_scalar_rule`), and exactly as many integrand
+    values."""
+    want, want_err, neval, _ = _adaptive_scalar(f, edges, epsrel)
     assert got == pytest.approx(want, rel=1e-13, abs=0.0)
     assert err == pytest.approx(want_err, rel=1e-6)
-    # Every panel taken off the heap goes back as two halves or, its
-    # speculated bisection dropped, as itself.
-    dropped = len(record.returned)
-    assert len(record.popped) == len(record.bisected) + dropped
-    assert sum(fx.size for _, _, fx, _ in record.rounds) == neval + 42 * dropped
+    assert record.neval == neval
     for a, b, fx, out in record.rounds:
         _assert_matches_scalar_rule(a, b, fx, out)
-    return bisected
 
 
 def _two_kinks(x):
@@ -1085,14 +1063,15 @@ class TestGaussKronrodRule:
         """Over random designs (couplings in units of ``gamma_c``), on the
         singles probability's own integrand and breakpoints, for a flattop
         spectrum (``B = delta_omega/tgamma``) or one of the shaped spectra,
-        which take more rounds and reach the replay's stop rule:
+        which take more rounds:
 
-        - the rule makes as many bisections as the scalar rule it
-          replaced, with the same value and error estimate, and evaluates
-          exactly their halves and those of the speculated bisections it
-          dropped (:func:`_assert_matches_scalar_oracle`).  Which panels
-          it bisects is not compared here: two mirror-image panels can
-          tie to roundoff, and the two rules may break the tie apart;
+        - the rule evaluates exactly as many integrand values as the scalar
+          rule it replaced, with the same value and error estimate
+          (:func:`_assert_matches_scalar_oracle`).  Which panels it bisects
+          is not compared here: two mirror-image panels can tie to
+          roundoff, and the two rules may break the tie apart.  On the third
+          example, where the one-at-a-time rule bisects a half before the
+          next initial panel, that is 378 values;
         - QUADPACK's qagp agrees within the two error estimates.  qagp
           also extrapolates (Wynn's epsilon algorithm), which this rule
           does not, so on some distinct-coupler designs at large B it
@@ -1116,27 +1095,27 @@ class TestGaussKronrodRule:
         )
         assert abs(got - qagp) <= err + qagp_err
 
-    def test_dropped_bisections_are_counted_exactly(self, monkeypatch):
+    def test_two_kinks_take_the_oracles_evaluations(self, monkeypatch):
         """Two kinks, one five times steeper: bisecting its panel leaves a
-        half still worse than the other kink's panel, so the replay drops
-        that panel's speculated bisection.  The panels bisected, in order,
-        the value and the error estimate are the scalar rule's, and each
-        dropped bisection costs exactly 42 values."""
+        half still worse than the other kink's panel, where a round takes
+        both.  The rule still evaluates exactly the scalar rule's 1134
+        values, with its value and error estimate."""
         edges = [0.0, 0.5, 1.0]
         record = _RecordedRule(monkeypatch)
         got, err = _adaptive_gauss_kronrod(_two_kinks, edges, 1e-9)
-        assert _assert_matches_scalar_oracle(_two_kinks, edges, 1e-9, got, err, record) == record.bisected
-        assert record.returned
+        _assert_matches_scalar_oracle(_two_kinks, edges, 1e-9, got, err, record)
+        assert record.neval == 1134
         assert got == pytest.approx(0.3**2 / 2 + 0.7**2 / 2 + 5.0 * (0.7**2 / 2 + 0.3**2 / 2), rel=1e-9)
 
-    def test_target_met_inside_a_round(self, monkeypatch):
-        """A round can meet the target before its last bisection, when the
-        integral grows.  One panel resolves the spike on [0, 1] poorly and
-        its halves well, raising the integral by ``grown``.  The spike on
-        [1, 2] is scaled so that its error estimate lies above the target
-        of the initial panels, by half the slack ``grown`` opens.  The round
-        speculates on both panels and, as the one-at-a-time rule does,
-        stops after the first."""
+    def test_one_round_bisects_both_spikes(self, monkeypatch):
+        """A round can bisect a panel that the one-at-a-time rule leaves
+        whole, when the integral grows.  One panel resolves the spike on
+        [0, 1] poorly and its halves well, raising the integral by
+        ``grown``.  The spike on [1, 2] is scaled so that its error estimate
+        lies above the target of the initial panels, by half the slack
+        ``grown`` opens.  The round takes both panels and keeps all four
+        halves, where the one-at-a-time rule stops after the first: 42 more
+        values, and a value within the two error estimates."""
         def spike(x, center, width):
             return np.exp(-(((x - center) / width) ** 2))
 
@@ -1156,17 +1135,20 @@ class TestGaussKronrodRule:
         record = _RecordedRule(monkeypatch)
         got, err = _adaptive_gauss_kronrod(f, [0.0, 1.0, 2.0], epsrel)
         assert [a.size for a, _, _, _ in record.rounds] == [2, 4]
-        assert _assert_matches_scalar_oracle(f, [0.0, 1.0, 2.0], epsrel, got, err, record) == [(0.0, 1.0)]
-        assert record.bisected == [(0.0, 1.0)] and len(record.returned) == 1
+        want, want_err, neval, bisected = _adaptive_scalar(f, [0.0, 1.0, 2.0], epsrel)
+        assert bisected == [(0.0, 1.0)] and record.neval == neval + 42
+        assert abs(got - want) <= err + want_err
+        for a, b, fx, out in record.rounds:
+            _assert_matches_scalar_rule(a, b, fx, out)
 
     @pytest.mark.parametrize("case", ["flattop-30", "kinked"])
     def test_panel_budget_boundary(self, algaas, monkeypatch, case):
         """With ``_SUBDIV_LIMIT`` one below the panel count the
-        one-at-a-time rule ends with, both rules raise with the same
-        message; at that count both converge to the same value.  On the
-        flattop design the last round bisects two panels and the limit
-        bites on the second, so the count must hold the round's panels not
-        yet bisected; the kinked integrand drops bisections."""
+        one-at-a-time rule ends with, the rule raises before its last round;
+        at that count it converges to that rule's value.  On the flattop
+        design the last round bisects two panels, so the limit is compared
+        with the count the round would leave, not the count before it; the
+        kinked integrand takes rounds of two panels and of one."""
         if case == "kinked":
             f, edges, epsrel = _two_kinks, [0.0, 0.5, 1.0], 1e-9
         else:
@@ -1176,14 +1158,10 @@ class TestGaussKronrodRule:
                 ring, cfg, TabulatedSpectrum.flattop(30.0 * cfg.tgamma)
             )
             assert record.rounds[-1][0].size == 4
-        final = len(edges) - 1 + len(_adaptive_scalar(f, edges, epsrel)[3])
+        want, _, _, bisected = _adaptive_scalar(f, edges, epsrel)
+        final = len(edges) - 1 + len(bisected)
         monkeypatch.setattr(pulsed, "_SUBDIV_LIMIT", final - 1)
-        with pytest.raises(QuadratureError) as want:
-            _adaptive_scalar(f, edges, epsrel)
-        with pytest.raises(QuadratureError, match=f"{final - 1} panels do not suffice") as got:
+        with pytest.raises(QuadratureError, match=f": {final - 1} panels do not suffice"):
             _adaptive_gauss_kronrod(f, edges, epsrel)
-        assert str(got.value) == str(want.value)
         monkeypatch.setattr(pulsed, "_SUBDIV_LIMIT", final)
-        assert _adaptive_gauss_kronrod(f, edges, epsrel)[0] == pytest.approx(
-            _adaptive_scalar(f, edges, epsrel)[0], rel=1e-13, abs=0.0
-        )
+        assert _adaptive_gauss_kronrod(f, edges, epsrel)[0] == pytest.approx(want, rel=1e-13, abs=0.0)

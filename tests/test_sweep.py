@@ -695,6 +695,26 @@ class TestEmit:
             assert loaded["Rs"] == row["Rs"]
             assert loaded["gamma_a_over_gamma_c"] == row["gamma_a_over_gamma_c"]
 
+    def test_1d_coupling_column_left_to_the_format_pass(self, algaas, tmp_path, monkeypatch):
+        """A 1-D sweep's coupling values are finite, so the JSON ``%r`` pass
+        writes them as ``_json_number`` would, with no call per value: a
+        2000-row panel makes no ``_json_number`` call and reads back exactly."""
+        ring, gc = algaas
+        result = run_sweep(allpass_spec(ring, gc, n=2000))
+        calls = []
+
+        def counted(value):
+            calls.append(value)
+            return json_number(value)
+
+        json_number = sweep_module._json_number
+        monkeypatch.setattr(sweep_module, "_json_number", counted)
+        path = tmp_path / "sweep.json"
+        emit(result, "json", path)
+        assert calls == []
+        back = json.loads(path.read_text())["rows"]
+        assert [row["gamma_a_over_gamma_c"] for row in back] == result.columns["gamma_a_over_gamma_c"]
+
     def test_io_error_carries_path(self, algaas, tmp_path):
         ring, gc = algaas
         result = run_sweep(allpass_spec(ring, gc, n=5))
