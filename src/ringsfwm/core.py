@@ -56,13 +56,17 @@ def _calling_frame(frame):
     """``(frame, depth)``: the first frame from ``frame`` up whose module is
     outside the package, or the outermost frame, and how many frames above
     ``frame`` it is.  A module is in the package by its ``__name__`` or, for
-    ``python -m ringsfwm`` (run as ``__main__``), its ``__spec__.name``."""
-    depth = 0
+    ``python -m ringsfwm`` (run as ``__main__``), its ``__spec__.name``.
+    Under ``-m`` the frame above the package is ``runpy``'s, not a user's,
+    so the package's outermost frame (``ringsfwm/__main__.py``) is named."""
+    depth, inner = 0, frame
     while frame.f_back is not None and __package__ in (
         frame.f_globals.get("__name__", "").partition(".")[0],
         getattr(frame.f_globals.get("__spec__"), "name", "").partition(".")[0],
     ):
-        frame, depth = frame.f_back, depth + 1
+        inner, frame, depth = frame, frame.f_back, depth + 1
+    if depth and frame.f_globals.get("__name__") == "runpy":
+        return inner, depth - 1
     return frame, depth
 
 

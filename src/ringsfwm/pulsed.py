@@ -40,16 +40,16 @@ The per-pulse singles probability (:func:`pulsed_single_prob_numeric`)
 integrates the Lorentzian pair exactly and leaves one adaptive quadrature
 over the frequency sum: QUADPACK's 21-point Gauss-Kronrod rule (Piessens
 et al., *QUADPACK*, 1983), bisecting the panels with the largest error
-estimates in rounds.  A round bisects the fewest worst panels whose error
-estimates cover the excess over the target and keeps every half it
-evaluates.  The lineshape is evaluated once per round, on the array of all
-its nodes: once for the initial panels, then once for the halves of every
-panel a round bisects.
+estimates in rounds.  The panels are numpy arrays.  A round orders them by
+error estimate, largest first and equal estimates by position, bisects the
+fewest first ones whose estimates cover the excess over the target, and
+keeps every half it evaluates.  The lineshape is evaluated once per
+round, on the array of all its nodes: once for the initial panels, then
+once for the halves of every panel a round bisects.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -541,31 +541,28 @@ def _adaptive_gauss_kronrod(f, edges, epsrel: float) -> tuple[float, float]:
     """Integral of ``f`` over ``[edges[0], edges[-1]]`` and its absolute
     error estimate.  Starts with one :func:`_gauss_kronrod_21` panel per
     interval of ``edges``, all in one call, and bisects panels in rounds
-    until the summed estimate is at most ``epsrel`` times the integral.  A
-    round bisects the fewest worst panels whose estimates cover the excess
-    of the summed estimate over the target: a bisection lowers the sum by at
-    most the panel's own estimate, so while the integral holds still the
-    target is not met before that much has been bisected.  All their halves
-    are evaluated in one call, and every half becomes a panel.  Before each
-    round, raises :class:`QuadratureError` when the round would leave more
-    than ``_SUBDIV_LIMIT`` panels, or when the target lies below the summed
-    roundoff floor of the estimate.
+    until the summed estimate is at most ``epsrel`` times the integral.  The
+    panels are the arrays ``lo``, ``hi`` of their ends and ``result``,
+    ``err``, ``floor`` of the rule.  A round orders them by estimate, largest
+    first and equal estimates by position, and bisects the fewest first ones
+    whose estimates cover the excess of the summed estimate over the target
+    (all of them, if roundoff leaves their sum short): a bisection lowers
+    the sum by at most the panel's own estimate, so while the integral
+    holds still the target is not met before that much has been bisected.
+    All their halves are evaluated in one call, and every half becomes a
+    panel.  Before each round, raises :class:`QuadratureError` when the
+    round would leave more than ``_SUBDIV_LIMIT`` panels, or when the
+    target lies below the summed roundoff floor of the estimate.
     """
     edges = np.asarray(edges, dtype=float)
     lo, hi = edges[:-1], edges[1:]
     result, err, floor = _gauss_kronrod_21(f, lo, hi)
-    panels = list(zip((-err).tolist(), lo.tolist(), hi.tolist(), result.tolist(), floor.tolist()))
-    heapq.heapify(panels)
-    total = sum(p[3] for p in panels)
-    abserr = -sum(p[0] for p in panels)
-    roundoff = sum(p[4] for p in panels)
+    total, abserr = result.sum(), err.sum()
     while abserr > epsrel * abs(total):
-        batch, covered = [], 0.0
-        excess = abserr - epsrel * abs(total)
-        while panels and covered < excess:
-            batch.append(heapq.heappop(panels))
-            covered -= batch[-1][0]
-        count = len(panels) + 2 * len(batch)
+        order = np.lexsort((lo, -err))
+        covered = np.cumsum(err[order])
+        n = min(np.searchsorted(covered, abserr - epsrel * abs(total)) + 1, len(lo))
+        count, roundoff = len(lo) + n, floor.sum()
         if count > _SUBDIV_LIMIT or epsrel * abs(total) < roundoff:
             why = (
                 f"{_SUBDIV_LIMIT} panels do not suffice" if count > _SUBDIV_LIMIT
@@ -575,23 +572,16 @@ def _adaptive_gauss_kronrod(f, edges, epsrel: float) -> tuple[float, float]:
                 f"singles-probability quadrature did not converge: {why}; error "
                 f"estimate {abserr:.3g} > {epsrel:g} * |{total:.6g}|"
             )
-        starts, ends = [], []
-        for _, a, b, _, _ in batch:
-            mid = 0.5 * (a + b)
-            starts += (a, mid)
-            ends += (mid, b)
-        halves = _gauss_kronrod_21(f, np.array(starts), np.array(ends))
-        results, errs, floors = (v.reshape(-1, 2).tolist() for v in halves)
-        for (neg_err, a, b, result, floor), (r1, r2), (e1, e2), (f1, f2) in zip(
-            batch, results, errs, floors
-        ):
-            mid = 0.5 * (a + b)
-            heapq.heappush(panels, (-e1, a, mid, r1, f1))
-            heapq.heappush(panels, (-e2, mid, b, r2, f2))
-            total += r1 + r2 - result
-            abserr += e1 + e2 + neg_err
-            roundoff += f1 + f2 - floor
-    return total, abserr
+        keep, split = order[n:], order[:n]
+        a, b = lo[split], hi[split]
+        mid = 0.5 * (a + b)
+        halves = _gauss_kronrod_21(f, np.concatenate((a, mid)), np.concatenate((mid, b)))
+        lo, hi = np.concatenate((lo[keep], a, mid)), np.concatenate((hi[keep], mid, b))
+        result, err, floor = (
+            np.concatenate((whole[keep], half)) for whole, half in zip((result, err, floor), halves)
+        )
+        total, abserr = result.sum(), err.sum()
+    return float(total), float(abserr)
 
 
 def pulsed_single_prob_numeric(
@@ -617,7 +607,8 @@ def pulsed_single_prob_numeric(
     split at ``0, +-1, +-3, +-10, +-30, +-100 * tgamma``.  The lineshape is
     called once on the ``(n_panels, 21)`` nodes of the initial panels, then
     once per round on the ``(2*n, 21)`` nodes of the halves of the ``n``
-    panels the round bisects (see :func:`_adaptive_gauss_kronrod`).  On
+    panels with the largest estimates (equal ones taken by position) that
+    the round bisects (see :func:`_adaptive_gauss_kronrod`).  On
     identical-coupler flattop designs at ``B = 10`` and 30 the panels are
     those QUADPACK's qagp bisects.  Raises :class:`QuadratureError` when
     the rule cannot meet ``epsrel``.

@@ -877,7 +877,9 @@ class TestModuleEntryPoint:
 
     def test_python_dash_m_warning_names_no_package_line(self, tmp_path):
         """Under -m the entry module runs as __main__; a library warning is
-        still printed once and names no file inside the package."""
+        still printed once, and names no file inside the package but the
+        entry module itself: no user line called in, and ``runpy``'s frame
+        above it is not one either."""
         config = write_config(tmp_path / "limit.ini", knobs="gamma_a_over_gamma_c = 1.5",
                               pump="mode = pulsed\npulse_energy_pj = 1\nbandwidth_factor = 10")
         proc = subprocess.run([sys.executable, "-m", "ringsfwm", "rates", "--config", str(config)],
@@ -885,7 +887,24 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         warned = [line for line in proc.stderr.splitlines() if "Warning: " in line]
         assert len(warned) == 1 and "single-pair" in warned[0], proc.stderr
-        assert str(Path(sweep_module.__file__).parent) not in proc.stderr, proc.stderr
+        entry = Path(sweep_module.__file__).with_name("__main__.py")
+        assert warned[0].startswith(f"{entry}:"), proc.stderr
+        assert proc.stderr.count(str(entry.parent)) == 1, proc.stderr
+
+    def test_python_dash_m_figure3_warnings_name_the_entry_module(self, tmp_path):
+        """``python -m ringsfwm figure3`` warns that its strongest pulsed
+        points strain the single-pair assumption, at the line of the entry
+        module that called into the package, not at ``<frozen runpy>``."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "ringsfwm", "figure3", "--grid", "9",
+             "--out", str(tmp_path / "fig3")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        warned = [line for line in proc.stderr.splitlines() if "Warning: " in line]
+        entry = Path(sweep_module.__file__).with_name("__main__.py")
+        assert warned and all(line.startswith(f"{entry}:") for line in warned), proc.stderr
+        assert "runpy" not in proc.stderr, proc.stderr
 
     def test_import_loads_no_scipy(self):
         """scipy is a test-only oracle: importing the package and its CLI

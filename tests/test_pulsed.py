@@ -1165,3 +1165,47 @@ class TestGaussKronrodRule:
             _adaptive_gauss_kronrod(f, edges, epsrel)
         monkeypatch.setattr(pulsed, "_SUBDIV_LIMIT", final)
         assert _adaptive_gauss_kronrod(f, edges, epsrel)[0] == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @staticmethod
+    def _width_rule(patch, estimate):
+        """Replaces :func:`pulsed._gauss_kronrod_21` with a rule that ignores
+        ``f`` and integrates 1: each panel's result is its width, its error
+        estimate ``estimate(width)`` and its roundoff floor 0.  Returns the
+        list that collects each call's panels as sorted ``(a, b)`` pairs."""
+        calls = []
+
+        def rule(f, a, b):
+            calls.append(sorted(zip(a.tolist(), b.tolist())))
+            return b - a, estimate(b - a), np.zeros_like(a)
+
+        patch.setattr(pulsed, "_gauss_kronrod_21", rule)
+        return calls
+
+    def test_equal_estimates_bisected_in_position_order(self, monkeypatch):
+        """Panels of one width tie exactly; a round takes them by position,
+        as the one-at-a-time rule's heap popped them.  The first round
+        bisects both unit panels and holds their halves, of estimate 1/4, as
+        (0, 1/2), (1, 3/2), (1/2, 1), (3/2, 2).  At ``epsrel = 0.3`` of the
+        integral 2 the second round needs two of them, and takes the two
+        leftmost, not the first two held."""
+        calls = self._width_rule(monkeypatch, lambda width: width * width)
+        got, err = _adaptive_gauss_kronrod(None, [0.0, 1.0, 2.0], 0.3)
+        assert calls[:3] == [
+            [(0.0, 1.0), (1.0, 2.0)],
+            [(0.0, 0.5), (0.5, 1.0), (1.0, 1.5), (1.5, 2.0)],
+            [(0.0, 0.25), (0.25, 0.5), (0.5, 0.75), (0.75, 1.0)],
+        ]
+        assert (got, err) == (2.0, 0.5) and len(calls) == 5
+
+    def test_round_short_by_roundoff_bisects_every_panel(self, monkeypatch):
+        """The estimates ``2**-53, 2**-53, 1`` sum to ``1 + 2**-52`` in
+        position order but to 1 from the largest down, so at a target far
+        below one ulp of the sum the excess is more than all three cover.
+        The round bisects all three, leaving the 6 panels the budget allows;
+        the next round would leave more, and raises."""
+        tiny = 2.0**-53
+        calls = self._width_rule(monkeypatch, lambda width: width)
+        monkeypatch.setattr(pulsed, "_SUBDIV_LIMIT", 6)
+        with pytest.raises(QuadratureError, match=": 6 panels do not suffice"):
+            _adaptive_gauss_kronrod(None, [0.0, tiny, 2.0 * tiny, 1.0 + 2.0 * tiny], 1e-300)
+        assert [len(panels) for panels in calls] == [3, 6]
