@@ -10,8 +10,8 @@ coupling scans for CW and broadband-pulse pumping).
 The figure commands hand their panel specs to
 :func:`ringsfwm.sweep.emit_all`, which computes and writes them in two
 processes: with two or more CPUs, a child forked before any panel is
-computed does the second-largest panel while the caller does the rest, the
-same bytes and the same warnings as one process would.  ``--refine``
+computed does the second-largest panel while the caller does the rest in
+panel order, with the bytes and warnings of one process.  ``--refine``
 changes only ``meta``, which CSV lacks, so it rejects ``--format csv``.
 
 Exit codes: 0 success, 1 validation error, 2 computation failure,

@@ -266,7 +266,7 @@ def _axis_from_config(
         start=_number(cp, "sweep", f"{prefix}_min"),
         stop=_number(cp, "sweep", f"{prefix}_max"),
         n_points=_number(cp, "sweep", f"{prefix}_points", int),
-        scale=cp.get("sweep", f"{prefix}_scale", fallback=SweepAxis.scale).strip(),
+        scale=cp.get("sweep", f"{prefix}_scale", fallback=SweepAxis.scale).strip().lower(),
     )
 
 

@@ -220,9 +220,7 @@ class TabulatedSpectrum:
 
 def save_spectrum(spectrum: TabulatedSpectrum, path) -> None:
     """Write a spectrum as three numeric columns: Omega [rad/s], Re A_p, Im A_p."""
-    data = np.column_stack(
-        [spectrum.omega, spectrum.amplitude.real, spectrum.amplitude.imag]
-    )
+    data = np.column_stack([spectrum.omega, spectrum.amplitude.real, spectrum.amplitude.imag])
     np.savetxt(
         path,
         data,
@@ -233,12 +231,14 @@ def save_spectrum(spectrum: TabulatedSpectrum, path) -> None:
 
 def load_spectrum(path) -> TabulatedSpectrum:
     """Read a spectrum written by :func:`save_spectrum` ('#' lines are comments)."""
-    data = np.loadtxt(path, comments="#", ndmin=2)
+    with np.lib.npyio.DataSource().open(str(path), "rt") as fh:  # np.loadtxt's opener
+        lines = fh.readlines()
+    if not any(line.partition("#")[0].strip() for line in lines):
+        raise ValueError(f"spectrum file {path!s} holds no samples")
+    data = np.loadtxt(lines, ndmin=2)
     if data.shape[1] != 3:
-        raise ValueError(
-            f"spectrum file {path!s} must have 3 numeric columns (omega, re, im), "
-            f"got {data.shape[1]}"
-        )
+        raise ValueError(f"spectrum file {path!s} must have 3 numeric columns "
+                         f"(omega, re, im), got {data.shape[1]}")
     return TabulatedSpectrum(data[:, 0], data[:, 1] + 1j * data[:, 2])
 
 

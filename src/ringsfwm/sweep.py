@@ -21,8 +21,8 @@ value and laid out by grid position, and an ``error`` column holding one
 value on every row is part of the row template; ``SweepResult.rows`` serves
 library callers.
 :func:`emit_all` computes and writes several panels in two processes: a
-child forked before any panel is computed does the second-largest panel
-while the caller does the rest, each dropping a result once it is written.
+child forked first does the second-largest panel while the caller does the
+rest in panel order, each dropping a result once it is written.
 """
 
 from __future__ import annotations
@@ -544,11 +544,10 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _split(sizes: list[int]) -> tuple[list[int], int]:
-    """Indices of two or more ``sizes``: the caller's, largest first, and the
-    child's one, the second largest (equal sizes kept in order)."""
-    order = sorted(range(len(sizes)), key=lambda i: -sizes[i])
-    return order[:1] + order[2:], order[1]
+def _split(sizes: list[int]) -> int:
+    """The child's panel of two or more with these ``sizes``: the index of
+    the second largest (equal sizes kept in order)."""
+    return sorted(range(len(sizes)), key=lambda i: -sizes[i])[1]
 
 
 def _emit_share(panels: list, share, fmt: str):
@@ -572,10 +571,10 @@ def emit_all(panels, fmt: str) -> None:
     With ``os.fork``, two or more panels and two or more CPUs this process
     may run on, one ``os.fork()`` child, forked before any panel is
     computed, computes and writes the second-largest panel by row count
-    (equal sizes kept in ``panels`` order) and the caller the rest, largest
-    first; otherwise the caller does every panel in ``panels`` order.  Each
-    process drops a result once its file is written.  The files are the
-    bytes :func:`emit` writes; every path must name a file.
+    (equal sizes kept in ``panels`` order); the caller does the others, or
+    every panel otherwise, in ``panels`` order.  Each process drops a
+    result once its file is written.  The files are the bytes :func:`emit`
+    writes; every path must name a file.
 
     The child records the warnings that pass the filters it inherits, sends
     each back as its message text and category through a pipe with the
@@ -605,9 +604,9 @@ def emit_all(panels, fmt: str) -> None:
     if any(path is None for *_, path in panels):
         # a child's stdout buffer is never flushed, and its order would vary
         raise ValueError("emit_all writes files; emit writes a result to stdout")
-    caller, child, caught = range(len(panels)), None, ()
+    child, caught = None, ()
     if hasattr(os, "fork") and len(panels) >= 2 and _cpu_count() >= 2:
-        caller, child = _split([
+        child = _split([
             math.prod(ax.n_points for ax in (spec.axis1, spec.axis2) if ax is not None)
             for spec, *_ in panels
         ])
@@ -633,7 +632,7 @@ def emit_all(panels, fmt: str) -> None:
         os.close(write_fd)
     failures = []
     try:
-        failures.append(_emit_share(panels, caller, fmt))
+        failures.append(_emit_share(panels, [i for i in range(len(panels)) if i != child], fmt))
     finally:
         if child is not None:
             with os.fdopen(read_fd, "rb") as fh:

@@ -237,6 +237,20 @@ class TestRates:
         assert main(["rates", "--config", str(spectrum_config)]) == 1
         assert "exactly one" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["", "# pump spectral amplitude samples\n# columns\n"],
+                             ids=["empty", "comments-only"])
+    def test_spectrum_file_without_samples_rejected(self, spectrum_config, tmp_path, capsys,
+                                                    text):
+        """Exit 1, naming the file, and no numpy warning."""
+        path = tmp_path / "pump.txt"
+        path.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["rates", "--config", str(spectrum_config)]) == 1
+        assert capsys.readouterr().err == (
+            f"ringsfwm: validation error: spectrum file {path} holds no samples\n")
+        assert caught == []
+
     @pytest.mark.parametrize("command", ["sweep", "optimize", "schmidt", "figure2", "figure3"])
     def test_spectrum_file_rejected_elsewhere(self, spectrum_config, tmp_path, capsys, command):
         if command == "sweep":
@@ -315,6 +329,16 @@ class TestSweepCommand:
             "sweep", "--config", str(cw_sweep_config), "--grid", "11", "--out", str(out),
         ]) == 0
         assert len(json.loads(out.read_text())["rows"]) == 11
+
+    def test_axis_scale_any_case(self, cw_sweep_config, tmp_path):
+        """``axis1_scale = Log`` is read as ``log``, as the geometry and the
+        pump mode are read in any case: the same bytes."""
+        text, outs = cw_sweep_config.read_text(), []
+        for scale in ("log", "Log"):
+            cw_sweep_config.write_text(text.replace("axis1_scale = log", f"axis1_scale = {scale}"))
+            outs.append(tmp_path / f"{scale}.json")
+            assert main(["sweep", "--config", str(cw_sweep_config), "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_stdout_equals_file(self, cw_sweep_config, tmp_path, capsys, fmt):
@@ -666,7 +690,7 @@ class TestFigureFiles:
     def test_child_write_failure_exits_3(self, tmp_path, capsys, monkeypatch, forks):
         """A panel a child owns cannot be written: exit 3, naming its path."""
         monkeypatch.setattr(sweep_module, "_cpu_count", lambda: 2)
-        _, child_panel = _split([5, 25, 25])  # rows of panels a, b, c at --grid 5
+        child_panel = _split([5, 25, 25])  # rows of panels a, b, c at --grid 5
         blocked = tmp_path / f"fig_{'abc'[child_panel]}.csv"
         blocked.mkdir()
         assert main(["figure2", "--grid", "5", "--format", "csv", "--out", str(tmp_path / "fig")]) == 3
@@ -675,15 +699,19 @@ class TestFigureFiles:
         assert err.startswith("ringsfwm: I/O error:") and str(blocked) in err
         _assert_no_child_left()
 
-    def test_first_failing_panel_reported(self, tmp_path, capsys, monkeypatch):
-        """The caller's panel b and the child's panel c both fail; the error
-        names b, the earlier of the two in the printed order."""
-        monkeypatch.setattr(sweep_module, "_cpu_count", lambda: 2)
-        for label in "bc":
+    @pytest.mark.parametrize("workers, blocked", [(2, "bc"), (1, "ab"), (2, "ab")])
+    def test_first_failing_panel_reported(self, workers, blocked, tmp_path, capsys,
+                                          monkeypatch):
+        """Two panels cannot be written; the error names the earlier of the
+        two in the printed order, on one CPU as on two: b before the child's
+        c, and a before b, both the caller's."""
+        monkeypatch.setattr(sweep_module, "_cpu_count", lambda: workers)
+        for label in blocked:
             (tmp_path / f"fig_{label}.json").mkdir()
         assert main(["figure2", "--grid", "5", "--out", str(tmp_path / "fig")]) == 3
         err = capsys.readouterr().err
-        assert str(tmp_path / "fig_b.json") in err and "fig_c.json" not in err
+        first, later = blocked
+        assert str(tmp_path / f"fig_{first}.json") in err and f"fig_{later}.json" not in err
         _assert_no_child_left()
 
     def test_child_killed_without_report(self, tmp_path, capsys, monkeypatch):

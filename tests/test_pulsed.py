@@ -136,6 +136,20 @@ class TestTabulatedSpectrum:
         np.testing.assert_array_equal(back.omega, spec.omega)
         np.testing.assert_array_equal(back.amplitude, spec.amplitude)
 
+    @pytest.mark.parametrize("text", ["", "# pump spectral amplitude samples\n\n# columns\n"],
+                             ids=["empty", "comments-only"])
+    def test_file_without_samples_rejected(self, tmp_path, text):
+        """Named as holding no samples, not as a column count, and with no
+        warning from numpy."""
+        path = tmp_path / "spectrum.txt"
+        path.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError) as raised:
+                load_spectrum(path)
+        assert str(raised.value) == f"spectrum file {path} holds no samples"
+        assert caught == []
+
     def test_knots_drop_plateaus_and_padding(self):
         assert TabulatedSpectrum.flattop(2.0e9).knots[0].size == 2
         spec = _shaped_spectra(2.0e9)["plateau-padded-49"]

@@ -6,14 +6,16 @@ import json
 import math
 import os
 import sys
+import tempfile
 import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ringsfwm import (
@@ -792,25 +794,33 @@ class TestEmit:
         assert peak < path.stat().st_size / 4
 
 
+@st.composite
+def _sizes_and_blocked(draw):
+    """Row counts of 2 to 5 panels, equal ones allowed, and the non-empty set
+    of indices whose paths cannot be written."""
+    sizes = draw(st.lists(st.integers(4, 9), min_size=2, max_size=5))
+    return sizes, draw(st.sets(st.integers(0, len(sizes) - 1), min_size=1))
+
+
 class TestEmitAll:
     """Two-process emission; the figure commands' files are checked in
     test_cli.py."""
 
-    @pytest.mark.parametrize("sizes, caller, child", [
-        ([5, 25, 25], [1, 0], 2),
-        ([200, 40000, 40000, 625], [1, 3, 0], 2),
-        ([3, 1, 2], [0, 1], 2),
-        ([4, 4, 4], [0, 2], 1),
-        ([1, 9], [1], 0),
+    @pytest.mark.parametrize("sizes, child", [
+        ([5, 25, 25], 2),
+        ([200, 40000, 40000, 625], 2),
+        ([3, 1, 2], 2),
+        ([4, 4, 4], 1),
+        ([1, 9], 0),
     ])
-    def test_split_child_takes_second_largest(self, sizes, caller, child):
-        """The child gets the second largest, equal sizes kept in order; the
-        caller gets the rest, largest first."""
-        assert _split(sizes) == (caller, child)
+    def test_split_child_takes_second_largest(self, sizes, child):
+        """The child gets the second largest, equal sizes kept in order."""
+        assert _split(sizes) == child
 
     @pytest.mark.parametrize("workers, sizes, caller, child", [
-        (2, (4, 9, 6), ["p1", "p0"], ["p2"]),
-        (5, (4, 9, 6), ["p1", "p0"], ["p2"]),
+        (2, (4, 9, 6), ["p0", "p1"], ["p2"]),
+        (5, (4, 9, 6), ["p0", "p1"], ["p2"]),
+        (2, (4, 9, 9, 6), ["p0", "p1", "p3"], ["p2"]),
         (1, (4, 9, 6), ["p0", "p1", "p2"], []),
         (2, (9,), ["p0"], []),
     ])
@@ -818,7 +828,9 @@ class TestEmitAll:
                        child):
         """A child computes and writes only the second-largest panel, and
         only with two or more CPUs and panels; otherwise nothing is forked.
-        Each panel is computed in the process that writes it."""
+        The caller computes the others in panel order, as one process
+        computes them all.  Each panel is computed in the process that
+        writes it."""
         ring, gc = algaas
         monkeypatch.setattr(sweep_module, "_cpu_count", lambda: workers)
         log, real_run, real_emit = tmp_path / "log", sweep_module.run_sweep, sweep_module.emit
@@ -893,6 +905,32 @@ class TestEmitAll:
         spec = allpass_spec(ring, gc, n=4)
         with pytest.raises(ValueError, match="format"):
             emit_all([(spec, False, tmp_path / f"p{i}") for i in range(3)], "xml")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @settings(max_examples=15, deadline=None)
+    @given(case=_sizes_and_blocked())
+    @example(case=((4, 9, 6), {0, 1}))
+    def test_first_blocked_panel_raised_after_the_earlier_written(self, algaas, case):
+        """Some panels' paths are directories.  On one CPU as on two, the
+        error raised names the first of them in panel order, and every
+        earlier panel holds the bytes of ``render``."""
+        ring, gc = algaas
+        sizes, blocked = case
+        first = min(blocked)
+        for workers in (1, 2):
+            with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sweep_module, "_cpu_count", lambda: workers)
+                panels = [(allpass_spec(ring, gc, n=n), False, Path(tmp) / f"p{i}.json")
+                          for i, n in enumerate(sizes)]
+                for i in blocked:
+                    panels[i][2].mkdir()
+                with pytest.raises(OSError) as raised:
+                    emit_all(panels, "json")
+                assert [p for *_, p in panels if str(p) in str(raised.value)] == [
+                    panels[first][2]], (workers, raised.value)
+                for spec, _, path in panels[:first]:
+                    assert path.read_text() == render(run_sweep(spec), "json"), (workers, path)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
