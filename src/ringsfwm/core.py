@@ -33,11 +33,14 @@ Only ``ADD_DROP_DISTINCT`` may set the pump loss ``tgamma_c`` apart from
 
 from __future__ import annotations
 
+import dataclasses
 import enum
+import inspect
 import math
+import operator
+import reprlib
 import sys
 import warnings
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -109,7 +112,120 @@ def _point_count(name: str, value, minimum: int) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
+def _misfit(init, names: tuple, defaults: dict, args: tuple, kwargs: dict) -> TypeError:
+    """The ``TypeError`` Python raises for a call ``init(self, *args,
+    **kwargs)`` that does not fit its fields ``names`` and ``defaults``."""
+    call = f"{init.__qualname__}()"
+    if len(args) > len(names):
+        takes = f"from {len(names) - len(defaults) + 1} to " if defaults else ""
+        return TypeError(f"{call} takes {takes}{len(names) + 1} positional arguments "
+                         f"but {len(args) + 1} were given")
+    for name in kwargs:
+        if name not in names:
+            return TypeError(f"{call} got an unexpected keyword argument {name!r}")
+        if name in names[:len(args)]:
+            return TypeError(f"{call} got multiple values for argument {name!r}")
+    *rest, last = missing = [repr(name) for name in names[len(args):]
+                             if name not in kwargs and name not in defaults]
+    listed = f"{', '.join(rest)}{',' * (len(rest) > 1)} and {last}" if rest else last
+    return TypeError(f"{call} missing {len(missing)} required positional argument"
+                     f"{'s' * (len(missing) > 1)}: {listed}")
+
+
+def _record(cls=None, /, *, eq: bool = True):
+    """A frozen dataclass, as ``dataclass(frozen=True, eq=eq)``, without
+    generated code.
+
+    ``dataclass(init=False, repr=False, eq=False)`` records the fields, so
+    ``fields``, ``replace``, ``asdict`` and ``__match_args__`` work, and
+    compiles no method.  The closures below are the ``__init__`` (then
+    ``__post_init__``), ``__repr__``, ``__eq__`` and ``__hash__`` (``eq``
+    only) and frozen ``__setattr__``/``__delattr__`` it would have written,
+    on per-class tuples of field names; each class gets its own function
+    objects, and keeps any the class body defines.  A field may have a plain
+    default (after every init field without one), and be ``init=False``,
+    ``repr=False`` or ``compare=False``; ``default_factory`` and ``kw_only``
+    are not supported."""
+    if cls is None:
+        return lambda cls: _record(cls, eq=eq)
+    cls = dataclasses.dataclass(cls, init=False, repr=False, eq=False)
+    fields = dataclasses.fields(cls)
+    names = tuple(f.name for f in fields if f.init)
+    defaults = {f.name: f.default for f in fields
+                if f.init and f.default is not dataclasses.MISSING}
+    every = tuple(f.name for f in fields)
+    shown = tuple(f.name for f in fields if f.repr)
+    compared = tuple(f.name for f in fields if f.compare)
+    post_init = hasattr(cls, "__post_init__")
+    known, tail = frozenset(names), tuple(defaults.values())
+    required = len(names) - len(tail)
+    pick = operator.itemgetter(*names) if len(names) > 1 else lambda values: (values[names[0]],)
+
+    def bind(args, kwargs):
+        """Every init field's value, in field order, from a call that
+        ``__init__`` cannot take as its positional arguments plus ``tail``."""
+        values = {**defaults, **kwargs}
+        if args:
+            given = dict(zip(names, args))
+            if not given.keys().isdisjoint(kwargs):
+                raise _misfit(__init__, names, defaults, args, kwargs)
+            values.update(given)
+        if len(args) > len(names) or values.keys() != known:
+            raise _misfit(__init__, names, defaults, args, kwargs)
+        return pick(values)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or not required <= len(args) <= len(names):
+            args = bind(args, kwargs)
+        self.__dict__.update(zip(names, args + tail[len(args) - required:]))
+        if post_init:
+            self.__post_init__()
+
+    def __repr__(self):
+        values = ", ".join([f"{n}={getattr(self, n)!r}" for n in shown])
+        return f"{self.__class__.__qualname__}({values})"
+
+    def key(record):
+        return tuple([getattr(record, n) for n in compared])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
+    def __setattr__(self, name, value):
+        if type(self) is cls or name in every:
+            raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+        super(cls, self).__setattr__(name, value)
+
+    def __delattr__(self, name):
+        if type(self) is cls or name in every:
+            raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
+        super(cls, self).__delattr__(name)
+
+    arg, empty = inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty
+    __init__.__signature__ = inspect.Signature([inspect.Parameter("self", arg)] + [
+        inspect.Parameter(f.name, arg, default=defaults.get(f.name, empty), annotation=f.type)
+        for f in fields if f.init
+    ], return_annotation=None)
+    methods = (__init__, __repr__, __setattr__, __delattr__) + ((__eq__, __hash__) if eq else ())
+    for method in methods:
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        method.__module__ = cls.__module__
+        if method is __repr__:
+            method = reprlib.recursive_repr()(method)
+        if method.__name__ not in vars(cls):
+            setattr(cls, method.__name__, method)
+    params = cls.__dataclass_params__
+    params.init = params.repr = params.frozen = True
+    params.eq = eq
+    return cls
+
+
+@_record
 class RingParams:
     """Material and geometry constants of a single microring resonance.
 
@@ -219,7 +335,7 @@ def _point_rates(geometry: Geometry, point, gamma_c, tgamma_c=None) -> tuple:
     return _kernel_rates(geometry, [p * gamma_c for p in point], gamma_c, tgamma_c)
 
 
-@dataclass(frozen=True)
+@_record
 class CouplingConfig:
     """A coupling geometry and its free couplings [rad/s], in
     :func:`coupling_parameter_names` order; the other rates follow from the
@@ -321,7 +437,7 @@ class CouplingConfig:
         return gamma_mu / gamma
 
 
-@dataclass(frozen=True)
+@_record
 class PumpSpec:
     """Pump drive: CW average power, or pulse energy plus spectrum.
 

@@ -16,12 +16,11 @@ wavepacket is returned real and non-negative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .core import CouplingConfig, RingParams, _drive_cw, _positive_finite
+from .core import CouplingConfig, RingParams, _drive_cw, _positive_finite, _record
 
 __all__ = [
     "CwObservables",
@@ -35,7 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_record
 class CwObservables:
     """One-photon rates, pair rate, and heralding efficiency for one design."""
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -35,6 +34,7 @@ from .core import (
     Geometry,
     _check_couplings,
     _kernel_rates,
+    _record,
     coupling_parameter_names,
 )
 from .cw import _pair_rate_kernel, _single_rate_kernel
@@ -72,8 +72,10 @@ class PumpRegime(enum.Enum):
     BROADBAND_PULSE = "broadband-pulse"
 
 
-@dataclass(frozen=True)
+@_record
 class OptimizationTarget:
+    """What an optimum maximizes: an objective under a pump regime."""
+
     objective: Objective
     pump_regime: PumpRegime
 
@@ -84,7 +86,7 @@ class OptimizationTarget:
             raise ValueError(f"invalid pump regime {self.pump_regime!r}")
 
 
-@dataclass(frozen=True)
+@_record
 class OptimumRecord:
     """Optimal couplings (units of gamma_c) and peak value (units of R0/p0)."""
 
@@ -375,7 +377,7 @@ def numeric_optimum(
     )
 
 
-@dataclass(frozen=True)
+@_record
 class CrossValidationEntry:
     """One optimum on both routes: the analytic and numeric records.  The
     largest coupling difference (units of gamma_c), the peak's relative
@@ -412,7 +414,7 @@ class CrossValidationEntry:
         )
 
 
-@dataclass(frozen=True)
+@_record
 class CrossValidationReport:
     """The entries of :func:`cross_validate_optima`, one per (geometry,
     target) in :func:`all_targets` order; ``str`` gives one line per entry

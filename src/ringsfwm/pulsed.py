@@ -51,7 +51,7 @@ once for the halves of every panel a round bisects.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
@@ -67,6 +67,7 @@ from .core import (
     _drive_pulsed,
     _point_count,
     _positive_finite,
+    _record,
     _warn,
 )
 
@@ -132,7 +133,7 @@ class QuadratureError(RuntimeError):
     or the target lies below the roundoff floor of its error estimate."""
 
 
-@dataclass(frozen=True)
+@_record
 class PulsedObservables:
     """Per-pulse one- and two-photon extraction probabilities."""
 
@@ -150,7 +151,7 @@ class PulsedObservables:
             )
 
 
-@dataclass(frozen=True, eq=False)
+@_record(eq=False)
 class TabulatedSpectrum:
     """Sampled pump spectral amplitude A_p(Omega) on a frequency grid.
 
@@ -219,20 +220,23 @@ class TabulatedSpectrum:
 
 
 def save_spectrum(spectrum: TabulatedSpectrum, path) -> None:
-    """Write a spectrum as three numeric columns: Omega [rad/s], Re A_p, Im A_p."""
+    """Write a spectrum as three numeric columns: Omega [rad/s], Re A_p, Im A_p,
+    in UTF-8 text, compressed where ``path`` ends in .gz, .bz2 or .xz."""
     data = np.column_stack([spectrum.omega, spectrum.amplitude.real, spectrum.amplitude.imag])
-    np.savetxt(
-        path,
-        data,
-        header="pump spectral amplitude samples\ncolumns: omega_rad_per_s  re_amplitude  im_amplitude",
-        fmt="%.17g",
-    )
+    header = "pump spectral amplitude samples\ncolumns: omega_rad_per_s  re_amplitude  im_amplitude"
+    open(path, "wb").close()  # numpy's opener, as in np.savetxt, opens only a file that exists
+    with np.lib.npyio.DataSource().open(str(path), "wt", encoding="utf-8") as fh:
+        np.savetxt(fh, data, header=header, fmt="%.17g")
 
 
 def load_spectrum(path) -> TabulatedSpectrum:
-    """Read a spectrum written by :func:`save_spectrum` ('#' lines are comments)."""
-    with np.lib.npyio.DataSource().open(str(path), "rt") as fh:  # np.loadtxt's opener
-        lines = fh.readlines()
+    """Read a spectrum written by :func:`save_spectrum` ('#' lines are comments),
+    as UTF-8 text."""
+    try:  # np.loadtxt's opener, which decompresses .gz, .bz2 and .xz
+        with np.lib.npyio.DataSource().open(str(path), "rt", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"spectrum file {path!s}: {exc}") from exc
     if not any(line.partition("#")[0].strip() for line in lines):
         raise ValueError(f"spectrum file {path!s} holds no samples")
     data = np.loadtxt(lines, ndmin=2)

@@ -33,12 +33,11 @@ relative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .core import CouplingConfig, PumpSpec, RingParams, _point_count
+from .core import CouplingConfig, PumpSpec, RingParams, _point_count, _record
 from .pulsed import _jta_bracket, _require_broadband, pulsed_wavepacket
 
 __all__ = [
@@ -56,7 +55,7 @@ class DecompositionError(RuntimeError):
     or its weighted squared norm is zero or not finite."""
 
 
-@dataclass(frozen=True, eq=False)
+@_record(eq=False)
 class WavepacketGrid:
     """Discretized joint temporal amplitude with quadrature weights.
 
@@ -102,7 +101,7 @@ class WavepacketGrid:
         return self.t_axis.size
 
 
-@dataclass(frozen=True, eq=False)
+@_record(eq=False)
 class SchmidtResult:
     """Leading normalized Schmidt coefficients (descending), the Schmidt
     number ``K`` and ``K_minus_1 = K - 1``, and ``tail``, the coefficient mass

@@ -33,7 +33,7 @@ import os
 import pickle
 import sys
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, field
 from itertools import chain, cycle, islice, repeat
 from typing import Optional
 
@@ -52,6 +52,7 @@ from .core import (
     _drive_cw,
     _point_count,
     _point_rates,
+    _record,
     _warn,
     prob_scale_p0,
     rate_scale_R0,
@@ -100,7 +101,7 @@ _K_WINDOW_OVER_GAMMA = 20.0
 _BLOCK_ROWS = 1000
 
 
-@dataclass(frozen=True)
+@_record
 class SweepAxis:
     """One coupling axis of a sweep, in units of gamma_c."""
 
@@ -128,7 +129,7 @@ class SweepAxis:
         return np.linspace(self.start, self.stop, self.n_points)
 
 
-@dataclass(frozen=True)
+@_record
 class SweepSpec:
     """Grid sweep request: geometry, axes, outputs, ring and pump."""
 
@@ -211,7 +212,7 @@ class SweepSpec:
         }
 
 
-@dataclass(frozen=True)
+@_record
 class SweepResult:
     """A sweep's values, held as columns.
 

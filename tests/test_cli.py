@@ -24,6 +24,7 @@ from ringsfwm import (
     PumpSpec,
     TabulatedSpectrum,
     cw_observables,
+    load_spectrum,
     optima_table,
     pulsed_single_prob,
     pulsed_single_prob_numeric,
@@ -944,6 +945,45 @@ class TestModuleEntryPoint:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+class TestTextEncoding:
+    """Config and spectrum files are UTF-8 whatever the locale: no file is
+    opened in the locale's encoding, and a file that is not UTF-8 is named
+    in the error."""
+
+    STRICT = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+
+    def test_no_file_opened_in_the_locale_encoding(self, tmp_path, spectrum_config):
+        cw = tmp_path / "cw.ini"
+        cw.write_text("[pump]\nmode = cw\npower_uw = 10\n", encoding="utf-8")
+        save = ("import sys, ringsfwm as r; "
+                "r.save_spectrum(r.TabulatedSpectrum.flattop(1.0, 5), sys.argv[1])")
+        for argv in (
+            ["-m", "ringsfwm", "figure2", "--config", str(cw), "--grid", "5",
+             "--out", str(tmp_path / "fig2")],
+            ["-m", "ringsfwm", "rates", "--config", str(spectrum_config)],
+            ["-c", save, str(tmp_path / "saved.txt")],
+        ):
+            proc = subprocess.run(self.STRICT + argv, capture_output=True, text=True)
+            assert proc.returncode == 0, (argv, proc.stderr)
+            assert "EncodingWarning" not in proc.stderr
+        assert load_spectrum(tmp_path / "saved.txt").omega.size == 5
+
+    def test_undecodable_files_named(self, tmp_path, spectrum_config):
+        config = tmp_path / "bad.ini"
+        config.write_bytes(b"[pump]\nmode = cw\npower_uw = 10 \xff\n")
+        spectrum = tmp_path / "pump.txt"
+        spectrum.write_bytes(spectrum.read_bytes() + b"# \xff\n")
+        for argv, path in ((["figure2", "--config", str(config), "--grid", "5",
+                             "--out", str(tmp_path / "fig2")], config),
+                           (["rates", "--config", str(spectrum_config)], spectrum)):
+            proc = subprocess.run(self.STRICT + ["-m", "ringsfwm", *argv],
+                                  capture_output=True, text=True)
+            assert proc.returncode == 1, proc.stderr
+            assert f"file {path}: 'utf-8' codec can't decode byte 0xff" in proc.stderr
+            assert "Traceback" not in proc.stderr
+        assert not list(tmp_path.glob("fig2*"))
 
 
 # Per pump mode: the [pump] body, a [sweep] section, and the keys of the
