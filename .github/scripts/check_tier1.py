@@ -4,7 +4,8 @@ criteria that are red by design (README, "Tests and acceptance suite").
 Usage: python .github/scripts/check_tier1.py JUNIT_XML
 
 JUNIT_XML is the report of ``pytest --junitxml``.  Prints each unexpected
-failure or error and exits 1 when there is one, or when the report is
+failure or error, and each red-by-design test that passed (``RED_BY_DESIGN``
+is then stale), and exits 1 when there is one, or when the report is
 missing or holds no test; exits 0 otherwise.
 """
 
@@ -33,10 +34,19 @@ def main(path: str) -> int:
         if outcome.tag in ("failure", "error")
         and (case.get("classname"), case.get("name")) not in RED_BY_DESIGN
     ]
+    passed = [
+        f"{case.get('classname')}::{case.get('name')} (red by design)"
+        for case in cases
+        if (case.get("classname"), case.get("name")) in RED_BY_DESIGN
+        and not any(outcome.tag in ("failure", "error", "skipped") for outcome in case)
+    ]
     for line in unexpected:
         print(f"unexpected: {line}")
-    print(f"{len(cases)} tests, {len(unexpected)} unexpected failures or errors")
-    return 1 if unexpected else 0
+    for line in passed:
+        print(f"unexpected pass: {line}")
+    print(f"{len(cases)} tests, {len(unexpected)} unexpected failures or errors, "
+          f"{len(passed)} unexpected passes")
+    return 1 if unexpected or passed else 0
 
 
 if __name__ == "__main__":

@@ -150,35 +150,26 @@ def _cmd_rates(args) -> int:
             report["cw"]["coincidence_window_s"] = window
             report["cw"]["R_acc_per_s"] = r_acc
             report["cw"]["CAR"] = car
-    elif pump.spectrum is not None:
-        ps, rel_err = _single_prob_numeric(ring, cfg, pump.energy, pump.spectrum)
-        # the Lorentzian pair factor is shared, so psi = eta*ps for any spectrum
-        obs = _perturbative_observables(ps, cfg.heralding_efficiency * ps)
-        report["pulsed"] = {
-            "pulse_energy_j": pump.energy,
-            "method": "numeric-quadrature",
-            "ps_per_pulse": obs.ps,
-            "pi_per_pulse": obs.pi,
-            "psi_per_pulse": obs.psi_pair,
-            "p_acc_per_pulse": obs.ps * obs.pi,
-            "quad_rel_err": rel_err,
-        }
     else:
-        delta_omega = pump.delta_omega_for(cfg.tgamma)
-        obs = pulsed_observables(ring, cfg, pump.energy, delta_omega)
+        if pump.spectrum is not None:
+            ps, rel_err = _single_prob_numeric(ring, cfg, pump.energy, pump.spectrum)
+            # the Lorentzian pair factor is shared, so psi = eta*ps for any spectrum
+            obs = _perturbative_observables(ps, cfg.heralding_efficiency * ps)
+            head, tail = {"method": "numeric-quadrature"}, {"quad_rel_err": rel_err}
+        else:
+            delta_omega = pump.delta_omega_for(cfg.tgamma)
+            obs = pulsed_observables(ring, cfg, pump.energy, delta_omega)
+            head = {"delta_omega_rad_per_s": delta_omega, "method": "broadband-closed-form"}
+            tail = {} if pump.bandwidth_factor is None else {
+                "p0": prob_scale_p0(ring, pump.energy, pump.bandwidth_factor, cfg.gamma_c)}
         report["pulsed"] = {
-            "pulse_energy_j": pump.energy,
-            "delta_omega_rad_per_s": delta_omega,
-            "method": "broadband-closed-form",
+            "pulse_energy_j": pump.energy, **head,
             "ps_per_pulse": obs.ps,
             "pi_per_pulse": obs.pi,
             "psi_per_pulse": obs.psi_pair,
             "p_acc_per_pulse": obs.ps * obs.pi,
+            **tail,
         }
-        if pump.bandwidth_factor is not None:
-            report["pulsed"]["p0"] = prob_scale_p0(
-                ring, pump.energy, pump.bandwidth_factor, cfg.gamma_c
-            )
     _write_text(json.dumps(report, indent=2), args.out)
     return 0
 

@@ -297,9 +297,10 @@ def _check_couplings(geometry: Geometry, couplings) -> None:
             raise ValueError(f"coupling {name} must be non-negative and finite, got {value!r}")
 
 
-def _check_pump_loss(geometry: Geometry, tgamma_c: Optional[float]) -> None:
-    """Reject a separate pump loss where the geometry ties it to ``gamma_c``."""
-    if tgamma_c is not None and geometry is not Geometry.ADD_DROP_DISTINCT:
+def _check_pump_loss(geometry: Geometry, tgamma_c: Optional[float], gamma_c=None) -> None:
+    """Reject a separate pump loss where the geometry ties it to ``gamma_c``;
+    a ``tgamma_c`` equal to a given ``gamma_c`` is the tie itself."""
+    if tgamma_c not in (None, gamma_c) and geometry is not Geometry.ADD_DROP_DISTINCT:
         raise ValueError(
             f"tgamma_c applies to add-drop-distinct only; {geometry.value} "
             "ties the pump loss to gamma_c"
@@ -339,8 +340,10 @@ def _point_rates(geometry: Geometry, point, gamma_c, tgamma_c=None) -> tuple:
 class CouplingConfig:
     """A coupling geometry and its free couplings [rad/s], in
     :func:`coupling_parameter_names` order; the other rates follow from the
-    geometry (see the module docstring).  ``tgamma_c`` may be given for
-    add-drop-distinct only and otherwise holds ``gamma_c``.
+    geometry (see the module docstring).  ``tgamma_c`` may differ from
+    ``gamma_c`` on add-drop-distinct only, and otherwise holds ``gamma_c``:
+    so ``dataclasses.replace`` of a tied config that changes ``gamma_c``
+    raises unless it also gives ``tgamma_c=None``.
     """
 
     geometry: Geometry
@@ -356,7 +359,7 @@ class CouplingConfig:
         object.__setattr__(self, "couplings", couplings)
         gamma_c = _positive_finite("CouplingConfig", "gamma_c", self.gamma_c)
         object.__setattr__(self, "gamma_c", gamma_c)
-        _check_pump_loss(self.geometry, self.tgamma_c)
+        _check_pump_loss(self.geometry, self.tgamma_c, gamma_c)
         tgamma_c = gamma_c if self.tgamma_c is None else self.tgamma_c
         object.__setattr__(self, "tgamma_c", _positive_finite("CouplingConfig", "tgamma_c", tgamma_c))
 

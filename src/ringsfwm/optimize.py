@@ -7,6 +7,8 @@ kernels, and :func:`cross_validate_optima` diffs the two routes.  The
 maximizer scans a log grid in one call of an array objective, zooms in on the
 best cell with finer log grids and ends with a Newton step on a 3-point or 3x3
 log stencil; the same zoom sharpens the observed maxima of coupling sweeps.
+The private table ``_OBSERVABLES`` names each regime and objective's sweep
+output and rate kernel; the optima, objectives and sweeps all read it.
 
 Input checks sit at the public edge.  The objectives that
 :func:`normalized_objective` hands out reject a wrong number of couplings and
@@ -124,19 +126,27 @@ def config_from_point(
     return CouplingConfig(geometry, [float(p) * gamma_c for p in point], gamma_c, tgamma_c)
 
 
+# Each (regime, objective): its sweep output and its rate kernel, which takes
+# (tgamma_a, gamma_mu, gamma, tgamma, drive).
+_OBSERVABLES: dict[tuple[PumpRegime, Objective], tuple[str, Callable]] = {
+    (PumpRegime.CW, Objective.ONE_PHOTON): ("Rs", _single_rate_kernel),
+    (PumpRegime.CW, Objective.TWO_PHOTON): ("Rsi", _pair_rate_kernel),
+    (PumpRegime.BROADBAND_PULSE, Objective.ONE_PHOTON): ("ps", _single_prob_kernel),
+    (PumpRegime.BROADBAND_PULSE, Objective.TWO_PHOTON): ("psi", _pair_prob_kernel),
+}
+
+
 def _normalized_value(geometry: Geometry, target: OptimizationTarget, point):
     """The rate kernel of ``target`` at free couplings ``point`` in gamma_c
     units: floats, equal-shape arrays or ``Fraction``s (then exact).  At
     gamma_c = 1 the couplings are the rates themselves, so they enter the
     ladder as they are.  ``point`` is not checked here; the objectives of
     :func:`normalized_objective` check it."""
-    one = target.objective is Objective.ONE_PHOTON
     ta, gmu, g, tg = _kernel_rates(geometry, point, 1)
-    if target.pump_regime is PumpRegime.CW:
-        # R/R0 = kernel(..., d)/d^2 = kernel(..., 1) at gamma_c = 1
-        return (_single_rate_kernel if one else _pair_rate_kernel)(ta, gmu, g, tg, 1)
+    # at gamma_c = 1, R/R0 = kernel(..., d)/d^2 = kernel(..., 1) and
     # p/p0 = kernel(..., y)/(y*tgamma/gamma_c)^2 = kernel(..., gamma_c/tgamma)
-    return (_single_prob_kernel if one else _pair_prob_kernel)(ta, gmu, g, tg, 1 / tg)
+    drive = 1 if target.pump_regime is PumpRegime.CW else 1 / tg
+    return _OBSERVABLES[target.pump_regime, target.objective][1](ta, gmu, g, tg, drive)
 
 
 def normalized_objective(

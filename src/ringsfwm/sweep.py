@@ -19,7 +19,8 @@ rows at a time from every iterator, and fill the block with one format pass;
 is never held.  A 2-D sweep's coupling texts are formatted once per axis
 value and laid out by grid position, and an ``error`` column holding one
 value on every row is part of the row template; ``SweepResult.rows`` serves
-library callers.
+library callers.  Each output's pump regime and rate kernel come from the
+table ``optimize._OBSERVABLES``, to which this module adds ``CAR`` and ``K``.
 :func:`emit_all` computes and writes several panels in two processes: a
 child forked first does the second-largest panel while the caller does the
 rest in panel order, each dropping a result once it is written.
@@ -59,22 +60,17 @@ from .core import (
 )
 from .cw import _CAR_UNDEFINED, _car_kernel, _pair_rate_kernel, _single_rate_kernel
 from .optimize import (
-    Objective,
+    _OBSERVABLES,
     OptimizationTarget,
     PumpRegime,
     _log_grid,
     _maximize,
     _mesh,
+    all_targets,
     analytic_optimum,
     coupling_parameter_names,
 )
-from .pulsed import (
-    _broadband_mask,
-    _drive_pulsed,
-    _pair_prob_kernel,
-    _single_prob_kernel,
-    _warn_if_strained,
-)
+from .pulsed import _broadband_mask, _drive_pulsed, _warn_if_strained
 from .schmidt import _k_minus_1, _schmidt_number_kernel
 
 __all__ = [
@@ -90,9 +86,10 @@ __all__ = [
     "algaas_example",
 ]
 
-_CW_OUTPUTS = {"Rs", "Rsi", "CAR"}
-_PULSED_OUTPUTS = {"ps", "psi", "K"}
-_ALL_OUTPUTS = _CW_OUTPUTS | _PULSED_OUTPUTS
+# Each output's pump regime: the rate kernels of optimize._OBSERVABLES, CAR and K.
+_REGIMES = {output: regime for (regime, _), (output, _) in _OBSERVABLES.items()}
+_REGIMES.update(CAR=PumpRegime.CW, K=PumpRegime.BROADBAND_PULSE)
+_KERNELS = dict(_OBSERVABLES.values())
 # The trapezoid grid of the K column: points, and window in units of 1/gamma.
 _K_GRID_POINTS = 192
 _K_WINDOW_OVER_GAMMA = 20.0
@@ -147,13 +144,13 @@ class SweepSpec:
         object.__setattr__(self, "outputs", tuple(self.outputs))
         if not self.outputs:
             raise ValueError("SweepSpec requires at least one output")
-        unknown = [o for o in self.outputs if o not in _ALL_OUTPUTS]
+        unknown = [o for o in self.outputs if o not in _REGIMES]
         if unknown:
-            raise ValueError(f"unknown sweep outputs {unknown!r}; valid: {sorted(_ALL_OUTPUTS)}")
+            raise ValueError(f"unknown sweep outputs {unknown!r}; valid: {sorted(_REGIMES)}")
         if len(set(self.outputs)) < len(self.outputs):
             raise ValueError(f"sweep outputs must not repeat, got {list(self.outputs)!r}")
         cw = self.pump.mode is PumpMode.CW
-        bad = [o for o in self.outputs if o in (_PULSED_OUTPUTS if cw else _CW_OUTPUTS)]
+        bad = [o for o in self.outputs if _REGIMES[o] is not self.pump_regime]
         if bad:
             raise ValueError(f"outputs {bad!r} require a {'pulsed' if cw else 'CW'} pump")
         if self.pump.spectrum is not None:
@@ -238,9 +235,20 @@ def _evaluate(spec: SweepSpec, output: str, point) -> tuple[np.ndarray, dict[int
     """One output at every point of a flattened grid (couplings in gamma_c
     units): the values, NaN where a point fails, and each failed point's
     message by index."""
-    ta, gmu, g, tg = _point_rates(spec.geometry, point, spec.gamma_c, spec.tgamma_c)
+    rates = _, _, g, tg = _point_rates(spec.geometry, point, spec.gamma_c, spec.tgamma_c)
     ring, pump = spec.ring, spec.pump
-    if pump.mode is PumpMode.PULSED:
+    if pump.mode is PumpMode.CW:
+        d = _drive_cw(ring, pump.power)
+        if output != "CAR":
+            return _KERNELS[output](*rates, d), {}
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r_acc, values = _car_kernel(
+                _single_rate_kernel(*rates, d), _pair_rate_kernel(*rates, d),
+                spec.coincidence_window,
+            )
+        ok = r_acc != 0.0
+        why = [_CAR_UNDEFINED] * int(np.count_nonzero(~ok))
+    else:
         delta_omega = pump.delta_omega_for(tg)
         ok = _broadband_rule(tg, delta_omega)[0]
         why = [_NOT_BROADBAND.format(r) for r in (delta_omega / tg)[~ok].tolist()]
@@ -250,20 +258,7 @@ def _evaluate(spec: SweepSpec, output: str, point) -> tuple[np.ndarray, dict[int
                 (tg / g)[ok], _K_GRID_POINTS, _K_WINDOW_OVER_GAMMA
             )
         else:
-            kernel = _single_prob_kernel if output == "ps" else _pair_prob_kernel
-            values = kernel(ta, gmu, g, tg, _drive_pulsed(ring, pump.energy, delta_omega))
-    elif output == "CAR":
-        d = _drive_cw(ring, pump.power)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r_acc, values = _car_kernel(
-                _single_rate_kernel(ta, gmu, g, tg, d), _pair_rate_kernel(ta, gmu, g, tg, d),
-                spec.coincidence_window,
-            )
-        ok = r_acc != 0.0
-        why = [_CAR_UNDEFINED] * int(np.count_nonzero(~ok))
-    else:
-        kernel = _single_rate_kernel if output == "Rs" else _pair_rate_kernel
-        return kernel(ta, gmu, g, tg, _drive_cw(ring, pump.power)), {}
+            values = _KERNELS[output](*rates, _drive_pulsed(ring, pump.energy, delta_omega))
     return np.where(ok, values, np.nan), dict(zip(np.flatnonzero(~ok).tolist(), why))
 
 
@@ -374,11 +369,11 @@ def _analytic_optima_meta(spec: SweepSpec) -> Optional[dict]:
     scale = r0 if cw else p0  # None for an absolute-bandwidth pump: p0 is not defined
     optima = {"scale_name": "R0_per_s" if cw else "p0", "scale_value": scale,
               "plot_normalization": None if scale is None else 0.5 * scale}
-    for objective, output in zip(Objective, ("Rs", "Rsi") if cw else ("ps", "psi")):
-        row = _optimum_row(spec.pump_regime, spec.geometry, objective, scale)
-        optima[output] = {
-            key: row[key] for key in ("couplings_over_gamma_c", "peak_normalized", "peak_absolute")
-        }
+    for (regime, objective), (output, _) in _OBSERVABLES.items():
+        if regime is spec.pump_regime:
+            row = _optimum_row(spec.geometry, OptimizationTarget(objective, regime), scale)
+            optima[output] = {key: row[key] for key in
+                              ("couplings_over_gamma_c", "peak_normalized", "peak_absolute")}
     return optima
 
 
@@ -662,14 +657,15 @@ def _scales(ring, gamma_c, power, energy, bandwidth_factor):
     return r0, p0
 
 
-def _optimum_row(regime: PumpRegime, geometry: Geometry, objective: Objective, scale) -> dict:
+def _optimum_row(geometry: Geometry, target: OptimizationTarget, scale) -> dict:
     """One :func:`optima_table` row; ``scale`` is the regime's ``R0`` or ``p0``,
     or None."""
-    rec = analytic_optimum(geometry, OptimizationTarget(objective, regime))
+    rec = analytic_optimum(geometry, target)
+    regime = target.pump_regime
     return {
         "regime": regime.value,
         "geometry": geometry.value,
-        "objective": objective.value,
+        "objective": target.objective.value,
         "coupling_names": list(coupling_parameter_names(geometry)),
         "couplings_over_gamma_c": list(rec.couplings),
         "peak_normalized": rec.peak_value,
@@ -683,8 +679,8 @@ def _optima(ring, gamma_c, power, energy, bandwidth_factor):
     """The 12 optimum rows of :func:`optima_table` and the scales ``R0`` and
     ``p0`` they use, each None where its drive is not given."""
     r0, p0 = _scales(ring, gamma_c, power, energy, bandwidth_factor)
-    rows = [_optimum_row(regime, geometry, objective, r0 if regime is PumpRegime.CW else p0)
-            for regime in PumpRegime for geometry in Geometry for objective in Objective]
+    rows = [_optimum_row(geometry, target, r0 if target.pump_regime is PumpRegime.CW else p0)
+            for geometry, target in all_targets()]
     return rows, r0, p0
 
 

@@ -21,6 +21,7 @@ from ringsfwm import (
     CouplingConfig,
     Geometry,
     Objective,
+    PumpRegime,
     PumpSpec,
     TabulatedSpectrum,
     cw_observables,
@@ -406,7 +407,6 @@ class TestValidateCommand:
 
     def test_mismatch_exits_with_computation_failure(self, capsys, monkeypatch):
         import ringsfwm.optimize as optimize_mod
-        from ringsfwm import Geometry, PumpRegime
         from ringsfwm.optimize import OptimizationTarget
 
         clean = optimize_mod.analytic_optimum
@@ -1082,6 +1082,15 @@ def test_readme_flag_table_matches_parser():
         for name, sub in subs.choices.items()
     }
     assert documented == declared
+
+
+def test_readme_output_table_matches_sweep():
+    """The README's sweep-output table lists exactly the outputs a sweep
+    accepts, each with the pump mode it needs."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    documented = dict(re.findall(r"^\| `(\w+)` \| (cw|pulsed) \|", readme, re.MULTILINE))
+    mode = {PumpRegime.CW: "cw", PumpRegime.BROADBAND_PULSE: "pulsed"}
+    assert documented == {output: mode[r] for output, r in sweep_module._REGIMES.items()}
 
 
 def test_readme_quick_start_runs():

@@ -112,10 +112,13 @@ class TestCouplingConfig:
         "geometry", [Geometry.ALL_PASS_IDENTICAL, Geometry.ADD_DROP_IDENTICAL]
     )
     def test_tied_geometry_rejects_pump_loss(self, geometry):
+        """A pump loss apart from gamma_c is rejected; gamma_c itself, the
+        value the config stores (and ``replace`` passes back), is the tie."""
         couplings = (1.0,) * len(coupling_parameter_names(geometry))
         with pytest.raises(ValueError, match="ties the pump loss to gamma_c"):
-            CouplingConfig(geometry, couplings, 1.0, tgamma_c=1.0)
+            CouplingConfig(geometry, couplings, 1.0, tgamma_c=1.5)
         assert CouplingConfig(geometry, couplings, 1.0).tgamma_c == 1.0
+        assert CouplingConfig(geometry, couplings, 1.0, tgamma_c=1.0).tgamma_c == 1.0
 
     def test_gamma_mu_follows_port(self):
         assert CouplingConfig.all_pass(2.0, 1.0).gamma_mu == 2.0

@@ -242,6 +242,24 @@ class TestRecordContract:
         assert all(same(getattr(back, f.name), getattr(obj, f.name)) for f in fields(cls))
 
 
+@pytest.mark.parametrize("geometry", list(Geometry))
+def test_coupling_config_replace_on_every_geometry(geometry):
+    """A config of each geometry round-trips through ``replace``.  A tied one
+    stores ``tgamma_c = gamma_c``, so a new ``gamma_c`` needs ``tgamma_c=None``
+    beside it; without, the stale value is rejected, naming the tie."""
+    couplings = (1.0,) if geometry is Geometry.ALL_PASS_IDENTICAL else (1.0, 0.5)
+    obj = CouplingConfig(geometry, couplings, 2.0)
+    copy = replace(obj)
+    assert copy == obj and copy is not obj and copy.tgamma_c == 2.0
+    moved = replace(obj, gamma_c=3.0, tgamma_c=None)
+    assert (moved.couplings, moved.gamma_c, moved.tgamma_c) == (couplings, 3.0, 3.0)
+    if geometry is Geometry.ADD_DROP_DISTINCT:
+        assert replace(obj, gamma_c=3.0).tgamma_c == 2.0
+    else:
+        with pytest.raises(ValueError, match="ties the pump loss to gamma_c"):
+            replace(obj, gamma_c=3.0)
+
+
 @pytest.mark.parametrize("cls", [c for c in CLASSES if RECORDS[c][3]], ids=lambda c: c.__name__)
 def test_post_init_validates(cls):
     with pytest.raises(ValueError):

@@ -257,18 +257,25 @@ class TestRunSweep:
         assert len(set(a2[:5])) == 1       # axis2 constant within a block
         assert a2[0] < a2[5]               # axis2 advances across blocks
 
-    def test_refined_maximum_hits_analytic_peak(self, algaas):
-        """The figure2 panels' refined maxima sit on the exact optima."""
+    @pytest.mark.parametrize("pump,regime,outputs", [
+        (PUMP_CW, PumpRegime.CW, ("Rs", "Rsi")),
+        (PumpSpec.pulsed(1e-13, bandwidth_factor=20.0), PumpRegime.BROADBAND_PULSE, ("ps", "psi")),
+    ], ids=["cw", "pulsed"])
+    def test_refined_maximum_hits_analytic_peak(self, algaas, pump, regime, outputs):
+        """The figure panels' refined maxima sit on the exact optima: the
+        singles and pair outputs of each regime at its one- and two-photon
+        optimum, in units of R0 (CW) or p0 (pulsed)."""
         ring, gc = algaas
-        r0 = rate_scale_R0(ring, PUMP_CW.power, gc)
+        scale = (rate_scale_R0(ring, pump.power, gc) if regime is PumpRegime.CW
+                 else prob_scale_p0(ring, pump.energy, pump.bandwidth_factor, gc))
         for geometry in Geometry:
             names = coupling_parameter_names(geometry)
             axes = [SweepAxis(name, 0.05, 5.0, 200) for name in names] + [None]
-            spec = SweepSpec(geometry, axes[0], axes[1], ("Rs", "Rsi"), ring, PUMP_CW, gc)
+            spec = SweepSpec(geometry, axes[0], axes[1], outputs, ring, pump, gc)
             seen = run_sweep(spec, refine=True).meta["observed_maxima"]
-            for output, objective in (("Rs", Objective.ONE_PHOTON), ("Rsi", Objective.TWO_PHOTON)):
-                rec = analytic_optimum(geometry, OptimizationTarget(objective, PumpRegime.CW))
-                assert seen[output]["value"] == pytest.approx(rec.peak_value * r0, rel=1e-7)
+            for output, objective in zip(outputs, (Objective.ONE_PHOTON, Objective.TWO_PHOTON)):
+                rec = analytic_optimum(geometry, OptimizationTarget(objective, regime))
+                assert seen[output]["value"] == pytest.approx(rec.peak_value * scale, rel=1e-7)
                 assert seen[output]["point_over_gamma_c"] == pytest.approx(rec.couplings, rel=1e-7)
 
     @pytest.mark.parametrize("axis", [
