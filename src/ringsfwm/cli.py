@@ -46,7 +46,7 @@ from .pulsed import (
     _single_prob_numeric,
     pulsed_observables,
 )
-from .schmidt import DecompositionError, schmidt_spectrum_broadband
+from .schmidt import schmidt_spectrum_broadband
 from .sweep import (
     SweepAxis,
     SweepSpec,
@@ -266,13 +266,7 @@ def _cmd_figure3(args) -> int:
     return _run_figure(args, pump, ("ps", "psi"), "figure3", schmidt_panel=True)
 
 
-_COMPUTE_ERRORS = (
-    OptimizationError,
-    QuadratureError,
-    DecompositionError,
-    np.linalg.LinAlgError,
-    ArithmeticError,
-)
+_COMPUTE_ERRORS = (OptimizationError, QuadratureError, np.linalg.LinAlgError, ArithmeticError)
 
 
 def main(argv=None) -> int:

@@ -275,12 +275,15 @@ class RingParams:
 
 
 def coupling_parameter_names(geometry: Geometry) -> tuple[str, ...]:
-    """Free coupling knobs of a geometry, in record/axis order."""
+    """Free coupling knobs of a geometry, in record/axis order; the one
+    check that ``geometry`` is a :class:`Geometry` (``ValueError`` if not)."""
     if geometry is Geometry.ALL_PASS_IDENTICAL:
         return ("gamma_a",)
     if geometry is Geometry.ADD_DROP_IDENTICAL:
         return ("gamma_a", "gamma_b")
-    return ("tgamma_a", "gamma_b")
+    if geometry is Geometry.ADD_DROP_DISTINCT:
+        return ("tgamma_a", "gamma_b")
+    raise ValueError(f"geometry must be a Geometry, got {geometry!r}")
 
 
 def _check_couplings(geometry: Geometry, couplings) -> None:
@@ -297,7 +300,7 @@ def _check_couplings(geometry: Geometry, couplings) -> None:
             raise ValueError(f"coupling {name} must be non-negative and finite, got {value!r}")
 
 
-def _check_pump_loss(geometry: Geometry, tgamma_c: Optional[float], gamma_c=None) -> None:
+def _check_pump_loss(geometry: Geometry, tgamma_c: Optional[float], gamma_c: float) -> None:
     """Reject a separate pump loss where the geometry ties it to ``gamma_c``;
     a ``tgamma_c`` equal to a given ``gamma_c`` is the tie itself."""
     if tgamma_c not in (None, gamma_c) and geometry is not Geometry.ADD_DROP_DISTINCT:
@@ -352,8 +355,6 @@ class CouplingConfig:
     tgamma_c: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.geometry, Geometry):
-            raise ValueError(f"CouplingConfig.geometry must be a Geometry, got {self.geometry!r}")
         couplings = tuple(float(c) for c in self.couplings)
         _check_couplings(self.geometry, couplings)
         object.__setattr__(self, "couplings", couplings)

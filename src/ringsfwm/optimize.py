@@ -10,7 +10,8 @@ log stencil; the same zoom sharpens the observed maxima of coupling sweeps.
 The private table ``_OBSERVABLES`` names each regime and objective's sweep
 output and rate kernel; the optima, objectives and sweeps all read it.
 
-Input checks sit at the public edge.  The objectives that
+Input checks sit at the public edge.  A geometry that is not a ``Geometry``
+raises ``ValueError`` wherever it is given.  The objectives that
 :func:`normalized_objective` hands out reject a wrong number of couplings and
 negative or non-finite ones, on every call, :func:`numeric_optimum`'s default
 objective included.  A custom objective given to :func:`numeric_optimum` is
@@ -166,6 +167,7 @@ def normalized_objective(
     couplings, or a negative or non-finite one, raises ``ValueError`` naming
     it.
     """
+    coupling_parameter_names(geometry)
 
     def objective(point):
         _check_couplings(geometry, point)
@@ -221,6 +223,7 @@ def analytic_optimum(geometry: Geometry, target: OptimizationTarget) -> OptimumR
     through ``couplings_exact``/``peak_value_exact``); the distinct-coupling
     pulsed couplings are the roots of cubics, to double precision.
     """
+    coupling_parameter_names(geometry)
     couplings = _ANALYTIC_TABLE[(geometry, target.objective, target.pump_regime)]
     value = _normalized_value(geometry, target, couplings)
     exact = isinstance(value, Fraction)

@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import CouplingConfig, PumpSpec, RingParams, _point_count, _record
+from .core import CouplingConfig, PumpSpec, RingParams, _point_count, _positive_finite, _record
 from .pulsed import _jta_bracket, _require_broadband, pulsed_wavepacket
 
 __all__ = [
@@ -162,10 +162,7 @@ def discretize_wavepacket(
     n_points = _point_count("n_points", n_points, 16)
     if t_max_over_gamma is None:
         t_max_over_gamma = 20.0 * max(1.0, cfg.gamma / cfg.tgamma)
-    if not 0.0 < t_max_over_gamma < math.inf:
-        raise ValueError(
-            f"t_max_over_gamma must be positive and finite, got {t_max_over_gamma!r}"
-        )
+    t_max_over_gamma = _positive_finite("discretize_wavepacket", "t_max_over_gamma", t_max_over_gamma)
     t = np.linspace(0.0, t_max_over_gamma / cfg.gamma, n_points)
     step = t[1] - t[0]
     w = np.full(t.shape, step)

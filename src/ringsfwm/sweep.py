@@ -53,6 +53,7 @@ from .core import (
     _drive_cw,
     _point_count,
     _point_rates,
+    _positive_finite,
     _record,
     _warn,
     prob_scale_p0,
@@ -109,11 +110,13 @@ class SweepAxis:
     scale: str = "log"
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.start < self.stop < math.inf):
+        start, stop = float(self.start), float(self.stop)
+        if not (0.0 < start < stop < math.inf):
             raise ValueError(
-                f"SweepAxis {self.name!r} requires finite 0 < start < stop, got "
-                f"[{self.start}, {self.stop}]"
+                f"SweepAxis {self.name!r} requires finite 0 < start < stop, got [{start}, {stop}]"
             )
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "stop", stop)
         object.__setattr__(
             self, "n_points", _point_count(f"SweepAxis {self.name!r} n_points", self.n_points, 2)
         )
@@ -162,13 +165,13 @@ class SweepSpec:
             raise ValueError("CAR output requires a coincidence_window [s]")
         if self.coincidence_window is not None and not cw:
             raise ValueError("coincidence_window applies to a CW pump; a pulsed sweep has no CAR")
-        for name in ("gamma_c", "tgamma_c", "coincidence_window"):
+        object.__setattr__(self, "gamma_c", _positive_finite("SweepSpec", "gamma_c", self.gamma_c))
+        for name in ("tgamma_c", "coincidence_window"):
             value = getattr(self, name)
-            if value is not None and not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        _check_pump_loss(self.geometry, self.tgamma_c)
-
+            if value is not None:
+                object.__setattr__(self, name, _positive_finite("SweepSpec", name, value))
         names = coupling_parameter_names(self.geometry)
+        _check_pump_loss(self.geometry, self.tgamma_c, self.gamma_c)
         swept = (self.axis1.name,) + (() if self.axis2 is None else (self.axis2.name,))
         if swept != names:
             raise ValueError(

@@ -325,6 +325,18 @@ class TestSweepCommand:
         assert lines[0] == "gamma_a_over_gamma_c,Rs,Rsi,error"
         assert len(lines) == 41
 
+    def test_tied_pump_loss_accepted(self, tmp_path):
+        """On all-pass a tgamma_c equal to gamma_c is the tie: sweep takes it,
+        as rates does, and records it in meta.spec."""
+        tied = "tgamma_c_over_2pi_mhz = 71.1"
+        sweep_cfg = write_config(tmp_path / "sweep.ini", knobs=tied, extra=CW_SWEEP)
+        rates_cfg = write_config(tmp_path / "rates.ini", knobs=f"gamma_a_over_gamma_c = 1.0\n{tied}")
+        out = tmp_path / "sweep.json"
+        assert main(["sweep", "--config", str(sweep_cfg), "--out", str(out)]) == 0
+        assert main(["rates", "--config", str(rates_cfg), "--out", str(tmp_path / "rates")]) == 0
+        spec = json.loads(out.read_text())["meta"]["spec"]
+        assert spec["tgamma_c_rad_per_s"] == spec["gamma_c_rad_per_s"]
+
     def test_grid_override(self, cw_sweep_config, tmp_path):
         out = tmp_path / "sweep.json"
         assert main([

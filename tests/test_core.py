@@ -35,6 +35,16 @@ from ringsfwm import (
     rate_scale_R0,
 )
 from ringsfwm.core import C_VACUUM, TWO_PI, coupling_parameter_names
+from ringsfwm.optimize import (
+    Objective,
+    OptimizationTarget,
+    PumpRegime,
+    analytic_optimum,
+    config_from_point,
+    normalized_objective,
+    numeric_optimum,
+)
+from ringsfwm.sweep import SweepAxis, SweepSpec
 
 from conftest import UNIT_RING
 
@@ -308,3 +318,31 @@ def test_rejects_a_bandwidth_it_cannot_honour(name, bad):
     strength; so are a NaN, zero or negative one."""
     with pytest.raises(ValueError, match=r"pump\.delta_omega must be strictly positive and finite"):
         _BY_PULSE[name](1e-6, bad)
+
+
+_TARGET = OptimizationTarget(Objective.ONE_PHOTON, PumpRegime.CW)
+# Every entry that takes a geometry, called with one; each must reject what
+# is not a Geometry rather than evaluate it as some geometry or crash on it.
+_BY_GEOMETRY = {
+    "coupling_parameter_names": coupling_parameter_names,
+    "CouplingConfig": lambda g: CouplingConfig(g, (1.0, 1.0), 1.0),
+    "config_from_point": lambda g: config_from_point(g, (1.0, 1.0)),
+    "SweepSpec": lambda g: SweepSpec(
+        g, SweepAxis("tgamma_a", 0.5, 2.0, 3), SweepAxis("gamma_b", 0.5, 2.0, 3), ("Rs",),
+        UNIT_RING, PumpSpec.cw(1e-3), 1.0,
+    ),
+    "analytic_optimum": lambda g: analytic_optimum(g, _TARGET),
+    "numeric_optimum": lambda g: numeric_optimum(g, _TARGET),
+    "normalized_objective": lambda g: normalized_objective(g, _TARGET),
+}
+
+
+@pytest.mark.parametrize("bad", ["all-pass-identical", None, 0])
+@pytest.mark.parametrize("name", sorted(_BY_GEOMETRY))
+def test_rejects_a_geometry_that_is_not_a_geometry(name, bad):
+    """A geometry's value, None or 0 is not a Geometry: rejected, never read
+    as add-drop-distinct."""
+    call = _BY_GEOMETRY[name]
+    call(Geometry.ADD_DROP_DISTINCT)
+    with pytest.raises(ValueError, match="geometry must be a Geometry"):
+        call(bad)

@@ -106,7 +106,7 @@ class TestDiscretize:
                 discretize_wavepacket(UNIT_RING, cfg, PUMP, n_points)
         assert discretize_wavepacket(UNIT_RING, cfg, PUMP, np.int64(16)).n_points == 16
         for t_max in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="t_max_over_gamma must be positive and finite"):
+            with pytest.raises(ValueError, match="t_max_over_gamma must be strictly positive and finite"):
                 discretize_wavepacket(UNIT_RING, cfg, PUMP, 32, t_max)
         t = np.linspace(0.0, 1.0, 32)
         w = np.full(32, t[1] - t[0])

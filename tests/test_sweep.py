@@ -161,7 +161,7 @@ class TestSpecValidation:
         ring, gc = algaas
         axis1, axis2 = AXES[Geometry.ADD_DROP_DISTINCT]
         for bad in (0.0, -gc, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="tgamma_c must be positive"):
+            with pytest.raises(ValueError, match="tgamma_c must be strictly positive and finite"):
                 SweepSpec(
                     Geometry.ADD_DROP_DISTINCT, axis1, axis2, ("Rs",), ring, PUMP_CW, gc,
                     tgamma_c=bad,
@@ -172,12 +172,30 @@ class TestSpecValidation:
         for geometry in (Geometry.ALL_PASS_IDENTICAL, Geometry.ADD_DROP_IDENTICAL):
             axis1, axis2 = AXES[geometry]
             with pytest.raises(ValueError, match="tgamma_c applies to add-drop-distinct"):
-                SweepSpec(geometry, axis1, axis2, ("Rs",), ring, PUMP_CW, gc, tgamma_c=gc)
+                SweepSpec(geometry, axis1, axis2, ("Rs",), ring, PUMP_CW, gc, tgamma_c=1.5 * gc)
+
+    @pytest.mark.parametrize(
+        "geometry", [Geometry.ALL_PASS_IDENTICAL, Geometry.ADD_DROP_IDENTICAL]
+    )
+    def test_tgamma_c_equal_to_gamma_c_is_the_tie(self, algaas, geometry):
+        """gamma_c itself is the tie, as CouplingConfig takes it: the sweep
+        is that of tgamma_c=None, and its spec records the value given."""
+        ring, gc = algaas
+        axis1, axis2 = AXES[geometry]
+        tied, plain = (
+            run_sweep(SweepSpec(geometry, axis1, axis2, ("Rs", "Rsi"), ring, PUMP_CW, gc,
+                                tgamma_c=tgamma_c))
+            for tgamma_c in (gc, None)
+        )
+        assert tied.columns == plain.columns
+        assert tied.meta["optima"] == plain.meta["optima"] is not None
+        assert tied.meta["spec"]["tgamma_c_rad_per_s"] == gc
+        assert plain.meta["spec"]["tgamma_c_rad_per_s"] is None
 
     def test_coincidence_window_must_be_positive(self, algaas):
         ring, gc = algaas
         for bad in (0.0, -1e-9):
-            with pytest.raises(ValueError, match="coincidence_window must be positive"):
+            with pytest.raises(ValueError, match="coincidence_window must be strictly positive and finite"):
                 SweepSpec(
                     Geometry.ALL_PASS_IDENTICAL, SweepAxis("gamma_a", 0.1, 2.0, 5), None,
                     ("CAR",), ring, PUMP_CW, gc, coincidence_window=bad,
@@ -218,6 +236,25 @@ class TestSpecValidation:
         assert axis.n_points == 5 and type(axis.n_points) is int
         with pytest.raises(ValueError, match="scale"):
             SweepAxis("gamma_a", 0.1, 2.0, 5, scale="cubic")
+
+    def test_numpy_scalars_render_as_python_floats(self, algaas):
+        """A float32 axis end, gamma_c or coincidence window is stored as the
+        Python float of its value: both formats render the same bytes."""
+        ring, gc = algaas
+
+        def result(number):
+            spec = SweepSpec(
+                Geometry.ALL_PASS_IDENTICAL, SweepAxis("gamma_a", number(0.1), number(2.0), 5),
+                None, ("Rs", "CAR"), ring, PUMP_CW, number(gc), coincidence_window=number(1e-9),
+            )
+            return run_sweep(spec)
+
+        scalars, floats = result(np.float32), result(lambda v: float(np.float32(v)))
+        for fmt in ("json", "csv"):
+            assert render(scalars, fmt) == render(floats, fmt)
+        for value in (scalars.spec.axis1.start, scalars.spec.axis1.stop, scalars.spec.gamma_c,
+                      scalars.spec.coincidence_window):
+            assert type(value) is float
 
 
 class TestRunSweep:
