@@ -9,7 +9,16 @@ and biphoton couplers.
 
 All coupling rates and linewidths are angular frequencies (rad/s); see
 :mod:`ringsfwm.core` for the unit conventions.
+
+Importing the package loads :mod:`ringsfwm.core`, :mod:`ringsfwm.cw`,
+:mod:`ringsfwm.pulsed` and :mod:`ringsfwm.optimize`.  The public names of
+:mod:`ringsfwm.sweep` and :mod:`ringsfwm.schmidt`, and those two modules as
+attributes, resolve on first access (a module ``__getattr__``, PEP 562), so
+``__all__``, ``dir()``, ``from ringsfwm import *`` and ``ringsfwm.sweep``
+work as with eager imports.
 """
+
+import importlib
 
 from ._version import __version__
 from .core import (
@@ -49,14 +58,6 @@ from .pulsed import (
     pulsed_wavepacket,
     save_spectrum,
 )
-from .schmidt import (
-    DecompositionError,
-    SchmidtResult,
-    WavepacketGrid,
-    discretize_wavepacket,
-    schmidt_spectrum,
-    schmidt_spectrum_broadband,
-)
 from .optimize import (
     Objective,
     OptimizationError,
@@ -68,15 +69,39 @@ from .optimize import (
     cross_validate_optima,
     numeric_optimum,
 )
-from .sweep import (
-    SweepAxis,
-    SweepResult,
-    SweepSpec,
-    emit,
-    optima_table,
-    report_optima,
-    run_sweep,
-)
+
+# The public names of the modules loaded on first access, by module.
+_DEFERRED = {
+    "schmidt": (
+        "DecompositionError",
+        "SchmidtResult",
+        "WavepacketGrid",
+        "discretize_wavepacket",
+        "schmidt_spectrum",
+        "schmidt_spectrum_broadband",
+    ),
+    "sweep": (
+        "SweepAxis",
+        "SweepResult",
+        "SweepSpec",
+        "emit",
+        "optima_table",
+        "report_optima",
+        "run_sweep",
+    ),
+}
+
+
+def __getattr__(name: str):
+    for module, names in _DEFERRED.items():
+        if name == module or name in names:
+            loaded = importlib.import_module(f".{module}", __name__)
+            return loaded if name == module else getattr(loaded, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_DEFERRED, *(n for names in _DEFERRED.values() for n in names)})
 
 
 __all__ = [

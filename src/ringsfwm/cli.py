@@ -14,6 +14,12 @@ computed does the second-largest panel while the caller does the rest in
 panel order, with the bytes and warnings of one process.  ``--refine``
 changes only ``meta``, which CSV lacks, so it rejects ``--format csv``.
 
+Each command imports the config reader (and ``configparser``),
+:mod:`ringsfwm.sweep` and :mod:`ringsfwm.schmidt` only if it runs them, in
+its own body: ``validate`` imports none, ``rates`` the config reader alone.
+Every output goes through :func:`ringsfwm.core._write_text` or
+:func:`ringsfwm.sweep.emit`.
+
 Exit codes: 0 success, 1 validation error, 2 computation failure,
 3 I/O failure.
 """
@@ -24,40 +30,32 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .config import (
-    coincidence_window_from_config,
-    load_config,
-    loss_rates_from_config,
-    point_config_from_config,
-    pump_from_config,
-    ring_from_config,
-    sweep_spec_from_config,
+from .core import (
+    Geometry,
+    PumpMode,
+    PumpSpec,
+    _prob_scale,
+    _write_text,
+    coupling_parameter_names,
+    quality_factors,
+    rate_scale_R0,
 )
-from .core import Geometry, PumpMode, PumpSpec, quality_factors, rate_scale_R0, prob_scale_p0
 from .cw import cw_accidentals_and_car, cw_observables
-from .optimize import OptimizationError, coupling_parameter_names, cross_validate_optima
+from .optimize import OptimizationError, cross_validate_optima
 from .pulsed import (
     QuadratureError,
     _perturbative_observables,
     _single_prob_numeric,
     pulsed_observables,
 )
-from .schmidt import schmidt_spectrum_broadband
-from .sweep import (
-    SweepAxis,
-    SweepSpec,
-    _write_text,
-    algaas_example,
-    emit,
-    emit_all,
-    optima_table,
-    report_optima,
-    run_sweep,
-)
+
+if TYPE_CHECKING:  # imported where used, so other commands never load it
+    from .sweep import SweepSpec
 
 _FIGURE_RANGE = (0.05, 5.0)
 _FIGURE_K_GRID = 25
@@ -120,6 +118,11 @@ def _build_parser(command: str | None = None) -> _Parser:
 
 
 def _cmd_rates(args) -> int:
+    from .config import (
+        coincidence_window_from_config, load_config, point_config_from_config,
+        pump_from_config, ring_from_config,
+    )
+
     cp = load_config(args.config, args.command)
     ring = ring_from_config(cp)
     cfg = point_config_from_config(cp)
@@ -158,10 +161,11 @@ def _cmd_rates(args) -> int:
             head, tail = {"method": "numeric-quadrature"}, {"quad_rel_err": rel_err}
         else:
             delta_omega = pump.delta_omega_for(cfg.tgamma)
+            # warns where the broadband rule is marginal; p0 at the same B does not again
             obs = pulsed_observables(ring, cfg, pump.energy, delta_omega)
             head = {"delta_omega_rad_per_s": delta_omega, "method": "broadband-closed-form"}
             tail = {} if pump.bandwidth_factor is None else {
-                "p0": prob_scale_p0(ring, pump.energy, pump.bandwidth_factor, cfg.gamma_c)}
+                "p0": _prob_scale(ring, pump.energy, pump.bandwidth_factor, cfg.gamma_c)}
         report["pulsed"] = {
             "pulse_energy_j": pump.energy, **head,
             "ps_per_pulse": obs.ps,
@@ -185,6 +189,9 @@ def _grid_format(args) -> str:
 def _cmd_sweep(args) -> int:
     """Run the ``[sweep]`` grid at ``--grid`` points per axis and write it in
     ``--format``."""
+    from .config import load_config, sweep_spec_from_config
+    from .sweep import emit, run_sweep
+
     fmt = _grid_format(args)
     spec = sweep_spec_from_config(load_config(args.config, args.command))
     if args.grid is not None:
@@ -195,6 +202,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    from .config import load_config, loss_rates_from_config, pump_from_config, ring_from_config
+    from .sweep import optima_table, report_optima
+
     cp = load_config(args.config, args.command)
     ring = ring_from_config(cp)
     gamma_c, _ = loss_rates_from_config(cp)
@@ -208,6 +218,9 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_schmidt(args) -> int:
+    from .config import load_config, point_config_from_config, pump_from_config
+    from .schmidt import schmidt_spectrum_broadband
+
     cp = load_config(args.config, args.command)
     cfg = point_config_from_config(cp)
     res = schmidt_spectrum_broadband(cfg, pump_from_config(cp))
@@ -229,6 +242,8 @@ def _cmd_validate(args) -> int:
 
 
 def _figure_panels(pump: PumpSpec, outputs: tuple[str, ...], n: int) -> dict[str, SweepSpec]:
+    from .sweep import SweepAxis, SweepSpec, algaas_example
+
     ring, gamma_c = algaas_example()
     panels = {}
     for label, geometry in zip("abc", Geometry):
@@ -242,8 +257,12 @@ def _figure_panels(pump: PumpSpec, outputs: tuple[str, ...], n: int) -> dict[str
 
 def _run_figure(args, pump: PumpSpec, outputs: tuple[str, ...], prefix: str,
                 schmidt_panel: bool) -> int:
+    from .sweep import emit_all
+
     fmt = _grid_format(args)
     if args.config is not None:
+        from .config import load_config, pump_from_config
+
         pump = pump_from_config(load_config(args.config, args.command))
     n = 200 if args.grid is None else args.grid
     stem = args.out or prefix

@@ -37,6 +37,7 @@ import dataclasses
 import enum
 import inspect
 import math
+import numbers
 import operator
 import reprlib
 import sys
@@ -80,6 +81,24 @@ def _warn(message: str, category: type[Warning]) -> None:
     warnings.warn(message, category, stacklevel=_calling_frame(sys._getframe(1))[1] + 2)
 
 
+def _write(pieces, out) -> None:
+    """The one output writer: each text of ``pieces`` in turn, to stdout when
+    ``out`` is None, else to the file ``out``; I/O failures carry the path."""
+    if out is None:
+        sys.stdout.writelines(pieces)
+        return
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.writelines(pieces)
+    except OSError as exc:
+        raise OSError(f"failed to write output to {out!s}: {exc}") from exc
+
+
+def _write_text(text: str, out) -> None:
+    """``text`` with a final newline, written as :func:`_write` does."""
+    _write([text if text.endswith("\n") else text + "\n"], out)
+
+
 class Geometry(enum.Enum):
     """Ring/waveguide coupling geometry."""
 
@@ -93,8 +112,18 @@ class PumpMode(enum.Enum):
     PULSED = "pulsed"
 
 
+def _real(owner: str, name: str, value: float) -> float:
+    """``value`` as a Python float, if it is a real number: not a bool, a
+    string or None."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{owner}.{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _positive_finite(owner: str, name: str, value: float) -> float:
-    value = float(value)
+    """``value`` as a Python float, if it is a real number that is strictly
+    positive and finite."""
+    value = _real(owner, name, value)
     if not math.isfinite(value) or value <= 0.0:
         raise ValueError(
             f"{owner}.{name} must be strictly positive and finite, got {value!r}"
@@ -577,6 +606,17 @@ def _broadband_rule(tgamma, delta_omega):
     return holds, holds & (delta_omega < 10.0 * tgamma)
 
 
+def _prob_scale(
+    ring: RingParams, energy: float, bandwidth_factor: float, gamma_c: float
+) -> float:
+    """:func:`prob_scale_p0` without its broadband-rule warning, for a caller
+    that checks the rule on its own designs."""
+    bandwidth_factor = _positive_finite("prob_scale_p0", "bandwidth_factor", bandwidth_factor)
+    gamma_c = _positive_finite("prob_scale_p0", "gamma_c", gamma_c)
+    amp = _drive_pulsed(ring, energy, bandwidth_factor * gamma_c)
+    return amp * amp
+
+
 def prob_scale_p0(
     ring: RingParams, energy: float, bandwidth_factor: float, gamma_c: float
 ) -> float:
@@ -587,17 +627,13 @@ def prob_scale_p0(
     :func:`_drive_pulsed` at ``delta_omega = B*gamma_c``.  Rejects an
     energy, ``B`` or ``gamma_c`` that is not strictly positive and finite.
     Where :func:`_broadband_rule` fails or is marginal at ``B`` (``B < 10``)
-    it warns with :class:`BroadbandAssumptionWarning` and does not raise.
+    it warns with :class:`BroadbandAssumptionWarning`, in the words the
+    probabilities use for the ratio ``delta_omega/tgamma = B``, and does not
+    raise.
     """
-    bandwidth_factor = _positive_finite("prob_scale_p0", "bandwidth_factor", bandwidth_factor)
-    gamma_c = _positive_finite("prob_scale_p0", "gamma_c", gamma_c)
-    amp = _drive_pulsed(ring, energy, bandwidth_factor * gamma_c)
-    holds, marginal = _broadband_rule(1.0, bandwidth_factor)
+    p0 = _prob_scale(ring, energy, bandwidth_factor, gamma_c)
+    ratio = float(bandwidth_factor)
+    holds, marginal = _broadband_rule(1.0, ratio)
     if marginal or not holds:
-        _warn(
-            f"bandwidth factor B = {bandwidth_factor:g} < 10: the broadband "
-            "pump assumption (bandwidth >> pump linewidth) is weak",
-            BroadbandAssumptionWarning,
-        )
-    return amp * amp
-
+        _warn((_MARGINAL if holds else _NOT_BROADBAND).format(ratio), BroadbandAssumptionWarning)
+    return p0

@@ -54,8 +54,11 @@ from .core import (
     _point_count,
     _point_rates,
     _positive_finite,
+    _prob_scale,
+    _real,
     _record,
     _warn,
+    _write,
     prob_scale_p0,
     rate_scale_R0,
 )
@@ -110,7 +113,7 @@ class SweepAxis:
     scale: str = "log"
 
     def __post_init__(self) -> None:
-        start, stop = float(self.start), float(self.stop)
+        start, stop = _real("SweepAxis", "start", self.start), _real("SweepAxis", "stop", self.stop)
         if not (0.0 < start < stop < math.inf):
             raise ValueError(
                 f"SweepAxis {self.name!r} requires finite 0 < start < stop, got [{start}, {stop}]"
@@ -368,8 +371,13 @@ def _analytic_optima_meta(spec: SweepSpec) -> Optional[dict]:
     if spec.tgamma_c not in (None, spec.gamma_c):
         return None
     pump, cw = spec.pump, spec.pump_regime is PumpRegime.CW
-    r0, p0 = _scales(spec.ring, spec.gamma_c, pump.power, pump.energy, pump.bandwidth_factor)
-    scale = r0 if cw else p0  # None for an absolute-bandwidth pump: p0 is not defined
+    if cw:
+        scale = rate_scale_R0(spec.ring, pump.power, spec.gamma_c)
+    elif pump.bandwidth_factor is None:
+        scale = None  # an absolute-bandwidth pump: p0 is not defined
+    else:
+        # run_sweep checked the broadband rule on the grid, where delta_omega/tgamma = B
+        scale = _prob_scale(spec.ring, pump.energy, pump.bandwidth_factor, spec.gamma_c)
     optima = {"scale_name": "R0_per_s" if cw else "p0", "scale_value": scale,
               "plot_normalization": None if scale is None else 0.5 * scale}
     for (regime, objective), (output, _) in _OBSERVABLES.items():
@@ -502,24 +510,6 @@ def render(result: SweepResult, fmt: str) -> str:
     return "".join(_pieces(result, fmt))
 
 
-def _write(pieces, out) -> None:
-    """The one output writer: each text of ``pieces`` in turn, to stdout when
-    ``out`` is None, else to the file ``out``; I/O failures carry the path."""
-    if out is None:
-        sys.stdout.writelines(pieces)
-        return
-    try:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.writelines(pieces)
-    except OSError as exc:
-        raise OSError(f"failed to write output to {out!s}: {exc}") from exc
-
-
-def _write_text(text: str, out) -> None:
-    """``text`` with a final newline, written as :func:`_write` does."""
-    _write([text if text.endswith("\n") else text + "\n"], out)
-
-
 def emit(result: SweepResult, fmt: str, path) -> None:
     """Write a sweep result to ``path``, or to stdout when ``path`` is None,
     one block of ``_BLOCK_ROWS`` rows at a time as it is formatted, so no
@@ -648,18 +638,6 @@ def emit_all(panels, fmt: str) -> None:
         raise min(failures, key=lambda f: f[0])[1]
 
 
-def _scales(ring, gamma_c, power, energy, bandwidth_factor):
-    """The scales ``R0`` and ``p0`` of the optimum rows, each None where its
-    drive is not given."""
-    r0 = rate_scale_R0(ring, power, gamma_c) if power is not None else None
-    p0 = (
-        prob_scale_p0(ring, energy, bandwidth_factor, gamma_c)
-        if (energy is not None and bandwidth_factor is not None)
-        else None
-    )
-    return r0, p0
-
-
 def _optimum_row(geometry: Geometry, target: OptimizationTarget, scale) -> dict:
     """One :func:`optima_table` row; ``scale`` is the regime's ``R0`` or ``p0``,
     or None."""
@@ -681,7 +659,12 @@ def _optimum_row(geometry: Geometry, target: OptimizationTarget, scale) -> dict:
 def _optima(ring, gamma_c, power, energy, bandwidth_factor):
     """The 12 optimum rows of :func:`optima_table` and the scales ``R0`` and
     ``p0`` they use, each None where its drive is not given."""
-    r0, p0 = _scales(ring, gamma_c, power, energy, bandwidth_factor)
+    r0 = rate_scale_R0(ring, power, gamma_c) if power is not None else None
+    p0 = (
+        prob_scale_p0(ring, energy, bandwidth_factor, gamma_c)
+        if (energy is not None and bandwidth_factor is not None)
+        else None
+    )
     rows = [_optimum_row(geometry, target, r0 if target.pump_regime is PumpRegime.CW else p0)
             for geometry, target in all_targets()]
     return rows, r0, p0

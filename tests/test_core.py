@@ -3,11 +3,14 @@
 import _thread
 import importlib
 import pkgutil
+import re
 import time
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 import ringsfwm
@@ -25,6 +28,7 @@ from ringsfwm import (
     cw_pair_rate,
     cw_single_rate,
     cw_wavepacket,
+    discretize_wavepacket,
     prob_scale_p0,
     pulsed_accidental_prob,
     pulsed_observables,
@@ -318,6 +322,38 @@ def test_rejects_a_bandwidth_it_cannot_honour(name, bad):
     strength; so are a NaN, zero or negative one."""
     with pytest.raises(ValueError, match=r"pump\.delta_omega must be strictly positive and finite"):
         _BY_PULSE[name](1e-6, bad)
+
+
+# Entries whose number core._real checks, called with that number.
+_BY_POSITIVE = {
+    "CouplingConfig.gamma_c": lambda x: CouplingConfig.all_pass(1.0, x),
+    "SweepAxis.stop": lambda x: SweepAxis("gamma_a", 0.5, x, 3),
+    "SweepSpec.gamma_c": lambda x: SweepSpec(
+        Geometry.ALL_PASS_IDENTICAL, SweepAxis("gamma_a", 0.5, 2.0, 3), None, ("Rs",),
+        UNIT_RING, PumpSpec.cw(1e-3), x,
+    ),
+    "discretize_wavepacket.t_max_over_gamma": lambda x: discretize_wavepacket(
+        UNIT_RING, CouplingConfig.all_pass(1.0, 1.0), PumpSpec.pulsed(1e-3, bandwidth_factor=20.0),
+        16, x,
+    ),
+}
+
+
+# None selects discretize_wavepacket's default window, so it is a bad value
+# of the other entries only.
+@pytest.mark.parametrize("name, bad", [
+    (name, bad) for name in sorted(_BY_POSITIVE) for bad in ("2.0", True, np.True_, None)
+    if not (bad is None and name.startswith("discretize"))
+])
+def test_rejects_a_number_that_is_not_a_real_number(name, bad):
+    """A string, a bool or None is not a positive number: rejected with a
+    ValueError naming the field, never turned into one by float().  A
+    NumPy float or a Fraction is a real number and is accepted."""
+    call = _BY_POSITIVE[name]
+    for good in (2.0, np.float32(2.0), Fraction(2)):
+        call(good)
+    with pytest.raises(ValueError, match=rf"{re.escape(name)} must be a real number, got"):
+        call(bad)
 
 
 _TARGET = OptimizationTarget(Objective.ONE_PHOTON, PumpRegime.CW)

@@ -310,8 +310,9 @@ def test_each_record_has_its_own_init():
 
 
 def test_import_generates_no_code():
-    """Importing the package and its CLI compiles no source that is not a
-    file: the records are built without generated methods.  The standard
+    """Importing the package, its CLI, its config reader and every public
+    name (which loads the deferred modules) compiles no source that is not
+    a file: the records are built without generated methods.  The standard
     modules the package imports are loaded first, since some build code of
     their own (``namedtuple``).  From Python 3.13 on, ``dataclass`` compiles
     one empty builder, ``def __create_fn__(): return ()``, per class even
@@ -325,7 +326,8 @@ def test_import_generates_no_code():
             if event == "compile" and not (isinstance(args[1], str) and os.path.isfile(args[1])):
                 sources.append(args[0])
         sys.addaudithook(hook)
-        import ringsfwm, ringsfwm.cli
+        import ringsfwm, ringsfwm.cli, ringsfwm.config
+        from ringsfwm import *
         found = sources[:]  # ast.parse compiles too
         empty = ast.dump(ast.parse("def __create_fn__(): return ()"))
         print(sum(ast.dump(ast.parse(source)) != empty for source in found))
