@@ -70,7 +70,8 @@ from .optimize import (
     numeric_optimum,
 )
 
-# The public names of the modules loaded on first access, by module.
+# The public names of the modules loaded on first access, by module; they
+# close __all__.
 _DEFERRED = {
     "schmidt": (
         "DecompositionError",
@@ -101,7 +102,7 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_DEFERRED, *(n for names in _DEFERRED.values() for n in names)})
+    return sorted({*globals(), *_DEFERRED, *__all__})
 
 
 __all__ = [
@@ -109,7 +110,6 @@ __all__ = [
     "BroadbandAssumptionWarning",
     "CouplingConfig",
     "CwObservables",
-    "DecompositionError",
     "Geometry",
     "Objective",
     "OptimizationError",
@@ -121,12 +121,7 @@ __all__ = [
     "PumpSpec",
     "QuadratureError",
     "RingParams",
-    "SchmidtResult",
-    "SweepAxis",
-    "SweepResult",
-    "SweepSpec",
     "TabulatedSpectrum",
-    "WavepacketGrid",
     "all_targets",
     "analytic_optimum",
     "cross_validate_optima",
@@ -136,13 +131,10 @@ __all__ = [
     "cw_pump_buildup",
     "cw_single_rate",
     "cw_wavepacket",
-    "discretize_wavepacket",
     "effective_pump_lineshape",
-    "emit",
     "flattop_lineshape_broadband",
     "load_spectrum",
     "numeric_optimum",
-    "optima_table",
     "prob_scale_p0",
     "pulsed_accidental_prob",
     "pulsed_observables",
@@ -152,10 +144,7 @@ __all__ = [
     "pulsed_wavepacket",
     "quality_factors",
     "rate_scale_R0",
-    "report_optima",
-    "run_sweep",
     "save_spectrum",
-    "schmidt_spectrum",
-    "schmidt_spectrum_broadband",
     "tolerance_band",
+    *(name for names in _DEFERRED.values() for name in names),
 ]

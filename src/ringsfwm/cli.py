@@ -16,7 +16,8 @@ changes only ``meta``, which CSV lacks, so it rejects ``--format csv``.
 
 Each command imports the config reader (and ``configparser``),
 :mod:`ringsfwm.sweep` and :mod:`ringsfwm.schmidt` only if it runs them, in
-its own body: ``validate`` imports none, ``rates`` the config reader alone.
+its own body: ``validate`` imports none.  The config reader imports
+:mod:`ringsfwm.sweep`, so a command that reads a config loads all three.
 Every output goes through :func:`ringsfwm.core._write_text` or
 :func:`ringsfwm.sweep.emit`.
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 import configparser
 import itertools
 import os
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .core import (
     TWO_PI,
@@ -52,9 +52,7 @@ from .core import (
     coupling_parameter_names,
 )
 from .pulsed import load_spectrum
-
-if TYPE_CHECKING:  # imported by the [sweep] reader alone, so rates never loads it
-    from .sweep import SweepAxis, SweepSpec
+from .sweep import SweepAxis, SweepSpec
 
 __all__ = [
     "load_config",
@@ -257,8 +255,6 @@ _AXIS_SUFFIXES = ("", "_min", "_max", "_points", "_scale")
 def _axis_from_config(
     cp: configparser.ConfigParser, prefix: str
 ) -> Optional[SweepAxis]:
-    from .sweep import SweepAxis
-
     if not cp.has_option("sweep", prefix):
         for key in (prefix + suffix for suffix in _AXIS_SUFFIXES[1:]):
             if cp.has_option("sweep", key):
@@ -275,8 +271,6 @@ def _axis_from_config(
 
 
 def sweep_spec_from_config(cp: configparser.ConfigParser) -> SweepSpec:
-    from .sweep import SweepSpec
-
     axis1 = _axis_from_config(cp, "axis1")
     if axis1 is None:
         raise ValueError("[sweep] must define axis1")

@@ -37,7 +37,6 @@ import dataclasses
 import enum
 import inspect
 import math
-import numbers
 import operator
 import reprlib
 import sys
@@ -113,11 +112,15 @@ class PumpMode(enum.Enum):
 
 
 def _real(owner: str, name: str, value: float) -> float:
-    """``value`` as a Python float, if it is a real number: not a bool, a
-    string or None."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{owner}.{name} must be a real number, got {value!r}")
-    return float(value)
+    """``value`` as a Python float, if ``float()`` takes it and it is not a
+    bool or a string: a NumPy scalar or 0-d array, a ``Fraction`` or a
+    ``Decimal`` is taken; ``"2.0"``, ``True`` or None is not."""
+    if not isinstance(value, (bool, np.bool_, str, bytes, bytearray)):
+        try:
+            return float(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{owner}.{name} must be a real number, got {value!r}")
 
 
 def _positive_finite(owner: str, name: str, value: float) -> float:

@@ -991,19 +991,6 @@ class TestDeferredImports:
                 "assert r.pulsed_single_prob_numeric(ring, cfg, 1e-3, spectrum) > 0.0")
         assert self._loaded(code) == []
 
-    @pytest.mark.parametrize("command, design, loaded", [
-        ("rates", {}, ["ringsfwm.config", "configparser"]),
-        ("schmidt", {"ring": False}, ["ringsfwm.schmidt", "ringsfwm.config", "configparser"]),
-        ("optimize", {"geometry": None, "knobs": ""}, list(DEFERRED)),
-    ])
-    def test_config_commands_load_what_they_run(self, tmp_path, command, design, loaded):
-        pump = "mode = pulsed\npulse_energy_pj = 1e-3\nbandwidth_factor = 20"
-        config = write_config(tmp_path / "design.ini", pump=pump, **design)
-        code = ("import sys, ringsfwm.cli\n"
-                "assert ringsfwm.cli.main([sys.argv[1], '--config', sys.argv[2],"
-                " '--out', sys.argv[3]]) == 0")
-        assert self._loaded(code, command, str(config), str(tmp_path / "out")) == loaded
-
     def test_every_public_name_resolves_and_is_listed(self):
         """``__all__``, ``dir``, star-import and the submodule attributes
         behave as with eager imports; an unknown name still raises."""

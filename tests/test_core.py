@@ -6,6 +6,7 @@ import pkgutil
 import re
 import time
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -347,10 +348,11 @@ _BY_POSITIVE = {
 ])
 def test_rejects_a_number_that_is_not_a_real_number(name, bad):
     """A string, a bool or None is not a positive number: rejected with a
-    ValueError naming the field, never turned into one by float().  A
-    NumPy float or a Fraction is a real number and is accepted."""
+    ValueError naming the field, never turned into one by float().  A NumPy
+    float or 0-d array, a Fraction or a Decimal is a real number and is
+    accepted."""
     call = _BY_POSITIVE[name]
-    for good in (2.0, np.float32(2.0), Fraction(2)):
+    for good in (2.0, np.float32(2.0), np.asarray(2.0), Fraction(2), Decimal("2")):
         call(good)
     with pytest.raises(ValueError, match=rf"{re.escape(name)} must be a real number, got"):
         call(bad)
