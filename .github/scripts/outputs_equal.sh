@@ -155,7 +155,10 @@ $axes_1d
 outputs = K"
 
 # One command per line: a label, then the arguments of `python -m ringsfwm`,
-# where @NAME stands for $cfg/NAME.ini.
+# where @NAME stands for $cfg/NAME.ini.  The last ten are the lines the
+# command-line front end hands to argparse rather than read from its flag
+# table: help, version, errors, an abbreviation, an attached value and a
+# repeated flag.
 commands="figure2-refine figure2 --refine
 figure2-csv figure2 --format csv
 figure3 figure3
@@ -176,7 +179,17 @@ sweep-Rsi sweep --config @sweep_Rsi
 sweep-CAR sweep --config @sweep_CAR --format csv
 sweep-ps sweep --config @sweep_ps
 sweep-psi sweep --config @sweep_psi --refine
-sweep-K sweep --config @sweep_K"
+sweep-K sweep --config @sweep_K
+version --version
+validate-help validate -h
+figure2-help figure2 -h
+rates-without-config rates
+validate-unknown-flag validate --bogus
+figure2-grid-not-int figure2 --grid x
+figure2-format-not-a-choice figure2 --format xml
+figure2-abbreviated-flag figure2 --ref --grid 9
+figure3-attached-value figure3 --grid=9
+validate-repeated-out validate --out first.txt --out second.txt"
 
 while read -r label args; do
   argv=()

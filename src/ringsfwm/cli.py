@@ -18,6 +18,13 @@ Each command imports the config reader (and ``configparser``),
 :mod:`ringsfwm.sweep` and :mod:`ringsfwm.schmidt` only if it runs them, in
 its own body: ``validate`` imports none.  The config reader imports
 :mod:`ringsfwm.sweep`, so a command that reads a config loads all three.
+``json`` is imported by the commands that write it (``rates``,
+``optimize``, ``schmidt``; the sweep module imports its own).  A plain
+command line -- a command, then its own flags in full, each at most once,
+each value valid and not starting with ``-`` -- is read from the flag
+table without ``argparse``; every other one (help, ``--version``, an
+abbreviation, ``--flag=value``, any error) goes to ``argparse``, which
+alone writes help, usage and error text.
 Every output goes through :func:`ringsfwm.core._write_text` or
 :func:`ringsfwm.sweep.emit`.
 
@@ -27,10 +34,9 @@ Exit codes: 0 success, 1 validation error, 2 computation failure,
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -66,13 +72,8 @@ class _CliValidationError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # noqa: D102 - argparse hook
-        raise _CliValidationError(message)
-
-
 # Every flag a subcommand can declare; each subcommand declares only the
-# flags it honours (see _build_parser), with the departures below.
+# flags it honours (_COMMANDS), with the departures below.
 _FLAGS = {
     "--config": {"required": True, "help": "INI config file"},
     "--out": {"help": "output file (default: stdout)"},
@@ -91,34 +92,72 @@ _FLAG_DEPARTURES = {
 _GRID_FLAGS = ("--config", "--out", "--format", "--grid", "--refine")
 
 
-def _build_parser(command: str | None = None) -> _Parser:
+def _flag_spec(command: str, flag: str) -> dict:
+    """The ``add_argument`` keywords of ``flag`` under ``command``."""
+    return {**_FLAGS[flag], **_FLAG_DEPARTURES.get((command, flag), {})}
+
+
+def _build_parser(command: str | None = None):
     """The ``ringsfwm`` parser with the subparser of ``command`` alone, or with
     all seven when ``command`` names none (``-h``, ``--version``, a typo)."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):  # noqa: D102 - argparse hook
+            raise _CliValidationError(message)
+
     parser = _Parser(prog="ringsfwm", description=__doc__)
     parser.add_argument("--version", action="version", version=f"ringsfwm {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    commands = (
-        ("rates", _cmd_rates, ("--config", "--out"),
-         "rates/probabilities at a single design point"),
-        ("sweep", _cmd_sweep, _GRID_FLAGS, "evaluate outputs on a coupling grid"),
-        ("optimize", _cmd_optimize, ("--config", "--out", "--format"),
-         "report all optimal coupling conditions"),
-        ("schmidt", _cmd_schmidt, ("--config", "--out"),
-         "Schmidt number and leading coefficients at one design point"),
-        ("validate", _cmd_validate, ("--out",), "cross-validate analytic vs numeric optima"),
-        ("figure2", _cmd_figure2, _GRID_FLAGS, "canned CW coupling scans (AlGaAs example)"),
-        ("figure3", _cmd_figure3, _GRID_FLAGS, "canned pulsed coupling scans (AlGaAs example)"),
-    )
-    for name, handler, flags, help_text in [c for c in commands if c[0] == command] or commands:
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        handler, flags, help_text = _COMMANDS[name]
         sub = subs.add_parser(name, help=help_text)
         for flag in flags:
-            sub.add_argument(flag, **{**_FLAGS[flag], **_FLAG_DEPARTURES.get((name, flag), {})})
+            sub.add_argument(flag, **_flag_spec(name, flag))
         sub.set_defaults(handler=handler)
     return parser
 
 
+def _plain_args(argv: list[str]) -> SimpleNamespace | None:
+    """What ``_build_parser(argv[0]).parse_args(argv)`` returns, read from
+    the flag table, when ``argv`` is plain: a command, then flags it
+    declares, each at most once and spelt in full, each value flag followed
+    by a value that does not start with ``-`` and that the flag's ``type``
+    and ``choices`` accept, and every required flag present.  None for any
+    other ``argv``, which argparse then reads."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    command, tokens = argv[0], iter(argv[1:])
+    handler, flags, _ = _COMMANDS[command]
+    specs = {flag: _flag_spec(command, flag) for flag in flags}
+    given = {}
+    for flag in tokens:
+        spec = specs.get(flag)
+        if spec is None or flag in given:
+            return None
+        if spec.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        try:
+            value = spec.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in spec.get("choices", (value,)):
+            return None
+        given[flag] = value
+    if any(spec.get("required") and flag not in given for flag, spec in specs.items()):
+        return None
+    return SimpleNamespace(command=command, handler=handler, **{
+        flag[2:]: given.get(flag, False if spec.get("action") == "store_true" else None)
+        for flag, spec in specs.items()})
+
+
 def _cmd_rates(args) -> int:
+    import json
+
     from .config import (
         coincidence_window_from_config, load_config, point_config_from_config,
         pump_from_config, ring_from_config,
@@ -203,6 +242,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    import json
+
     from .config import load_config, loss_rates_from_config, pump_from_config, ring_from_config
     from .sweep import optima_table, report_optima
 
@@ -219,6 +260,8 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_schmidt(args) -> int:
+    import json
+
     from .config import load_config, point_config_from_config, pump_from_config
     from .schmidt import schmidt_spectrum_broadband
 
@@ -286,17 +329,31 @@ def _cmd_figure3(args) -> int:
     return _run_figure(args, pump, ("ps", "psi"), "figure3", schmidt_panel=True)
 
 
+# name: (handler, flags, help); read by _build_parser and _plain_args alike
+_COMMANDS = {
+    "rates": (_cmd_rates, ("--config", "--out"), "rates/probabilities at a single design point"),
+    "sweep": (_cmd_sweep, _GRID_FLAGS, "evaluate outputs on a coupling grid"),
+    "optimize": (_cmd_optimize, ("--config", "--out", "--format"),
+                 "report all optimal coupling conditions"),
+    "schmidt": (_cmd_schmidt, ("--config", "--out"),
+                "Schmidt number and leading coefficients at one design point"),
+    "validate": (_cmd_validate, ("--out",), "cross-validate analytic vs numeric optima"),
+    "figure2": (_cmd_figure2, _GRID_FLAGS, "canned CW coupling scans (AlGaAs example)"),
+    "figure3": (_cmd_figure3, _GRID_FLAGS, "canned pulsed coupling scans (AlGaAs example)"),
+}
+
 _COMPUTE_ERRORS = (OptimizationError, QuadratureError, np.linalg.LinAlgError, ArithmeticError)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser(argv[0] if argv else None)
-    try:
-        args = parser.parse_args(argv)
-    except _CliValidationError as exc:
-        print(f"ringsfwm: error: {exc}", file=sys.stderr)
-        return 1
+    args = _plain_args(argv)
+    if args is None:
+        try:
+            args = _build_parser(argv[0] if argv else None).parse_args(argv)
+        except _CliValidationError as exc:
+            print(f"ringsfwm: error: {exc}", file=sys.stderr)
+            return 1
     try:
         return args.handler(args)
     except ValueError as exc:

@@ -70,11 +70,12 @@ def load_config(path, command: str) -> configparser.ConfigParser:
     or pump mode, would otherwise be ignored.  No key belongs in every
     section, so ``[DEFAULT]`` keys are rejected too.  A relative
     ``[pump] spectrum_file`` is resolved against the directory of ``path``,
-    not the working directory.  The file is read as UTF-8."""
+    not the working directory.  The file is read as UTF-8, with or without
+    a byte-order mark."""
     # no interpolation: a "%" in a value is an ordinary character
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        read = parser.read(str(path), encoding="utf-8")
+        read = parser.read(str(path), encoding="utf-8-sig")
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ValueError(f"config file {path!s}: {exc}") from exc
     if not read:

@@ -140,8 +140,12 @@ def cw_accidentals_and_car(
     """Accidental-coincidence rate and coincidence-to-accidental ratio.
 
     ``R_acc = T_R * Rs * Ri`` for coincidence window ``T_R`` [s], and
-    ``CAR = Rsi / R_acc``.  Raises :class:`ValueError` when the singles rate
-    vanishes (CAR undefined).
+    ``CAR = Rsi / R_acc``.  ``T_R`` is the full width of the window
+    ``|t_s - t_i| <= T_R/2``, the convention ``R_acc = T_R * Rs * Ri``
+    implies.  ``Rsi`` counts every true pair whatever ``T_R``: the share
+    ``1 - exp(-gamma*T_R/2)`` of pairs inside the window is not applied, so
+    the CAR overstates a measured one unless ``gamma*T_R >> 1``.  Raises
+    :class:`ValueError` when the singles rate vanishes (CAR undefined).
     """
     coincidence_window = _positive_finite(
         "cw_accidentals_and_car", "coincidence_window", coincidence_window

@@ -231,9 +231,9 @@ def save_spectrum(spectrum: TabulatedSpectrum, path) -> None:
 
 def load_spectrum(path) -> TabulatedSpectrum:
     """Read a spectrum written by :func:`save_spectrum` ('#' lines are comments),
-    as UTF-8 text."""
+    as UTF-8 text with or without a byte-order mark."""
     try:  # np.loadtxt's opener, which decompresses .gz, .bz2 and .xz
-        with np.lib.npyio.DataSource().open(str(path), "rt", encoding="utf-8") as fh:
+        with np.lib.npyio.DataSource().open(str(path), "rt", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ValueError(f"spectrum file {path!s}: {exc}") from exc

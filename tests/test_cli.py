@@ -4,7 +4,9 @@ direct library evaluation."""
 import argparse
 import collections
 import configparser
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import re
@@ -17,6 +19,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringsfwm import (
     CouplingConfig,
@@ -35,7 +39,15 @@ from ringsfwm import (
 )
 from ringsfwm import __version__
 from ringsfwm import sweep as sweep_module
-from ringsfwm.cli import _FIGURE_K_GRID, _build_parser, _figure_panels, main
+from ringsfwm.cli import (
+    _FIGURE_K_GRID,
+    _COMMANDS,
+    _CliValidationError,
+    _build_parser,
+    _figure_panels,
+    _plain_args,
+    main,
+)
 from ringsfwm.core import BroadbandAssumptionWarning
 from ringsfwm.config import (
     _READS,
@@ -455,7 +467,70 @@ def _subcommands(parser):
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
+FLAGS = ("--config", "--out", "--format", "--grid", "--refine")
+# flags argparse reads (an abbreviation, an attached value, help) or rejects
+NEAR_MISS_FLAGS = ("--conf", "--ref", "--out=x", "--grid=9", "-h", "--", "--bogus")
+VALUES = ("-", "-5", "1e3", "5", " 7", "0", "JSON", "json", "csv", "", "out.txt",
+          "dir/cfg.ini", "/a path/x.ini", "x=1")
+
+
+# values each flag accepts, drawn four times as often as each of VALUES
+ACCEPTED = {"--config": ("c.ini", "dir/cfg.ini"), "--out": ("out.txt", ""),
+            "--format": ("json", "csv"), "--grid": ("5", " 7")}
+
+
+@st.composite
+def _command_lines(draw):
+    """A command, then some of its own flags and, half the time, one or two
+    others (repeats, near misses, flags it does not declare) in any order,
+    each followed more often than not by the number of values it takes."""
+    command = draw(st.sampled_from(COMMANDS + ("valdiate",)))
+    own = list(_COMMANDS[command][1] if command in _COMMANDS else ())
+    flags = draw(st.permutations(own))[:draw(st.integers(0, len(own)))]
+    if draw(st.booleans()):
+        flags += draw(st.lists(st.sampled_from(FLAGS + NEAR_MISS_FLAGS), min_size=1, max_size=2))
+    argv = [command]
+    for flag in draw(st.permutations(flags)):
+        counts = (0,) * 6 + (1,) if flag == "--refine" else (1,) * 6 + (0, 2)
+        value = st.sampled_from(VALUES + ACCEPTED.get(flag, ()) * 4)
+        argv += [flag, *draw(st.lists(value, min_size=2, max_size=2))[:draw(st.sampled_from(counts))]]
+    return argv
+
+
+def _argparse_reading(argv):
+    """``vars()`` of argparse's namespace for ``argv``, or None where it
+    exits (help) or raises (an error)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(_build_parser(argv[0]).parse_args(argv))
+        except (_CliValidationError, SystemExit):
+            return None
+
+
 class TestParser:
+    @settings(max_examples=400, deadline=None)
+    @given(argv=_command_lines())
+    def test_plain_reading_is_argparse_reading(self, argv):
+        """Where the flag table reads a command line, argparse reads the
+        same namespace; where argparse exits or raises, the table declines."""
+        plain = _plain_args(argv)
+        if plain is not None:
+            assert vars(plain) == _argparse_reading(argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["validate"],
+        ["validate", "--out", "validate.txt"],
+        ["figure2", "--refine", "--format", "json", "--config", "c.ini", "--out", "fig2",
+         "--grid", "200"],
+        ["figure3", "--format", "csv", "--config", "c.ini", "--out", "fig3"],
+        ["rates", "--config", "c.ini"],
+        ["optimize", "--format", "json", "--config", "c.ini"],
+        ["schmidt", "--out", "", "--config", "c.ini"],
+        ["sweep", "--grid", " 7", "--config", "/a path/c.ini"],
+    ])
+    def test_plain_lines_are_read_from_the_table(self, argv):
+        assert vars(_plain_args(argv)) == _argparse_reading(argv)
+
     def test_builds_the_named_subcommand_only(self):
         for command in COMMANDS:
             assert list(_subcommands(_build_parser(command))) == [command]
@@ -963,14 +1038,17 @@ class TestModuleEntryPoint:
 
 class TestDeferredImports:
     """Each command imports only what it runs: the grid, Schmidt and
-    config-reading modules load on first use, in a fresh interpreter."""
+    config-reading modules, ``json`` and ``argparse`` (with the ``gettext``
+    and ``locale`` its messages load) load on first use, in a fresh
+    interpreter."""
 
-    DEFERRED = ("ringsfwm.sweep", "ringsfwm.schmidt", "ringsfwm.config", "configparser")
+    DEFERRED = ("ringsfwm.sweep", "ringsfwm.schmidt", "ringsfwm.config", "configparser",
+                "argparse", "gettext", "locale", "json")
 
     def _loaded(self, code: str, *argv) -> list[str]:
         """Which of ``DEFERRED`` a fresh interpreter holds after ``code``."""
-        code += (f"\nimport json\n"
-                 f"print(json.dumps([m for m in {self.DEFERRED!r} if m in sys.modules]))")
+        code += (f"\nloaded = [m for m in {self.DEFERRED!r} if m in sys.modules]\n"
+                 f"import json\nprint(json.dumps(loaded))")
         proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout.splitlines()[-1])
@@ -982,6 +1060,21 @@ class TestDeferredImports:
         code = ("import sys, ringsfwm.cli\n"
                 "assert ringsfwm.cli.main(['validate', '--out', sys.argv[1]]) == 0")
         assert self._loaded(code, str(tmp_path / "validate.txt")) == []
+
+    def test_help_and_errors_still_come_from_argparse(self):
+        code = textwrap.dedent("""
+            import contextlib, io, sys, ringsfwm.cli
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert ringsfwm.cli.main(["validate", "--otu", "v.txt"]) == 1
+            want = "ringsfwm: error: unrecognized arguments: --otu v.txt\\n"
+            assert err.getvalue() == want, err.getvalue()
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.suppress(SystemExit):
+                ringsfwm.cli.main(["validate", "-h"])
+            assert out.getvalue().startswith("usage: ringsfwm validate [-h] [--out OUT]\\n")
+        """)
+        assert "argparse" in self._loaded(code)
 
     def test_tabulated_singles_probability_loads_none(self):
         code = ("import sys, ringsfwm as r\n"
@@ -1013,7 +1106,7 @@ class TestDeferredImports:
             else:
                 raise AssertionError("ringsfwm.no_such_name resolved")
         """)
-        assert self._loaded(code) == list(self.DEFERRED[:2])
+        assert self._loaded(code) == ["ringsfwm.sweep", "ringsfwm.schmidt", "json"]
 
 
 class TestTextEncoding:

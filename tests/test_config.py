@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from ringsfwm.cli import main
 from ringsfwm.config import (
     load_config,
     loss_rates_from_config,
@@ -171,3 +172,18 @@ def test_tgamma_c_only_for_distinct_geometry(tmp_path):
 def test_unreadable_config_is_io_error(tmp_path):
     with pytest.raises(OSError):
         load_config(tmp_path / "missing.ini", "rates")
+
+
+def test_byte_order_mark_is_read_past(tmp_path, capsys):
+    """A config saved with a UTF-8 byte-order mark (Notepad, Excel's "CSV
+    UTF-8") writes the same figure files as the same text without one."""
+    text = "[pump]\nmode = cw\npower_uw = 10\n"
+    (tmp_path / "plain.ini").write_text(text, encoding="utf-8")
+    (tmp_path / "bom.ini").write_text(text, encoding="utf-8-sig")
+    assert (tmp_path / "bom.ini").read_bytes().startswith(b"\xef\xbb\xbf")
+    for name in ("plain", "bom"):
+        assert main(["figure2", "--grid", "5", "--config", str(tmp_path / f"{name}.ini"),
+                     "--out", str(tmp_path / name)]) == 0, capsys.readouterr().err
+    for label in "abc":
+        plain = (tmp_path / f"plain_{label}.json").read_bytes()
+        assert (tmp_path / f"bom_{label}.json").read_bytes() == plain

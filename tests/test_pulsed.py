@@ -1,5 +1,6 @@
 """Pulsed-pump lineshapes, wavepacket, and per-pulse probabilities."""
 
+import gzip
 import heapq
 import math
 import warnings
@@ -135,6 +136,20 @@ class TestTabulatedSpectrum:
         back = load_spectrum(path)
         np.testing.assert_array_equal(back.omega, spec.omega)
         np.testing.assert_array_equal(back.amplitude, spec.amplitude)
+
+    @pytest.mark.parametrize("suffix", [".txt", ".txt.gz"])
+    def test_file_with_byte_order_mark(self, tmp_path, suffix):
+        """A UTF-8 byte-order mark before the header loads as the file without
+        one, plain or compressed."""
+        spec = TabulatedSpectrum.flattop(3.7e9, n_samples=33)
+        plain, bom = tmp_path / f"plain{suffix}", tmp_path / f"bom{suffix}"
+        save_spectrum(spec, plain)
+        text = b"\xef\xbb\xbf" + (gzip.decompress if suffix.endswith(".gz") else bytes)(
+            plain.read_bytes())
+        bom.write_bytes(gzip.compress(text) if suffix.endswith(".gz") else text)
+        back, want = load_spectrum(bom), load_spectrum(plain)
+        np.testing.assert_array_equal(back.omega, want.omega)
+        np.testing.assert_array_equal(back.amplitude, want.amplitude)
 
     @pytest.mark.parametrize("text", ["", "# pump spectral amplitude samples\n\n# columns\n"],
                              ids=["empty", "comments-only"])
