@@ -16,11 +16,12 @@ wavepacket is returned real and non-negative.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .core import CouplingConfig, RingParams, _drive_cw, _positive_finite, _record
+from .core import CouplingConfig, RingParams, _drive_cw, _positive_finite
 
 __all__ = [
     "CwObservables",
@@ -34,7 +35,7 @@ __all__ = [
 ]
 
 
-@_record
+@dataclass(frozen=True)
 class CwObservables:
     """One-photon rates, pair rate, and heralding efficiency for one design."""
 

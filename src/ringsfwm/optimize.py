@@ -10,8 +10,9 @@ log stencil; the same zoom sharpens the observed maxima of coupling sweeps.
 The private table ``_OBSERVABLES`` names each regime and objective's sweep
 output and rate kernel; the optima, objectives and sweeps all read it.
 
-Input checks sit at the public edge.  A geometry that is not a ``Geometry``
-raises ``ValueError`` wherever it is given.  The objectives that
+Input checks sit at the public edge.  A geometry that is not a ``Geometry``,
+or a target that is not an :class:`OptimizationTarget`, raises ``ValueError``
+wherever it is given.  The objectives that
 :func:`normalized_objective` hands out reject a wrong number of couplings and
 negative or non-finite ones, on every call, :func:`numeric_optimum`'s default
 objective included.  A custom objective given to :func:`numeric_optimum` is
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -37,7 +39,6 @@ from .core import (
     Geometry,
     _check_couplings,
     _kernel_rates,
-    _record,
     coupling_parameter_names,
 )
 from .cw import _pair_rate_kernel, _single_rate_kernel
@@ -75,7 +76,7 @@ class PumpRegime(enum.Enum):
     BROADBAND_PULSE = "broadband-pulse"
 
 
-@_record
+@dataclass(frozen=True)
 class OptimizationTarget:
     """What an optimum maximizes: an objective under a pump regime."""
 
@@ -89,7 +90,7 @@ class OptimizationTarget:
             raise ValueError(f"invalid pump regime {self.pump_regime!r}")
 
 
-@_record
+@dataclass(frozen=True)
 class OptimumRecord:
     """Optimal couplings (units of gamma_c) and peak value (units of R0/p0)."""
 
@@ -105,6 +106,13 @@ class OptimumRecord:
             raise ValueError(f"OptimumRecord.peak_value must be > 0, got {self.peak_value!r}")
         if not all(c > 0.0 and math.isfinite(c) for c in self.couplings):
             raise ValueError(f"OptimumRecord.couplings must be > 0, got {self.couplings!r}")
+
+
+def _check_target(target) -> None:
+    """The one check that ``target`` is an :class:`OptimizationTarget`
+    (``ValueError`` if not)."""
+    if not isinstance(target, OptimizationTarget):
+        raise ValueError(f"target must be an OptimizationTarget, got {target!r}")
 
 
 def all_targets() -> list[tuple[Geometry, OptimizationTarget]]:
@@ -124,7 +132,8 @@ def config_from_point(
     tgamma_c: Optional[float] = None,
 ) -> CouplingConfig:
     """Coupling configuration from free parameters given in gamma_c units."""
-    return CouplingConfig(geometry, [float(p) * gamma_c for p in point], gamma_c, tgamma_c)
+    point = _check_couplings(geometry, tuple(point), "config_from_point")
+    return CouplingConfig(geometry, [p * gamma_c for p in point], gamma_c, tgamma_c)
 
 
 # Each (regime, objective): its sweep output and its rate kernel, which takes
@@ -168,6 +177,7 @@ def normalized_objective(
     it.
     """
     coupling_parameter_names(geometry)
+    _check_target(target)
 
     def objective(point):
         _check_couplings(geometry, point)
@@ -224,6 +234,7 @@ def analytic_optimum(geometry: Geometry, target: OptimizationTarget) -> OptimumR
     pulsed couplings are the roots of cubics, to double precision.
     """
     coupling_parameter_names(geometry)
+    _check_target(target)
     couplings = _ANALYTIC_TABLE[(geometry, target.objective, target.pump_regime)]
     value = _normalized_value(geometry, target, couplings)
     exact = isinstance(value, Fraction)
@@ -353,6 +364,7 @@ def numeric_optimum(
     meets a non-finite value or finds no positive one.
     """
     ndim = len(coupling_parameter_names(geometry))
+    _check_target(target)
     bounds = (_DEFAULT_BOUND,) * ndim
     if objective is None:
         objective = normalized_objective(geometry, target)
@@ -390,7 +402,7 @@ def numeric_optimum(
     )
 
 
-@_record
+@dataclass(frozen=True)
 class CrossValidationEntry:
     """One optimum on both routes: the analytic and numeric records.  The
     largest coupling difference (units of gamma_c), the peak's relative
@@ -427,7 +439,7 @@ class CrossValidationEntry:
         )
 
 
-@_record
+@dataclass(frozen=True)
 class CrossValidationReport:
     """The entries of :func:`cross_validate_optima`, one per (geometry,
     target) in :func:`all_targets` order; ``str`` gives one line per entry

@@ -51,7 +51,7 @@ once for the halves of every panel a round bisects.
 from __future__ import annotations
 
 import math
-from dataclasses import field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,7 +67,6 @@ from .core import (
     _drive_pulsed,
     _point_count,
     _positive_finite,
-    _record,
     _warn,
 )
 
@@ -133,7 +132,7 @@ class QuadratureError(RuntimeError):
     or the target lies below the roundoff floor of its error estimate."""
 
 
-@_record
+@dataclass(frozen=True)
 class PulsedObservables:
     """Per-pulse one- and two-photon extraction probabilities."""
 
@@ -151,7 +150,7 @@ class PulsedObservables:
             )
 
 
-@_record(eq=False)
+@dataclass(frozen=True, eq=False)
 class TabulatedSpectrum:
     """Sampled pump spectral amplitude A_p(Omega) on a frequency grid.
 
@@ -378,6 +377,16 @@ def _require_broadband(tgamma: float, delta_omega: float) -> None:
         raise ValueError(_NOT_BROADBAND.format(delta_omega / tgamma))
 
 
+def _broadband_args(ring: RingParams, cfg: CouplingConfig, energy: float, delta_omega: float):
+    """``(tgamma_a, gamma_mu, gamma, tgamma, y)``: the arguments of the
+    probability kernels for a broadband flattop pump, once
+    :func:`_require_broadband` holds, with the pulse strength ``y`` of
+    :func:`ringsfwm.core._drive_pulsed`."""
+    rates = cfg.kernel_rates
+    _require_broadband(rates[3], delta_omega)
+    return (*rates, _drive_pulsed(ring, energy, delta_omega))
+
+
 def flattop_lineshape_broadband(
     tgamma: float, delta_omega: float, omega_sum
 ) -> complex:
@@ -428,9 +437,7 @@ def pulsed_wavepacket(
     ``tgamma = gamma`` the bracket is its exact limit ``min(ts, ti)``.
     ``+-inf`` gives 0; NaN is rejected.
     """
-    _require_broadband(cfg.tgamma, delta_omega)
-    y = _drive_pulsed(ring, energy, delta_omega)
-    gamma, tgamma = cfg.gamma, cfg.tgamma
+    tgamma_a, gamma_mu, gamma, tgamma, y = _broadband_args(ring, cfg, energy, delta_omega)
     ts = np.asarray(t_signal, dtype=float)
     ti = np.asarray(t_idler, dtype=float)
     for name, t in (("t_signal", ts), ("t_idler", ti)):
@@ -446,7 +453,7 @@ def pulsed_wavepacket(
     # log_env <= 0, and log_env - split*m <= 0 too: for split < 0,
     # |split| = gamma - tgamma < gamma while m <= (ts + ti)/2.
     core = _jta_bracket(log_env, m, tgamma - gamma)
-    out = cfg.tgamma_a * cfg.gamma_mu * y * core
+    out = tgamma_a * gamma_mu * y * core
     out = np.where(causal, out, 0.0)
     if np.ndim(out) == 0:
         return float(out)
@@ -468,18 +475,14 @@ def pulsed_single_prob(
     ring: RingParams, cfg: CouplingConfig, energy: float, delta_omega: float
 ) -> float:
     """Per-pulse one-photon extraction probability (broadband closed form)."""
-    _require_broadband(cfg.tgamma, delta_omega)
-    y = _drive_pulsed(ring, energy, delta_omega)
-    return _single_prob_kernel(*cfg.kernel_rates, y)
+    return _single_prob_kernel(*_broadband_args(ring, cfg, energy, delta_omega))
 
 
 def pulsed_pair_prob(
     ring: RingParams, cfg: CouplingConfig, energy: float, delta_omega: float
 ) -> float:
     """Per-pulse pair extraction probability (broadband closed form)."""
-    _require_broadband(cfg.tgamma, delta_omega)
-    y = _drive_pulsed(ring, energy, delta_omega)
-    return _pair_prob_kernel(*cfg.kernel_rates, y)
+    return _pair_prob_kernel(*_broadband_args(ring, cfg, energy, delta_omega))
 
 
 def _warn_if_strained(ps: float) -> None:
@@ -504,20 +507,15 @@ def pulsed_observables(
 ) -> PulsedObservables:
     """The broadband closed-form probabilities as one bundle; warns when
     ``ps > 0.1`` strains the single-pair (perturbative) assumption."""
-    _require_broadband(cfg.tgamma, delta_omega)
-    y = _drive_pulsed(ring, energy, delta_omega)
-    return _perturbative_observables(
-        _single_prob_kernel(*cfg.kernel_rates, y), _pair_prob_kernel(*cfg.kernel_rates, y)
-    )
+    args = _broadband_args(ring, cfg, energy, delta_omega)
+    return _perturbative_observables(_single_prob_kernel(*args), _pair_prob_kernel(*args))
 
 
 def pulsed_accidental_prob(
     ring: RingParams, cfg: CouplingConfig, energy: float, delta_omega: float
 ) -> float:
     """Per-pulse accidental-coincidence probability p_acc = p_s * p_i."""
-    _require_broadband(cfg.tgamma, delta_omega)
-    y = _drive_pulsed(ring, energy, delta_omega)
-    ps = _single_prob_kernel(*cfg.kernel_rates, y)
+    ps = pulsed_single_prob(ring, cfg, energy, delta_omega)
     return ps * ps
 
 

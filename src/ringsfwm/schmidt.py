@@ -33,11 +33,12 @@ relative.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .core import CouplingConfig, PumpSpec, RingParams, _point_count, _positive_finite, _record
+from .core import CouplingConfig, PumpSpec, RingParams, _point_count, _positive_finite
 from .pulsed import _jta_bracket, _require_broadband, pulsed_wavepacket
 
 __all__ = [
@@ -55,7 +56,7 @@ class DecompositionError(RuntimeError):
     or its weighted squared norm is zero or not finite."""
 
 
-@_record(eq=False)
+@dataclass(frozen=True, eq=False)
 class WavepacketGrid:
     """Discretized joint temporal amplitude with quadrature weights.
 
@@ -101,7 +102,7 @@ class WavepacketGrid:
         return self.t_axis.size
 
 
-@_record(eq=False)
+@dataclass(frozen=True, eq=False)
 class SchmidtResult:
     """Leading normalized Schmidt coefficients (descending), the Schmidt
     number ``K`` and ``K_minus_1 = K - 1``, and ``tail``, the coefficient mass

@@ -34,7 +34,7 @@ import os
 import pickle
 import sys
 import warnings
-from dataclasses import asdict, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain, cycle, islice, repeat
 from typing import Optional
 
@@ -56,7 +56,6 @@ from .core import (
     _positive_finite,
     _prob_scale,
     _real,
-    _record,
     _warn,
     _write,
     prob_scale_p0,
@@ -102,7 +101,7 @@ _K_WINDOW_OVER_GAMMA = 20.0
 _BLOCK_ROWS = 1000
 
 
-@_record
+@dataclass(frozen=True)
 class SweepAxis:
     """One coupling axis of a sweep, in units of gamma_c."""
 
@@ -132,7 +131,7 @@ class SweepAxis:
         return np.linspace(self.start, self.stop, self.n_points)
 
 
-@_record
+@dataclass(frozen=True)
 class SweepSpec:
     """Grid sweep request: geometry, axes, outputs, ring and pump."""
 
@@ -215,7 +214,7 @@ class SweepSpec:
         }
 
 
-@_record
+@dataclass(frozen=True)
 class SweepResult:
     """A sweep's values, held as columns.
 

@@ -325,9 +325,16 @@ def test_rejects_a_bandwidth_it_cannot_honour(name, bad):
         _BY_PULSE[name](1e-6, bad)
 
 
-# Entries whose number core._real checks, called with that number.
+# Entries whose number core._real checks, called with that number.  A
+# coupling is named by coupling_parameter_names.
 _BY_POSITIVE = {
     "CouplingConfig.gamma_c": lambda x: CouplingConfig.all_pass(1.0, x),
+    "CouplingConfig.gamma_a": lambda x: CouplingConfig.all_pass(x, 1.0),
+    "CouplingConfig.tgamma_a": lambda x: CouplingConfig.distinct(x, 1.0, 1.0),
+    "CouplingConfig.gamma_b": lambda x: CouplingConfig.distinct(1.0, x, 1.0),
+    "config_from_point.gamma_b": lambda x: config_from_point(
+        Geometry.ADD_DROP_IDENTICAL, (1.0, x)
+    ),
     "SweepAxis.stop": lambda x: SweepAxis("gamma_a", 0.5, x, 3),
     "SweepSpec.gamma_c": lambda x: SweepSpec(
         Geometry.ALL_PASS_IDENTICAL, SweepAxis("gamma_a", 0.5, 2.0, 3), None, ("Rs",),
@@ -383,4 +390,29 @@ def test_rejects_a_geometry_that_is_not_a_geometry(name, bad):
     call = _BY_GEOMETRY[name]
     call(Geometry.ADD_DROP_DISTINCT)
     with pytest.raises(ValueError, match="geometry must be a Geometry"):
+        call(bad)
+
+
+# Every entry that takes an optimization target, called with one; each must
+# reject what is not an OptimizationTarget rather than fail on one of its
+# attributes.  A custom objective leaves numeric_optimum's target unused.
+_BY_TARGET = {
+    "analytic_optimum": lambda t: analytic_optimum(Geometry.ALL_PASS_IDENTICAL, t),
+    "numeric_optimum": lambda t: numeric_optimum(Geometry.ALL_PASS_IDENTICAL, t),
+    "numeric_optimum, custom objective": lambda t: numeric_optimum(
+        Geometry.ALL_PASS_IDENTICAL, t, lambda p: 1.0 / (1.0 + np.log(p[0]) ** 2)
+    ),
+    "normalized_objective": lambda t: normalized_objective(Geometry.ALL_PASS_IDENTICAL, t),
+}
+
+
+@pytest.mark.parametrize("bad", ["x", (Objective.ONE_PHOTON, PumpRegime.CW), None])
+@pytest.mark.parametrize("name", sorted(_BY_TARGET))
+def test_rejects_a_target_that_is_not_a_target(name, bad):
+    """A string, an (objective, regime) pair or None is not an
+    OptimizationTarget: rejected with a ValueError, not an AttributeError.
+    normalized_objective rejects it when it builds the objective."""
+    call = _BY_TARGET[name]
+    call(_TARGET)
+    with pytest.raises(ValueError, match="target must be an OptimizationTarget"):
         call(bad)

@@ -11,9 +11,6 @@ field-wise equality and hash (identity for the ``eq=False`` records), the
 import inspect
 import pickle
 import pydoc
-import subprocess
-import sys
-import textwrap
 from dataclasses import MISSING, FrozenInstanceError, asdict, fields, is_dataclass, replace
 
 import numpy as np
@@ -308,30 +305,3 @@ def test_each_record_has_its_own_init():
     assert CouplingConfig.__init__ is not RingParams.__init__
     assert len({id(cls.__init__) for cls in CLASSES}) == len(CLASSES)
 
-
-def test_import_generates_no_code():
-    """Importing the package, its CLI, its config reader and every public
-    name (which loads the deferred modules) compiles no source that is not
-    a file: the records are built without generated methods.  The standard
-    modules the package imports are loaded first, since some build code of
-    their own (``namedtuple``).  From Python 3.13 on, ``dataclass`` compiles
-    one empty builder, ``def __create_fn__(): return ()``, per class even
-    when it generates no method; that source holds no code and is not
-    counted."""
-    code = textwrap.dedent("""
-        import argparse, ast, configparser, dataclasses, fractions, json, os, sys
-        import numpy
-        sources = []
-        def hook(event, args):
-            if event == "compile" and not (isinstance(args[1], str) and os.path.isfile(args[1])):
-                sources.append(args[0])
-        sys.addaudithook(hook)
-        import ringsfwm, ringsfwm.cli, ringsfwm.config
-        from ringsfwm import *
-        found = sources[:]  # ast.parse compiles too
-        empty = ast.dump(ast.parse("def __create_fn__(): return ()"))
-        print(sum(ast.dump(ast.parse(source)) != empty for source in found))
-    """)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "0"
